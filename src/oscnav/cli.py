@@ -12,16 +12,21 @@ theta-scan  the phase-resolved objective on a grid (plus refined minimum)
 
 Exit codes: 0 success, 1 malformed config/input, 2 restart budget exhausted,
 3 input protocol is not a solution, 4 corrector failure. Failures print a
-single-line JSON object to stderr. All outputs are deterministic functions
-of the config and seeds.
+single-line JSON object to stderr. JSON output is strict: a NaN or infinite
+value is an exit-1 failure, never printed. All outputs are deterministic
+functions of the config and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
+import math
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -40,8 +45,13 @@ class ConfigError(Exception):
     pass
 
 
+def _dumps(doc) -> str:
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    return json.dumps(doc, allow_nan=False)
+
+
 def _fail(code: int, error: str, detail: str) -> int:
-    sys.stderr.write(json.dumps({"error": error, "detail": detail}) + "\n")
+    sys.stderr.write(_dumps({"error": error, "detail": detail}) + "\n")
     return code
 
 
@@ -53,13 +63,48 @@ def _check_keys(section, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _dataclass_from(cls, section, where):
-    _check_keys(section, [f.name for f in dataclasses.fields(cls)], where)
-    kwargs = {}
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
+def _fits(value, tp) -> bool:
+    """Whether a parsed JSON value matches a config field's annotated type."""
+    if tp is float:
+        return _is_number(value)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if tp is type(None):
+        return value is None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple and isinstance(value, list):
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return False
+
+
+def _dataclass_from(cls, section, where, **fixed):
+    """Build config dataclass ``cls`` from a JSON section, checking each type.
+
+    ``fixed`` fields are supplied by the caller and are not keys of the
+    section.
+    """
+    fields = typing.get_type_hints(cls)
+    _check_keys(section, [name for name in fields if name not in fixed], where)
+    kwargs = dict(fixed)
     for key, value in section.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        tp = fields[key]
+        if not _fits(value, tp):
+            name = tp.__name__ if tp in (int, float) else tp
+            raise ConfigError(f"{where}.{key} must be of type {name}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -74,22 +119,22 @@ class RunConfig:
                           "output"], "config")
         self.task = None
         if "task" in doc:
-            _check_keys(doc["task"], ["omega0", "omegaT", "T"], "task")
-            try:
-                self.task = (float(doc["task"]["omega0"]), float(doc["task"]["omegaT"]),
-                             float(doc["task"]["T"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"task must provide numeric omega0, omegaT, T: {exc}")
+            task = doc["task"]
+            _check_keys(task, ["omega0", "omegaT", "T"], "task")
+            values = [task.get(k) for k in ("omega0", "omegaT", "T")]
+            if not all(map(_is_number, values)):
+                raise ConfigError(f"task must provide numeric omega0, omegaT, T, "
+                                  f"got {task!r}")
+            self.task = tuple(float(v) for v in values)
         self.m = doc.get("M")
-        if self.m is not None and (not isinstance(self.m, int) or self.m < 1):
+        if self.m is not None and not (_fits(self.m, int) and self.m >= 1):
             raise ConfigError("M must be a positive integer")
         self.descent = _dataclass_from(DescentConfig, doc.get("descent", {}), "descent")
         self.navigation = _dataclass_from(NavigationConfig, doc.get("navigation", {}),
                                           "navigation")
         self.trace = _dataclass_from(TraceConfig, doc.get("trace", {}), "trace")
-        scan_doc = dict(doc.get("scan", {}))
-        _check_keys(scan_doc, ["assign_distance", "max_curves"], "scan")
-        self.scan = ScanConfig(descent=self.descent, trace=self.trace, **scan_doc)
+        self.scan = _dataclass_from(ScanConfig, doc.get("scan", {}), "scan",
+                                    descent=self.descent, trace=self.trace)
         out = doc.get("output", {})
         _check_keys(out, ["protocol", "trajectory", "cloud", "curves", "collapsed"],
                     "output")
@@ -108,8 +153,8 @@ def _load_config(path) -> RunConfig:
 def _load_protocol(path):
     try:
         return proto.load(path)
-    except (OSError, json.JSONDecodeError, ValueError, NonPositiveFrequency,
-            NonFiniteEntry) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, OverflowError,
+            NonPositiveFrequency, NonFiniteEntry) as exc:
         raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
 
 
@@ -129,9 +174,9 @@ def _cmd_solve(args) -> int:
     proto.save(result.protocol, cfg.output.get("protocol", "protocol.json"))
     _write(cfg.output.get("trajectory", "trajectory.csv"),
            trajectory_to_csv(result.trajectory))
-    print(json.dumps({"infidelity": result.report.infidelity,
-                      "restarts": result.restarts,
-                      "iterations": result.trajectory.records[-1].iteration}))
+    print(_dumps({"infidelity": result.report.infidelity,
+                  "restarts": result.restarts,
+                  "iterations": result.trajectory.records[-1].iteration}))
     return 0
 
 
@@ -160,9 +205,9 @@ def _navigate_command(args, cost: SecondaryCost) -> int:
         path = args.out_collapsed or out.get("collapsed", "collapsed.json")
         proto.save(collapsed, path)
         extra = {"collapsed_infidelity": infidelity(collapsed)}
-    print(json.dumps({"status": traj.status,
-                      "final_cost": traj.records[-1].cost,
-                      "final_infidelity": traj.records[-1].infidelity, **extra}))
+    print(_dumps({"status": traj.status,
+                  "final_cost": traj.records[-1].cost,
+                  "final_infidelity": traj.records[-1].infidelity, **extra}))
     if traj.status == "corrector_failed":
         return _fail(4, "CorrectorFailed", "trajectory truncated at last valid record")
     return 0
@@ -192,6 +237,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     p = _load_protocol(args.protocol)
     state = propagate(p)
+    if not (cmath.isfinite(state.f) and cmath.isfinite(state.fdot)):
+        raise NonFiniteEntry(f"final mode state is not finite: {state!r}")
     pair = bogoliubov(state, p.omegaT)
     b2 = abs(pair.beta) ** 2
     report = {
@@ -201,7 +248,7 @@ def _cmd_verify(args) -> int:
         "particle_number": {"0": particle_number(0.0, pair.beta),
                             "1": particle_number(1.0, pair.beta)},
     }
-    print(json.dumps(report))
+    print(_dumps(report))
     return 0
 
 
@@ -214,13 +261,15 @@ def _cmd_levelset(args) -> int:
     _write(args.out_curves or cfg.output.get("curves", "curves.csv"),
            curves_to_csv(result.curves))
     n_components = len(set(int(v) for v in result.labels if v >= 0))
-    print(json.dumps({"points": int(len(result.points)), "components": n_components}))
+    print(_dumps({"points": int(len(result.points)), "components": n_components}))
     return 0
 
 
 def _cmd_theta_scan(args) -> int:
     p = _load_protocol(args.protocol)
     thetas, values, theta_min, value_min = theta_scan(p, args.points)
+    if not (np.isfinite(values).all() and math.isfinite(value_min)):
+        raise NonFiniteEntry("theta landscape is not finite")
     rows = sorted(zip(thetas, values)) + [(theta_min, value_min)]
     rows.sort(key=lambda tv: tv[0])
     lines = ["theta,J"] + [f"{repr(float(t))},{repr(float(v))}" for t, v in rows]
@@ -288,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite results are reported as one JSON error line below, so
+        # numpy's floating-point warnings would only add noise to stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         return _fail(1, "ConfigError", str(exc))
     except IndivisibleChunking as exc:
@@ -298,6 +350,10 @@ def main(argv=None) -> int:
     except NotASolution as exc:
         return _fail(3, "NotASolution", str(exc))
     except OscnavError as exc:
+        return _fail(1, type(exc).__name__, str(exc))
+    except (ValueError, TypeError) as exc:
+        # malformed input rejected by the library, e.g. theta-scan --points 2
+        # or compress --chunks 0, or a non-finite value refused as JSON
         return _fail(1, type(exc).__name__, str(exc))
 
 

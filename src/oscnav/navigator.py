@@ -100,9 +100,11 @@ class NavigationConfig:
 class TraceConfig:
     """Continuation settings for one-dimensional (M = 3) level sets.
 
-    The box only detects runaway curves; solution curves of the expansion
-    task wander well outside the search box (amplitudes from about -2 to
-    +5), so the default bound is generous.
+    The box only detects runaway curves. For the expansion task, the
+    solution curve nearest the descent box (0, 2) spans amplitudes from
+    about -2 to +5, inside the default bound. Other components reach much
+    further (one spans omega_2 in [-10.2, 10.2]); a trace of such a curve
+    leaves the default box and ends ``open`` rather than ``closed``.
     """
 
     step_size: float = 0.05

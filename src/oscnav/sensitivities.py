@@ -1,15 +1,20 @@
 """Exact first and second derivatives of beta and of the infidelity.
 
-The final mode pair is a product of per-step matrices, so its derivative
-with respect to any one pulse amplitude follows a forward recursion: the row
-for pulse j is seeded by A'(omega_j) applied to the incoming state and then
-carried forward by the ordinary step matrices (dependence on omega_j flows
-only through the initial conditions of later steps). Second derivatives use
-the same structure one level up, with A'' seeding the diagonal. Everything
-is evaluated in one sweep: O(M^2) for the gradient, O(M^3) for the Hessian.
+beta is linear in the final mode pair, beta = c^T s_M, and s_M is a product
+of per-step matrices applied to the initial state, s_M = A_M ... A_1 s_0.
+One private sweep evaluates everything (GRAPE-style adjoint; Khaneja et al.,
+J. Magn. Reson. 172, 296 (2005)):
 
-Symbolic expansion of the product is deliberately avoided; only the
-iterative tableau is implemented.
+* a forward pass stores the states s_{j-1} entering each step;
+* a backward pass carries the costate lambda_j = c^T A_M ... A_{j+1}, so
+  d beta / d omega_j = lambda_j A'_j s_{j-1}: O(M) for the gradient;
+* only when the Hessian is asked for, row j below the diagonal is
+  lambda_j A'_j applied to the forward sensitivities d s_{j-1} / d omega_i
+  (i < j), each seeded by A'_i s_{i-1} and carried by the step matrices,
+  and the diagonal is lambda_j A''_j s_{j-1}: O(M^2), with no matrix
+  inverse.
+
+Symbolic expansion of the product is deliberately avoided.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyProtocol
+from .errors import EmptyProtocol, NonFiniteEntry
 from .propagator import (ModeState, _step_entries, bogoliubov, infidelity,
                          initial_state, propagate)
 from .protocol import Protocol, validate
@@ -88,86 +93,113 @@ def step_matrix_d2(omega: float, dt: float) -> np.ndarray:
     return np.array([[h00, h01], [h10, h00]])
 
 
-def _beta_map(df: np.ndarray, dfdot: np.ndarray, omegaT: float) -> np.ndarray:
-    """Apply the (linear) beta formula to a derivative of the mode pair."""
-    return -1j / math.sqrt(2.0 * omegaT) * (dfdot + 1j * omegaT * df)
+def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
+    """beta, grad(beta) and, if ``second_order``, Hess(beta) (module docstring).
 
-
-def gradient(p: Protocol) -> SensitivityBundle:
-    """Exact grad(beta) and grad(I) in one forward sweep."""
-    validate(p)
-    m = p.m
-    if m == 0:
-        raise EmptyProtocol("gradient requires at least one pulse")
-    dt = p.dt
-    s0 = initial_state(p.omega0)
-    f, fd = s0.f, s0.fdot
-    vf = np.zeros(m, dtype=complex)   # d f_final / d omega_j, built up stepwise
-    vd = np.zeros(m, dtype=complex)
-    for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
-        d00, d01, d10 = _d1_entries(w, dt)
-        if i:
-            vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
-        vf[i] = d00 * f + d01 * fd
-        vd[i] = d10 * f + d00 * fd
-        f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
-    beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
-    grad_beta = _beta_map(vf, vd, p.omegaT)
-    grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
-    return SensitivityBundle(beta=beta, grad_beta=grad_beta,
-                             grad_infidelity=grad_infid)
-
-
-def hessian(p: Protocol) -> SensitivityBundle:
-    """Exact gradient plus Hessians of beta and of I.
-
-    Second derivatives propagate by the three-case recursion
-    (both indices past: carried by A; one index current: seeded by A' on the
-    first-derivative row; both current: seeded by A'' on the state), then the
-    beta map is applied entrywise and the result symmetrized to cancel
-    rounding.
+    Raises NonFiniteEntry when a derivative of I comes out NaN or infinite.
     """
     validate(p)
     m = p.m
     if m == 0:
-        raise EmptyProtocol("hessian requires at least one pulse")
+        raise EmptyProtocol(("hessian" if second_order else "gradient")
+                            + " requires at least one pulse")
     dt = p.dt
+    omegas = p.omegas
     s0 = initial_state(p.omega0)
     f, fd = s0.f, s0.fdot
-    vf = np.zeros(m, dtype=complex)
-    vd = np.zeros(m, dtype=complex)
-    wf = np.zeros((m, m), dtype=complex)  # d^2 f_final / d omega_j d omega_k
-    wd = np.zeros((m, m), dtype=complex)
-    for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
-        d00, d01, d10 = _d1_entries(w, dt)
-        h00, h01, h10 = _d2_entries(w, dt)
-        if i:
-            blkf, blkd = wf[:i, :i], wd[:i, :i]
-            wf[:i, :i], wd[:i, :i] = a00 * blkf + a01 * blkd, a10 * blkf + a00 * blkd
-            mixf = d00 * vf[:i] + d01 * vd[:i]
-            mixd = d10 * vf[:i] + d00 * vd[:i]
-            wf[:i, i] = wf[i, :i] = mixf
-            wd[:i, i] = wd[i, :i] = mixd
-        wf[i, i] = h00 * f + h01 * fd
-        wd[i, i] = h10 * f + h00 * fd
-        if i:
-            vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
-        vf[i] = d00 * f + d01 * fd
-        vd[i] = d10 * f + d00 * fd
+    steps = [_step_entries(w, dt) for w in omegas]
+    fs, fds = [], []
+    for a00, a01, a10 in steps:
+        fs.append(f)
+        fds.append(fd)
         f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
     beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
-    grad_beta = _beta_map(vf, vd, p.omegaT)
-    hess_beta = _beta_map(wf, wd, p.omegaT)
-    hess_beta = 0.5 * (hess_beta + hess_beta.T)
+    r = 1.0 / math.sqrt(2.0 * p.omegaT)
+    lf, ld = complex(p.omegaT * r), complex(0.0, -r)  # beta = lf*f + ld*fd
+    grad = [0j] * m
+    costates = [None] * m
+    for j in range(m - 1, -1, -1):
+        d00, d01, d10 = _d1_entries(omegas[j], dt)
+        mf, md = lf * d00 + ld * d10, lf * d01 + ld * d00  # lambda_j A'_j
+        grad[j] = mf * fs[j] + md * fds[j]
+        costates[j] = (lf, ld, mf, md, d00, d01, d10)
+        a00, a01, a10 = steps[j]
+        lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
+    grad_beta = np.array(grad)
     grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
-    hess_infid = 2.0 * np.real(np.outer(grad_beta, np.conj(grad_beta))
-                               + hess_beta * np.conj(beta))
+    if not np.isfinite(grad_infid).all():
+        raise NonFiniteEntry("gradient of beta is not finite")
+    if not second_order:
+        return SensitivityBundle(beta=beta, grad_beta=grad_beta,
+                                 grad_infidelity=grad_infid)
+    hess_beta = _hessian_of_beta(omegas, dt, steps, fs, fds, costates)
+    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic
+    gr, gi = grad_beta.real, grad_beta.imag
+    hess_infid = gr[:, None] * gr
+    hess_infid += gi[:, None] * gi
+    hess_infid += hess_beta.real * beta.real
+    hess_infid += hess_beta.imag * beta.imag
+    hess_infid *= 2.0
     hess_infid = 0.5 * (hess_infid + hess_infid.T)
+    if not np.isfinite(hess_infid).all():
+        raise NonFiniteEntry("Hessian of beta is not finite")
     return SensitivityBundle(beta=beta, grad_beta=grad_beta,
                              grad_infidelity=grad_infid,
                              hess_beta=hess_beta, hess_infidelity=hess_infid)
+
+
+# kron(A^T, I_2) for A = [[a00, a01], [a10, a00]], as indices into
+# (a00, a01, a10, 0)
+_KRON_AT_I2 = np.array([[0, 3, 2, 3], [3, 0, 3, 2], [1, 3, 0, 3], [3, 1, 3, 0]])
+
+
+def _hessian_of_beta(omegas, dt, steps, fs, fds, costates) -> np.ndarray:
+    """Hess(beta) from the states and costates of :func:`_sweep`.
+
+    Below the diagonal, row j is mu_j = lambda_j A'_j contracted with the
+    forward sensitivities d s_{j-1} / d omega_i (i < j): sensitivity i is
+    seeded by A'_i s_{i-1} and carried forward by the step matrices. The
+    diagonal is lambda_j A''_j s_{j-1}. The lower triangle is mirrored, so
+    the result is exactly symmetric.
+    """
+    m = len(omegas)
+    costates = np.array(costates)
+    lf, ld, _, _, d00, d01, d10 = costates.T
+    d00, d01, d10 = d00.real, d01.real, d10.real
+    mus = costates[:, 2:4]
+    h00, h01, h10 = np.array([_d2_entries(w, dt) for w in omegas]).T
+    f, fd = np.array(fs), np.array(fds)
+    diag = lf * (h00 * f + h01 * fd) + ld * (h10 * f + h00 * fd)
+    # Row i of sens holds d s_{j-1} / d omega_i once i < j. The step matrices
+    # are real, so they act on the float view of a row,
+    # (Re f, Im f, Re f', Im f'), as kron(A^T, I_2).
+    sens = np.empty((m, 2), dtype=complex)
+    sens[:, 0] = d00 * f + d01 * fd
+    sens[:, 1] = d10 * f + d00 * fd
+    sens_re = sens.view(np.float64)
+    entries = np.zeros((m, 4))  # a00, a01, a10, 0
+    entries[:, :3] = steps
+    step_t = entries[:, _KRON_AT_I2]
+    hess = np.zeros((m, m), dtype=complex)
+    for j in range(1, m):
+        np.matmul(sens[:j], mus[j], out=hess[j, :j])
+        sens_re[:j] = sens_re[:j] @ step_t[j]
+    hess += hess.T  # the upper triangle and the diagonal are still zero
+    hess[np.diag_indices(m)] = diag
+    return hess
+
+
+def gradient(p: Protocol) -> SensitivityBundle:
+    """Exact grad(beta) and grad(I): one forward and one backward pass, O(M)."""
+    return _sweep(p, second_order=False)
+
+
+def hessian(p: Protocol) -> SensitivityBundle:
+    """Exact gradient plus Hessians of beta and of I, O(M^2).
+
+    The gradient fields are bit-identical to those of :func:`gradient`.
+    """
+    return _sweep(p, second_order=True)
 
 
 def optimal_hessian(grad_beta: np.ndarray) -> np.ndarray:

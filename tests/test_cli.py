@@ -9,6 +9,7 @@ import pytest
 import oscnav
 from oscnav import DescentConfig, Protocol, infidelity, solve
 from oscnav import protocol as proto
+from oscnav.cli import _load_config, main
 
 TASK_DOC = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8}, "M": 3,
             "descent": {"seed": 1}}
@@ -157,3 +158,76 @@ class TestDiagnosticsCommands:
         assert curves[0] == "curve,vertex,omega1,omega2,omega3,I,closed"
         info = json.loads(r.stdout)
         assert info["points"] == 8
+
+
+def _strict_json(line):
+    """Parse one JSON line, refusing the NaN/Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(line, parse_constant=refuse)
+
+
+def _one_error_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return _strict_json(lines[0])
+
+
+class TestInputContract:
+    """Malformed input exits 1 with exactly one strict JSON line on stderr."""
+
+    @pytest.mark.parametrize("config", [
+        dict(TASK_DOC, M=True),
+        dict(TASK_DOC, descent={"seed": "x"}),
+        dict(TASK_DOC, descent={"box": [1]}),
+        dict(TASK_DOC, descent={"max_iterations": 10.5}),
+        dict(TASK_DOC, descent={"initial_step": 10 ** 400}),
+        dict(TASK_DOC, navigation={"doubling_schedule": [2, "a"]}),
+        dict(TASK_DOC, scan={"max_curves": True}),
+        dict(TASK_DOC, task={"omega0": "1.0", "omegaT": 0.25, "T": 1.8}),
+    ])
+    def test_badly_typed_config_field(self, config, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "ConfigError"
+
+    def test_typed_config_still_loads(self, tmp_path):
+        doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "initial_step": 1},
+                   navigation={"doubling_schedule": [2], "doubling_stall_tolerance": None},
+                   scan={"assign_distance": 0.2, "max_curves": 8})
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        cfg = _load_config(tmp_path / "cfg.json")
+        assert cfg.m == 3 and cfg.descent.box == (0, 2.0)
+        assert cfg.navigation.doubling_schedule == (2,)
+        assert cfg.scan.max_curves == 8 and cfg.scan.descent is cfg.descent
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-scan", "{p}", "--points", "2"],
+        ["compress", "{p}", "--chunks", "0"],
+    ])
+    def test_library_value_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        proto.save(Protocol(1.0, 0.25, 0.6, (1.0, 1.0, 1.0, 1.0)), path)
+        code = main([a.format(p=path) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "ValueError"
+
+    def test_protocol_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"omega0": 1, "omegaT": 0.25, "dt": 0.6, "omegas": [1%s]}'
+                        % ("0" * 400))
+        code = main(["verify", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "theta-scan"])
+    def test_non_finite_result_is_an_error_not_nan(self, command, tmp_path):
+        proto.save(Protocol(1.0, 0.25, 0.6, (1e308, 1.0, 1.0)), tmp_path / "p.json")
+        r = run_cli(command, "p.json", cwd=tmp_path)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert _one_error_line(r.stderr)["error"] == "NonFiniteEntry"

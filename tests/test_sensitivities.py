@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oscnav import (EmptyProtocol, Protocol, fd_gradient, fd_hessian, gradient,
-                    hessian, infidelity, optimal_hessian, step_matrix,
-                    step_matrix_d1, step_matrix_d2)
+from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, fd_gradient,
+                    fd_hessian, gradient, hessian, infidelity, optimal_hessian,
+                    step_matrix, step_matrix_d1, step_matrix_d2)
+from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
+                               bogoliubov, initial_state)
+from oscnav.sensitivities import _D_SERIES_THRESHOLD, _d1_entries, _d2_entries
 
 
 def random_protocol(rng, m, dt_range=(0.05, 0.5), omega_range=(0.1, 2.0)):
@@ -185,3 +192,143 @@ class TestQuarticScaling:
         vals2 = np.array([infidelity(p.with_omegas(base + e * grad_dir)) for e in eps])
         slope2 = np.polyfit(np.log(eps), np.log(vals2), 1)[0]
         assert slope2 == pytest.approx(2.0, abs=0.2)
+
+
+# Reference oracle: the forward tableaux the adjoint sweep replaced. The
+# gradient carries an M-vector of d s / d omega_j through every step (O(M^2))
+# and the Hessian an M x M block (O(M^3)); beta's linear map is applied last.
+
+def _beta_map(df, dfdot, omegaT):
+    return -1j / math.sqrt(2.0 * omegaT) * (dfdot + 1j * omegaT * df)
+
+
+def tableau_gradient(p):
+    """(beta, grad beta, grad I) by forward propagation of every d s / d omega_j."""
+    m, dt = p.m, p.dt
+    s0 = initial_state(p.omega0)
+    f, fd = s0.f, s0.fdot
+    vf = np.zeros(m, dtype=complex)
+    vd = np.zeros(m, dtype=complex)
+    for i, w in enumerate(p.omegas):
+        a00, a01, a10 = _step_entries(w, dt)
+        d00, d01, d10 = _d1_entries(w, dt)
+        if i:
+            vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
+        vf[i] = d00 * f + d01 * fd
+        vd[i] = d10 * f + d00 * fd
+        f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
+    beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
+    grad_beta = _beta_map(vf, vd, p.omegaT)
+    return beta, grad_beta, 2.0 * np.real(grad_beta * np.conj(beta))
+
+
+def tableau_hessian(p):
+    """(Hess beta, Hess I) by forward propagation of every d^2 s / d omega_j d omega_k."""
+    m, dt = p.m, p.dt
+    s0 = initial_state(p.omega0)
+    f, fd = s0.f, s0.fdot
+    vf = np.zeros(m, dtype=complex)
+    vd = np.zeros(m, dtype=complex)
+    wf = np.zeros((m, m), dtype=complex)
+    wd = np.zeros((m, m), dtype=complex)
+    for i, w in enumerate(p.omegas):
+        a00, a01, a10 = _step_entries(w, dt)
+        d00, d01, d10 = _d1_entries(w, dt)
+        h00, h01, h10 = _d2_entries(w, dt)
+        if i:
+            blkf, blkd = wf[:i, :i], wd[:i, :i]
+            wf[:i, :i], wd[:i, :i] = a00 * blkf + a01 * blkd, a10 * blkf + a00 * blkd
+            mixf = d00 * vf[:i] + d01 * vd[:i]
+            mixd = d10 * vf[:i] + d00 * vd[:i]
+            wf[:i, i] = wf[i, :i] = mixf
+            wd[:i, i] = wd[i, :i] = mixd
+        wf[i, i] = h00 * f + h01 * fd
+        wd[i, i] = h10 * f + h00 * fd
+        if i:
+            vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
+        vf[i] = d00 * f + d01 * fd
+        vd[i] = d10 * f + d00 * fd
+        f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
+    beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
+    grad_beta = _beta_map(vf, vd, p.omegaT)
+    hess_beta = _beta_map(wf, wd, p.omegaT)
+    hess_beta = 0.5 * (hess_beta + hess_beta.T)
+    hess_infid = 2.0 * np.real(np.outer(grad_beta, np.conj(grad_beta))
+                               + hess_beta * np.conj(beta))
+    return hess_beta, 0.5 * (hess_infid + hess_infid.T)
+
+
+_DT = 0.3
+# Pulses at the series thresholds of the step kernel (1e-4) and of its
+# derivatives (1e-2), 0.1 % either side in |omega * dt|, plus omega = 0 and
+# negative pulses.
+EDGE_PULSES = (0.0, -1.7, -0.4) + tuple(
+    sgn * t * (1.0 + side * 1e-3) / _DT
+    for t in (SERIES_THRESHOLD, _D_SERIES_THRESHOLD)
+    for side in (-1.0, 1.0) for sgn in (1.0, -1.0))
+
+
+def oracle_protocols(m):
+    """Two random protocols of m pulses, then protocols that between them hold
+    every edge pulse, each at a random position among random pulses."""
+    rng = np.random.default_rng(1000 + m)
+    out = [random_protocol(rng, m, omega_range=(-2.5, 2.5)) for _ in range(2)]
+    for start in range(0, len(EDGE_PULSES), m):
+        edges = EDGE_PULSES[start:start + m]
+        omegas = rng.uniform(-2.0, 2.0, m)
+        omegas[rng.choice(m, size=len(edges), replace=False)] = edges
+        out.append(Protocol(1.0, 0.25, _DT, tuple(omegas)))
+    return out
+
+
+class TestAdjointSweepAgainstTableau:
+    @pytest.mark.parametrize("m", [1, 2, 3, 48, 192])
+    def test_matches_forward_tableau(self, m):
+        for p in oracle_protocols(m):
+            full = hessian(p)
+            beta, grad_beta, grad_infid = tableau_gradient(p)
+            hess_beta, hess_infid = tableau_hessian(p)
+            assert full.beta == beta
+            for got, want in ((full.grad_beta, grad_beta),
+                              (full.grad_infidelity, grad_infid),
+                              (full.hess_beta, hess_beta),
+                              (full.hess_infidelity, hess_infid)):
+                # relative in the max norm; a gradient at omega = 0 is exactly 0
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestNonFinite:
+    def test_gradient_and_hessian_raise_on_overflow(self):
+        p = Protocol(1.0, 0.25, 0.6, (1e308, 1.0, 1.0))
+        with pytest.raises(NonFiniteEntry):
+            gradient(p)
+        with pytest.raises(NonFiniteEntry), np.errstate(all="ignore"):
+            hessian(p)
+
+
+protocols = st.builds(
+    lambda omega0, omegaT, dt, omegas: Protocol(omega0, omegaT, dt, tuple(omegas)),
+    st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.01, 1.0),
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))
+
+
+class TestSweepProperties:
+    @given(protocols)
+    def test_hessian_and_gradient_share_first_order_bits(self, p):
+        first, full = gradient(p), hessian(p)
+        assert full.beta == first.beta
+        assert np.array_equal(full.grad_beta, first.grad_beta)
+        assert np.array_equal(full.grad_infidelity, first.grad_infidelity)
+
+    @given(protocols, st.data())
+    def test_sign_flip_negates_only_that_gradient_entry(self, p, data):
+        k = data.draw(st.integers(0, p.m - 1))
+        flipped = list(p.omegas)
+        flipped[k] = -flipped[k]
+        g0 = gradient(p)
+        g1 = gradient(p.with_omegas(flipped))
+        assert g1.beta == g0.beta
+        assert g1.grad_beta[k] == -g0.grad_beta[k]
+        mask = np.arange(p.m) != k
+        assert np.array_equal(g1.grad_beta[mask], g0.grad_beta[mask])
+        assert np.array_equal(g1.grad_infidelity[mask], g0.grad_infidelity[mask])
