@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -281,7 +282,9 @@ def _cmd_theta_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="oscnav",
                                  description="Frictionless-protocol search and "
                                              "level-set navigation for a "

@@ -2,18 +2,19 @@
 
 Three layers build on each other:
 
-* ``descend``/``solve``: backtracking gradient descent on the infidelity,
-  restarted from random fields until a protocol below the threshold is found.
+* ``descend``/``solve``: Levenberg-Marquardt on the two residuals
+  (Re beta, Im beta), restarted from random fields until a protocol below
+  the threshold is found.
 * ``navigate``: descent of a secondary cost restricted to the optimal level
   set, by projecting the secondary gradient onto the null space of the
-  rank-2 optimal curvature and correcting the infidelity whenever a
-  predictor step drifts off the set. A doubling schedule can refine the
-  protocol in place once the projected gradient stalls, opening fresh
-  directions in the enlarged parameter space.
+  rank-2 optimal curvature and projecting back onto beta = 0, with the same
+  Levenberg-Marquardt step, whenever a predictor step drifts off the set.
+  A doubling schedule can refine the protocol in place once the projected
+  gradient stalls, opening fresh directions in the enlarged parameter space.
 * ``trace_levelset``/``scan_levelset``: for 3-pulse protocols the level set
   is a curve; it is traced by predictor steps along the null direction plus
-  infidelity correctors, and solution clouds are grouped into connected
-  components by proximity to traced curves.
+  the same projection as corrector, and solution clouds are grouped into
+  connected components by proximity to traced curves.
 
 Every operation is deterministic given its configuration and seed.
 """
@@ -31,9 +32,9 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost
 from .propagator import infidelity
 from .protocol import Protocol, refine, validate
-from .sensitivities import gradient, hessian, optimal_hessian
+from .sensitivities import gradient, hessian
 
-_ETA_GROW = 2.0  # warm-start factor for the next line search trial
+_ETA_GROW = 2.0  # warm-start factor for the next predictor line search
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class DescentConfig:
     max_iterations: int = 20000
     grad_tolerance: float = 1e-9
     infidelity_threshold: float = 1e-5
-    initial_step: float = 0.1
-    shrink_factor: float = 0.5
-    armijo_constant: float = 1e-4
-    max_backtracks: int = 60
     box: tuple[float, float] = (0.1, 2.0)
     seed: int = 0
     max_restarts: int = 32
@@ -62,10 +59,12 @@ class DescentConfig:
 class NavigationConfig:
     """Secondary-objective navigation settings.
 
-    The corrector re-descends the primary objective whenever a predictor
-    step lifts the infidelity above ``corrector_trigger`` and must push it
-    back below ``corrector_target``; a doubling factor from the schedule is
-    consumed whenever the projected gradient stalls.
+    The Levenberg-Marquardt corrector runs whenever a predictor step lifts
+    the infidelity above ``corrector_trigger`` and must push it back below
+    ``corrector_target`` within ``corrector_budget`` steps. The line-search
+    fields (``initial_step`` to ``max_backtracks``) set the predictor's
+    backtracking. A doubling factor from the schedule is consumed whenever
+    the projected gradient stalls.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -86,7 +85,6 @@ class NavigationConfig:
     shrink_factor: float = 0.5
     armijo_constant: float = 1e-4
     max_backtracks: int = 60
-    grad_tolerance: float = 1e-9
     record_every: int = 1
 
     def __post_init__(self):
@@ -181,48 +179,60 @@ class ScanResult:
     curves: tuple[LevelsetCurve, ...]
 
 
-def _line_search(value_at, w, direction, slope_sq, val, eta0, cfg):
-    """Backtrack until sufficient decrease; returns (w, val, eta) or None."""
-    eta = eta0
-    for _ in range(cfg.max_backtracks):
-        cand = w + eta * direction
-        cval = value_at(cand)
-        if cval <= val - cfg.armijo_constant * eta * slope_sq:
-            return cand, cval, eta
-        eta *= cfg.shrink_factor
-    return None
+def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.0,
+             on_step=None):
+    """Levenberg-Marquardt projection onto beta = 0.
 
+    Returns (omegas, I, grad_max, status).
 
-def _descend_infidelity(p: Protocol, cfg, *, target=None, budget=None, on_step=None):
-    """Core backtracking descent on I. Returns (omegas, I, grad_max, status).
+    I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
+    J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
+    delta = -J^T (J J^T + lam I)^-1 r with lam = mu |r| tr(J J^T) / 2, and a
+    trial is accepted only if it lowers I: mu falls tenfold after an
+    accepted step (floor 1e-12) and rises tenfold after a rejected one.
+    Damping in proportion to |r| gives Gauss-Newton steps near beta = 0
+    and short gradient-like steps at traps, where the rank of J may drop.
 
-    status: "critical" (gradient below tolerance), "target" (I below the
-    requested target), "budget", or "stalled" (no acceptable step).
+    status: "target" (I below ``target``), "critical" (gradient of I below
+    ``grad_tolerance``, or exactly zero), "budget", or "stalled" (no trial
+    lowers I before the step is lost to rounding).
     """
     w = np.asarray(p.omegas, dtype=float)
     val = infidelity(p)
-    eta = cfg.initial_step
-    limit = cfg.max_iterations if budget is None else budget
-    value_at = lambda ww: infidelity(p.with_omegas(ww))
+    mu = 1.0
     status = "budget"
     gmax = math.inf
-    for it in range(limit + 1):
-        if target is not None and val < target:
+    for it in range(budget + 1):
+        if val < target:
             status = "target"
             break
-        g = gradient(p.with_omegas(w)).grad_infidelity
-        gmax = float(np.max(np.abs(g))) if g.size else 0.0
-        if gmax < cfg.grad_tolerance:
+        bundle = gradient(p.with_omegas(w))
+        gmax = float(np.max(np.abs(bundle.grad_infidelity)))
+        if gmax < grad_tolerance or gmax == 0.0:
             status = "critical"
             break
-        if it == limit:
+        if it == budget:
             break
-        hit = _line_search(value_at, w, -g, float(g @ g), val, eta, cfg)
-        if hit is None:
-            status = "stalled"
-            break
-        w, val, eta_acc = hit
-        eta = eta_acc * _ETA_GROW
+        jr, ji = np.real(bundle.grad_beta), np.imag(bundle.grad_beta)
+        r0, r1 = bundle.beta.real, bundle.beta.imag
+        a, b, c = float(jr @ jr), float(jr @ ji), float(ji @ ji)
+        scale = math.hypot(r0, r1) * (a + c) / 2.0
+        while True:
+            lam = mu * scale
+            # (a + lam)(c + lam) - b^2, with the rounding of a c - b^2 >= 0
+            # kept from turning it negative when J has rank 1
+            det = lam * (a + c + lam) + max(a * c - b * b, 0.0)
+            y0 = ((c + lam) * r0 - b * r1) / det
+            y1 = ((a + lam) * r1 - b * r0) / det
+            cand = w - (y0 * jr + y1 * ji)
+            if np.array_equal(cand, w):
+                return w, val, gmax, "stalled"
+            cval = infidelity(p.with_omegas(cand))
+            if cval < val:
+                mu = max(mu * 0.1, 1e-12)
+                break
+            mu *= 10.0
+        w, val = cand, cval
         if on_step is not None:
             on_step(it, w, val, gmax)
     return w, val, gmax, status
@@ -235,7 +245,7 @@ def _classify(i_val, gmax, cfg) -> str:
 
 
 def descend(p0: Protocol, cfg: DescentConfig):
-    """Gradient descent on I from ``p0`` until a critical point or budget.
+    """Levenberg-Marquardt descent on I from ``p0`` to a critical point or budget.
 
     Returns (protocol, report, trajectory); infidelity is non-increasing
     along accepted steps.
@@ -250,7 +260,8 @@ def descend(p0: Protocol, cfg: DescentConfig):
         records.append(TrajectoryRecord(it + 1, p0.with_omegas(w), val,
                                         float("nan"), gmax))
 
-    w, val, gmax, status = _descend_infidelity(p0, cfg, on_step=on_step)
+    w, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
+                                    on_step)
     out = p0.with_omegas(w)
     spectrum = np.linalg.eigvalsh(hessian(out).hess_infidelity)[::-1].copy()
     report = CriticalPointReport(_classify(val, gmax, cfg), val, gmax, spectrum)
@@ -307,22 +318,6 @@ def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     for q in basis:
         p -= np.outer(q, q)
     return p
-
-
-def _correct(p: Protocol, cfg: NavigationConfig):
-    """Pull a drifted protocol back below the corrector target. None on failure."""
-    sub = DescentConfig(max_iterations=cfg.corrector_budget,
-                        grad_tolerance=cfg.grad_tolerance,
-                        infidelity_threshold=cfg.infidelity_threshold,
-                        initial_step=cfg.initial_step,
-                        shrink_factor=cfg.shrink_factor,
-                        armijo_constant=cfg.armijo_constant,
-                        max_backtracks=cfg.max_backtracks)
-    w, val, _, status = _descend_infidelity(p, sub, target=cfg.corrector_target,
-                                            budget=cfg.corrector_budget)
-    if status != "target":
-        return None
-    return p.with_omegas(w), val
 
 
 def navigate(solution: Protocol, cost: SecondaryCost,
@@ -400,12 +395,13 @@ def _navigation_step(p, cost, pg, cur_c, eta0, cfg):
         cand = p.with_omegas(w - eta * pg)
         ival = infidelity(cand)
         if ival > cfg.corrector_trigger:
-            pulled = _correct(cand, cfg)
-            if pulled is None:
+            w_c, ival, _, corrector = _project(cand, cfg.corrector_target,
+                                               cfg.corrector_budget)
+            if corrector != "target":
                 last_was_corrector_failure = True
                 eta *= cfg.shrink_factor
                 continue
-            cand, ival = pulled
+            cand = p.with_omegas(w_c)
         last_was_corrector_failure = False
         cval = cost.value(cand.omegas)
         if (cval <= cur_c - cfg.armijo_constant * eta * slope_sq
@@ -415,19 +411,20 @@ def _navigation_step(p, cost, pg, cur_c, eta0, cfg):
     return None, not last_was_corrector_failure
 
 
-def _null_direction(omegas_protocol: Protocol) -> np.ndarray:
-    """Unit tangent of a 3-pulse level set: null eigenvector of the rank-2 form."""
-    gb = gradient(omegas_protocol).grad_beta
-    _, vecs = np.linalg.eigh(optimal_hessian(gb))
-    return vecs[:, 0]
+def _null_direction(p: Protocol) -> np.ndarray:
+    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad beta."""
+    gb = gradient(p).grad_beta
+    t = np.cross(np.real(gb), np.imag(gb))
+    return t / np.linalg.norm(t)
 
 
 def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     """Predictor-corrector continuation of an M = 3 solution curve.
 
     Steps of ``step_size`` along the current null direction (sign kept
-    continuous with the previous tangent), each followed by an infidelity
-    corrector. Ends on loop closure - returning within
+    continuous with the previous tangent), each followed by the
+    Levenberg-Marquardt projection back onto beta = 0 (the Moore-Penrose
+    corrector of Allgower and Georg). Ends on loop closure - returning within
     ``closure_factor * step_size`` of the start, moving the same way - or
     on leaving the box (reported as an open curve).
     """
@@ -436,17 +433,13 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
     if not infidelity(solution) < cfg.infidelity_threshold:
         raise NotASolution("trace_levelset requires a solution protocol")
-    nav = NavigationConfig(corrector_target=cfg.corrector_target,
-                           corrector_budget=cfg.corrector_budget,
-                           infidelity_threshold=cfg.infidelity_threshold,
-                           corrector_trigger=cfg.infidelity_threshold / 10.0)
-    start = _correct(solution, nav)
-    if start is None:
+    w, ival, _, status = _project(solution, cfg.corrector_target, cfg.corrector_budget)
+    if status != "target":
         return LevelsetCurve(np.asarray([solution.omegas]),
                              np.asarray([infidelity(solution)]), False,
                              "corrector_failed")
-    p, ival = start
-    verts = [np.asarray(p.omegas, dtype=float)]
+    p = solution.with_omegas(w)
+    verts = [w]
     ivals = [ival]
     t0 = cfg.initial_sign * _null_direction(p)
     tangent = t0
@@ -454,13 +447,12 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     status = "open"
     closed = False
     for step in range(1, cfg.max_steps + 1):
-        pred = verts[-1] + cfg.step_size * tangent
-        pulled = _correct(p.with_omegas(pred), nav)
-        if pulled is None:
+        pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
+        w, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget)
+        if corrector != "target":
             status = "corrector_failed"
             break
-        p, ival = pulled
-        w = np.asarray(p.omegas, dtype=float)
+        p = pred.with_omegas(w)
         if np.any(w < lo) or np.any(w > hi):
             status = "open"
             break

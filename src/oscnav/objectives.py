@@ -132,24 +132,15 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
 def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     """Member W(theta) of the symplectic target family; det W = 1.
 
-    Evaluated in its complex form and cross-checked against the simplified
-    real form sqrt(omega0/omegaT) * [[cos t, -sin t/omega0],
-    [omegaT*sin t, (omegaT/omega0)*cos t]] before returning.
+    The closed real form sqrt(omega0/omegaT) * [[cos t, -sin t/omega0],
+    [omegaT*sin t, (omegaT/omega0)*cos t]] of the complex mode-pair form,
+    which the tests cross-check.
     """
     if not (omega0 > 0 and omegaT > 0):
         raise NonPositiveFrequency("omega0 and omegaT must be > 0")
-    ph = complex(math.cos(theta), math.sin(theta))
-    ph2 = (ph * ph).conjugate()
-    cplx = math.sqrt(omega0 / (4.0 * omegaT)) * ph * np.array(
-        [[1.0 + ph2, 1j * (1.0 - ph2) / omega0],
-         [-1j * omegaT * (1.0 - ph2), (omegaT / omega0) * (1.0 + ph2)]])
-    out = _real_part_checked(cplx, "target matrix")
-    simple = math.sqrt(omega0 / omegaT) * np.array(
-        [[math.cos(theta), -math.sin(theta) / omega0],
-         [omegaT * math.sin(theta), (omegaT / omega0) * math.cos(theta)]])
-    if np.max(np.abs(out - simple)) > 1e-12 * max(1.0, np.max(np.abs(simple))):
-        raise AssertionError("complex and simplified target forms disagree")
-    return out
+    c, s = math.cos(theta), math.sin(theta)
+    return math.sqrt(omega0 / omegaT) * np.array(
+        [[c, -s / omega0], [omegaT * s, (omegaT / omega0) * c]])
 
 
 def theta_infidelity(p: Protocol, theta: float) -> float:

@@ -181,10 +181,12 @@ class TestInputContract:
         dict(TASK_DOC, descent={"seed": "x"}),
         dict(TASK_DOC, descent={"box": [1]}),
         dict(TASK_DOC, descent={"max_iterations": 10.5}),
-        dict(TASK_DOC, descent={"initial_step": 10 ** 400}),
+        dict(TASK_DOC, descent={"grad_tolerance": 10 ** 400}),
         dict(TASK_DOC, navigation={"doubling_schedule": [2, "a"]}),
         dict(TASK_DOC, scan={"max_curves": True}),
         dict(TASK_DOC, task={"omega0": "1.0", "omegaT": 0.25, "T": 1.8}),
+        dict(TASK_DOC, descent={"armijo_constant": 1e-4}),  # removed keys
+        dict(TASK_DOC, navigation={"grad_tolerance": 1e-9}),
     ])
     def test_badly_typed_config_field(self, config, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -194,7 +196,7 @@ class TestInputContract:
         assert _one_error_line(err)["error"] == "ConfigError"
 
     def test_typed_config_still_loads(self, tmp_path):
-        doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "initial_step": 1},
+        doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "grad_tolerance": 1},
                    navigation={"doubling_schedule": [2], "doubling_stall_tolerance": None},
                    scan={"assign_distance": 0.2, "max_curves": 8})
         (tmp_path / "cfg.json").write_text(json.dumps(doc))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     RestartBudgetExhausted, ScanConfig, SecondaryCost,
@@ -211,6 +213,25 @@ class TestScanLevelset:
         # independent Levenberg-Marquardt solver and tracer reproduce to 0.01.
         assert len(used) == 1
 
+    def test_wide_box_scan_closes_every_curve(self):
+        # from box (0, 5) the first-order corrector left four partial curves,
+        # each minting its own label; every traced curve must close instead
+        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 5.0)))
+        result = scan_levelset(TASK, cfg, 24)
+        assert len(result.points) == 24
+        assert np.all(result.infidelities < 1e-5)
+        assert np.all(result.labels >= 0)
+        used = sorted(set(result.labels.tolist()))
+        assert all(result.curves[k].status == "closed" for k in used)
+        for point, label in zip(result.points, result.labels):
+            dist = _closed_polyline_distance(point, result.curves[label].vertices)
+            assert dist <= cfg.assign_distance
+        for i, j in itertools.combinations(used, 2):
+            other = result.curves[j].vertices
+            gap = min(_closed_polyline_distance(v, other)
+                      for v in result.curves[i].vertices)
+            assert gap > cfg.assign_distance
+
     def test_determinism(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
         a = scan_levelset(TASK, cfg, 12)
@@ -228,3 +249,36 @@ class TestCompressionPath:
         if traj.records[-1].cost < 1e-8:
             small = collapse(final, 2)
             assert infidelity(small) < 1e-5
+
+
+def _start(omegas):
+    return Protocol(TASK[0], TASK[1], TASK[2] / len(omegas), tuple(omegas))
+
+
+starts = st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)).map(_start)
+
+
+class TestInvariantProperties:
+    @given(starts)
+    def test_descent_is_monotone_and_solutions_are_critical(self, p0):
+        cfg = DescentConfig()
+        p, report, traj = descend(p0, cfg)
+        vals = [r.infidelity for r in traj.records]
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        assert traj.final_protocol == p
+        if report.classification == "solution":
+            assert infidelity(p) < cfg.infidelity_threshold
+            assert np.max(np.abs(gradient(p).grad_infidelity)) < cfg.grad_tolerance
+
+    @settings(max_examples=25)
+    @given(st.integers(3, 8), st.integers(0, 2 ** 16),
+           st.sampled_from([SecondaryCost("smoothness"),
+                            SecondaryCost("compression", 1)]))
+    def test_navigation_keeps_cost_and_threshold(self, m, seed, cost):
+        start = solve(DescentConfig(seed=seed), m, TASK).protocol
+        cfg = NavigationConfig(max_iterations=20)
+        traj = navigate(start, cost, cfg)
+        costs = [r.cost for r in traj.records]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert all(r.infidelity < cfg.infidelity_threshold for r in traj.records)

@@ -130,6 +130,22 @@ class TestTargetMatrix:
                               float(rng.uniform(0.2, 3)), float(rng.uniform(0.2, 3)))
             assert abs(np.linalg.det(w) - 1.0) < 1e-12
 
+    def test_matches_complex_form(self):
+        # W(theta) from the mode pair: sqrt(w0/(4 wT)) e^{it} [[1 + q, i(1 - q)/w0],
+        # [-i wT (1 - q), (wT/w0)(1 + q)]] with q = e^{-2it}, real up to rounding
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            theta = float(rng.uniform(-10, 10))
+            w0, wt = float(rng.uniform(0.05, 5)), float(rng.uniform(0.05, 5))
+            ph = np.exp(1j * theta)
+            q = np.conj(ph * ph)
+            cplx = np.sqrt(w0 / (4 * wt)) * ph * np.array(
+                [[1 + q, 1j * (1 - q) / w0], [-1j * wt * (1 - q), (wt / w0) * (1 + q)]])
+            got = target_matrix(theta, w0, wt)
+            scale = max(1.0, np.max(np.abs(got)))
+            assert np.max(np.abs(np.imag(cplx))) < 1e-12 * scale
+            assert np.max(np.abs(np.real(cplx) - got)) < 1e-12 * scale
+
     def test_periodicity(self):
         a = target_matrix(0.8, 1.0, 0.25)
         b = target_matrix(0.8 + 2 * np.pi, 1.0, 0.25)
