@@ -10,11 +10,11 @@ verify      conservation diagnostics for a protocol
 levelset    labeled M = 3 solution cloud and traced curves
 theta-scan  the phase-resolved objective on a grid (plus refined minimum)
 
-Exit codes: 0 success, 1 malformed config/input, 2 restart budget exhausted,
-3 input protocol is not a solution, 4 corrector failure. Failures print a
-single-line JSON object to stderr. JSON output is strict: a NaN or infinite
-value is an exit-1 failure, never printed. All outputs are deterministic
-functions of the config and seeds.
+Exit codes: 0 success, 1 malformed command line, config or input, 2 restart
+budget exhausted, 3 input protocol is not a solution, 4 corrector failure.
+Failures print a single-line JSON object to stderr. JSON output is strict:
+a NaN or infinite value is an exit-1 failure, never printed. All outputs are
+deterministic functions of the config and seeds.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ from .sensitivities import hessian
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError (exit 1, one JSON line) instead
+    of argparse's exit 2, which here means the restart budget ran out."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _dumps(doc) -> str:
@@ -285,10 +293,9 @@ def _cmd_theta_scan(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="oscnav",
-                                 description="Frictionless-protocol search and "
-                                             "level-set navigation for a "
-                                             "frequency-controlled oscillator.")
+    ap = _Parser(prog="oscnav",
+                 description="Frictionless-protocol search and level-set "
+                             "navigation for a frequency-controlled oscillator.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="random-restart descent to a solution")
@@ -338,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # non-finite results are reported as one JSON error line below, so
         # numpy's floating-point warnings would only add noise to stderr
         with np.errstate(all="ignore"):

@@ -6,11 +6,12 @@ Three layers build on each other:
   (Re beta, Im beta), restarted from random fields until a protocol below
   the threshold is found.
 * ``navigate``: descent of a secondary cost restricted to the optimal level
-  set, by projecting the secondary gradient onto the null space of the
-  rank-2 optimal curvature and projecting back onto beta = 0, with the same
-  Levenberg-Marquardt step, whenever a predictor step drifts off the set.
-  A doubling schedule can refine the protocol in place once the projected
-  gradient stalls, opening fresh directions in the enlarged parameter space.
+  set. Each step moves to the exact minimiser of the quadratic cost along
+  its gradient projected onto the null space of the rank-2 optimal
+  curvature, then projects back onto beta = 0 with the same
+  Levenberg-Marquardt step. A doubling schedule can refine the protocol in
+  place once the projected gradient stalls, opening fresh directions in the
+  enlarged parameter space.
 * ``trace_levelset``/``scan_levelset``: for 3-pulse protocols the level set
   is a curve; it is traced by predictor steps along the null direction plus
   the same projection as corrector, and solution clouds are grouped into
@@ -32,9 +33,7 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost
 from .propagator import infidelity
 from .protocol import Protocol, refine, validate
-from .sensitivities import gradient, hessian
-
-_ETA_GROW = 2.0  # warm-start factor for the next predictor line search
+from .sensitivities import gradient
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,10 @@ class DescentConfig:
 class NavigationConfig:
     """Secondary-objective navigation settings.
 
-    The Levenberg-Marquardt corrector runs whenever a predictor step lifts
-    the infidelity above ``corrector_trigger`` and must push it back below
-    ``corrector_target`` within ``corrector_budget`` steps. The line-search
-    fields (``initial_step`` to ``max_backtracks``) set the predictor's
-    backtracking. A doubling factor from the schedule is consumed whenever
-    the projected gradient stalls.
+    After every predictor step the Levenberg-Marquardt corrector pushes the
+    infidelity back below ``corrector_target`` within ``corrector_budget``
+    steps. A doubling factor from the schedule is consumed whenever the
+    projected gradient stalls.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -73,25 +70,16 @@ class NavigationConfig:
     """
 
     infidelity_threshold: float = 1e-5
-    corrector_trigger: float = 1e-6
     corrector_target: float = 1e-7
     corrector_budget: int = 500
-    null_tolerance: float = 1e-10
     stall_tolerance: float = 1e-8
     doubling_stall_tolerance: float | None = None
     doubling_schedule: tuple[int, ...] = ()
     max_iterations: int = 200000
-    initial_step: float = 0.1
-    shrink_factor: float = 0.5
-    armijo_constant: float = 1e-4
-    max_backtracks: int = 60
-    record_every: int = 1
 
     def __post_init__(self):
-        if not self.corrector_trigger < self.infidelity_threshold:
-            raise ValueError("corrector trigger must be below the infidelity threshold")
-        if not self.corrector_target <= self.corrector_trigger:
-            raise ValueError("corrector target must not exceed the trigger")
+        if not self.corrector_target < self.infidelity_threshold:
+            raise ValueError("corrector target must be below the infidelity threshold")
 
 
 @dataclass(frozen=True)
@@ -152,7 +140,6 @@ class CriticalPointReport:
     classification: str  # "solution" | "trap" | "non-critical"
     infidelity: float
     grad_max_norm: float
-    hessian_spectrum: np.ndarray  # eigenvalues of the full Hessian, descending
 
 
 @dataclass(frozen=True)
@@ -238,10 +225,15 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     return w, val, gmax, status
 
 
-def _classify(i_val, gmax, cfg) -> str:
-    if gmax < cfg.grad_tolerance:
-        return "solution" if i_val < cfg.infidelity_threshold else "trap"
-    return "non-critical"
+def _classify(status: str, i_val: float, cfg: DescentConfig) -> str:
+    """Restart outcome from the stop state of ``_project``.
+
+    A stall above the threshold is a trap too: there the gradient of I
+    cannot fall below an absolute tolerance, as rounding sets its floor.
+    """
+    if i_val < cfg.infidelity_threshold:
+        return "solution" if status == "critical" else "non-critical"
+    return "trap" if status in ("critical", "stalled") else "non-critical"
 
 
 def descend(p0: Protocol, cfg: DescentConfig):
@@ -260,16 +252,11 @@ def descend(p0: Protocol, cfg: DescentConfig):
         records.append(TrajectoryRecord(it + 1, p0.with_omegas(w), val,
                                         float("nan"), gmax))
 
-    w, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
+    _, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                     on_step)
-    out = p0.with_omegas(w)
-    spectrum = np.linalg.eigvalsh(hessian(out).hess_infidelity)[::-1].copy()
-    report = CriticalPointReport(_classify(val, gmax, cfg), val, gmax, spectrum)
-    if records[-1].protocol.omegas != out.omegas:
-        records.append(TrajectoryRecord(records[-1].iteration + 1, out, val,
-                                        float("nan"), gmax))
+    report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
     traj_status = "completed" if status in ("critical", "stalled") else "budget_exhausted"
-    return out, report, DescentTrajectory(tuple(records), traj_status)
+    return records[-1].protocol, report, DescentTrajectory(tuple(records), traj_status)
 
 
 def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> SolveResult:
@@ -324,13 +311,18 @@ def navigate(solution: Protocol, cost: SecondaryCost,
              cfg: NavigationConfig) -> DescentTrajectory:
     """Descend a secondary cost inside the optimal level set.
 
-    Predictor steps follow the projected secondary gradient with
-    backtracking on the (post-correction) cost; the projector is rebuilt
-    from a fresh beta gradient after every accepted step. Stalls consume
-    the doubling schedule; once the schedule is exhausted a stall ends the
-    run. The secondary cost is non-increasing and the infidelity stays
-    below the threshold at every record.
+    Every iteration is recorded. The projector is rebuilt from a fresh beta
+    gradient at every iterate, and each step is one ``_navigation_step``.
+    Stalls consume the doubling schedule; once the schedule is exhausted a
+    stall ends the run. The secondary cost is non-increasing and the
+    infidelity stays below the threshold at every record.
+
+    Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
+    C2, which counts pulse pairs, by k^2.
     """
+    if cost.kind == "compression" and cfg.doubling_schedule:
+        raise ValueError("compression cannot use a doubling schedule: "
+                         "refining by k multiplies its cost by k^2")
     validate(solution)
     i0 = infidelity(solution)
     if not i0 < cfg.infidelity_threshold:
@@ -339,76 +331,64 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     status = "budget_exhausted"
-    eta = cfg.initial_step
-    it = 0
-    while it <= cfg.max_iterations:
+    for it in range(cfg.max_iterations + 1):
         bundle = gradient(p)
-        cur_i = abs(bundle.beta) ** 2
         cur_c = cost.value(p.omegas)
-        pg = null_projector(bundle.grad_beta, cfg.null_tolerance) @ cost.grad(p.omegas)
+        pg = null_projector(bundle.grad_beta) @ cost.grad(p.omegas)
         pgmax = float(np.max(np.abs(pg)))
-        terminal = False
+        records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
         stall_tol = cfg.stall_tolerance
         if schedule and cfg.doubling_stall_tolerance is not None:
             stall_tol = cfg.doubling_stall_tolerance
         stalled = pgmax < stall_tol
-        step = None
-        corrector_ok = True
-        if not stalled and it < cfg.max_iterations:
-            step, corrector_ok = _navigation_step(p, cost, pg, cur_c, eta, cfg)
-            stalled = step is None and corrector_ok
         if stalled and not schedule:
             status = "completed"
-            terminal = True
-        if step is None and not corrector_ok:
-            status = "corrector_failed"
-            terminal = True
-        if it == cfg.max_iterations and not terminal:
-            terminal = True
-        if terminal or stalled or it % cfg.record_every == 0:
-            records.append(TrajectoryRecord(it, p, cur_i, cur_c, pgmax))
-        if terminal:
             break
-        if stalled:
+        if it == cfg.max_iterations:
+            break
+        try:
+            step = None if stalled else _navigation_step(p, cost, pg, cur_c, cfg)
+        except CorrectorFailed:
+            status = "corrector_failed"
+            break
+        if step is not None:
+            p = step
+        elif schedule:
             p = refine(p, schedule.pop(0))
-            eta = cfg.initial_step
-            it += 1
-            continue
-        p, eta_acc = step
-        eta = eta_acc * _ETA_GROW
-        it += 1
+        else:
+            status = "completed"
+            break
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, pg, cur_c, eta0, cfg):
-    """One predictor(-corrector) step. Returns ((protocol, eta) | None, corrector_ok).
+def _navigation_step(p, cost, pg, cur_c, cfg):
+    """One predictor-corrector step along -pg; None when it stalls.
 
-    corrector_ok is False only when the last backtracking trial was rejected
-    because the corrector could not restore the infidelity (as opposed to an
-    ordinary sufficient-decrease rejection, which signals a stall).
+    The secondary cost is a homogeneous quadratic C(w) = w^T A w, so
+    d^T (Hess C) d = 2 C(d), and the predictor step eta = |pg|^2 / (2 C(pg))
+    is the exact minimiser of C along -pg. Each trial is projected back onto
+    beta = 0 and accepted once it lies below the threshold with a lower
+    cost; otherwise eta is halved until the trial no longer moves. Raises
+    CorrectorFailed when that last trial's projection missed its target.
     """
     w = np.asarray(p.omegas, dtype=float)
-    slope_sq = float(pg @ pg)
-    eta = eta0
-    last_was_corrector_failure = False
-    for _ in range(cfg.max_backtracks):
-        cand = p.with_omegas(w - eta * pg)
-        ival = infidelity(cand)
-        if ival > cfg.corrector_trigger:
-            w_c, ival, _, corrector = _project(cand, cfg.corrector_target,
-                                               cfg.corrector_budget)
-            if corrector != "target":
-                last_was_corrector_failure = True
-                eta *= cfg.shrink_factor
-                continue
-            cand = p.with_omegas(w_c)
-        last_was_corrector_failure = False
-        cval = cost.value(cand.omegas)
-        if (cval <= cur_c - cfg.armijo_constant * eta * slope_sq
-                and ival < cfg.infidelity_threshold):
-            return (cand, eta), True
-        eta *= cfg.shrink_factor
-    return None, not last_was_corrector_failure
+    curvature = 2.0 * cost.value(pg)
+    if not curvature > 0.0:  # pg is nonzero only through rounding
+        return None
+    eta = float(pg @ pg) / curvature
+    failed = False
+    while True:
+        pred = w - eta * pg
+        if np.array_equal(pred, w):
+            if failed:
+                raise CorrectorFailed("no projected trial reached the corrector target")
+            return None
+        w_c, ival, _, status = _project(p.with_omegas(pred), cfg.corrector_target,
+                                        cfg.corrector_budget)
+        if ival < cfg.infidelity_threshold and cost.value(w_c) < cur_c:
+            return p.with_omegas(w_c)
+        failed = status != "target"
+        eta *= 0.5
 
 
 def _null_direction(p: Protocol) -> np.ndarray:
@@ -533,8 +513,10 @@ def trajectory_to_csv(traj: DescentTrajectory) -> str:
     """Render a trajectory as CSV, one row per record.
 
     Records taken before a doubling are refined to the final resolution so
-    the table is rectangular; refinement leaves the represented control,
-    its infidelity and both secondary costs unchanged.
+    the table is rectangular. Refinement leaves the represented control and
+    its infidelity unchanged, and the smoothness cost C1 too; the
+    compression cost C2 would change, which is why compression refuses a
+    doubling schedule.
     """
     if not traj.records:
         return "iter,I,cost,pgrad_norm\n"

@@ -29,11 +29,17 @@ _DET_TOL = 1e-8
 
 
 def c1(omegas) -> float:
-    """Smoothness cost: sum of squared consecutive jumps (0 for M < 2)."""
+    """Smoothness cost: sum of squared consecutive jumps (0 for M < 2).
+
+    Zero jumps are dropped before the sum, so ``c1(refine(p, k).omegas)``
+    sums the same terms in the same order and equals ``c1(p.omegas)``
+    bit for bit.
+    """
     w = np.asarray(omegas, dtype=float)
     if w.size < 2:
         return 0.0
     d = np.diff(w)
+    d = d[d != 0.0]
     return float(d @ d)
 
 

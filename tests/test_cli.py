@@ -187,6 +187,7 @@ class TestInputContract:
         dict(TASK_DOC, task={"omega0": "1.0", "omegaT": 0.25, "T": 1.8}),
         dict(TASK_DOC, descent={"armijo_constant": 1e-4}),  # removed keys
         dict(TASK_DOC, navigation={"grad_tolerance": 1e-9}),
+        dict(TASK_DOC, navigation={"initial_step": 0.1}),
     ])
     def test_badly_typed_config_field(self, config, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -208,6 +209,7 @@ class TestInputContract:
     @pytest.mark.parametrize("argv", [
         ["theta-scan", "{p}", "--points", "2"],
         ["compress", "{p}", "--chunks", "0"],
+        ["compress", "{p}", "--chunks", "2", "--double", "2"],
     ])
     def test_library_value_error(self, argv, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -216,6 +218,23 @@ class TestInputContract:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["theta-scan", "p.json", "--points", "abc"],
+        ["frobnicate"],
+    ])
+    def test_usage_error(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "ConfigError"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
     def test_protocol_integer_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "p.json"
