@@ -160,10 +160,12 @@ def _load_config(path) -> RunConfig:
 
 
 def _load_protocol(path):
+    """Load a protocol file; a non-finite or overflowing pulse is reported
+    as NonFiniteEntry naming the pulse, any other defect as ConfigError."""
     try:
         return proto.load(path)
     except (OSError, json.JSONDecodeError, ValueError, OverflowError,
-            NonPositiveFrequency, NonFiniteEntry) as exc:
+            NonPositiveFrequency) as exc:
         raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
 
 

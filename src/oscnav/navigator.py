@@ -6,12 +6,13 @@ Three layers build on each other:
   (Re beta, Im beta), restarted from random fields until a protocol below
   the threshold is found.
 * ``navigate``: descent of a secondary cost restricted to the optimal level
-  set. Each step moves to the exact minimiser of the quadratic cost along
-  its gradient projected onto the null space of the rank-2 optimal
-  curvature, then projects back onto beta = 0 with the same
-  Levenberg-Marquardt step. A doubling schedule can refine the protocol in
-  place once the projected gradient stalls, opening fresh directions in the
-  enlarged parameter space.
+  set by sequential quadratic programming. Each step solves the KKT system
+  of the cost under beta = 0, with the exact Hessian of beta in the
+  Lagrangian, inside a trust region on the level-set tangent space, then
+  projects back onto beta = 0 with the same Levenberg-Marquardt step. A
+  doubling schedule can refine the protocol in place once the projected
+  gradient stalls, opening fresh directions in the enlarged parameter
+  space.
 * ``trace_levelset``/``scan_levelset``: for 3-pulse protocols the level set
   is a curve; it is traced by predictor steps along the null direction plus
   the same projection as corrector, and solution clouds are grouped into
@@ -33,7 +34,9 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost
 from .propagator import infidelity
 from .protocol import Protocol, refine, validate
-from .sensitivities import gradient
+from .sensitivities import _sweep, gradient
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,14 @@ class DescentConfig:
 class NavigationConfig:
     """Secondary-objective navigation settings.
 
-    After every predictor step the Levenberg-Marquardt corrector pushes the
-    infidelity back below ``corrector_target`` within ``corrector_budget``
-    steps. A doubling factor from the schedule is consumed whenever the
-    projected gradient stalls.
+    Every trial step is projected by the Levenberg-Marquardt corrector
+    until the infidelity is below ``corrector_target``, within
+    ``corrector_budget`` steps. The default sits a few decades above the
+    rounding floor of I (about 1e-31 for M up to 96 on the README task):
+    the cost of a point at infidelity I differs from that of the level set
+    by about |nu| sqrt(I), and a looser target lets that difference mask
+    the last steps. A doubling factor from the schedule is consumed
+    whenever the projected gradient stalls.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -70,7 +77,7 @@ class NavigationConfig:
     """
 
     infidelity_threshold: float = 1e-5
-    corrector_target: float = 1e-7
+    corrector_target: float = 1e-28
     corrector_budget: int = 500
     stall_tolerance: float = 1e-8
     doubling_stall_tolerance: float | None = None
@@ -167,7 +174,7 @@ class ScanResult:
 
 
 def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.0,
-             on_step=None):
+             on_step=None, mu=1.0):
     """Levenberg-Marquardt projection onto beta = 0.
 
     Returns (omegas, I, grad_max, status).
@@ -175,10 +182,12 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
     J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
     delta = -J^T (J J^T + lam I)^-1 r with lam = mu |r| tr(J J^T) / 2, and a
-    trial is accepted only if it lowers I: mu falls tenfold after an
-    accepted step (floor 1e-12) and rises tenfold after a rejected one.
-    Damping in proportion to |r| gives Gauss-Newton steps near beta = 0
-    and short gradient-like steps at traps, where the rank of J may drop.
+    trial is accepted only if it lowers I: mu, ``mu`` at the start, falls
+    tenfold after an accepted step (floor 1e-12) and rises tenfold after a
+    rejected one. Damping in proportion to |r| gives Gauss-Newton steps near
+    beta = 0 and short gradient-like steps at traps, where the rank of J
+    may drop. ``on_step(it, omegas, I, grad_max)`` is called for every
+    iterate whose gradient is evaluated, the start included.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", or "stalled" (no trial
@@ -186,7 +195,6 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     """
     w = np.asarray(p.omegas, dtype=float)
     val = infidelity(p)
-    mu = 1.0
     status = "budget"
     gmax = math.inf
     for it in range(budget + 1):
@@ -195,6 +203,8 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             break
         bundle = gradient(p.with_omegas(w))
         gmax = float(np.max(np.abs(bundle.grad_infidelity)))
+        if on_step is not None:
+            on_step(it, w, val, gmax)
         if gmax < grad_tolerance or gmax == 0.0:
             status = "critical"
             break
@@ -220,8 +230,6 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
                 break
             mu *= 10.0
         w, val = cand, cval
-        if on_step is not None:
-            on_step(it, w, val, gmax)
     return w, val, gmax, status
 
 
@@ -245,12 +253,11 @@ def descend(p0: Protocol, cfg: DescentConfig):
     validate(p0)
     if p0.m == 0:
         raise EmptyProtocol("descent requires at least one pulse")
-    records = [TrajectoryRecord(0, p0, infidelity(p0), float("nan"),
-                                float(np.max(np.abs(gradient(p0).grad_infidelity))))]
+    records = []
 
     def on_step(it, w, val, gmax):
-        records.append(TrajectoryRecord(it + 1, p0.with_omegas(w), val,
-                                        float("nan"), gmax))
+        p = p0 if it == 0 else p0.with_omegas(w)
+        records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
     _, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                     on_step)
@@ -281,15 +288,13 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         f"no solution with I < {cfg.infidelity_threshold:g} in {cfg.max_restarts} restarts")
 
 
-def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Projector onto the level-set tangent space at a frictionless point.
+def _normal_basis(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis Q (M x k, k <= 2) of span{Re grad_beta, Im grad_beta}.
 
-    P = I - Q Q^T with Q an orthonormal basis of span{Re grad_beta,
-    Im grad_beta} built by (re-orthogonalized) Gram-Schmidt; degenerate
-    spans simply shrink Q. P annihilates both spanning vectors and is an
-    orthogonal projector of rank M - rank(Q).
+    Built by re-orthogonalized Gram-Schmidt; a spanning vector whose part
+    orthogonal to the basis so far is below ``tol`` times its norm adds no
+    column, so degenerate spans simply shrink Q.
     """
-    m = len(grad_beta)
     basis: list[np.ndarray] = []
     for vec in (np.real(grad_beta), np.imag(grad_beta)):
         u = np.array(vec, dtype=float)
@@ -301,21 +306,33 @@ def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         norm1 = np.linalg.norm(u)
         if norm0 > 0.0 and norm1 > tol * norm0:
             basis.append(u / norm1)
-    p = np.eye(m)
-    for q in basis:
-        p -= np.outer(q, q)
-    return p
+    return np.array(basis).reshape(len(basis), len(grad_beta)).T
+
+
+def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Projector onto the level-set tangent space at a frictionless point.
+
+    P = I - Q Q^T with Q the orthonormal basis of span{Re grad_beta,
+    Im grad_beta} from :func:`_normal_basis`. P annihilates both spanning
+    vectors and is an orthogonal projector of rank M - rank(Q). Navigation
+    applies the 2-column Q directly and never builds P.
+    """
+    q = _normal_basis(grad_beta, tol)
+    return np.eye(len(grad_beta)) - q @ q.T
 
 
 def navigate(solution: Protocol, cost: SecondaryCost,
              cfg: NavigationConfig) -> DescentTrajectory:
     """Descend a secondary cost inside the optimal level set.
 
-    Every iteration is recorded. The projector is rebuilt from a fresh beta
-    gradient at every iterate, and each step is one ``_navigation_step``.
-    Stalls consume the doubling schedule; once the schedule is exhausted a
-    stall ends the run. The secondary cost is non-increasing and the
-    infidelity stays below the threshold at every record.
+    Every iteration is recorded. Each iterate gets one adjoint sweep for
+    beta and its exact gradient and Hessian, and each step is one trust-region SQP step,
+    ``_navigation_step``; the radius carries over between steps and starts,
+    at the first step and after every doubling, at the Cauchy point of the
+    cost along the projected gradient. Stalls consume the doubling
+    schedule; once the schedule is exhausted a stall ends the run. The
+    secondary cost is non-increasing and the infidelity stays below the
+    threshold at every record.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -331,10 +348,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     status = "budget_exhausted"
+    hess_c = radius = None
     for it in range(cfg.max_iterations + 1):
-        bundle = gradient(p)
+        bundle = _sweep(p, second_order=True)  # Hess(I) is not needed
         cur_c = cost.value(p.omegas)
-        pg = null_projector(bundle.grad_beta) @ cost.grad(p.omegas)
+        g = cost.grad(p.omegas)
+        q = _normal_basis(bundle.grad_beta)
+        pg = g - q @ (q.T @ g)
         pgmax = float(np.max(np.abs(pg)))
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
         stall_tol = cfg.stall_tolerance
@@ -346,49 +366,128 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             break
         if it == cfg.max_iterations:
             break
+        if hess_c is None:
+            # both costs are homogeneous quadratics: Hess C e_i = grad C(e_i)
+            hess_c = np.array([cost.grad(e) for e in np.eye(p.m)])
+        if radius is None:
+            curvature = 2.0 * cost.value(pg)
+            radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
-            step = None if stalled else _navigation_step(p, cost, pg, cur_c, cfg)
+            step = None if stalled else _navigation_step(
+                p, cost, bundle, g, q, hess_c, cur_c, radius, cfg)
         except CorrectorFailed:
             status = "corrector_failed"
             break
         if step is not None:
-            p = step
+            p, radius = step
         elif schedule:
             p = refine(p, schedule.pop(0))
+            hess_c = radius = None
         else:
             status = "completed"
             break
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, pg, cur_c, cfg):
-    """One predictor-corrector step along -pg; None when it stalls.
+def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
+    """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
-    The secondary cost is a homogeneous quadratic C(w) = w^T A w, so
-    d^T (Hess C) d = 2 C(d), and the predictor step eta = |pg|^2 / (2 C(pg))
-    is the exact minimiser of C along -pg. Each trial is projected back onto
-    beta = 0 and accepted once it lies below the threshold with a lower
-    cost; otherwise eta is halved until the trial no longer moves. Raises
-    CorrectorFailed when that last trial's projection missed its target.
+    The step d solves the KKT system of min C subject to
+    r = (Re beta, Im beta) = 0 (Nocedal and Wright, ch. 18): its normal
+    part is the minimum-norm solution of J d = -r, with the 2 x M Jacobian
+    J = [Re grad beta; Im grad beta], and its tangent part minimises the
+    model g^T d + d^T H d / 2 within ``radius``. H is the Hessian of the
+    Lagrangian, Hess C + nu_0 Re Hess beta + nu_1 Im Hess beta, with the
+    least-squares multipliers nu = -(J J^T)^-1 J g of this iterate.
+
+    Each trial is projected onto beta = 0 and accepted once it lies below
+    the threshold with a lower cost; the ratio of actual to predicted
+    decrease then sets the next radius, and a rejected trial shrinks it.
+    The cost change of a trial is g^T s + C(s) for its displacement s,
+    exact for a homogeneous quadratic and free of the rounding of C(w).
+    The step stalls once the predicted decrease falls to the rounding level
+    of g^T d; it raises CorrectorFailed instead when the projection of the
+    last trial, or of a current point above the corrector target, missed
+    that target.
     """
     w = np.asarray(p.omegas, dtype=float)
-    curvature = 2.0 * cost.value(pg)
-    if not curvature > 0.0:  # pg is nonzero only through rounding
-        return None
-    eta = float(pg @ pg) / curvature
+    # J^+ = J^T (J J^T)^-1 gives both least-squares solves below
+    jac_pinv = np.linalg.pinv(np.array([bundle.grad_beta.real, bundle.grad_beta.imag]))
+    nu = -(g @ jac_pinv)
+    hess = hess_c + nu[0] * bundle.hess_beta.real + nu[1] * bundle.hess_beta.imag
+    normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
+    normal_size = float(np.linalg.norm(normal))
+    # P H P, plus the identity on the normal space: positive definite
+    # exactly when the reduced Hessian is
+    proj = np.eye(len(w)) - q @ q.T
+    tangent_h = proj @ hess @ proj + q @ q.T
+    try:
+        np.linalg.cholesky(tangent_h)
+        floor = 0.0
+    except np.linalg.LinAlgError:  # indefinite: shift past the lowest eigenvalue
+        floor = max(0.0, -float(np.linalg.eigvalsh(tangent_h)[0]))
+        floor += 1e-12 * (floor + float(np.abs(tangent_h).max()))
     failed = False
-    while True:
-        pred = w - eta * pg
-        if np.array_equal(pred, w):
-            if failed:
-                raise CorrectorFailed("no projected trial reached the corrector target")
-            return None
-        w_c, ival, _, status = _project(p.with_omegas(pred), cfg.corrector_target,
-                                        cfg.corrector_budget)
-        if ival < cfg.infidelity_threshold and cost.value(w_c) < cur_c:
-            return p.with_omegas(w_c)
+    while radius > 0.0:
+        # the normal step takes at most half the radius
+        dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
+        model_g = g + hess @ dn
+        model_g -= q @ (q.T @ model_g)
+        dt = _trust_region_step(tangent_h, proj, model_g, radius, floor)
+        d = dn + dt
+        predicted = -(g @ d + 0.5 * (d @ hess @ d))
+        if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
+            break
+        # second-order correction: cancel the curvature term of r(w + d)
+        curv = [0.5 * (d @ bundle.hess_beta.real @ d), 0.5 * (d @ bundle.hess_beta.imag @ d)]
+        trial = w + d - jac_pinv @ curv
+        # the trial is near beta = 0, so the projection starts near Gauss-Newton
+        w_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
+                                        cfg.corrector_budget, mu=1e-3)
+        s = w_c - w
+        decrease = -(g @ s + cost.value(s))
+        length = float(np.linalg.norm(dt))
+        if ival < cfg.infidelity_threshold and decrease > 0.0 and cost.value(w_c) <= cur_c:
+            ratio = decrease / predicted
+            if ratio < 0.25:
+                radius = 0.25 * length
+            elif ratio > 0.75 and length > 0.99 * radius:
+                radius *= 2.0
+            return p.with_omegas(w_c), radius
         failed = status != "target"
-        eta *= 0.5
+        radius = 0.25 * length
+    # a stall ends the run only at a point the corrector can hold on the
+    # level set; an input above the corrector target is checked here
+    if not failed and not abs(bundle.beta) ** 2 < cfg.corrector_target:
+        failed = _project(p, cfg.corrector_target, cfg.corrector_budget)[3] != "target"
+    if failed:
+        raise CorrectorFailed("no projected point reached the corrector target")
+    return None
+
+
+def _trust_region_step(h, proj, grad, radius, floor):
+    """Tangent minimiser of grad^T d + d^T h d / 2 with |d| <= radius.
+
+    d(lam) solves (h + lam P) d = -grad, where ``proj`` is P and every
+    shift lam >= ``floor`` keeps h + lam P positive definite. The shift is
+    ``floor`` when that step is inside the radius; otherwise Newton's method
+    on 1/|d(lam)| = 1/radius finds it (the More-Sorensen iteration of
+    Nocedal and Wright, Algorithm 4.3), stopped within 10 % of the radius.
+    A step still longer than the radius after that (rounding, or the hard
+    case) is scaled back onto it.
+    """
+    lam = floor
+    for _ in range(20):
+        shifted = h + lam * proj
+        d = np.linalg.solve(shifted, -grad)
+        norm = float(np.linalg.norm(d))
+        if norm <= radius and (lam == floor or norm >= 0.9 * radius):
+            return d
+        dq = float(d @ np.linalg.solve(shifted, d))
+        if not dq > 0.0:  # not positive definite after all: rounding
+            break
+        lam = max(lam + (norm * norm / dq) * (norm - radius) / radius, floor)
+    return d if norm <= radius else d * (radius / norm)
 
 
 def _null_direction(p: Protocol) -> np.ndarray:

@@ -85,9 +85,11 @@ def refine(p: Protocol, factor: int) -> Protocol:
 def collapse(p: Protocol, chunks: int) -> Protocol:
     """Merge K = M/chunks consecutive pulses into their arithmetic mean.
 
-    Exact inverse of :func:`refine` on chunk-constant sequences: when the
-    intra-chunk variance is zero the represented omega(t), and hence beta,
-    is preserved exactly.
+    Each mean is taken as first + sum(w - first)/K, so a constant chunk
+    collapses to its value bit for bit: ``collapse(refine(p, k), p.m)``
+    has the pulses of ``p`` exactly. The step duration becomes dt*K, which
+    can differ from the original dt by one rounding, since dt/K*K need not
+    round back to dt.
     """
     validate(p)
     if not (isinstance(chunks, int) and chunks >= 1):
@@ -95,7 +97,8 @@ def collapse(p: Protocol, chunks: int) -> Protocol:
     if p.m % chunks != 0:
         raise IndivisibleChunking(f"M={p.m} is not divisible by L={chunks}")
     k = p.m // chunks
-    omegas = tuple(sum(p.omegas[j * k:(j + 1) * k]) / k for j in range(chunks))
+    blocks = [p.omegas[j * k:(j + 1) * k] for j in range(chunks)]
+    omegas = tuple(b[0] + sum(w - b[0] for w in b) / k for b in blocks)
     return Protocol(p.omega0, p.omegaT, p.dt * k, omegas)
 
 
@@ -122,8 +125,15 @@ def from_json_dict(doc) -> Protocol:
     if not isinstance(doc["omegas"], list) or any(
             not isinstance(w, (int, float)) or isinstance(w, bool) for w in doc["omegas"]):
         raise ValueError("field 'omegas' must be an array of numbers")
-    return validate(Protocol(float(doc["omega0"]), float(doc["omegaT"]),
-                             float(doc["dt"]), tuple(float(w) for w in doc["omegas"])))
+    p = validate(Protocol(float(doc["omega0"]), float(doc["omegaT"]),
+                          float(doc["dt"]), tuple(float(w) for w in doc["omegas"])))
+    for i, w in enumerate(p.omegas):
+        # the step kernel needs cos(omega*dt) and omega^2; checked once here,
+        # not on every propagation
+        if not (math.isfinite(w * p.dt) and math.isfinite(w * w)):
+            raise NonFiniteEntry(f"omegas[{i}] = {w!r} overflows: omega*dt = {w * p.dt!r}, "
+                                 f"omega^2 = {w * w!r}")
+    return p
 
 
 def from_json(text: str) -> Protocol:

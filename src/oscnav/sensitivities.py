@@ -19,6 +19,7 @@ Symbolic expansion of the product is deliberately avoided.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,8 @@ class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
     ``hess_beta``/``hess_infidelity`` are None unless produced by
-    :func:`hessian`.
+    :func:`hessian`; the second-order sweep that navigation uses fills
+    ``hess_beta`` only.
     """
 
     beta: complex
@@ -94,9 +96,10 @@ def step_matrix_d2(omega: float, dt: float) -> np.ndarray:
 
 
 def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
-    """beta, grad(beta) and, if ``second_order``, Hess(beta) (module docstring).
+    """beta, grad(beta), grad(I) and, if ``second_order``, Hess(beta).
 
-    Raises NonFiniteEntry when a derivative of I comes out NaN or infinite.
+    See the module docstring; Hess(I) is left to :func:`hessian`. Raises
+    NonFiniteEntry when a derivative comes out NaN or infinite.
     """
     validate(p)
     m = p.m
@@ -129,23 +132,13 @@ def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
     grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
     if not np.isfinite(grad_infid).all():
         raise NonFiniteEntry("gradient of beta is not finite")
-    if not second_order:
-        return SensitivityBundle(beta=beta, grad_beta=grad_beta,
-                                 grad_infidelity=grad_infid)
-    hess_beta = _hessian_of_beta(omegas, dt, steps, fs, fds, costates)
-    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic
-    gr, gi = grad_beta.real, grad_beta.imag
-    hess_infid = gr[:, None] * gr
-    hess_infid += gi[:, None] * gi
-    hess_infid += hess_beta.real * beta.real
-    hess_infid += hess_beta.imag * beta.imag
-    hess_infid *= 2.0
-    hess_infid = 0.5 * (hess_infid + hess_infid.T)
-    if not np.isfinite(hess_infid).all():
-        raise NonFiniteEntry("Hessian of beta is not finite")
+    hess_beta = None
+    if second_order:
+        hess_beta = _hessian_of_beta(omegas, dt, steps, fs, fds, costates)
+        if not np.isfinite(hess_beta).all():
+            raise NonFiniteEntry("Hessian of beta is not finite")
     return SensitivityBundle(beta=beta, grad_beta=grad_beta,
-                             grad_infidelity=grad_infid,
-                             hess_beta=hess_beta, hess_infidelity=hess_infid)
+                             grad_infidelity=grad_infid, hess_beta=hess_beta)
 
 
 # kron(A^T, I_2) for A = [[a00, a01], [a10, a00]], as indices into
@@ -199,7 +192,18 @@ def hessian(p: Protocol) -> SensitivityBundle:
 
     The gradient fields are bit-identical to those of :func:`gradient`.
     """
-    return _sweep(p, second_order=True)
+    bundle = _sweep(p, second_order=True)
+    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic
+    beta, gr, gi = bundle.beta, bundle.grad_beta.real, bundle.grad_beta.imag
+    hess_infid = gr[:, None] * gr
+    hess_infid += gi[:, None] * gi
+    hess_infid += bundle.hess_beta.real * beta.real
+    hess_infid += bundle.hess_beta.imag * beta.imag
+    hess_infid *= 2.0
+    hess_infid = 0.5 * (hess_infid + hess_infid.T)
+    if not np.isfinite(hess_infid).all():
+        raise NonFiniteEntry("Hessian of beta is not finite")
+    return dataclasses.replace(bundle, hess_infidelity=hess_infid)
 
 
 def optimal_hessian(grad_beta: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscnav
 from oscnav import DescentConfig, Protocol, infidelity, solve
@@ -252,3 +257,92 @@ class TestInputContract:
         assert r.returncode == 1
         assert r.stdout == ""
         assert _one_error_line(r.stderr)["error"] == "NonFiniteEntry"
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum"], ["smooth"]])
+    def test_overflowing_pulse_is_named(self, command, tmp_path, capsys):
+        # omega*dt = 2e308 overflows; the kernel's cos() would fail without a name
+        path = tmp_path / "w.json"
+        path.write_text('{"omega0": 1, "omegaT": 0.25, "dt": 2, "omegas": [1e308, 1, 1]}')
+        code = main([*command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "omegas[0]" in _one_error_line(err)["detail"]
+
+
+def mostly(valid, invalid):
+    """``valid`` five times in six."""
+    return st.integers(0, 5).flatmap(lambda i: valid if i else invalid)
+
+
+bad_numbers = st.one_of(st.integers(-3, 0), st.floats(allow_nan=True, allow_infinity=True),
+                        st.just(10 ** 400))
+numbers = mostly(st.floats(0.1, 3.0), bad_numbers)
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), bad_numbers,
+                 st.lists(numbers, max_size=3))
+# frictionless inputs, so that smooth and compress also reach their success path
+solutions = st.sampled_from([
+    {"omega0": 1.0, "omegaT": 1.0, "dt": 0.3, "omegas": [1.0, 1.0, 1.0, 1.0]},
+    {"omega0": 1.0, "omegaT": 0.25, "dt": 0.6,
+     "omegas": [2.331126716122641, 0.33573037593786065, 1.4600829700766007]}])
+protocol_docs = st.one_of(
+    solutions, solutions,
+    st.fixed_dictionaries({"omega0": numbers, "omegaT": numbers, "dt": numbers,
+                           "omegas": st.lists(numbers, max_size=4)}),
+    st.dictionaries(st.sampled_from(["omega0", "omegaT", "dt", "omegas", "x"]), junk,
+                    max_size=5),
+    junk)
+config_docs = mostly(
+    st.fixed_dictionaries({
+        "task": mostly(st.fixed_dictionaries({"omega0": numbers, "omegaT": numbers,
+                                              "T": numbers}), junk),
+        "M": mostly(st.integers(1, 4), junk),
+        "descent": mostly(st.fixed_dictionaries(
+            {"max_restarts": st.integers(0, 3), "max_iterations": st.integers(0, 50)},
+            optional={"seed": st.integers(0, 9),
+                      "box": mostly(st.tuples(st.floats(-1.0, 0.0), numbers).map(list),
+                                    st.lists(numbers, max_size=3))}),
+            junk),
+        "navigation": mostly(st.fixed_dictionaries(
+            {"max_iterations": st.integers(0, 3)},
+            optional={"corrector_target": mostly(st.floats(1e-30, 1e-6), numbers),
+                      "doubling_schedule": st.lists(st.integers(-1, 3), max_size=2)}),
+            junk)}),
+    st.dictionaries(st.text(max_size=3), junk, max_size=2))
+commands = st.one_of(
+    st.just(["solve"]), st.just(["verify"]),
+    st.tuples(st.just("smooth"), mostly(st.sampled_from([[], ["--double", "2"]]),
+                                        st.just(["--double", "x"]))),
+    st.tuples(st.just("compress"), mostly(st.just(["--chunks", "1"]),
+                                          st.sampled_from([["--chunks", "0"],
+                                                           ["--chunks", "1", "--double", "2"]]))))
+
+
+class TestCliProperty:
+    """Any document: a known exit code, one JSON error line, strict JSON out."""
+
+    @settings(max_examples=150)
+    @given(commands, protocol_docs, config_docs)
+    def test_exit_codes_and_strict_json(self, command, protocol_doc, config_doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "p.json").write_text(json.dumps(protocol_doc))
+            config_doc = dict(config_doc, output={
+                name: str(tmp / name) for name in ("protocol", "trajectory", "collapsed")})
+            (tmp / "c.json").write_text(json.dumps(config_doc))
+            if command == ["solve"]:
+                argv = ["solve", "--config", str(tmp / "c.json")]
+            elif command == ["verify"]:
+                argv = ["verify", str(tmp / "p.json")]
+            else:
+                name, extra = command
+                argv = [name, str(tmp / "p.json"), "--config", str(tmp / "c.json"), *extra]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3, 4)
+        if code != 0:
+            assert set(_one_error_line(err.getvalue())) == {"error", "detail"}
+        if out.getvalue():
+            _strict_json(out.getvalue())
+        else:
+            assert code != 0

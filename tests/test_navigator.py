@@ -11,6 +11,7 @@ from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     hessian, infidelity, navigate, null_projector,
                     optimal_hessian, refine, scan_levelset, solve,
                     trace_levelset)
+from oscnav import navigator
 from oscnav.navigator import trajectory_to_csv
 
 TASK = (1.0, 0.25, 1.8)
@@ -46,6 +47,21 @@ class TestDescend:
     def test_monotone_infidelity(self, m8_solution):
         vals = [r.infidelity for r in m8_solution.trajectory.records]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_no_gradient_is_evaluated_twice(self, monkeypatch):
+        seen = []
+        real = navigator.gradient
+
+        def counting(p):
+            seen.append(p.omegas)
+            return real(p)
+
+        monkeypatch.setattr(navigator, "gradient", counting)
+        for seed in range(3):
+            p0 = _start(np.random.default_rng(seed).uniform(0.1, 2.0, 4))
+            seen.clear()
+            _, _, traj = descend(p0, DescentConfig())
+            assert len(seen) == len(set(seen)) == len(traj.records)
 
     def test_trajectory_csv_format(self, m8_solution):
         text = trajectory_to_csv(m8_solution.trajectory)
@@ -142,6 +158,23 @@ class TestNavigate:
         assert [r.protocol.m for r in traj.records[:2]] == [16, 32]
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
+                                      SecondaryCost("compression", 2)])
+    def test_completed_run_ends_stationary_on_the_level_set(self, m8_solution, cost):
+        cfg = NavigationConfig()
+        traj = navigate(m8_solution.protocol, cost, cfg)
+        assert traj.status == "completed"
+        assert traj.records[-1].infidelity <= 1e-12
+        assert traj.records[-1].pgrad_norm < cfg.stall_tolerance
+
+    def test_unreachable_level_set_is_a_corrector_failure(self):
+        # the seed-2 solve at M = 12 stops at a critical point of I = 9.3e-6,
+        # just under the threshold, where no trial projects back to beta = 0
+        start = solve(DescentConfig(seed=2), 12, TASK).protocol
+        assert 1e-6 < infidelity(start) < 1e-5
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
+        assert traj.status == "corrector_failed"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

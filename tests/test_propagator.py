@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscnav import (NegativeOccupation, NonPositiveFrequency, Protocol,
                     bogoliubov, infidelity, initial_state, particle_number,
                     propagate, refine, step_matrix, wronskian_defect)
+from oscnav.objectives import symplectic_final
 from oscnav.propagator import ModeState
 
 TASK = (1.0, 0.25, 1.8)  # omega0, omegaT, T used throughout
@@ -192,3 +195,13 @@ class TestConservation:
             a, b = propagate(p), propagate(refine(p, 2))
             assert abs(a.f - b.f) < 1e-12
             assert abs(a.fdot - b.fdot) < 1e-12
+
+
+@given(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.01, 0.5),
+       st.lists(st.floats(-5.0, 5.0), max_size=24))
+def test_conservation_on_random_protocols(omega0, omegaT, dt, omegas):
+    p = Protocol(omega0, omegaT, dt, tuple(omegas))
+    s = propagate(p)
+    pair = bogoliubov(s, omegaT)
+    assert abs(abs(pair.alpha) ** 2 - abs(pair.beta) ** 2 - 1.0) < 1e-9
+    assert abs(np.linalg.det(symplectic_final(s, omega0)) - 1.0) < 1e-9

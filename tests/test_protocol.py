@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
                     Protocol, collapse, propagate, refine, validate)
@@ -109,4 +111,22 @@ def test_json_strictness(mutate):
     doc = json.loads(to_json(FIG1))
     mutate(doc)
     with pytest.raises(ValueError):
+        from_json(json.dumps(doc))
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+       st.floats(1e-6, 1e3), st.integers(2, 10))
+def test_collapse_inverts_refine(omegas, dt, k):
+    # the pulses come back bit for bit; dt*k can miss dt by one rounding
+    p = Protocol(1.0, 0.25, dt, tuple(omegas))
+    back = collapse(refine(p, k), p.m)
+    assert back.omegas == p.omegas
+    assert abs(back.dt - p.dt) <= math.ulp(p.dt)
+
+
+@pytest.mark.parametrize("dt,omegas", [(2.0, [1e308, 1.0, 1.0]),   # omega*dt
+                                       (0.6, [1.0, 1e200])])       # omega^2
+def test_from_json_names_an_overflowing_pulse(dt, omegas):
+    doc = {"omega0": 1.0, "omegaT": 0.25, "dt": dt, "omegas": omegas}
+    with pytest.raises(NonFiniteEntry, match=rf"omegas\[{omegas.index(max(omegas))}\]"):
         from_json(json.dumps(doc))
