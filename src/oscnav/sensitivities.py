@@ -202,7 +202,7 @@ def hessian(p: Protocol) -> SensitivityBundle:
     hess_infid *= 2.0
     hess_infid = 0.5 * (hess_infid + hess_infid.T)
     if not np.isfinite(hess_infid).all():
-        raise NonFiniteEntry("Hessian of beta is not finite")
+        raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return dataclasses.replace(bundle, hess_infidelity=hess_infid)
 
 
