@@ -34,9 +34,11 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost
 from .propagator import infidelity
 from .protocol import Protocol, refine, validate
-from .sensitivities import _sweep, gradient
+from .sensitivities import beta_hessian, gradient
 
 _EPS = float(np.finfo(float).eps)
+# stop states of ``_project`` that leave a point on beta = 0
+_ON_LEVEL_SET = ("target", "floor")
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,14 @@ class NavigationConfig:
     """Secondary-objective navigation settings.
 
     Every trial step is projected by the Levenberg-Marquardt corrector
-    until the infidelity is below ``corrector_target``, within
-    ``corrector_budget`` steps. The default sits a few decades above the
-    rounding floor of I (about 1e-31 for M up to 96 on the README task):
-    the cost of a point at infidelity I differs from that of the level set
-    by about |nu| sqrt(I), and a looser target lets that difference mask
-    the last steps. A doubling factor from the schedule is consumed
-    whenever the projected gradient stalls.
+    until the infidelity is below ``corrector_target`` or at its rounding
+    floor, within ``corrector_budget`` steps; a target below the floor does
+    not by itself fail a run. The default sits a few decades above the
+    floor (about 1e-31 for M up to 96 on the README task): the cost of a
+    point at infidelity I differs from that of the level set by about
+    |nu| sqrt(I), and a looser target lets that difference mask the last
+    steps. A doubling factor from the schedule is consumed whenever the
+    projected gradient stalls.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -190,8 +193,11 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     iterate whose gradient is evaluated, the start included.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
-    ``grad_tolerance``, or exactly zero), "budget", or "stalled" (no trial
-    lowers I before the step is lost to rounding).
+    ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
+    I and the Gauss-Newton step -J^+ r is below sqrt(eps) max(1, |w|): the
+    point is on beta = 0 to working precision, at the rounding floor of I)
+    or "stalled" (no trial lowers I at a point whose Gauss-Newton step is
+    longer, a trap or a rank-deficient J).
     """
     w = np.asarray(p.omegas, dtype=float)
     val = infidelity(p)
@@ -223,7 +229,12 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             y1 = ((a + lam) * r1 - b * r0) / det
             cand = w - (y0 * jr + y1 * ji)
             if np.array_equal(cand, w):
-                return w, val, gmax, "stalled"
+                # |J^+ r|^2 = r^T (J J^T)^-1 r; inf when J has rank < 2
+                rank2 = a * c - b * b
+                gn_sq = ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
+                         if rank2 > 0.0 else math.inf)
+                at_floor = gn_sq <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2
+                return w, val, gmax, "floor" if at_floor else "stalled"
             cval = infidelity(p.with_omegas(cand))
             if cval < val:
                 mu = max(mu * 0.1, 1e-12)
@@ -238,9 +249,10 @@ def _classify(status: str, i_val: float, cfg: DescentConfig) -> str:
 
     A stall above the threshold is a trap too: there the gradient of I
     cannot fall below an absolute tolerance, as rounding sets its floor.
+    Below the threshold, a point at the rounding floor of I is a solution.
     """
     if i_val < cfg.infidelity_threshold:
-        return "solution" if status == "critical" else "non-critical"
+        return "solution" if status in ("critical", "floor") else "non-critical"
     return "trap" if status in ("critical", "stalled") else "non-critical"
 
 
@@ -262,7 +274,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
     _, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                     on_step)
     report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
-    traj_status = "completed" if status in ("critical", "stalled") else "budget_exhausted"
+    traj_status = "budget_exhausted" if status == "budget" else "completed"
     return records[-1].protocol, report, DescentTrajectory(tuple(records), traj_status)
 
 
@@ -288,36 +300,39 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         f"no solution with I < {cfg.infidelity_threshold:g} in {cfg.max_restarts} restarts")
 
 
-def _normal_basis(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis Q (M x k, k <= 2) of span{Re grad_beta, Im grad_beta}.
+def _tangent_basis(grad_beta: np.ndarray, tol: float = 1e-10):
+    """Orthonormal bases (Q, Z) of the normal and tangent spaces of a level set.
 
-    Built by re-orthogonalized Gram-Schmidt; a spanning vector whose part
-    orthogonal to the basis so far is below ``tol`` times its norm adds no
-    column, so degenerate spans simply shrink Q.
+    Q (M x k, k <= 2) spans {Re grad_beta, Im grad_beta} and Z, the other
+    M - k columns, its orthogonal complement: the level-set tangent space.
+    Both come from one complete QR of the M x 2 matrix of the two vectors,
+    the longer one first. The shorter vector adds no column when its part
+    orthogonal to the longer is at most ``tol`` times its norm, and a zero
+    longer vector adds none, so degenerate spans simply shrink Q.
     """
-    basis: list[np.ndarray] = []
-    for vec in (np.real(grad_beta), np.imag(grad_beta)):
-        u = np.array(vec, dtype=float)
-        norm0 = np.linalg.norm(u)
-        for q in basis:           # twice, to keep orthogonality near rounding
-            u -= (q @ u) * q
-        for q in basis:
-            u -= (q @ u) * q
-        norm1 = np.linalg.norm(u)
-        if norm0 > 0.0 and norm1 > tol * norm0:
-            basis.append(u / norm1)
-    return np.array(basis).reshape(len(basis), len(grad_beta)).T
+    vecs = np.array([np.real(grad_beta), np.imag(grad_beta)], dtype=float)
+    norms = np.linalg.norm(vecs, axis=1)
+    if norms[1] > norms[0]:
+        vecs, norms = vecs[::-1], norms[::-1]
+    basis, r = np.linalg.qr(vecs.T, mode="complete")
+    if norms[0] == 0.0:
+        rank = 0
+    elif len(basis) == 1 or abs(r[1, 1]) <= tol * norms[1]:
+        rank = 1
+    else:
+        rank = 2
+    return basis[:, :rank], basis[:, rank:]
 
 
 def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Projector onto the level-set tangent space at a frictionless point.
 
     P = I - Q Q^T with Q the orthonormal basis of span{Re grad_beta,
-    Im grad_beta} from :func:`_normal_basis`. P annihilates both spanning
+    Im grad_beta} from :func:`_tangent_basis`. P annihilates both spanning
     vectors and is an orthogonal projector of rank M - rank(Q). Navigation
-    applies the 2-column Q directly and never builds P.
+    works in the bases Q and Z and never builds P.
     """
-    q = _normal_basis(grad_beta, tol)
+    q = _tangent_basis(grad_beta, tol)[0]
     return np.eye(len(grad_beta)) - q @ q.T
 
 
@@ -326,13 +341,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta and its exact gradient and Hessian, and each step is one trust-region SQP step,
-    ``_navigation_step``; the radius carries over between steps and starts,
-    at the first step and after every doubling, at the Cauchy point of the
-    cost along the projected gradient. Stalls consume the doubling
-    schedule; once the schedule is exhausted a stall ends the run. The
-    secondary cost is non-increasing and the infidelity stays below the
-    threshold at every record.
+    beta and its exact gradient and Hessian, and each step is one
+    trust-region SQP step, ``_navigation_step``; the radius carries over
+    between steps and starts, at the first step and after every doubling,
+    at the Cauchy point of the cost along the projected gradient. Stalls
+    consume the doubling schedule; once the schedule is exhausted a stall
+    ends the run. The secondary cost is non-increasing and the infidelity
+    stays below the threshold at every record.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -350,10 +365,10 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     status = "budget_exhausted"
     hess_c = radius = None
     for it in range(cfg.max_iterations + 1):
-        bundle = _sweep(p, second_order=True)  # Hess(I) is not needed
+        bundle = beta_hessian(p)
         cur_c = cost.value(p.omegas)
         g = cost.grad(p.omegas)
-        q = _normal_basis(bundle.grad_beta)
+        q, z = _tangent_basis(bundle.grad_beta)
         pg = g - q @ (q.T @ g)
         pgmax = float(np.max(np.abs(pg)))
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
@@ -374,7 +389,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
             step = None if stalled else _navigation_step(
-                p, cost, bundle, g, q, hess_c, cur_c, radius, cfg)
+                p, cost, bundle, g, z, hess_c, cur_c, radius, cfg)
         except CorrectorFailed:
             status = "corrector_failed"
             break
@@ -389,14 +404,15 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
+def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
     The step d solves the KKT system of min C subject to
     r = (Re beta, Im beta) = 0 (Nocedal and Wright, ch. 18): its normal
     part is the minimum-norm solution of J d = -r, with the 2 x M Jacobian
-    J = [Re grad beta; Im grad beta], and its tangent part minimises the
-    model g^T d + d^T H d / 2 within ``radius``. H is the Hessian of the
+    J = [Re grad beta; Im grad beta], and its tangent part Z u, with Z the
+    tangent basis of :func:`_tangent_basis`, minimises the model
+    g^T d + d^T H d / 2 within ``radius``. H is the Hessian of the
     Lagrangian, Hess C + nu_0 Re Hess beta + nu_1 Im Hess beta, with the
     least-squares multipliers nu = -(J J^T)^-1 J g of this iterate.
 
@@ -407,8 +423,8 @@ def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
     exact for a homogeneous quadratic and free of the rounding of C(w).
     The step stalls once the predicted decrease falls to the rounding level
     of g^T d; it raises CorrectorFailed instead when the projection of the
-    last trial, or of a current point above the corrector target, missed
-    that target.
+    last trial, or of a current point above the corrector target, ended
+    neither below that target nor at the rounding floor of I.
     """
     w = np.asarray(p.omegas, dtype=float)
     # J^+ = J^T (J J^T)^-1 gives both least-squares solves below
@@ -417,23 +433,18 @@ def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
     hess = hess_c + nu[0] * bundle.hess_beta.real + nu[1] * bundle.hess_beta.imag
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
     normal_size = float(np.linalg.norm(normal))
-    # P H P, plus the identity on the normal space: positive definite
-    # exactly when the reduced Hessian is
-    proj = np.eye(len(w)) - q @ q.T
-    tangent_h = proj @ hess @ proj + q @ q.T
+    reduced_h = z.T @ hess @ z
     try:
-        np.linalg.cholesky(tangent_h)
-        floor = 0.0
+        np.linalg.cholesky(reduced_h)
+        min_shift = 0.0
     except np.linalg.LinAlgError:  # indefinite: shift past the lowest eigenvalue
-        floor = max(0.0, -float(np.linalg.eigvalsh(tangent_h)[0]))
-        floor += 1e-12 * (floor + float(np.abs(tangent_h).max()))
+        min_shift = max(0.0, -float(np.linalg.eigvalsh(reduced_h)[0]))
+        min_shift += 1e-12 * (min_shift + float(np.abs(reduced_h).max()))
     failed = False
     while radius > 0.0:
         # the normal step takes at most half the radius
         dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
-        model_g = g + hess @ dn
-        model_g -= q @ (q.T @ model_g)
-        dt = _trust_region_step(tangent_h, proj, model_g, radius, floor)
+        dt = z @ _trust_region_step(reduced_h, z.T @ (g + hess @ dn), radius, min_shift)
         d = dn + dt
         predicted = -(g @ d + 0.5 * (d @ hess @ d))
         if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
@@ -441,7 +452,8 @@ def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
         # second-order correction: cancel the curvature term of r(w + d)
         curv = [0.5 * (d @ bundle.hess_beta.real @ d), 0.5 * (d @ bundle.hess_beta.imag @ d)]
         trial = w + d - jac_pinv @ curv
-        # the trial is near beta = 0, so the projection starts near Gauss-Newton
+        # the trial is near beta = 0, so the projection starts near
+        # Gauss-Newton: a start at mu = 1 costs a quarter more sweeps
         w_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
                                         cfg.corrector_budget, mu=1e-3)
         s = w_c - w
@@ -454,40 +466,42 @@ def _navigation_step(p, cost, bundle, g, q, hess_c, cur_c, radius, cfg):
             elif ratio > 0.75 and length > 0.99 * radius:
                 radius *= 2.0
             return p.with_omegas(w_c), radius
-        failed = status != "target"
+        failed = status not in _ON_LEVEL_SET
         radius = 0.25 * length
     # a stall ends the run only at a point the corrector can hold on the
     # level set; an input above the corrector target is checked here
     if not failed and not abs(bundle.beta) ** 2 < cfg.corrector_target:
-        failed = _project(p, cfg.corrector_target, cfg.corrector_budget)[3] != "target"
+        failed = _project(p, cfg.corrector_target, cfg.corrector_budget)[3] not in _ON_LEVEL_SET
     if failed:
-        raise CorrectorFailed("no projected point reached the corrector target")
+        raise CorrectorFailed("no projected point reached the corrector target "
+                              "or the rounding floor of I")
     return None
 
 
-def _trust_region_step(h, proj, grad, radius, floor):
-    """Tangent minimiser of grad^T d + d^T h d / 2 with |d| <= radius.
+def _trust_region_step(h, grad, radius, min_shift):
+    """Minimiser of grad^T u + u^T h u / 2 with |u| <= radius.
 
-    d(lam) solves (h + lam P) d = -grad, where ``proj`` is P and every
-    shift lam >= ``floor`` keeps h + lam P positive definite. The shift is
-    ``floor`` when that step is inside the radius; otherwise Newton's method
-    on 1/|d(lam)| = 1/radius finds it (the More-Sorensen iteration of
-    Nocedal and Wright, Algorithm 4.3), stopped within 10 % of the radius.
-    A step still longer than the radius after that (rounding, or the hard
-    case) is scaled back onto it.
+    u(lam) solves (h + lam I) u = -grad, and every shift lam >= ``min_shift``
+    keeps h + lam I positive definite. The shift is ``min_shift`` when that
+    step is inside the radius; otherwise Newton's method on
+    1/|u(lam)| = 1/radius finds it (the More-Sorensen iteration of Nocedal
+    and Wright, Algorithm 4.3), stopped within 10 % of the radius. A step
+    still longer than the radius after that (rounding, or the hard case) is
+    scaled back onto it.
     """
-    lam = floor
+    eye = np.eye(len(grad))
+    lam = min_shift
     for _ in range(20):
-        shifted = h + lam * proj
-        d = np.linalg.solve(shifted, -grad)
-        norm = float(np.linalg.norm(d))
-        if norm <= radius and (lam == floor or norm >= 0.9 * radius):
-            return d
-        dq = float(d @ np.linalg.solve(shifted, d))
-        if not dq > 0.0:  # not positive definite after all: rounding
+        shifted = h + lam * eye
+        u = np.linalg.solve(shifted, -grad)
+        norm = float(np.linalg.norm(u))
+        if norm <= radius and (lam == min_shift or norm >= 0.9 * radius):
+            return u
+        uq = float(u @ np.linalg.solve(shifted, u))
+        if not uq > 0.0:  # not positive definite after all: rounding
             break
-        lam = max(lam + (norm * norm / dq) * (norm - radius) / radius, floor)
-    return d if norm <= radius else d * (radius / norm)
+        lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, min_shift)
+    return u if norm <= radius else u * (radius / norm)
 
 
 def _null_direction(p: Protocol) -> np.ndarray:
@@ -513,7 +527,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     if not infidelity(solution) < cfg.infidelity_threshold:
         raise NotASolution("trace_levelset requires a solution protocol")
     w, ival, _, status = _project(solution, cfg.corrector_target, cfg.corrector_budget)
-    if status != "target":
+    if status not in _ON_LEVEL_SET:
         return LevelsetCurve(np.asarray([solution.omegas]),
                              np.asarray([infidelity(solution)]), False,
                              "corrector_failed")
@@ -528,7 +542,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     for step in range(1, cfg.max_steps + 1):
         pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
         w, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget)
-        if corrector != "target":
+        if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
         p = pred.with_omegas(w)

@@ -40,8 +40,7 @@ class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
     ``hess_beta``/``hess_infidelity`` are None unless produced by
-    :func:`hessian`; the second-order sweep that navigation uses fills
-    ``hess_beta`` only.
+    :func:`hessian`; :func:`beta_hessian` fills ``hess_beta`` only.
     """
 
     beta: complex
@@ -185,6 +184,15 @@ def _hessian_of_beta(omegas, dt, steps, fs, fds, costates) -> np.ndarray:
 def gradient(p: Protocol) -> SensitivityBundle:
     """Exact grad(beta) and grad(I): one forward and one backward pass, O(M)."""
     return _sweep(p, second_order=False)
+
+
+def beta_hessian(p: Protocol) -> SensitivityBundle:
+    """Exact gradient plus the Hessian of beta alone, O(M^2).
+
+    The second-order sweep of :func:`hessian` without assembling Hess(I):
+    ``hess_infidelity`` stays None. Navigation calls it once per iterate.
+    """
+    return _sweep(p, second_order=True)
 
 
 def hessian(p: Protocol) -> SensitivityBundle:

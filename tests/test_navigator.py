@@ -176,6 +176,26 @@ class TestNavigate:
         traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
         assert traj.status == "corrector_failed"
 
+    def test_projection_tells_the_rounding_floor_from_a_trap(self, m8_solution):
+        # a target of 0 is never reached: the deep solution stops at the
+        # rounding floor of I, the seed-2 M = 12 point at its trap
+        w, ival, _, status = navigator._project(m8_solution.protocol, 0.0, 500)
+        assert status == "floor" and ival < 1e-28
+        trap = solve(DescentConfig(seed=2), 12, TASK).protocol
+        w, ival, _, status = navigator._project(trap, 0.0, 500)
+        assert status == "stalled" and ival > 1e-6
+
+    def test_target_below_the_rounding_floor_still_completes(self):
+        # seed 4, M = 6, C2 with 1 chunk stalls on the predicted decrease
+        # while its pg is above the stall tolerance: the stall check then
+        # projects a point at the rounding floor, above a 1e-40 target
+        start = solve(DescentConfig(seed=4), 6, TASK).protocol
+        cfg = NavigationConfig(corrector_target=1e-40)
+        traj = navigate(start, SecondaryCost("compression", 1), cfg)
+        assert traj.status == "completed"
+        assert traj.records[-1].infidelity > cfg.corrector_target
+        assert all(r.infidelity < 1e-28 for r in traj.records[1:])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NavigationConfig(corrector_target=1e-4, infidelity_threshold=1e-5)
