@@ -281,9 +281,11 @@ def _cmd_theta_scan(args) -> int:
     thetas, values, theta_min, value_min = theta_scan(p, args.points)
     if not (np.isfinite(values).all() and math.isfinite(value_min)):
         raise NonFiniteEntry("theta landscape is not finite")
-    rows = sorted(zip(thetas, values)) + [(theta_min, value_min)]
-    rows.sort(key=lambda tv: tv[0])
-    lines = ["theta,J"] + [f"{repr(float(t))},{repr(float(v))}" for t, v in rows]
+    # the grid ascends; the refined row goes after any equal theta
+    k = int(np.searchsorted(thetas, theta_min, side="right"))
+    rows = zip(np.insert(thetas, k, theta_min).tolist(),
+               np.insert(values, k, value_min).tolist())
+    lines = ["theta,J"] + [f"{t!r},{v!r}" for t, v in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text)

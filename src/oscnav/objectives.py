@@ -7,10 +7,12 @@ Two secondary costs act on the pulse sequence alone:
   differences inside each chunk (zero iff every chunk is constant).
 
 Independently, the evolution can be scored against a one-parameter family of
-symplectic targets W(theta) through the squared Frobenius distance of the
-final quadrature transfer matrix S(T) to W(theta). This surface is exposed
-for diagnostics; the primary objective elsewhere stays the phase-free
-|beta|^2.
+symplectic targets W(theta) = cos(theta) A + sin(theta) B through the
+squared Frobenius distance J(theta) of the final quadrature transfer matrix
+S(T) to W(theta). J is a trigonometric polynomial of degree 2, so
+``theta_scan`` evaluates its grid in one array expression and takes the
+exact minimum from the roots of a quartic. This surface is exposed for
+diagnostics; the primary objective elsewhere stays the phase-free |beta|^2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleChunking, NonPositiveFrequency, NonSymplectic
+from .errors import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
+                     NonSymplectic)
 from .propagator import ModeState, bogoliubov, propagate
 from .protocol import Protocol
 
@@ -135,6 +138,15 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     return out
 
 
+def _target_basis(omega0: float, omegaT: float):
+    """(A, B) with W(theta) = cos(theta) A + sin(theta) B."""
+    if not (omega0 > 0 and omegaT > 0):
+        raise NonPositiveFrequency("omega0 and omegaT must be > 0")
+    k = math.sqrt(omega0 / omegaT)
+    return (k * np.array([[1.0, 0.0], [0.0, omegaT / omega0]]),
+            k * np.array([[0.0, -1.0 / omega0], [omegaT, 0.0]]))
+
+
 def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     """Member W(theta) of the symplectic target family; det W = 1.
 
@@ -142,11 +154,8 @@ def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     [omegaT*sin t, (omegaT/omega0)*cos t]] of the complex mode-pair form,
     which the tests cross-check.
     """
-    if not (omega0 > 0 and omegaT > 0):
-        raise NonPositiveFrequency("omega0 and omegaT must be > 0")
-    c, s = math.cos(theta), math.sin(theta)
-    return math.sqrt(omega0 / omegaT) * np.array(
-        [[c, -s / omega0], [omegaT * s, (omegaT / omega0) * c]])
+    a, b = _target_basis(omega0, omegaT)
+    return math.cos(theta) * a + math.sin(theta) * b
 
 
 def theta_infidelity(p: Protocol, theta: float) -> float:
@@ -157,43 +166,33 @@ def theta_infidelity(p: Protocol, theta: float) -> float:
 
 
 def theta_scan(p: Protocol, points: int = 1024):
-    """Evaluate the theta landscape on a uniform grid plus its refined minimum.
+    """The theta landscape on a uniform grid, and its exact global minimum.
 
-    The landscape is a low-degree trigonometric polynomial, so the grid only
-    brackets the minimum; the best grid point is polished by golden-section
-    to the true local minimum (a raw grid value sits O(grid spacing^2) above
-    it, far coarser than the landscape tolerances used in verification).
+    J(theta) = |S - W(theta)|^2 = a + b cos(theta) + c sin(theta) + d cos(2 theta)
+    with b = -2<S, A>, c = -2<S, B> and d = (|A|^2 - |B|^2)/2
+    = (omega0/(2 omegaT))(1 - omegaT^2)(1 - 1/omega0^2). Its critical points
+    are the angles of the roots of 2i z^2 J' = -2d z^4 + (-b + ic) z^3
+    + (b + ic) z + 2d, z = e^{i theta}; the lowest of them is the minimum.
+    With d = 0 this is a cubic, and its extra root z = 0 only adds theta = 0;
+    b = c = d = 0 would need det S < 0. J is evaluated in the difference
+    form: the expanded one cancels near a solution, where it leaves an error
+    of order eps |S|^2 instead of resolving J ~ 0.
 
-    Returns (thetas, values, theta_min, value_min).
+    Returns (thetas, values, theta_min, value_min), theta_min in [0, 2 pi].
     """
     if points < 4:
         raise ValueError("need at least 4 grid points")
     s = symplectic_final(propagate(p), p.omega0)
-
-    def val(theta: float) -> float:
-        diff = s - target_matrix(theta, p.omega0, p.omegaT)
-        return float(np.sum(diff * diff))
-
+    basis_a, basis_b = _target_basis(p.omega0, p.omegaT)
+    b, c = -2.0 * float(np.sum(s * basis_a)), -2.0 * float(np.sum(s * basis_b))
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise NonFiniteEntry("theta landscape is not finite")
+    d = (p.omega0 / (2.0 * p.omegaT)) * (1.0 - p.omegaT ** 2) * (1.0 - p.omega0 ** -2)
+    roots = np.roots([-2.0 * d, complex(-b, c), 0.0, complex(b, c), 2.0 * d])
     thetas = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
-    values = np.array([val(t) for t in thetas])
-    k = int(np.argmin(values))
-    h = 2.0 * math.pi / points
-    lo, hi = thetas[k] - h, thetas[k] + h
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = val(x1), val(x2)
-    for _ in range(200):
-        if b - a < 1e-13:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = val(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = val(x2)
-    theta_min = 0.5 * (a + b)
-    return thetas, values, theta_min, val(theta_min)
+    angles = np.concatenate([thetas, np.angle(roots) % (2.0 * math.pi)])
+    diff = s - (np.cos(angles)[:, None, None] * basis_a
+                + np.sin(angles)[:, None, None] * basis_b)
+    values = np.sum(diff * diff, axis=(-2, -1))
+    k = points + int(np.argmin(values[points:]))
+    return thetas, values[:points], float(angles[k]), float(values[k])

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,25 @@ class TestDiagnosticsCommands:
         assert len(lines) == 258  # grid plus the refined minimum row
         best = min(float(line.split(",")[1]) for line in lines[1:])
         assert best < 1e-6
+
+    @pytest.mark.parametrize("omegas", [None, (0.5, 2.0, 1.1)])
+    def test_theta_scan_refined_row_is_the_only_off_grid_row(
+            self, m8_solution_file, tmp_path, omegas):
+        path = m8_solution_file
+        if omegas is not None:
+            path = tmp_path / "p.json"
+            proto.save(Protocol(1.0, 1.0, 0.3, omegas), path)
+        assert main(["theta-scan", str(path), "--points", "1024",
+                     "--out", str(tmp_path / "theta.csv")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "theta.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 1025
+        thetas = [float(t) for t, _ in rows]
+        assert thetas == sorted(thetas)
+        grid = {repr(t) for t in np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False).tolist()}
+        refined = [float(j) for t, j in rows if t not in grid]
+        assert len(refined) == 1
+        assert refined[0] <= min(float(j) for t, j in rows if t in grid)
 
     def test_levelset_scan(self, tmp_path):
         cfg = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8},

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscnav import (IndivisibleChunking, NonSymplectic, Protocol, SecondaryCost,
                     c1, c1_grad, c2, c2_grad, infidelity, initial_state,
@@ -181,3 +185,60 @@ class TestThetaLandscape:
         thetas, _, _, _ = theta_scan(Protocol(1.0, 1.0, 0.2, (1.0,) * 4), 64)
         assert thetas[0] == 0.0
         assert np.allclose(np.diff(thetas), 2 * np.pi / 64)
+
+
+def golden_section_min(p, thetas, values):
+    """Oracle: golden section on J over the two grid cells around the best grid point."""
+    s = symplectic_final(propagate(p), p.omega0)
+
+    def val(theta):
+        diff = s - target_matrix(theta, p.omega0, p.omegaT)
+        return float(np.sum(diff * diff))
+
+    k = int(np.argmin(values))
+    h = 2.0 * math.pi / len(thetas)
+    a, b = thetas[k] - h, thetas[k] + h
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = val(x1), val(x2)
+    while b - a >= 1e-13:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = val(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = val(x2)
+    return 0.5 * (a + b)
+
+
+def circle_distance(x, y):
+    return abs((x - y + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+# omega0 = 1 or omegaT = 1 makes the cos(2 theta) term vanish (a cubic, not a quartic)
+frequencies = st.one_of(st.just(1.0), st.floats(0.1, 4.0))
+landscape_protocols = st.builds(
+    lambda omega0, omegaT, dt, omegas: Protocol(omega0, omegaT, dt, tuple(omegas)),
+    frequencies, frequencies, st.floats(0.01, 1.0),
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))
+
+
+class TestClosedFormLandscape:
+    @given(landscape_protocols, st.integers(32, 256))
+    def test_grid_and_minimum_against_scalar_oracles(self, p, points):
+        thetas, values, theta_min, value_min = theta_scan(p, points)
+        want = np.array([theta_infidelity(p, t) for t in thetas])
+        assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want) + 1e-15)
+        assert value_min <= np.min(values)
+        assert theta_min not in thetas.tolist()
+        # comparing values resolves a minimum only to sqrt(eps J / J''), which
+        # exceeds 1e-8 once J is of order one; J'' = 2|W'|^2 + 2<S - W, W>
+        s = symplectic_final(propagate(p), p.omega0)
+        w = target_matrix(theta_min, p.omega0, p.omegaT)
+        w_prime = target_matrix(theta_min + math.pi / 2, p.omega0, p.omegaT)
+        curvature = 2.0 * np.sum(w_prime * w_prime) + 2.0 * np.sum((s - w) * w)
+        resolution = math.sqrt(np.finfo(float).eps * value_min / curvature)
+        assert (circle_distance(theta_min, golden_section_min(p, thetas, values))
+                <= max(1e-8, 10.0 * resolution))

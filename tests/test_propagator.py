@@ -123,6 +123,22 @@ class TestPropagate:
             assert abs(a.fdot - b.fdot) <= 1e-14
 
 
+# down to |omega| = 1e-7, so |omega * dt| falls below SERIES_THRESHOLD as well
+pulses = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                           st.sampled_from((1.0, -1.0)), st.floats(-7.0, 0.7)))
+
+
+class TestFlipSignEvenness:
+    @given(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.01, 1.0),
+           st.lists(pulses, min_size=1, max_size=12), st.data())
+    def test_negating_one_pulse_is_bit_exact(self, omega0, omegaT, dt, omegas, data):
+        k = data.draw(st.integers(0, len(omegas) - 1))
+        p = Protocol(omega0, omegaT, dt, tuple(omegas))
+        flipped = list(omegas)
+        flipped[k] = -flipped[k]
+        assert propagate(p) == propagate(p.with_omegas(flipped))
+
+
 class TestBogoliubov:
     def test_sudden_quench_closed_form(self):
         pair = bogoliubov(initial_state(1.0), 0.25)

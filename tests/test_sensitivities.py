@@ -13,6 +13,9 @@ from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
 from oscnav.sensitivities import _D_SERIES_THRESHOLD, _d1_entries, _d2_entries
 
 
+EPS = np.finfo(float).eps
+
+
 def random_protocol(rng, m, dt_range=(0.05, 0.5), omega_range=(0.1, 2.0)):
     return Protocol(1.0, 0.25, float(rng.uniform(*dt_range)),
                     tuple(rng.uniform(*omega_range, m)))
@@ -295,6 +298,31 @@ class TestAdjointSweepAgainstTableau:
                               (full.hess_infidelity, hess_infid)):
                 # relative in the max norm; a gradient at omega = 0 is exactly 0
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFiniteDifferencesAtSeriesThresholds:
+    # Central differences carry a rounding error of about eps * I / h (eps * I / h^2
+    # for second differences), which dominates where the derivative is small.
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 48])
+    def test_gradient(self, m):
+        h = 1e-6
+        for p in oracle_protocols(m):
+            exact = gradient(p)
+            fd_infid, fd_beta = fd_gradient(p, h)
+            scale = np.max(np.abs(exact.grad_infidelity))
+            floor = 10.0 * EPS * max(infidelity(p), 1.0) / h
+            # a gradient at omega = 0 is exactly 0 in both
+            assert np.max(np.abs(exact.grad_beta - fd_beta)) <= 1e-6 * np.max(np.abs(fd_beta))
+            assert np.max(np.abs(exact.grad_infidelity - fd_infid)) <= 1e-6 * scale + floor
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_hessian(self, m):
+        h = 1e-4
+        for p in oracle_protocols(m):
+            exact = hessian(p).hess_infidelity
+            floor = 10.0 * EPS * max(infidelity(p), 1.0) / (h * h)
+            assert (np.max(np.abs(exact - fd_hessian(p, h)))
+                    <= 1e-6 * np.max(np.abs(exact)) + floor)
 
 
 class TestNonFinite:
