@@ -433,18 +433,12 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     hess = hess_c + nu[0] * bundle.hess_beta.real + nu[1] * bundle.hess_beta.imag
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
     normal_size = float(np.linalg.norm(normal))
-    reduced_h = z.T @ hess @ z
-    try:
-        np.linalg.cholesky(reduced_h)
-        min_shift = 0.0
-    except np.linalg.LinAlgError:  # indefinite: shift past the lowest eigenvalue
-        min_shift = max(0.0, -float(np.linalg.eigvalsh(reduced_h)[0]))
-        min_shift += 1e-12 * (min_shift + float(np.abs(reduced_h).max()))
+    evals, evecs = np.linalg.eigh(z.T @ hess @ z)
     failed = False
     while radius > 0.0:
         # the normal step takes at most half the radius
         dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
-        dt = z @ _trust_region_step(reduced_h, z.T @ (g + hess @ dn), radius, min_shift)
+        dt = z @ _trust_region_step(evals, evecs, z.T @ (g + hess @ dn), radius)
         d = dn + dt
         predicted = -(g @ d + 0.5 * (d @ hess @ d))
         if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
@@ -478,29 +472,35 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     return None
 
 
-def _trust_region_step(h, grad, radius, min_shift):
+def _trust_region_step(evals, evecs, grad, radius):
     """Minimiser of grad^T u + u^T h u / 2 with |u| <= radius.
 
-    u(lam) solves (h + lam I) u = -grad, and every shift lam >= ``min_shift``
-    keeps h + lam I positive definite. The shift is ``min_shift`` when that
-    step is inside the radius; otherwise Newton's method on
-    1/|u(lam)| = 1/radius finds it (the More-Sorensen iteration of Nocedal
-    and Wright, Algorithm 4.3), stopped within 10 % of the radius. A step
-    still longer than the radius after that (rounding, or the hard case) is
-    scaled back onto it.
+    h = V diag(evals) V^T as ``np.linalg.eigh`` returns it, so
+    u(lam) = -(h + lam I)^-1 grad = -V (V^T grad) / (evals + lam). The shift
+    is its floor (0 for a positive definite h, else just past -evals[0])
+    when that step is inside the radius, which leaves the hard case of an
+    indefinite h inside too; otherwise Newton's method on
+    1/|u(lam)| = 1/radius, the More-Sorensen iteration of Nocedal and
+    Wright (Algorithm 4.3), finds it to within 10 % of the radius. A step
+    still longer (rounding, or squares underflowing at a tiny radius) is
+    scaled back onto the radius.
     """
-    eye = np.eye(len(grad))
-    lam = min_shift
+    floor = 0.0
+    if len(evals) and evals[0] <= 0.0:  # indefinite: shift past the lowest eigenvalue
+        floor = float(-evals[0] + 1e-12 * (np.abs(evals).max() - evals[0]))
+    gt = evecs.T @ grad
+    lam = floor
     for _ in range(20):
-        shifted = h + lam * eye
-        u = np.linalg.solve(shifted, -grad)
-        norm = float(np.linalg.norm(u))
-        if norm <= radius and (lam == min_shift or norm >= 0.9 * radius):
-            return u
-        uq = float(u @ np.linalg.solve(shifted, u))
-        if not uq > 0.0:  # not positive definite after all: rounding
+        shifted = evals + lam
+        coef = gt / shifted
+        norm = float(np.linalg.norm(coef))
+        if norm <= radius and (lam == floor or norm >= 0.9 * radius):
             break
-        lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, min_shift)
+        uq = float(coef @ (coef / shifted))
+        if not uq > 0.0:  # coef^2 underflowed: a tiny radius
+            break
+        lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, floor)
+    u = -(evecs @ coef)
     return u if norm <= radius else u * (radius / norm)
 
 

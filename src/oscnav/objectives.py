@@ -128,12 +128,14 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     if not omega0 > 0:
         raise NonPositiveFrequency(f"omega0 must be > 0, got {omega0!r}")
     f, fd = s.f, s.fdot
+    if not np.isfinite([f, fd]).all():
+        raise NonFiniteEntry("mode state is not finite")
     pref = math.sqrt(omega0 / 2.0)
     cplx = pref * np.array([[f + f.conjugate(), 1j * (f - f.conjugate()) / omega0],
                             [fd + fd.conjugate(), 1j * (fd - fd.conjugate()) / omega0]])
     out = _real_part_checked(cplx, "final symplectic matrix")
     det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
-    if abs(det - 1.0) > _DET_TOL:
+    if not abs(det - 1.0) <= _DET_TOL:  # NaN fails too
         raise NonSymplectic(f"det deviates from 1 by {det - 1.0:g}; invalid mode state")
     return out
 

@@ -18,7 +18,6 @@ package is the infidelity |beta|^2 (zero iff the evolution is frictionless).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -126,8 +125,3 @@ def particle_number(n0: float, beta: complex) -> float:
 def wronskian_defect(s: ModeState) -> float:
     """|f*conj(f') - f'*conj(f) - i|; zero for any physical state."""
     return abs(s.f * s.fdot.conjugate() - s.fdot * s.f.conjugate() - 1j)
-
-
-def final_phase(s: ModeState, omegaT: float) -> float:
-    """Phase angle of alpha, the free parameter left at a frictionless point."""
-    return cmath.phase(bogoliubov(s, omegaT).alpha)

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
@@ -168,13 +169,26 @@ class TestNavigate:
         assert traj.records[-1].infidelity <= 1e-12
         assert traj.records[-1].pgrad_norm < cfg.stall_tolerance
 
-    def test_unreachable_level_set_is_a_corrector_failure(self):
+    @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
+                                      SecondaryCost("compression", 1)],
+                             ids=["smoothness", "compression"])
+    def test_unreachable_level_set_is_a_corrector_failure(self, cost):
         # the seed-2 solve at M = 12 stops at a critical point of I = 9.3e-6,
-        # just under the threshold, where no trial projects back to beta = 0
+        # just under the threshold, where no trial projects back to beta = 0;
+        # under C2 its radius shrinks through hundreds of rejected trials
+        # until the squared step coefficients underflow
         start = solve(DescentConfig(seed=2), 12, TASK).protocol
         assert 1e-6 < infidelity(start) < 1e-5
-        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
+        traj = navigate(start, cost, NavigationConfig())
         assert traj.status == "corrector_failed"
+
+    def test_two_pulse_level_set_has_no_tangent_step(self):
+        # at M = 2 the level set is a point: with a stall tolerance of 0 the
+        # step is still tried, in a tangent space of dimension 0, and stalls
+        start = solve(DescentConfig(seed=2, box=(-10.0, 40.0)), 2, TASK).protocol
+        cfg = NavigationConfig(stall_tolerance=0.0)
+        traj = navigate(start, SecondaryCost("smoothness"), cfg)
+        assert traj.status == "completed" and len(traj.records) == 1
 
     def test_projection_tells_the_rounding_floor_from_a_trap(self, m8_solution):
         # a target of 0 is never reached: the deep solution stops at the
@@ -353,3 +367,49 @@ class TestInvariantProperties:
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert all(r.infidelity < cfg.infidelity_threshold for r in traj.records)
+
+
+def _tangent_model(n, seed, definite, lowest_weight, g_scale):
+    """A symmetric model with eigenvalue magnitudes in [0.1, 10] and a gradient
+    whose weight along the lowest eigenvector is ``lowest_weight``."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    evals = rng.uniform(0.1, 10.0, n)
+    if not definite:
+        evals *= rng.choice([-1.0, 1.0], n)
+        evals[0] = -abs(evals[0])
+    order = np.argsort(evals)
+    evals, q = evals[order], q[:, order]
+    h = (q * evals) @ q.T
+    weights = rng.normal(size=n)
+    weights[0] = 0.0
+    rest = np.linalg.norm(weights)
+    weights *= math.sqrt(1.0 - lowest_weight ** 2) / rest if rest else 0.0
+    weights[0] = lowest_weight * rng.choice([-1.0, 1.0])
+    return (h + h.T) / 2.0, g_scale * (q @ weights)
+
+
+class TestTrustRegionStep:
+    @settings(max_examples=300)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.floats(-6.0, 0.0), st.floats(-8.0, 3.0), st.floats(-100.0, 2.0))
+    def test_step_minimises_the_model_inside_the_radius(self, n, seed, definite,
+                                                        lowest_exp, g_exp, r_exp):
+        lowest_weight = 1.0 if n == 1 else 10.0 ** lowest_exp
+        h, g = _tangent_model(n, seed, definite, lowest_weight, 10.0 ** g_exp)
+        radius = 10.0 ** r_exp
+        evals, evecs = np.linalg.eigh(h)
+        if not definite:
+            # exclude the hard case, also as rounding sees it: the boundary
+            # step needs a shift at least 1e-10 |h| above -lambda_min
+            gap = lowest_weight * np.linalg.norm(g) / radius
+            assume(gap > 1e-10 * np.abs(evals).max())
+        u = navigator._trust_region_step(evals, evecs, g, radius)
+        size = np.linalg.norm(u)
+        assert np.all(np.isfinite(u))
+        assert size <= radius * (1.0 + 1e-12)
+        newton = np.linalg.solve(h, -g)
+        if definite and np.linalg.norm(newton) <= radius:
+            assert np.linalg.norm(u - newton) <= 1e-10 * np.linalg.norm(newton)
+        else:
+            assert size >= 0.9 * radius

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscnav import (IndivisibleChunking, NonSymplectic, Protocol, SecondaryCost,
-                    c1, c1_grad, c2, c2_grad, infidelity, initial_state,
-                    propagate, refine, symplectic_final, target_matrix,
-                    theta_infidelity, theta_scan)
+from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol,
+                    SecondaryCost, c1, c1_grad, c2, c2_grad, infidelity,
+                    initial_state, propagate, refine, symplectic_final,
+                    target_matrix, theta_infidelity, theta_scan)
 from oscnav.propagator import ModeState
 
 
@@ -120,6 +120,20 @@ class TestSymplecticFinal:
     def test_rejects_invalid_state(self):
         with pytest.raises(NonSymplectic):
             symplectic_final(ModeState(1.0 + 0j, 1.0 + 0j), 1.0)
+
+    @pytest.mark.parametrize("state", [ModeState(complex("nan"), 1j),
+                                       ModeState(1.0 + 0j, complex(0.0, math.inf))])
+    def test_rejects_non_finite_state(self, state):
+        with pytest.raises(NonFiniteEntry):
+            symplectic_final(state, 1.0)
+
+    def test_overflowing_protocol_is_not_a_nan_landscape(self):
+        # omega * dt overflows the step kernel: the mode state is NaN
+        p = Protocol(1.0, 0.25, 0.6, (1e308, 1.0, 1.0))
+        with pytest.raises(NonFiniteEntry):
+            theta_infidelity(p, 0.0)
+        with pytest.raises(NonFiniteEntry):
+            theta_scan(p, 16)
 
 
 class TestTargetMatrix:
