@@ -99,13 +99,19 @@ def _fits(value, tp) -> bool:
     return False
 
 
+@functools.cache
+def _type_hints(cls):
+    """Field annotations of a config class, parsed once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _dataclass_from(cls, section, where, **fixed):
     """Build config dataclass ``cls`` from a JSON section, checking each type.
 
     ``fixed`` fields are supplied by the caller and are not keys of the
     section.
     """
-    fields = typing.get_type_hints(cls)
+    fields = _type_hints(cls)
     _check_keys(section, [name for name in fields if name not in fixed], where)
     kwargs = dict(fixed)
     for key, value in section.items():

@@ -189,8 +189,10 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     tenfold after an accepted step (floor 1e-12) and rises tenfold after a
     rejected one. Damping in proportion to |r| gives Gauss-Newton steps near
     beta = 0 and short gradient-like steps at traps, where the rank of J
-    may drop. ``on_step(it, omegas, I, grad_max)`` is called for every
-    iterate whose gradient is evaluated, the start included.
+    may drop. ``on_step(it, omegas, I, grad_max, bundle)`` is called for
+    every iterate whose gradient is evaluated, the start included; ``bundle``
+    is that iterate's ``gradient`` result, so a caller can reuse its
+    Jacobian: ``trace_levelset`` takes the next tangent from the last one.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
@@ -210,7 +212,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
         bundle = gradient(p.with_omegas(w))
         gmax = float(np.max(np.abs(bundle.grad_infidelity)))
         if on_step is not None:
-            on_step(it, w, val, gmax)
+            on_step(it, w, val, gmax, bundle)
         if gmax < grad_tolerance or gmax == 0.0:
             status = "critical"
             break
@@ -267,7 +269,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
         raise EmptyProtocol("descent requires at least one pulse")
     records = []
 
-    def on_step(it, w, val, gmax):
+    def on_step(it, w, val, gmax, _bundle):
         p = p0 if it == 0 else p0.with_omegas(w)
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
@@ -423,8 +425,12 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     exact for a homogeneous quadratic and free of the rounding of C(w).
     The step stalls once the predicted decrease falls to the rounding level
     of g^T d; it raises CorrectorFailed instead when the projection of the
-    last trial, or of a current point above the corrector target, ended
-    neither below that target nor at the rounding floor of I.
+    last trial ended neither below the corrector target nor at the rounding
+    floor of I, or when the current point cannot be held on the level set:
+    it is above that target and its own projection ends neither way. That
+    check runs at most once, at the first failed trial or at the stall, and
+    a failing answer at the first failed trial ends the step at once rather
+    than after every quartering of the radius.
     """
     w = np.asarray(p.omegas, dtype=float)
     # J^+ = J^T (J J^T)^-1 gives both least-squares solves below
@@ -435,6 +441,15 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     normal_size = float(np.linalg.norm(normal))
     evals, evecs = np.linalg.eigh(z.T @ hess @ z)
     failed = False
+    held = None  # whether the current point can be held, once checked
+
+    def holds():
+        nonlocal held
+        if held is None:
+            held = abs(bundle.beta) ** 2 < cfg.corrector_target or _project(
+                p, cfg.corrector_target, cfg.corrector_budget)[3] in _ON_LEVEL_SET
+        return held
+
     while radius > 0.0:
         # the normal step takes at most half the radius
         dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
@@ -461,12 +476,11 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
                 radius *= 2.0
             return p.with_omegas(w_c), radius
         failed = status not in _ON_LEVEL_SET
+        if failed and not holds():
+            break
         radius = 0.25 * length
-    # a stall ends the run only at a point the corrector can hold on the
-    # level set; an input above the corrector target is checked here
-    if not failed and not abs(bundle.beta) ** 2 < cfg.corrector_target:
-        failed = _project(p, cfg.corrector_target, cfg.corrector_budget)[3] not in _ON_LEVEL_SET
-    if failed:
+    # a stall ends the run only at a point the corrector can hold
+    if failed or not holds():
         raise CorrectorFailed("no projected point reached the corrector target "
                               "or the rounding floor of I")
     return None
@@ -478,15 +492,18 @@ def _trust_region_step(evals, evecs, grad, radius):
     h = V diag(evals) V^T as ``np.linalg.eigh`` returns it, so
     u(lam) = -(h + lam I)^-1 grad = -V (V^T grad) / (evals + lam). The shift
     is its floor (0 for a positive definite h, else just past -evals[0])
-    when that step is inside the radius, which leaves the hard case of an
-    indefinite h inside too; otherwise Newton's method on
+    when that step is inside the radius; otherwise Newton's method on
     1/|u(lam)| = 1/radius, the More-Sorensen iteration of Nocedal and
     Wright (Algorithm 4.3), finds it to within 10 % of the radius. A step
     still longer (rounding, or squares underflowing at a tiny radius) is
-    scaled back onto the radius.
+    scaled back onto the radius. For an indefinite h a floor step inside
+    the radius is the hard case (Nocedal and Wright, section 4.3): it is
+    extended along the lowest eigenvector v onto the radius, u + tau v,
+    with tau of the sign of u^T v so that the model does not rise.
     """
     floor = 0.0
-    if len(evals) and evals[0] <= 0.0:  # indefinite: shift past the lowest eigenvalue
+    indefinite = len(evals) > 0 and evals[0] <= 0.0
+    if indefinite:  # shift past the lowest eigenvalue
         floor = float(-evals[0] + 1e-12 * (np.abs(evals).max() - evals[0]))
     gt = evecs.T @ grad
     lam = floor
@@ -501,14 +518,26 @@ def _trust_region_step(evals, evecs, grad, radius):
             break
         lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, floor)
     u = -(evecs @ coef)
+    if indefinite and lam == floor and norm < radius:
+        # the root of |u + tau v| = radius with the sign of u^T v = -coef[0];
+        # along v the model changes by -lam tau u^T v + evals[0] tau^2 / 2 <= 0
+        uv, gap = -float(coef[0]), (radius - norm) * (radius + norm)
+        denom = abs(uv) + math.sqrt(uv * uv + gap)
+        if denom > 0.0:  # both vanish only once gap underflows
+            u = u + math.copysign(gap / denom, uv) * evecs[:, 0]
+            norm = float(np.linalg.norm(u))
     return u if norm <= radius else u * (radius / norm)
 
 
-def _null_direction(p: Protocol) -> np.ndarray:
-    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad beta."""
-    gb = gradient(p).grad_beta
+def _null_direction(grad_beta: np.ndarray) -> np.ndarray:
+    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad_beta.
+
+    ``trace_levelset`` passes the Jacobian its corrector evaluated last, at
+    an iterate one Gauss-Newton step from the vertex, rather than paying a
+    sweep at the vertex itself.
+    """
     # the cross product written out: np.cross costs ten times more on 3-vectors
-    (a0, a1, a2), (b0, b1, b2) = gb.real.tolist(), gb.imag.tolist()
+    (a0, a1, a2), (b0, b1, b2) = grad_beta.real.tolist(), grad_beta.imag.tolist()
     t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     return t / np.linalg.norm(t)
 
@@ -519,9 +548,16 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     Steps of ``step_size`` along the current null direction (sign kept
     continuous with the previous tangent), each followed by the
     Levenberg-Marquardt projection back onto beta = 0 (the Moore-Penrose
-    corrector of Allgower and Georg). Ends on loop closure - returning within
-    ``closure_factor * step_size`` of the start, moving the same way - or
-    on leaving the box (reported as an open curve).
+    corrector of Allgower and Georg). A predictor point lies near beta = 0,
+    so its projection starts near Gauss-Newton (mu = 1e-3), as navigation's
+    trials do, and usually reaches the target in one step. The next tangent
+    comes from the Jacobian of the last iterate that projection evaluated,
+    within one Gauss-Newton step of the vertex; its error is below that of
+    the Euler predictor and the next projection absorbs it. Only a
+    projection that evaluated no gradient, its start already below the
+    target, costs a sweep at the vertex. Ends on loop closure - returning
+    within ``closure_factor * step_size`` of the start, moving the same
+    way - or on leaving the box (reported as an open curve).
     """
     validate(solution)
     if solution.m != 3:
@@ -536,14 +572,22 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     p = solution.with_omegas(w)
     verts = [w]
     ivals = [ival]
-    t0 = cfg.initial_sign * _null_direction(p)
+    t0 = cfg.initial_sign * _null_direction(gradient(p).grad_beta)
     tangent = t0
     lo, hi = cfg.box
     status = "open"
     closed = False
+    last_jac = None  # grad_beta of the corrector's last evaluated iterate
+
+    def keep_jacobian(_it, _w, _val, _gmax, bundle):
+        nonlocal last_jac
+        last_jac = bundle.grad_beta
+
     for step in range(1, cfg.max_steps + 1):
         pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
-        w, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget)
+        last_jac = None
+        w, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget,
+                                         on_step=keep_jacobian, mu=1e-3)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
@@ -553,7 +597,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
             break
         verts.append(w)
         ivals.append(ival)
-        t_new = _null_direction(p)
+        t_new = _null_direction(gradient(p).grad_beta if last_jac is None else last_jac)
         if t_new @ tangent < 0.0:
             t_new = -t_new
         tangent = t_new

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
@@ -172,15 +172,25 @@ class TestNavigate:
     @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
                                       SecondaryCost("compression", 1)],
                              ids=["smoothness", "compression"])
-    def test_unreachable_level_set_is_a_corrector_failure(self, cost):
+    def test_unreachable_level_set_is_a_corrector_failure(self, cost, monkeypatch):
         # the seed-2 solve at M = 12 stops at a critical point of I = 9.3e-6,
         # just under the threshold, where no trial projects back to beta = 0;
-        # under C2 its radius shrinks through hundreds of rejected trials
-        # until the squared step coefficients underflow
+        # the first failed trial checks the point itself, which cannot be
+        # held either, so the run ends there instead of quartering the
+        # radius through hundreds of rejected trials
         start = solve(DescentConfig(seed=2), 12, TASK).protocol
         assert 1e-6 < infidelity(start) < 1e-5
+        projections = []
+        real = navigator._project
+
+        def counting(*args, **kwargs):
+            projections.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_project", counting)
         traj = navigate(start, cost, NavigationConfig())
         assert traj.status == "corrector_failed"
+        assert len(projections) <= 3
 
     def test_two_pulse_level_set_has_no_tangent_step(self):
         # at M = 2 the level set is a point: with a stall tolerance of 0 the
@@ -255,6 +265,52 @@ class TestTraceLevelset:
         from oscnav.navigator import _polyline_distance
         dmax = max(_polyline_distance(v, fwd) for v in rev.vertices)
         assert dmax < 0.05
+
+    def test_about_one_sweep_per_vertex(self, m3_solution, monkeypatch):
+        # the corrector starts near Gauss-Newton and its last Jacobian gives
+        # the next tangent, so no vertex pays a sweep of its own: the sweeps
+        # outside the corrector are the start tangent's and at most one
+        # more. Of the 200 projections, 31 on two arcs end their first step
+        # at I = 1e-12 to 4e-12, just above the target, and take a second.
+        sweeps, outside, depth = [], [], []
+        real_gradient, real_project = navigator.gradient, navigator._project
+
+        def counting(p):
+            (sweeps if depth else outside).append(p.omegas)
+            return real_gradient(p)
+
+        def nested(*args, **kwargs):
+            depth.append(1)
+            try:
+                return real_project(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(navigator, "gradient", counting)
+        monkeypatch.setattr(navigator, "_project", nested)
+        cfg = TraceConfig()
+        curve = trace_levelset(m3_solution.protocol, cfg)
+        assert curve.closed, curve.status
+        assert np.all(curve.infidelities < cfg.corrector_target)
+        assert len(outside) <= 2
+        assert len(sweeps) + len(outside) <= 1.2 * len(curve.vertices)
+
+    def test_tangent_sign_is_continuous(self, m3_solution, monkeypatch):
+        # every predictor point is the start of a projection; its offset
+        # from the vertex before it is the predictor direction
+        starts = []
+        real = navigator._project
+
+        def recording(p, *args, **kwargs):
+            starts.append(np.asarray(p.omegas))
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_project", recording)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
+        assert curve.closed, curve.status
+        steps = np.asarray(starts[1:]) - curve.vertices[:len(starts) - 1]
+        assert len(steps) == len(curve.vertices) - 1
+        assert np.all(np.sum(steps[1:] * steps[:-1], axis=1) > 0.0)
 
     def test_rejects_wrong_dimension(self, m8_solution):
         with pytest.raises(ValueError):
@@ -392,18 +448,16 @@ def _tangent_model(n, seed, definite, lowest_weight, g_scale):
 class TestTrustRegionStep:
     @settings(max_examples=300)
     @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
-           st.floats(-6.0, 0.0), st.floats(-8.0, 3.0), st.floats(-100.0, 2.0))
+           st.one_of(st.just(-math.inf), st.floats(-6.0, 0.0)),
+           st.floats(-8.0, 3.0), st.floats(-100.0, 2.0))
     def test_step_minimises_the_model_inside_the_radius(self, n, seed, definite,
                                                         lowest_exp, g_exp, r_exp):
+        # lowest_exp = -inf draws a gradient orthogonal to the lowest
+        # eigenvector: for an indefinite model, the hard case
         lowest_weight = 1.0 if n == 1 else 10.0 ** lowest_exp
         h, g = _tangent_model(n, seed, definite, lowest_weight, 10.0 ** g_exp)
         radius = 10.0 ** r_exp
         evals, evecs = np.linalg.eigh(h)
-        if not definite:
-            # exclude the hard case, also as rounding sees it: the boundary
-            # step needs a shift at least 1e-10 |h| above -lambda_min
-            gap = lowest_weight * np.linalg.norm(g) / radius
-            assume(gap > 1e-10 * np.abs(evals).max())
         u = navigator._trust_region_step(evals, evecs, g, radius)
         size = np.linalg.norm(u)
         assert np.all(np.isfinite(u))
@@ -413,3 +467,14 @@ class TestTrustRegionStep:
             assert np.linalg.norm(u - newton) <= 1e-10 * np.linalg.norm(newton)
         else:
             assert size >= 0.9 * radius
+
+    def test_hard_case_reaches_the_radius_at_the_exact_minimum(self):
+        # g has no weight on the lowest eigenvector e_0, so the minimiser is
+        # -(h + 2 I)^+ g = (0, -1/3, -1/5) plus tau e_0 on the boundary
+        h, g, radius = np.diag([-2.0, 1.0, 3.0]), np.array([0.0, 1.0, 1.0]), 5.0
+        evals, evecs = np.linalg.eigh(h)
+        u = navigator._trust_region_step(evals, evecs, g, radius)
+        tau_sq = radius ** 2 - 1.0 / 9.0 - 1.0 / 25.0
+        best = -1.0 / 3.0 - 1.0 / 5.0 + 0.5 * (-2.0 * tau_sq + 1.0 / 9.0 + 3.0 / 25.0)
+        assert np.linalg.norm(u) == pytest.approx(radius, rel=1e-12)
+        assert g @ u + 0.5 * (u @ h @ u) == pytest.approx(best, rel=1e-10)
