@@ -32,8 +32,8 @@ import typing
 import numpy as np
 
 from . import protocol as proto
-from .errors import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
-                     NotASolution, OscnavError, RestartBudgetExhausted)
+from .errors import (NonFiniteEntry, NonPositiveFrequency, NotASolution, OscnavError,
+                     RestartBudgetExhausted)
 from .navigator import (DescentConfig, NavigationConfig, ScanConfig, TraceConfig,
                         cloud_to_csv, curves_to_csv, navigate, scan_levelset,
                         solve, trajectory_to_csv)
@@ -184,10 +184,7 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     if cfg.task is None or cfg.m is None:
         raise ConfigError("solve requires 'task' and 'M' in the config")
-    try:
-        result = solve(cfg.descent, cfg.m, cfg.task)
-    except RestartBudgetExhausted as exc:
-        return _fail(2, "RestartBudgetExhausted", str(exc))
+    result = solve(cfg.descent, cfg.m, cfg.task)
     proto.save(result.protocol, cfg.output.get("protocol", "protocol.json"))
     _write(cfg.output.get("trajectory", "trajectory.csv"),
            trajectory_to_csv(result.trajectory))
@@ -207,10 +204,7 @@ def _navigate_command(args, cost: SecondaryCost) -> int:
         except ValueError:
             raise ConfigError(f"--double must be comma-separated integers, got {args.double!r}")
         nav = dataclasses.replace(nav, doubling_schedule=schedule)
-    try:
-        traj = navigate(p, cost, nav)
-    except NotASolution as exc:
-        return _fail(3, "NotASolution", str(exc))
+    traj = navigate(p, cost, nav)
     final = traj.final_protocol
     out = (cfg.output if cfg else {})
     _write(args.out_trajectory or out.get("trajectory", "trajectory.csv"),
@@ -361,19 +355,14 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would only add noise to stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as exc:
-        return _fail(1, "ConfigError", str(exc))
-    except IndivisibleChunking as exc:
-        return _fail(1, "IndivisibleChunking", str(exc))
     except RestartBudgetExhausted as exc:
         return _fail(2, "RestartBudgetExhausted", str(exc))
     except NotASolution as exc:
         return _fail(3, "NotASolution", str(exc))
-    except OscnavError as exc:
-        return _fail(1, type(exc).__name__, str(exc))
-    except (ValueError, TypeError) as exc:
-        # malformed input rejected by the library, e.g. theta-scan --points 2
-        # or compress --chunks 0, or a non-finite value refused as JSON
+    except (ConfigError, OscnavError, ValueError, TypeError) as exc:
+        # ValueError and TypeError: malformed input rejected by the library,
+        # e.g. theta-scan --points 2 or compress --chunks 0, or a non-finite
+        # value refused as JSON
         return _fail(1, type(exc).__name__, str(exc))
 
 

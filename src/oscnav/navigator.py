@@ -33,7 +33,7 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
                      RestartBudgetExhausted)
 from .objectives import SecondaryCost
 from .propagator import infidelity
-from .protocol import Protocol, refine, validate
+from .protocol import Protocol, refine
 from .sensitivities import beta_hessian, gradient
 
 _EPS = float(np.finfo(float).eps)
@@ -180,7 +180,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
              on_step=None, mu=1.0):
     """Levenberg-Marquardt projection onto beta = 0.
 
-    Returns (omegas, I, grad_max, status).
+    Returns (protocol, I, grad_max, status).
 
     I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
     J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
@@ -189,10 +189,12 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     tenfold after an accepted step (floor 1e-12) and rises tenfold after a
     rejected one. Damping in proportion to |r| gives Gauss-Newton steps near
     beta = 0 and short gradient-like steps at traps, where the rank of J
-    may drop. ``on_step(it, omegas, I, grad_max, bundle)`` is called for
-    every iterate whose gradient is evaluated, the start included; ``bundle``
-    is that iterate's ``gradient`` result, so a caller can reuse its
-    Jacobian: ``trace_levelset`` takes the next tangent from the last one.
+    may drop. One Protocol is built per evaluated point, and the same object
+    is evaluated and handed on. ``on_step(it, protocol, I, grad_max,
+    bundle)`` is called for every iterate whose gradient is evaluated, the
+    start included; ``bundle`` is that iterate's ``gradient`` result, so a
+    caller can reuse its Jacobian: ``trace_levelset`` takes the next tangent
+    from the last one.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
@@ -209,10 +211,10 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
         if val < target:
             status = "target"
             break
-        bundle = gradient(p.with_omegas(w))
+        bundle = gradient(p)
         gmax = float(np.max(np.abs(bundle.grad_infidelity)))
         if on_step is not None:
-            on_step(it, w, val, gmax, bundle)
+            on_step(it, p, val, gmax, bundle)
         if gmax < grad_tolerance or gmax == 0.0:
             status = "critical"
             break
@@ -236,14 +238,15 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
                 gn_sq = ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
                          if rank2 > 0.0 else math.inf)
                 at_floor = gn_sq <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2
-                return w, val, gmax, "floor" if at_floor else "stalled"
-            cval = infidelity(p.with_omegas(cand))
+                return p, val, gmax, "floor" if at_floor else "stalled"
+            trial = p.with_omegas(cand)
+            cval = infidelity(trial)
             if cval < val:
                 mu = max(mu * 0.1, 1e-12)
                 break
             mu *= 10.0
-        w, val = cand, cval
-    return w, val, gmax, status
+        p, w, val = trial, cand, cval
+    return p, val, gmax, status
 
 
 def _classify(status: str, i_val: float, cfg: DescentConfig) -> str:
@@ -264,20 +267,18 @@ def descend(p0: Protocol, cfg: DescentConfig):
     Returns (protocol, report, trajectory); infidelity is non-increasing
     along accepted steps.
     """
-    validate(p0)
     if p0.m == 0:
         raise EmptyProtocol("descent requires at least one pulse")
     records = []
 
-    def on_step(it, w, val, gmax, _bundle):
-        p = p0 if it == 0 else p0.with_omegas(w)
+    def on_step(it, p, val, gmax, _bundle):
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
-    _, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
+    p, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                     on_step)
     report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
-    return records[-1].protocol, report, DescentTrajectory(tuple(records), traj_status)
+    return p, report, DescentTrajectory(tuple(records), traj_status)
 
 
 def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> SolveResult:
@@ -290,7 +291,6 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         raise EmptyProtocol("solve requires at least one pulse")
     omega0, omegaT, total_t = task
     base = Protocol(omega0, omegaT, total_t / m, (0.0,) * m)
-    validate(base)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
     for restart in range(cfg.max_restarts):
@@ -302,39 +302,33 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         f"no solution with I < {cfg.infidelity_threshold:g} in {cfg.max_restarts} restarts")
 
 
-def _tangent_basis(grad_beta: np.ndarray, tol: float = 1e-10):
-    """Orthonormal bases (Q, Z) of the normal and tangent spaces of a level set.
+def _level_set_frame(grad_beta: np.ndarray, tol: float = 1e-10):
+    """Normal basis Q, tangent basis Z and pseudo-inverse J^+ of a level set.
 
-    Q (M x k, k <= 2) spans {Re grad_beta, Im grad_beta} and Z, the other
-    M - k columns, its orthogonal complement: the level-set tangent space.
-    Both come from one complete QR of the M x 2 matrix of the two vectors,
-    the longer one first. The shorter vector adds no column when its part
-    orthogonal to the longer is at most ``tol`` times its norm, and a zero
-    longer vector adds none, so degenerate spans simply shrink Q.
+    All three come from one SVD J^T = U S V^T of the M x 2 matrix of the
+    gradients Re grad_beta and Im grad_beta, the rows of the Jacobian J,
+    under one rank rule: k counts the singular values above ``tol`` times
+    the largest, so a zero J has rank 0 and a second gradient (nearly)
+    parallel to the first adds nothing. Q (M x k) and Z (M x (M - k)) are
+    the first k and the other columns of U: orthonormal bases of the span
+    of the two gradients and of its orthogonal complement, the level-set
+    tangent space. J^+ = U_k S_k^-1 V_k^T (M x 2) is the pseudo-inverse of
+    J truncated to rank k.
     """
-    vecs = np.array([np.real(grad_beta), np.imag(grad_beta)], dtype=float)
-    norms = np.linalg.norm(vecs, axis=1)
-    if norms[1] > norms[0]:
-        vecs, norms = vecs[::-1], norms[::-1]
-    basis, r = np.linalg.qr(vecs.T, mode="complete")
-    if norms[0] == 0.0:
-        rank = 0
-    elif len(basis) == 1 or abs(r[1, 1]) <= tol * norms[1]:
-        rank = 1
-    else:
-        rank = 2
-    return basis[:, :rank], basis[:, rank:]
+    u, sv, vt = np.linalg.svd(np.array([np.real(grad_beta), np.imag(grad_beta)]).T)
+    k = int(np.count_nonzero(sv > tol * sv[0]))
+    return u[:, :k], u[:, k:], (u[:, :k] / sv[:k]) @ vt[:k]
 
 
 def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Projector onto the level-set tangent space at a frictionless point.
 
     P = I - Q Q^T with Q the orthonormal basis of span{Re grad_beta,
-    Im grad_beta} from :func:`_tangent_basis`. P annihilates both spanning
+    Im grad_beta} from :func:`_level_set_frame`. P annihilates both spanning
     vectors and is an orthogonal projector of rank M - rank(Q). Navigation
     works in the bases Q and Z and never builds P.
     """
-    q = _tangent_basis(grad_beta, tol)[0]
+    q = _level_set_frame(grad_beta, tol)[0]
     return np.eye(len(grad_beta)) - q @ q.T
 
 
@@ -343,13 +337,15 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta and its exact gradient and Hessian, and each step is one
-    trust-region SQP step, ``_navigation_step``; the radius carries over
-    between steps and starts, at the first step and after every doubling,
-    at the Cauchy point of the cost along the projected gradient. Stalls
-    consume the doubling schedule; once the schedule is exhausted a stall
-    ends the run. The secondary cost is non-increasing and the infidelity
-    stays below the threshold at every record.
+    beta and its exact gradient and Hessian, and one SVD of the Jacobian of
+    beta for the bases Q and Z and the pseudo-inverse the step uses
+    (:func:`_level_set_frame`). Each step is one trust-region SQP step,
+    ``_navigation_step``; the radius carries over between steps and starts,
+    at the first step and after every doubling, at the Cauchy point of the
+    cost along the projected gradient. Stalls consume the doubling
+    schedule; once the schedule is exhausted a stall ends the run. The
+    secondary cost is non-increasing and the infidelity stays below the
+    threshold at every record.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -357,7 +353,6 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    validate(solution)
     i0 = infidelity(solution)
     if not i0 < cfg.infidelity_threshold:
         raise NotASolution(f"navigate requires I < {cfg.infidelity_threshold:g}, got {i0:g}")
@@ -370,7 +365,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         bundle = beta_hessian(p)
         cur_c = cost.value(p.omegas)
         g = cost.grad(p.omegas)
-        q, z = _tangent_basis(bundle.grad_beta)
+        q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
         pg = g - q @ (q.T @ g)
         pgmax = float(np.max(np.abs(pg)))
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
@@ -391,7 +386,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
             step = None if stalled else _navigation_step(
-                p, cost, bundle, g, z, hess_c, cur_c, radius, cfg)
+                p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg)
         except CorrectorFailed:
             status = "corrector_failed"
             break
@@ -406,17 +401,18 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
+def _navigation_step(p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg):
     """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
     The step d solves the KKT system of min C subject to
     r = (Re beta, Im beta) = 0 (Nocedal and Wright, ch. 18): its normal
-    part is the minimum-norm solution of J d = -r, with the 2 x M Jacobian
-    J = [Re grad beta; Im grad beta], and its tangent part Z u, with Z the
-    tangent basis of :func:`_tangent_basis`, minimises the model
-    g^T d + d^T H d / 2 within ``radius``. H is the Hessian of the
-    Lagrangian, Hess C + nu_0 Re Hess beta + nu_1 Im Hess beta, with the
-    least-squares multipliers nu = -(J J^T)^-1 J g of this iterate.
+    part is the minimum-norm solution J^+ (-r) of J d = -r, with the 2 x M
+    Jacobian J = [Re grad beta; Im grad beta], and its tangent part Z u
+    minimises the model g^T d + d^T H d / 2 within ``radius``. Z and J^+
+    come from the one SVD of :func:`_level_set_frame`, under its rank rule.
+    H is the Hessian of the Lagrangian, Hess C + nu_0 Re Hess beta
+    + nu_1 Im Hess beta, with the least-squares multipliers nu = -(J^+)^T g
+    of this iterate.
 
     Each trial is projected onto beta = 0 and accepted once it lies below
     the threshold with a lower cost; the ratio of actual to predicted
@@ -433,8 +429,6 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
     than after every quartering of the radius.
     """
     w = np.asarray(p.omegas, dtype=float)
-    # J^+ = J^T (J J^T)^-1 gives both least-squares solves below
-    jac_pinv = np.linalg.pinv(np.array([bundle.grad_beta.real, bundle.grad_beta.imag]))
     nu = -(g @ jac_pinv)
     hess = hess_c + nu[0] * bundle.hess_beta.real + nu[1] * bundle.hess_beta.imag
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
@@ -463,8 +457,9 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
         trial = w + d - jac_pinv @ curv
         # the trial is near beta = 0, so the projection starts near
         # Gauss-Newton: a start at mu = 1 costs a quarter more sweeps
-        w_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
+        p_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
                                         cfg.corrector_budget, mu=1e-3)
+        w_c = np.asarray(p_c.omegas)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
         length = float(np.linalg.norm(dt))
@@ -474,7 +469,7 @@ def _navigation_step(p, cost, bundle, g, z, hess_c, cur_c, radius, cfg):
                 radius = 0.25 * length
             elif ratio > 0.75 and length > 0.99 * radius:
                 radius *= 2.0
-            return p.with_omegas(w_c), radius
+            return p_c, radius
         failed = status not in _ON_LEVEL_SET
         if failed and not holds():
             break
@@ -559,18 +554,16 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     within ``closure_factor * step_size`` of the start, moving the same
     way - or on leaving the box (reported as an open curve).
     """
-    validate(solution)
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
-    if not infidelity(solution) < cfg.infidelity_threshold:
+    i0 = infidelity(solution)
+    if not i0 < cfg.infidelity_threshold:
         raise NotASolution("trace_levelset requires a solution protocol")
-    w, ival, _, status = _project(solution, cfg.corrector_target, cfg.corrector_budget)
+    p, ival, _, status = _project(solution, cfg.corrector_target, cfg.corrector_budget)
     if status not in _ON_LEVEL_SET:
-        return LevelsetCurve(np.asarray([solution.omegas]),
-                             np.asarray([infidelity(solution)]), False,
+        return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([i0]), False,
                              "corrector_failed")
-    p = solution.with_omegas(w)
-    verts = [w]
+    verts = [np.asarray(p.omegas)]
     ivals = [ival]
     t0 = cfg.initial_sign * _null_direction(gradient(p).grad_beta)
     tangent = t0
@@ -579,19 +572,19 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     closed = False
     last_jac = None  # grad_beta of the corrector's last evaluated iterate
 
-    def keep_jacobian(_it, _w, _val, _gmax, bundle):
+    def keep_jacobian(_it, _p, _val, _gmax, bundle):
         nonlocal last_jac
         last_jac = bundle.grad_beta
 
     for step in range(1, cfg.max_steps + 1):
         pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
         last_jac = None
-        w, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget,
+        p, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget,
                                          on_step=keep_jacobian, mu=1e-3)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
-        p = pred.with_omegas(w)
+        w = np.asarray(p.omegas)
         if np.any(w < lo) or np.any(w > hi):
             status = "open"
             break
@@ -633,7 +626,11 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
     then traces a curve from the first unlabeled point and attaches every
     point within ``assign_distance`` of it, repeating until all points are
     labeled. Output ordering follows seed order, independent of scheduling.
+    A point is a solution by the descent's threshold, so the traces take
+    that threshold too, in place of ``cfg.trace.infidelity_threshold``.
     """
+    trace_cfg = dataclasses.replace(
+        cfg.trace, infidelity_threshold=cfg.descent.infidelity_threshold)
     pts: list[np.ndarray] = []
     ivals: list[float] = []
     for i in range(n_seeds):
@@ -655,7 +652,7 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
         if len(curves) >= cfg.max_curves:
             break
         p = Protocol(omega0, omegaT, total_t / 3.0, tuple(points[idx]))
-        curve = trace_levelset(p, cfg.trace)
+        curve = trace_levelset(p, trace_cfg)
         label = len(curves)
         curves.append(curve)
         for j in range(idx, len(pts)):

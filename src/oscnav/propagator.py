@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeOccupation, NonPositiveFrequency
-from .protocol import Protocol, validate
+from .protocol import Protocol
 
 # Below this |omega*dt| the 0/0 entries switch to truncated Taylor series;
 # truncation error < 1e-18 relative to the leading term.
@@ -90,7 +90,6 @@ def propagate(p: Protocol) -> ModeState:
 
     M = 0 returns the initial state (sudden quench).
     """
-    validate(p)
     s = initial_state(p.omega0)
     f, fd = s.f, s.fdot
     for w in p.omegas:

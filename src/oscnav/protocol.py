@@ -20,7 +20,9 @@ _JSON_FIELDS = ("omega0", "omegaT", "dt", "omegas")
 
 @dataclass(frozen=True)
 class Protocol:
-    """Immutable piecewise-constant control field.
+    """Immutable piecewise-constant control field, valid by construction.
+
+    Construction runs :func:`validate`, so no caller re-checks a Protocol.
 
     Attributes
     ----------
@@ -34,6 +36,9 @@ class Protocol:
     omegaT: float
     dt: float
     omegas: tuple[float, ...]
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def m(self) -> int:
@@ -51,7 +56,13 @@ class Protocol:
 
 
 def validate(p: Protocol) -> Protocol:
-    """Check all invariants, returning ``p`` unchanged if they hold."""
+    """Check all invariants, returning ``p`` unchanged if they hold.
+
+    ``Protocol.__post_init__`` calls it, so every Protocol has passed it
+    once; it raises NonPositiveFrequency for a boundary frequency or step
+    duration that is not a positive finite real, and NonFiniteEntry for a
+    non-finite pulse.
+    """
     for name in ("omega0", "omegaT", "dt"):
         v = getattr(p, name)
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -73,7 +84,6 @@ def refine(p: Protocol, factor: int) -> Protocol:
     The represented omega(t) is unchanged pointwise, so all dynamics are
     preserved; only the parameter-space dimension grows (M -> factor * M).
     """
-    validate(p)
     if not (isinstance(factor, int) and factor >= 1):
         raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
     if factor == 1:
@@ -91,7 +101,6 @@ def collapse(p: Protocol, chunks: int) -> Protocol:
     can differ from the original dt by one rounding, since dt/K*K need not
     round back to dt.
     """
-    validate(p)
     if not (isinstance(chunks, int) and chunks >= 1):
         raise ValueError(f"chunk count must be a positive integer, got {chunks!r}")
     if p.m % chunks != 0:
@@ -125,8 +134,8 @@ def from_json_dict(doc) -> Protocol:
     if not isinstance(doc["omegas"], list) or any(
             not isinstance(w, (int, float)) or isinstance(w, bool) for w in doc["omegas"]):
         raise ValueError("field 'omegas' must be an array of numbers")
-    p = validate(Protocol(float(doc["omega0"]), float(doc["omegaT"]),
-                          float(doc["dt"]), tuple(float(w) for w in doc["omegas"])))
+    p = Protocol(float(doc["omega0"]), float(doc["omegaT"]), float(doc["dt"]),
+                 tuple(float(w) for w in doc["omegas"]))
     for i, w in enumerate(p.omegas):
         # the step kernel needs cos(omega*dt) and omega^2; checked once here,
         # not on every propagation

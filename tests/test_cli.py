@@ -184,6 +184,18 @@ class TestDiagnosticsCommands:
         info = json.loads(r.stdout)
         assert info["points"] == 8
 
+    def test_levelset_traces_solutions_by_the_descent_threshold(self, tmp_path):
+        # a loose descent threshold accepts solves far above the trace's own
+        # default threshold; the scan must trace them, not exit 3 as if an
+        # input protocol were not a solution
+        cfg = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8},
+               "descent": {"grad_tolerance": 0.5, "infidelity_threshold": 0.05},
+               "output": {"cloud": "cloud.csv", "curves": "curves.csv"}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("levelset", "--config", "cfg.json", "--seeds", "3", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["points"] == 3
+
 
 def _strict_json(line):
     """Parse one JSON line, refusing the NaN/Infinity extensions."""

@@ -10,10 +10,10 @@ from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     RestartBudgetExhausted, ScanConfig, SecondaryCost,
                     TraceConfig, c1, c2, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
-                    optimal_hessian, refine, scan_levelset, solve,
-                    trace_levelset)
+                    refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator
 from oscnav.navigator import trajectory_to_csv
+from oracles import optimal_hessian
 
 TASK = (1.0, 0.25, 1.8)
 
@@ -135,6 +135,26 @@ class TestNavigate:
         assert all(r.infidelity < 1e-5 for r in traj.records)
         assert costs[-1] < costs[0]
         assert traj.status == "completed"
+
+    def test_rejected_trials_shrink_the_radius_and_keep_the_contract(self, monkeypatch):
+        # from this M = 48 solution two trials are rejected: each shrinks
+        # the radius to a quarter of its tangent step, and the step is
+        # tried again
+        start = solve(DescentConfig(seed=0, box=(0.1, 5.0)), 48, TASK).protocol
+        projections = []
+        real = navigator._project
+
+        def counting(*args, **kwargs):
+            projections.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_project", counting)
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
+        accepted = len(traj.records) - 1
+        assert len(projections) > accepted
+        costs = [r.cost for r in traj.records]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert all(r.infidelity < 1e-5 for r in traj.records)
 
     def test_doubling_keeps_navigating(self, m8_solution):
         traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),

@@ -121,6 +121,12 @@ class TestSymplecticFinal:
         with pytest.raises(NonSymplectic):
             symplectic_final(ModeState(1.0 + 0j, 1.0 + 0j), 1.0)
 
+    def test_rejects_overflowing_finite_state(self):
+        # finite entries whose doubled real and imaginary parts overflow:
+        # S holds infinities, its det is NaN, and the det check rejects it
+        with pytest.raises(NonSymplectic):
+            symplectic_final(ModeState(1e308 + 1e308j, 1j), 1.0)
+
     @pytest.mark.parametrize("state", [ModeState(complex("nan"), 1j),
                                        ModeState(1.0 + 0j, complex(0.0, math.inf))])
     def test_rejects_non_finite_state(self, state):

@@ -32,6 +32,15 @@ def test_validate_rejects_nonfinite_pulse():
         validate(Protocol(1.0, 0.25, 0.6, (1.0, math.inf)))
 
 
+def test_protocol_is_valid_by_construction():
+    with pytest.raises(NonPositiveFrequency):
+        Protocol(1.0, 0.25, -0.6, (1.0,))
+    with pytest.raises(NonFiniteEntry):
+        FIG1.with_omegas([1.0, math.nan, 1.0])
+    with pytest.raises(NonFiniteEntry):
+        Protocol(1.0, 0.25, 0.6, ("1.0",))
+
+
 def test_empty_protocol_is_legal():
     p = Protocol(1.0, 0.25, 0.6, ())
     assert validate(p).duration == 0.0

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, fd_gradient,
-                    fd_hessian, gradient, hessian, infidelity, optimal_hessian,
-                    step_matrix, step_matrix_d1, step_matrix_d2)
+from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
+                    infidelity, step_matrix, step_matrix_d1, step_matrix_d2)
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, initial_state)
 from oscnav.sensitivities import _D_SERIES_THRESHOLD, _d1_entries, _d2_entries
+from oracles import fd_gradient, fd_hessian, optimal_hessian
 
 
 EPS = np.finfo(float).eps
