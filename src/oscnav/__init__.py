@@ -17,16 +17,14 @@ from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
                          initial_state, particle_number, propagate, step_matrix,
                          wronskian_defect)
 from .protocol import Protocol, collapse, refine, validate
-from .sensitivities import (SensitivityBundle, beta_hessian, gradient, hessian,
-                            step_matrix_d1, step_matrix_d2)
+from .sensitivities import SensitivityBundle, beta_hessian, gradient, hessian
 
 __version__ = "0.1.0"
 __all__ = [
     "Protocol", "validate", "refine", "collapse",
     "ModeState", "BogoliubovPair", "initial_state", "step_matrix", "propagate",
     "bogoliubov", "infidelity", "particle_number", "wronskian_defect",
-    "SensitivityBundle", "step_matrix_d1", "step_matrix_d2", "gradient",
-    "beta_hessian", "hessian",
+    "SensitivityBundle", "gradient", "beta_hessian", "hessian",
     "SecondaryCost", "c1", "c1_grad", "c2", "c2_grad", "symplectic_final",
     "target_matrix", "theta_infidelity", "theta_scan",
     "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",

@@ -147,7 +147,10 @@ class RunConfig:
         self.descent = _dataclass_from(DescentConfig, doc.get("descent", {}), "descent")
         self.navigation = _dataclass_from(NavigationConfig, doc.get("navigation", {}),
                                           "navigation")
-        self.trace = _dataclass_from(TraceConfig, doc.get("trace", {}), "trace")
+        # a traced point is a solution by the descent's threshold
+        self.trace = _dataclass_from(
+            TraceConfig, doc.get("trace", {}), "trace",
+            infidelity_threshold=self.descent.infidelity_threshold)
         self.scan = _dataclass_from(ScanConfig, doc.get("scan", {}), "scan",
                                     descent=self.descent, trace=self.trace)
         out = doc.get("output", {})

@@ -57,6 +57,8 @@ class DescentConfig:
             raise ValueError("amplitude box must have lo < hi")
         if self.grad_tolerance <= 0 or self.infidelity_threshold <= 0:
             raise ValueError("tolerances must be > 0")
+        if self.max_iterations < 0 or self.max_restarts < 0:
+            raise ValueError("iteration and restart budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,8 @@ class NavigationConfig:
     def __post_init__(self):
         if not self.corrector_target < self.infidelity_threshold:
             raise ValueError("corrector target must be below the infidelity threshold")
+        if self.corrector_budget < 0 or self.max_iterations < 0:
+            raise ValueError("iteration budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,14 @@ class TraceConfig:
     box: tuple[float, float] = (-4.0, 8.0)
     initial_sign: float = 1.0
     infidelity_threshold: float = 1e-5
+
+    def __post_init__(self):
+        if not self.step_size > 0:
+            raise ValueError("step size must be > 0")
+        if not self.box[0] < self.box[1]:
+            raise ValueError("runaway box must have lo < hi")
+        if self.max_steps < 0 or self.corrector_budget < 0:
+            raise ValueError("step and corrector budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -629,6 +641,8 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
     A point is a solution by the descent's threshold, so the traces take
     that threshold too, in place of ``cfg.trace.infidelity_threshold``.
     """
+    if n_seeds < 0:
+        raise ValueError(f"the number of seeds must be >= 0, got {n_seeds}")
     trace_cfg = dataclasses.replace(
         cfg.trace, infidelity_threshold=cfg.descent.infidelity_threshold)
     pts: list[np.ndarray] = []

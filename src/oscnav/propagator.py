@@ -6,6 +6,12 @@ f'(0) = -i*sqrt(omega0/2) (units with m = hbar = 1). For a constant-frequency
 step the solution is closed-form, so a whole protocol is evolved exactly by
 concatenating per-step 2x2 matrices acting on (f, f').
 
+One step kernel, ``_step_entries``, gives the entries of a step's matrix A
+and, on request, of its first two derivatives in omega, A' and A'', from one
+cos and one sin; below one threshold of |omega*dt| the ratios that would
+cancel come from Taylor series instead. Propagation and the derivative
+sweeps of ``sensitivities`` call it once per pulse.
+
 The final-basis mixing coefficients follow from the boundary values alone:
 
     beta  = -i/sqrt(2*omegaT) * (f'(T) + i*omegaT*f(T))
@@ -26,9 +32,10 @@ import numpy as np
 from .errors import NegativeOccupation, NonPositiveFrequency
 from .protocol import Protocol
 
-# Below this |omega*dt| the 0/0 entries switch to truncated Taylor series;
-# truncation error < 1e-18 relative to the leading term.
-SERIES_THRESHOLD = 1e-4
+# Below this |omega*dt| the two ratios that cancel, sin(x)/x and
+# (x cos x - sin x)/x^3, come from their Taylor series in x^2 through x^6;
+# the first omitted term is below 3e-22 relative to the leading one.
+SERIES_THRESHOLD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -45,25 +52,47 @@ class BogoliubovPair:
     beta: complex
 
 
-def _sinc(x: float) -> float:
-    """sin(x)/x, exact through x = 0."""
-    if abs(x) < SERIES_THRESHOLD:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
+def _step_entries(omega: float, dt: float, order: int = 0):
+    """Entries of the step matrix A(omega) and of its omega-derivatives.
 
+    Returns (a00, a01, a10), then (d00, d01, d10) of A' when ``order`` >= 1
+    and (h00, h01, h10) of A'' when ``order`` is 2, as one flat tuple; each
+    matrix has equal diagonal entries. With x = omega*dt and
+    sinc x = sin(x)/x,
 
-def _step_entries(omega: float, dt: float):
-    """Entries (a00, a01, a10) of the step matrix; a11 = a00.
+        A   = [[cos x, dt sinc x], [-omega sin x, cos x]]
+        A'  = [[-dt sin x, x q], [-sin x - x cos x, -dt sin x]]
+        A'' = [[-dt^2 cos x, -dt (dt^2 sinc x + 2 q)],
+               [dt (x sin x - 2 cos x), -dt^2 cos x]]
 
-    Written so every entry is manifestly even in omega (cos and sinc are
-    even, omega enters otherwise only as omega^2), which makes the
-    flip-sign invariance of the dynamics exact in floating point.
+    where q = (cos x - sinc x)/omega^2 = dt^2 sinc'(x)/x. All of them come
+    from one cos and one sin, or from the series of sinc x and q below
+    SERIES_THRESHOLD.
+
+    Every entry of A and A'' is manifestly even in omega and every entry of
+    A' odd (cos and sinc are even; omega enters otherwise only as omega^2
+    or through x), which makes the flip-sign invariance of the dynamics
+    exact in floating point.
     """
     x = omega * dt
     c = math.cos(x)
-    snc = _sinc(x)
-    return c, dt * snc, -(omega * omega) * dt * snc
+    if abs(x) < SERIES_THRESHOLD:
+        x2 = x * x
+        snc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+        q = dt * dt * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0 + x2 * x2 * x2 / 45360.0)
+    else:
+        snc = math.sin(x) / x
+        if order:
+            q = (c - snc) / (omega * omega)
+    entries = (c, dt * snc, -(omega * omega) * dt * snc)
+    if order:
+        s = x * snc
+        entries += (-dt * s, x * q, -s - x * c)
+        if order == 2:
+            # sinc'' = -sinc - 2 sinc'/x, the spherical Bessel equation of j0
+            entries += (-dt * dt * c, -dt * (dt * dt * snc + 2.0 * q),
+                        dt * (x * s - 2.0 * c))
+    return entries
 
 
 def step_matrix(omega: float, dt: float) -> np.ndarray:

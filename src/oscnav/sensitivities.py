@@ -3,7 +3,9 @@
 beta is linear in the final mode pair, beta = c^T s_M, and s_M is a product
 of per-step matrices applied to the initial state, s_M = A_M ... A_1 s_0.
 One private sweep evaluates everything (GRAPE-style adjoint; Khaneja et al.,
-J. Magn. Reson. 172, 296 (2005)):
+J. Magn. Reson. 172, 296 (2005)). It calls the propagator's step kernel once
+per pulse, for the entries of A_j and A'_j (and A''_j for the Hessian), and
+every pass below reads those same entries:
 
 * a forward pass stores the states s_{j-1} entering each step;
 * a backward pass carries the costate lambda_j = c^T A_M ... A_{j+1}, so
@@ -29,10 +31,6 @@ from .errors import EmptyProtocol, NonFiniteEntry
 from .propagator import ModeState, _step_entries, bogoliubov, initial_state
 from .protocol import Protocol
 
-# Derivative entries subtract nearly-equal trig terms; below this |omega*dt|
-# a truncated series is both safer and exact enough (< 1e-15 relative).
-_D_SERIES_THRESHOLD = 1e-2
-
 
 @dataclass(frozen=True)
 class SensitivityBundle:
@@ -49,50 +47,6 @@ class SensitivityBundle:
     hess_infidelity: np.ndarray | None = None
 
 
-def _d1_entries(omega: float, dt: float):
-    """Entries (d00, d01, d10) of A'(omega); d11 = d00. Odd in omega."""
-    x = omega * dt
-    c = math.cos(x)
-    if abs(x) < _D_SERIES_THRESHOLD:
-        x2 = x * x
-        snc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-        # (x*cos(x) - sin(x))/omega^2 without the cancellation
-        d01 = dt ** 3 * omega * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0
-                                 + x2 * x2 * x2 / 45360.0)
-    else:
-        snc = math.sin(x) / x
-        d01 = x * (c - snc) / (omega * omega)
-    s = x * snc
-    return -dt * s, d01, -s - x * c
-
-
-def _d2_entries(omega: float, dt: float):
-    """Entries (h00, h01, h10) of A''(omega); h11 = h00. Even in omega."""
-    x = omega * dt
-    c = math.cos(x)
-    if abs(x) < _D_SERIES_THRESHOLD:
-        x2 = x * x
-        # (2*sin(x) - 2*x*cos(x) - x^2*sin(x))/x^3
-        sinc_dd = -1.0 / 3.0 + x2 / 10.0 - x2 * x2 / 168.0 + x2 * x2 * x2 / 6480.0
-        s = x * (1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0)
-    else:
-        s = math.sin(x)
-        sinc_dd = (2.0 * s - 2.0 * x * c - x * x * s) / (x * x * x)
-    return -dt * dt * c, dt ** 3 * sinc_dd, dt * (x * s - 2.0 * c)
-
-
-def step_matrix_d1(omega: float, dt: float) -> np.ndarray:
-    """dA/domega as a 2x2 array; finite everywhere including omega = 0."""
-    d00, d01, d10 = _d1_entries(omega, dt)
-    return np.array([[d00, d01], [d10, d00]])
-
-
-def step_matrix_d2(omega: float, dt: float) -> np.ndarray:
-    """d^2A/domega^2 as a 2x2 array; finite everywhere including omega = 0."""
-    h00, h01, h10 = _d2_entries(omega, dt)
-    return np.array([[h00, h01], [h10, h00]])
-
-
 def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
     """beta, grad(beta), grad(I) and, if ``second_order``, Hess(beta).
 
@@ -104,26 +58,24 @@ def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
         raise EmptyProtocol(("hessian" if second_order else "gradient")
                             + " requires at least one pulse")
     dt = p.dt
-    omegas = p.omegas
     s0 = initial_state(p.omega0)
     f, fd = s0.f, s0.fdot
-    steps = [_step_entries(w, dt) for w in omegas]
+    steps = [_step_entries(w, dt, 2 if second_order else 1) for w in p.omegas]
     fs, fds = [], []
-    for a00, a01, a10 in steps:
+    for e in steps:
         fs.append(f)
         fds.append(fd)
-        f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
+        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
     beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
     r = 1.0 / math.sqrt(2.0 * p.omegaT)
     lf, ld = complex(p.omegaT * r), complex(0.0, -r)  # beta = lf*f + ld*fd
     grad = [0j] * m
     costates = [None] * m
     for j in range(m - 1, -1, -1):
-        d00, d01, d10 = _d1_entries(omegas[j], dt)
-        mf, md = lf * d00 + ld * d10, lf * d01 + ld * d00  # lambda_j A'_j
-        grad[j] = mf * fs[j] + md * fds[j]
-        costates[j] = (lf, ld, mf, md, d00, d01, d10)
-        a00, a01, a10 = steps[j]
+        costates[j] = (lf, ld)
+        a00, a01, a10, d00, d01, d10 = steps[j][:6]
+        # (lf, ld) A'_j, applied to s_{j-1}
+        grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
         lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     grad_beta = np.array(grad)
     grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
@@ -131,20 +83,20 @@ def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
         raise NonFiniteEntry("gradient of beta is not finite")
     hess_beta = None
     if second_order:
-        hess_beta = _hessian_of_beta(omegas, dt, steps, fs, fds, costates)
+        hess_beta = _hessian_of_beta(steps, fs, fds, costates)
         if not np.isfinite(hess_beta).all():
             raise NonFiniteEntry("Hessian of beta is not finite")
     return SensitivityBundle(beta=beta, grad_beta=grad_beta,
                              grad_infidelity=grad_infid, hess_beta=hess_beta)
 
 
-# kron(A^T, I_2) for A = [[a00, a01], [a10, a00]], as indices into
-# (a00, a01, a10, 0)
-_KRON_AT_I2 = np.array([[0, 3, 2, 3], [3, 0, 3, 2], [1, 3, 0, 3], [3, 1, 3, 0]])
+# kron(A^T, I_2) for A = [[a00, a01], [a10, a00]], as indices into a row
+# (a00, a01, a10, ..., 0) of the padded kernel entries
+_KRON_AT_I2 = np.array([[0, 9, 2, 9], [9, 0, 9, 2], [1, 9, 0, 9], [9, 1, 9, 0]])
 
 
-def _hessian_of_beta(omegas, dt, steps, fs, fds, costates) -> np.ndarray:
-    """Hess(beta) from the states and costates of :func:`_sweep`.
+def _hessian_of_beta(steps, fs, fds, costates) -> np.ndarray:
+    """Hess(beta) from the kernel entries, states and costates of :func:`_sweep`.
 
     Below the diagonal, row j is mu_j = lambda_j A'_j contracted with the
     forward sensitivities d s_{j-1} / d omega_i (i < j): sensitivity i is
@@ -152,13 +104,15 @@ def _hessian_of_beta(omegas, dt, steps, fs, fds, costates) -> np.ndarray:
     diagonal is lambda_j A''_j s_{j-1}. The lower triangle is mirrored, so
     the result is exactly symmetric.
     """
-    m = len(omegas)
-    costates = np.array(costates)
-    lf, ld, _, _, d00, d01, d10 = costates.T
-    d00, d01, d10 = d00.real, d01.real, d10.real
-    mus = costates[:, 2:4]
-    h00, h01, h10 = np.array([_d2_entries(w, dt) for w in omegas]).T
+    m = len(steps)
+    entries = np.zeros((m, 10))  # A, A', A'' entries of _step_entries, then 0
+    entries[:, :9] = steps
+    d00, d01, d10, h00, h01, h10 = entries[:, 3:9].T
+    lf, ld = np.array(costates).T
     f, fd = np.array(fs), np.array(fds)
+    mus = np.empty((m, 2), dtype=complex)
+    mus[:, 0] = lf * d00 + ld * d10
+    mus[:, 1] = lf * d01 + ld * d00
     diag = lf * (h00 * f + h01 * fd) + ld * (h10 * f + h00 * fd)
     # Row i of sens holds d s_{j-1} / d omega_i once i < j. The step matrices
     # are real, so they act on the float view of a row,
@@ -167,8 +121,6 @@ def _hessian_of_beta(omegas, dt, steps, fs, fds, costates) -> np.ndarray:
     sens[:, 0] = d00 * f + d01 * fd
     sens[:, 1] = d10 * f + d00 * fd
     sens_re = sens.view(np.float64)
-    entries = np.zeros((m, 4))  # a00, a01, a10, 0
-    entries[:, :3] = steps
     step_t = entries[:, _KRON_AT_I2]
     hess = np.zeros((m, m), dtype=complex)
     for j in range(1, m):
@@ -206,7 +158,6 @@ def hessian(p: Protocol) -> SensitivityBundle:
     hess_infid += bundle.hess_beta.real * beta.real
     hess_infid += bundle.hess_beta.imag * beta.imag
     hess_infid *= 2.0
-    hess_infid = 0.5 * (hess_infid + hess_infid.T)
     if not np.isfinite(hess_infid).all():
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return dataclasses.replace(bundle, hess_infidelity=hess_infid)

@@ -233,6 +233,34 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("argv, config, error", [
+        (["smooth", "{p}"], dict(TASK_DOC, navigation={"max_iterations": -1}), "ConfigError"),
+        (["solve"], dict(TASK_DOC, descent={"max_iterations": -1}), "ConfigError"),
+        (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"max_steps": -1}), "ConfigError"),
+        (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"step_size": 0}), "ConfigError"),
+        (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"box": [8, -4]}), "ConfigError"),
+        (["levelset", "--seeds", "-1"], TASK_DOC, "ValueError"),
+    ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
+            "trace.step_size", "trace.box", "seeds"])
+    def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main([a.format(p=path) for a in argv] + ["--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == error
+
+    def test_trace_threshold_is_not_a_config_key(self, tmp_path, capsys):
+        # traces take the descent's threshold, so the key would have no effect
+        (tmp_path / "cfg.json").write_text(
+            json.dumps(dict(TASK_DOC, trace={"infidelity_threshold": 1e-3})))
+        code = main(["levelset", "--config", str(tmp_path / "cfg.json"), "--seeds", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == "ConfigError" and "infidelity_threshold" in line["detail"]
+
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "grad_tolerance": 1},
                    navigation={"doubling_schedule": [2], "doubling_stall_tolerance": None},
@@ -329,13 +357,13 @@ config_docs = mostly(
                                               "T": numbers}), junk),
         "M": mostly(st.integers(1, 4), junk),
         "descent": mostly(st.fixed_dictionaries(
-            {"max_restarts": st.integers(0, 3), "max_iterations": st.integers(0, 50)},
+            {"max_restarts": st.integers(0, 3), "max_iterations": st.integers(-1, 50)},
             optional={"seed": st.integers(0, 9),
                       "box": mostly(st.tuples(st.floats(-1.0, 0.0), numbers).map(list),
                                     st.lists(numbers, max_size=3))}),
             junk),
         "navigation": mostly(st.fixed_dictionaries(
-            {"max_iterations": st.integers(0, 3)},
+            {"max_iterations": st.integers(-1, 3)},
             optional={"corrector_target": mostly(st.floats(1e-30, 1e-6), numbers),
                       "doubling_schedule": st.lists(st.integers(-1, 3), max_size=2)}),
             junk)}),

@@ -7,7 +7,7 @@ from oscnav import (NegativeOccupation, NonPositiveFrequency, Protocol,
                     bogoliubov, infidelity, initial_state, particle_number,
                     propagate, refine, step_matrix, wronskian_defect)
 from oscnav.objectives import symplectic_final
-from oscnav.propagator import ModeState
+from oscnav.propagator import SERIES_THRESHOLD, ModeState
 
 TASK = (1.0, 0.25, 1.8)  # omega0, omegaT, T used throughout
 
@@ -63,9 +63,10 @@ class TestStepMatrix:
             assert abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] - 1.0) < 1e-14
 
     def test_series_branch_is_continuous(self):
-        # entries must agree across the series/direct threshold
+        # entries must agree with sin(x) across the series/direct threshold,
+        # and inside the series branch at 1e-4
         dt = 0.37
-        for w in (1e-4 / dt * 0.999, 1e-4 / dt * 1.001):
+        for w in (t / dt * side for t in (1e-4, SERIES_THRESHOLD) for side in (0.999, 1.001)):
             a = step_matrix(w, dt)
             x = w * dt
             assert a[0, 1] == pytest.approx(np.sin(x) / w, rel=1e-13)

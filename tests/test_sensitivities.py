@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
-                    infidelity, step_matrix, step_matrix_d1, step_matrix_d2)
+from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
+                    hessian, infidelity, step_matrix)
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, initial_state)
-from oscnav.sensitivities import _D_SERIES_THRESHOLD, _d1_entries, _d2_entries
 from oracles import fd_gradient, fd_hessian, optimal_hessian
 
 
@@ -23,6 +22,18 @@ def random_protocol(rng, m, dt_range=(0.05, 0.5), omega_range=(0.1, 2.0)):
 
 def rel_maxnorm_error(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def step_matrix_d1(omega, dt):
+    """A'(omega) as a 2x2 array, from the kernel."""
+    _, _, _, d00, d01, d10 = _step_entries(omega, dt, 1)
+    return np.array([[d00, d01], [d10, d00]])
+
+
+def step_matrix_d2(omega, dt):
+    """A''(omega) as a 2x2 array, from the kernel."""
+    h00, h01, h10 = _step_entries(omega, dt, 2)[6:]
+    return np.array([[h00, h01], [h10, h00]])
 
 
 class TestStepMatrixDerivatives:
@@ -74,6 +85,29 @@ class TestStepMatrixDerivatives:
             mid_hi = builder(0.0100001, dt)
             assert np.max(np.abs(mid_lo - mid_hi)) < 1e-6
 
+    def test_orders_share_their_leading_entries(self):
+        for w in (0.0, 1e-3, -0.5, 2.0):
+            full = _step_entries(w, 0.7, 2)
+            assert _step_entries(w, 0.7, 1) == full[:6]
+            assert _step_entries(w, 0.7) == full[:3]
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("m", [1, 3, 48])
+    def test_one_kernel_evaluation_per_pulse(self, m, monkeypatch):
+        p = random_protocol(np.random.default_rng(m), m)
+        cos, calls = math.cos, []
+
+        def counting_cos(x):
+            calls.append(x)
+            return cos(x)
+
+        monkeypatch.setattr(math, "cos", counting_cos)
+        for evaluate in (infidelity, gradient, beta_hessian, hessian):
+            calls.clear()
+            evaluate(p)
+            assert len(calls) == m, evaluate.__name__
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
@@ -123,8 +157,8 @@ class TestHessian:
         rng = np.random.default_rng(201)
         p = random_protocol(rng, 12)
         bundle = hessian(p)
-        assert np.max(np.abs(bundle.hess_infidelity - bundle.hess_infidelity.T)) < 1e-12
-        assert np.max(np.abs(bundle.hess_beta - bundle.hess_beta.T)) < 1e-12
+        assert np.array_equal(bundle.hess_infidelity, bundle.hess_infidelity.T)
+        assert np.array_equal(bundle.hess_beta, bundle.hess_beta.T)
 
     def test_gradient_consistency(self):
         rng = np.random.default_rng(202)
@@ -213,8 +247,7 @@ def tableau_gradient(p):
     vf = np.zeros(m, dtype=complex)
     vd = np.zeros(m, dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
-        d00, d01, d10 = _d1_entries(w, dt)
+        a00, a01, a10, d00, d01, d10 = _step_entries(w, dt, 1)
         if i:
             vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
         vf[i] = d00 * f + d01 * fd
@@ -235,9 +268,7 @@ def tableau_hessian(p):
     wf = np.zeros((m, m), dtype=complex)
     wd = np.zeros((m, m), dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
-        d00, d01, d10 = _d1_entries(w, dt)
-        h00, h01, h10 = _d2_entries(w, dt)
+        a00, a01, a10, d00, d01, d10, h00, h01, h10 = _step_entries(w, dt, 2)
         if i:
             blkf, blkd = wf[:i, :i], wd[:i, :i]
             wf[:i, :i], wd[:i, :i] = a00 * blkf + a01 * blkd, a10 * blkf + a00 * blkd
@@ -262,12 +293,12 @@ def tableau_hessian(p):
 
 
 _DT = 0.3
-# Pulses at the series thresholds of the step kernel (1e-4) and of its
-# derivatives (1e-2), 0.1 % either side in |omega * dt|, plus omega = 0 and
+# Pulses 0.1 % either side of |omega * dt| = 1e-2, the series threshold of
+# the step kernel, and of 1e-4, inside its series branch, plus omega = 0 and
 # negative pulses.
 EDGE_PULSES = (0.0, -1.7, -0.4) + tuple(
     sgn * t * (1.0 + side * 1e-3) / _DT
-    for t in (SERIES_THRESHOLD, _D_SERIES_THRESHOLD)
+    for t in (1e-4, SERIES_THRESHOLD)
     for side in (-1.0, 1.0) for sgn in (1.0, -1.0))
 
 
