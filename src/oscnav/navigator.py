@@ -34,7 +34,7 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost
 from .propagator import infidelity
 from .protocol import Protocol, refine
-from .sensitivities import beta_hessian, gradient
+from .sensitivities import beta_hessian, forward, gradient
 
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
@@ -124,6 +124,9 @@ class TraceConfig:
             raise ValueError("runaway box must have lo < hi")
         if self.max_steps < 0 or self.corrector_budget < 0:
             raise ValueError("step and corrector budgets must be >= 0")
+        if self.initial_sign not in (1.0, -1.0):
+            # any other factor scales the first tangent, and 0 stalls the trace
+            raise ValueError(f"initial sign must be +1 or -1, got {self.initial_sign!r}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,12 @@ class ScanConfig:
     trace: TraceConfig = field(default_factory=TraceConfig)
     assign_distance: float = 0.15
     max_curves: int = 64
+
+    def __post_init__(self):
+        if not self.assign_distance > 0:
+            raise ValueError("assign distance must be > 0")
+        if self.max_curves < 1:
+            raise ValueError("max_curves must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -202,11 +211,17 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     rejected one. Damping in proportion to |r| gives Gauss-Newton steps near
     beta = 0 and short gradient-like steps at traps, where the rank of J
     may drop. One Protocol is built per evaluated point, and the same object
-    is evaluated and handed on. ``on_step(it, protocol, I, grad_max,
-    bundle)`` is called for every iterate whose gradient is evaluated, the
-    start included; ``bundle`` is that iterate's ``gradient`` result, so a
-    caller can reuse its Jacobian: ``trace_levelset`` takes the next tangent
-    from the last one.
+    is evaluated and handed on.
+
+    Each evaluated point, the start and every trial, accepted or not, costs
+    one forward pass (``sensitivities.forward``), which gives I; an
+    accepted point's gradient is the backward pass of that same forward
+    pass, so an iterate costs one forward plus one backward pass and no
+    point's kernel entries or states are computed twice. ``on_step(it,
+    protocol, I, grad_max, bundle)`` is called for every iterate whose
+    gradient is evaluated, the start included; ``bundle`` is that iterate's
+    ``gradient`` result, so a caller can reuse its Jacobian:
+    ``trace_levelset`` takes the next tangent from the last one.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
@@ -216,14 +231,15 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     longer, a trap or a rank-deficient J).
     """
     w = np.asarray(p.omegas, dtype=float)
-    val = infidelity(p)
+    fw = forward(p)
+    val = abs(fw.beta) ** 2
     status = "budget"
     gmax = math.inf
     for it in range(budget + 1):
         if val < target:
             status = "target"
             break
-        bundle = gradient(p)
+        bundle = gradient(p, fw)
         gmax = float(np.max(np.abs(bundle.grad_infidelity)))
         if on_step is not None:
             on_step(it, p, val, gmax, bundle)
@@ -252,12 +268,13 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
                 at_floor = gn_sq <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2
                 return p, val, gmax, "floor" if at_floor else "stalled"
             trial = p.with_omegas(cand)
-            cval = infidelity(trial)
+            trial_fw = forward(trial)
+            cval = abs(trial_fw.beta) ** 2
             if cval < val:
                 mu = max(mu * 0.1, 1e-12)
                 break
             mu *= 10.0
-        p, w, val = trial, cand, cval
+        p, w, val, fw = trial, cand, cval, trial_fw
     return p, val, gmax, status
 
 

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency
 
 _JSON_FIELDS = ("omega0", "omegaT", "dt", "omegas")
@@ -50,9 +52,14 @@ class Protocol:
         return self.m * self.dt
 
     def with_omegas(self, omegas) -> "Protocol":
-        """Copy of this protocol with the pulse sequence replaced."""
+        """Copy of this protocol with the pulse sequence replaced.
+
+        The pulses are converted to floats by numpy in one call, so a pulse
+        that is not a number becomes nan and fails validation as
+        NonFiniteEntry.
+        """
         return Protocol(self.omega0, self.omegaT, self.dt,
-                        tuple(float(w) for w in omegas))
+                        tuple(np.asarray(omegas, dtype=float).tolist()))
 
 
 def validate(p: Protocol) -> Protocol:

@@ -2,13 +2,15 @@
 
 beta is linear in the final mode pair, beta = c^T s_M, and s_M is a product
 of per-step matrices applied to the initial state, s_M = A_M ... A_1 s_0.
-One private sweep evaluates everything (GRAPE-style adjoint; Khaneja et al.,
-J. Magn. Reson. 172, 296 (2005)). It calls the propagator's step kernel once
-per pulse, for the entries of A_j and A'_j (and A''_j for the Hessian), and
-every pass below reads those same entries:
+Everything comes from one forward pass and one backward pass that reads it
+(GRAPE-style adjoint; Khaneja et al., J. Magn. Reson. 172, 296 (2005)):
 
-* a forward pass stores the states s_{j-1} entering each step;
-* a backward pass carries the costate lambda_j = c^T A_M ... A_{j+1}, so
+* the forward pass, :func:`forward`, calls the propagator's step kernel
+  once per pulse, for the entries of A_j and A'_j (and A''_j for the
+  Hessian), stores the states s_{j-1} entering each step and gives beta,
+  so I = |beta|^2;
+* the backward pass reads those same entries and states. It carries the
+  costate lambda_j = c^T A_M ... A_{j+1}, so
   d beta / d omega_j = lambda_j A'_j s_{j-1}: O(M) for the gradient;
 * only when the Hessian is asked for, row j below the diagonal is
   lambda_j A'_j applied to the forward sensitivities d s_{j-1} / d omega_i
@@ -16,7 +18,10 @@ every pass below reads those same entries:
   and the diagonal is lambda_j A''_j s_{j-1}: O(M^2), with no matrix
   inverse.
 
-Symbolic expansion of the product is deliberately avoided.
+A caller that already holds a point's forward pass, as the
+Levenberg-Marquardt projection does for every trial it evaluates, hands it
+to :func:`gradient`, which then runs the backward pass alone. Symbolic
+expansion of the product is deliberately avoided.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,26 +53,51 @@ class SensitivityBundle:
     hess_infidelity: np.ndarray | None = None
 
 
-def _sweep(p: Protocol, second_order: bool) -> SensitivityBundle:
-    """beta, grad(beta), grad(I) and, if ``second_order``, Hess(beta).
+class Forward(NamedTuple):
+    """One forward pass of a protocol, as :func:`forward` returns it.
 
-    See the module docstring; Hess(I) is left to :func:`hessian`. Raises
+    ``steps`` holds each pulse's ``_step_entries`` (of A and A', and of A''
+    at order 2), ``fs`` and ``fds`` the state (f, f') entering each step,
+    and ``beta`` the final mixing coefficient, so I = |beta|^2.
+    """
+
+    steps: list
+    fs: list
+    fds: list
+    beta: complex
+
+
+def forward(p: Protocol, order: int = 1) -> Forward:
+    """The forward pass: kernel entries to ``order``, entering states and beta.
+
+    One ``_step_entries`` call per pulse. Its beta is bit for bit that of
+    ``propagator.infidelity``, which reads the same leading entries of A.
+    """
+    dt = p.dt
+    s0 = initial_state(p.omega0)
+    f, fd = s0.f, s0.fdot
+    steps, fs, fds = [], [], []
+    for w in p.omegas:
+        e = _step_entries(w, dt, order)
+        steps.append(e)
+        fs.append(f)
+        fds.append(fd)
+        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
+    return Forward(steps, fs, fds, bogoliubov(ModeState(f, fd), p.omegaT).beta)
+
+
+def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle:
+    """grad(beta), grad(I) and, if ``second_order``, Hess(beta) from a forward pass.
+
+    ``fw`` is ``forward(p)``, of order 2 when ``second_order``. See the
+    module docstring; Hess(I) is left to :func:`hessian`. Raises
     NonFiniteEntry when a derivative comes out NaN or infinite.
     """
     m = p.m
     if m == 0:
         raise EmptyProtocol(("hessian" if second_order else "gradient")
                             + " requires at least one pulse")
-    dt = p.dt
-    s0 = initial_state(p.omega0)
-    f, fd = s0.f, s0.fdot
-    steps = [_step_entries(w, dt, 2 if second_order else 1) for w in p.omegas]
-    fs, fds = [], []
-    for e in steps:
-        fs.append(f)
-        fds.append(fd)
-        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
-    beta = bogoliubov(ModeState(f, fd), p.omegaT).beta
+    steps, fs, fds, beta = fw
     r = 1.0 / math.sqrt(2.0 * p.omegaT)
     lf, ld = complex(p.omegaT * r), complex(0.0, -r)  # beta = lf*f + ld*fd
     grad = [0j] * m
@@ -96,7 +127,7 @@ _KRON_AT_I2 = np.array([[0, 9, 2, 9], [9, 0, 9, 2], [1, 9, 0, 9], [9, 1, 9, 0]])
 
 
 def _hessian_of_beta(steps, fs, fds, costates) -> np.ndarray:
-    """Hess(beta) from the kernel entries, states and costates of :func:`_sweep`.
+    """Hess(beta) from the kernel entries, states and costates of :func:`_backward`.
 
     Below the diagonal, row j is mu_j = lambda_j A'_j contracted with the
     forward sensitivities d s_{j-1} / d omega_i (i < j): sensitivity i is
@@ -131,9 +162,13 @@ def _hessian_of_beta(steps, fs, fds, costates) -> np.ndarray:
     return hess
 
 
-def gradient(p: Protocol) -> SensitivityBundle:
-    """Exact grad(beta) and grad(I): one forward and one backward pass, O(M)."""
-    return _sweep(p, second_order=False)
+def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
+    """Exact grad(beta) and grad(I): one forward and one backward pass, O(M).
+
+    ``fw``, when given, is ``forward(p)`` already evaluated, and only the
+    backward pass runs; the result is bit for bit that of ``gradient(p)``.
+    """
+    return _backward(p, forward(p) if fw is None else fw, second_order=False)
 
 
 def beta_hessian(p: Protocol) -> SensitivityBundle:
@@ -142,7 +177,7 @@ def beta_hessian(p: Protocol) -> SensitivityBundle:
     The second-order sweep of :func:`hessian` without assembling Hess(I):
     ``hess_infidelity`` stays None. Navigation calls it once per iterate.
     """
-    return _sweep(p, second_order=True)
+    return _backward(p, forward(p, 2), second_order=True)
 
 
 def hessian(p: Protocol) -> SensitivityBundle:
@@ -150,7 +185,7 @@ def hessian(p: Protocol) -> SensitivityBundle:
 
     The gradient fields are bit-identical to those of :func:`gradient`.
     """
-    bundle = _sweep(p, second_order=True)
+    bundle = beta_hessian(p)
     # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic
     beta, gr, gi = bundle.beta, bundle.grad_beta.real, bundle.grad_beta.imag
     hess_infid = gr[:, None] * gr

@@ -239,9 +239,16 @@ class TestInputContract:
         (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"max_steps": -1}), "ConfigError"),
         (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"step_size": 0}), "ConfigError"),
         (["levelset", "--seeds", "1"], dict(TASK_DOC, trace={"box": [8, -4]}), "ConfigError"),
+        (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"initial_sign": 0}),
+         "ConfigError"),
+        (["levelset", "--seeds", "2"], dict(TASK_DOC, scan={"assign_distance": -1}),
+         "ConfigError"),
+        (["levelset", "--seeds", "2"], dict(TASK_DOC, scan={"max_curves": -1}),
+         "ConfigError"),
         (["levelset", "--seeds", "-1"], TASK_DOC, "ValueError"),
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
-            "trace.step_size", "trace.box", "seeds"])
+            "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
+            "scan.max_curves", "seeds"])
     def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
         path = tmp_path / "p.json"
         proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution

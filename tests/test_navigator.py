@@ -11,7 +11,7 @@ from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     TraceConfig, c1, c2, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
-from oscnav import navigator
+from oscnav import navigator, propagator, sensitivities
 from oscnav.navigator import trajectory_to_csv
 from oracles import optimal_hessian
 
@@ -53,9 +53,9 @@ class TestDescend:
         seen = []
         real = navigator.gradient
 
-        def counting(p):
+        def counting(p, *rest):
             seen.append(p.omegas)
-            return real(p)
+            return real(p, *rest)
 
         monkeypatch.setattr(navigator, "gradient", counting)
         for seed in range(3):
@@ -264,6 +264,50 @@ def c1_gradient_of(p):
     return c1_grad(np.asarray(p.omegas))
 
 
+class TestProjectionEvaluations:
+    """One forward pass per evaluated point: M kernel calls each."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        kernel, trials = [], []
+        real_entries, real_with = propagator._step_entries, Protocol.with_omegas
+
+        def counting_entries(*args):
+            kernel.append(args[0])
+            return real_entries(*args)
+
+        def counting_with(self, omegas):
+            trials.append(1)  # _project builds one Protocol per trial
+            return real_with(self, omegas)
+
+        monkeypatch.setattr(propagator, "_step_entries", counting_entries)
+        monkeypatch.setattr(sensitivities, "_step_entries", counting_entries)
+        monkeypatch.setattr(Protocol, "with_omegas", counting_with)
+        return kernel, trials
+
+    def test_descent(self, monkeypatch):
+        p0 = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
+        kernel, trials = self._count(monkeypatch)
+        iterates = []
+        navigator._project(p0, 0.0, 20000, 1e-9,
+                           lambda *args: iterates.append(args[1].omegas))
+        rejected = len(trials) - (len(iterates) - 1)
+        assert rejected > 0 and len(set(iterates)) == len(iterates)
+        assert len(kernel) == 8 * (1 + len(trials))
+
+    def test_tracer_predictor_point(self, m3_solution, monkeypatch):
+        p = m3_solution.protocol
+        tangent = navigator._null_direction(gradient(p).grad_beta)
+        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * tangent)
+        kernel, trials = self._count(monkeypatch)
+        iterates = []
+        _, ival, _, status = navigator._project(
+            pred, 1e-12, 300, on_step=lambda *args: iterates.append(1), mu=1e-3)
+        assert status == "target" and ival < 1e-12
+        assert iterates and trials
+        assert len(kernel) == 3 * (1 + len(trials))
+
+
 class TestTraceLevelset:
     def test_closed_curve_with_rank_condition(self, m3_solution):
         curve = trace_levelset(m3_solution.protocol, TraceConfig())
@@ -295,9 +339,9 @@ class TestTraceLevelset:
         sweeps, outside, depth = [], [], []
         real_gradient, real_project = navigator.gradient, navigator._project
 
-        def counting(p):
+        def counting(p, *rest):
             (sweeps if depth else outside).append(p.omegas)
-            return real_gradient(p)
+            return real_gradient(p, *rest)
 
         def nested(*args, **kwargs):
             depth.append(1)

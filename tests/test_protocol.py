@@ -41,6 +41,15 @@ def test_protocol_is_valid_by_construction():
         Protocol(1.0, 0.25, 0.6, ("1.0",))
 
 
+def test_with_omegas_converts_pulses_to_floats():
+    p = FIG1.with_omegas(np.array([1, 2, 3]))
+    assert p.omegas == (1.0, 2.0, 3.0)
+    assert all(type(w) is float for w in p.omegas)
+    # numpy turns a missing pulse into nan, which validation names
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[1\]"):
+        FIG1.with_omegas([1.0, None, 1.0])
+
+
 def test_empty_protocol_is_legal():
     p = Protocol(1.0, 0.25, 0.6, ())
     assert validate(p).duration == 0.0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
                     hessian, infidelity, step_matrix)
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
-                               bogoliubov, initial_state)
+                               bogoliubov, initial_state, propagate)
+from oscnav.sensitivities import forward
 from oracles import fd_gradient, fd_hessian, optimal_hessian
 
 
@@ -329,6 +330,40 @@ class TestAdjointSweepAgainstTableau:
                               (full.hess_infidelity, hess_infid)):
                 # relative in the max norm; a gradient at omega = 0 is exactly 0
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestForwardPass:
+    """The backward pass on a held forward pass gives the same bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 48])
+    def test_gradient_from_a_forward_pass(self, m):
+        for p in oracle_protocols(m):
+            fresh = gradient(p)
+            for order in (1, 2):
+                fw = forward(p, order)
+                assert fw.beta == bogoliubov(propagate(p), p.omegaT).beta
+                assert abs(fw.beta) ** 2 == infidelity(p)
+                held = gradient(p, fw)
+                assert held.beta == fresh.beta
+                assert np.array_equal(held.grad_beta, fresh.grad_beta)
+                assert np.array_equal(held.grad_infidelity, fresh.grad_infidelity)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 48])
+    def test_hessians_share_their_bits(self, m):
+        for p in oracle_protocols(m):
+            first, partial, full = gradient(p), beta_hessian(p), hessian(p)
+            assert partial.hess_infidelity is None
+            assert np.array_equal(partial.hess_beta, full.hess_beta)
+            for bundle in (partial, full):
+                assert bundle.beta == first.beta
+                assert np.array_equal(bundle.grad_beta, first.grad_beta)
+                assert np.array_equal(bundle.grad_infidelity, first.grad_infidelity)
+
+    def test_kernel_runs_only_in_the_forward_pass(self, monkeypatch):
+        p = random_protocol(np.random.default_rng(3), 8)
+        fw, want = forward(p), gradient(p)
+        monkeypatch.setattr(math, "cos", None)  # a kernel call would now fail
+        assert np.array_equal(gradient(p, fw).grad_beta, want.grad_beta)
 
 
 class TestFiniteDifferencesAtSeriesThresholds:
