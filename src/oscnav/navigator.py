@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
                      RestartBudgetExhausted)
 from .objectives import SecondaryCost
-from .propagator import infidelity
+from .propagator import forward, infidelity
 from .protocol import Protocol, refine
-from .sensitivities import beta_hessian, forward, gradient
+from .sensitivities import beta_hessian, gradient
 
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
@@ -201,7 +201,10 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
              on_step=None, mu=1.0):
     """Levenberg-Marquardt projection onto beta = 0.
 
-    Returns (protocol, I, grad_max, status).
+    Returns (protocol, I, bundle, status), where ``bundle`` is the
+    ``gradient`` result of the last iterate whose gradient was evaluated:
+    the returned protocol unless it stopped below ``target``, or None if
+    the start already was.
 
     I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
     J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
@@ -214,14 +217,12 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     is evaluated and handed on.
 
     Each evaluated point, the start and every trial, accepted or not, costs
-    one forward pass (``sensitivities.forward``), which gives I; an
-    accepted point's gradient is the backward pass of that same forward
-    pass, so an iterate costs one forward plus one backward pass and no
-    point's kernel entries or states are computed twice. ``on_step(it,
-    protocol, I, grad_max, bundle)`` is called for every iterate whose
-    gradient is evaluated, the start included; ``bundle`` is that iterate's
-    ``gradient`` result, so a caller can reuse its Jacobian:
-    ``trace_levelset`` takes the next tangent from the last one.
+    one forward pass (``propagator.forward``), which gives I; an accepted
+    point's gradient is the backward pass of that same forward pass, so an
+    iterate costs one forward plus one backward pass and no point's kernel
+    entries or states are computed twice. ``on_step(it, protocol, I,
+    grad_max)`` is called for every iterate whose gradient is evaluated,
+    the start included.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
@@ -234,7 +235,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     fw = forward(p)
     val = abs(fw.beta) ** 2
     status = "budget"
-    gmax = math.inf
+    bundle = None
     for it in range(budget + 1):
         if val < target:
             status = "target"
@@ -242,7 +243,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
         bundle = gradient(p, fw)
         gmax = float(np.max(np.abs(bundle.grad_infidelity)))
         if on_step is not None:
-            on_step(it, p, val, gmax, bundle)
+            on_step(it, p, val, gmax)
         if gmax < grad_tolerance or gmax == 0.0:
             status = "critical"
             break
@@ -266,7 +267,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
                 gn_sq = ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
                          if rank2 > 0.0 else math.inf)
                 at_floor = gn_sq <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2
-                return p, val, gmax, "floor" if at_floor else "stalled"
+                return p, val, bundle, "floor" if at_floor else "stalled"
             trial = p.with_omegas(cand)
             trial_fw = forward(trial)
             cval = abs(trial_fw.beta) ** 2
@@ -275,7 +276,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
                 break
             mu *= 10.0
         p, w, val, fw = trial, cand, cval, trial_fw
-    return p, val, gmax, status
+    return p, val, bundle, status
 
 
 def _classify(status: str, i_val: float, cfg: DescentConfig) -> str:
@@ -300,11 +301,13 @@ def descend(p0: Protocol, cfg: DescentConfig):
         raise EmptyProtocol("descent requires at least one pulse")
     records = []
 
-    def on_step(it, p, val, gmax, _bundle):
+    def on_step(it, p, val, gmax):
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
-    p, val, gmax, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
-                                    on_step)
+    # with a target of 0 the returned point's gradient is always evaluated
+    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
+                                      on_step)
+    gmax = float(np.max(np.abs(bundle.grad_infidelity)))
     report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
     return p, report, DescentTrajectory(tuple(records), traj_status)
@@ -554,12 +557,7 @@ def _trust_region_step(evals, evecs, grad, radius):
 
 
 def _null_direction(grad_beta: np.ndarray) -> np.ndarray:
-    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad_beta.
-
-    ``trace_levelset`` passes the Jacobian its corrector evaluated last, at
-    an iterate one Gauss-Newton step from the vertex, rather than paying a
-    sweep at the vertex itself.
-    """
+    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad_beta."""
     # the cross product written out: np.cross costs ten times more on 3-vectors
     (a0, a1, a2), (b0, b1, b2) = grad_beta.real.tolist(), grad_beta.imag.tolist()
     t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
@@ -574,42 +572,37 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     Levenberg-Marquardt projection back onto beta = 0 (the Moore-Penrose
     corrector of Allgower and Georg). A predictor point lies near beta = 0,
     so its projection starts near Gauss-Newton (mu = 1e-3), as navigation's
-    trials do, and usually reaches the target in one step. The next tangent
-    comes from the Jacobian of the last iterate that projection evaluated,
-    within one Gauss-Newton step of the vertex; its error is below that of
-    the Euler predictor and the next projection absorbs it. Only a
-    projection that evaluated no gradient, its start already below the
-    target, costs a sweep at the vertex. Ends on loop closure - returning
-    within ``closure_factor * step_size`` of the start, moving the same
-    way - or on leaving the box (reported as an open curve).
+    trials do, and usually reaches the target in one step. Every tangent,
+    the first included, comes from the Jacobian of the last iterate its
+    projection evaluated, within one Gauss-Newton step of the vertex; its
+    error is below that of the Euler predictor and the next projection
+    absorbs it. Only a projection that evaluated no gradient, its start
+    already below the target, costs a sweep at the vertex. Ends on loop
+    closure - returning within ``closure_factor * step_size`` of the start,
+    moving the same way - or on leaving the box (reported as an open curve).
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
     i0 = infidelity(solution)
     if not i0 < cfg.infidelity_threshold:
         raise NotASolution("trace_levelset requires a solution protocol")
-    p, ival, _, status = _project(solution, cfg.corrector_target, cfg.corrector_budget)
+    p, ival, bundle, status = _project(solution, cfg.corrector_target,
+                                       cfg.corrector_budget)
     if status not in _ON_LEVEL_SET:
         return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([i0]), False,
                              "corrector_failed")
     verts = [np.asarray(p.omegas)]
     ivals = [ival]
-    t0 = cfg.initial_sign * _null_direction(gradient(p).grad_beta)
+    t0 = cfg.initial_sign * _null_direction(
+        (gradient(p) if bundle is None else bundle).grad_beta)
     tangent = t0
     lo, hi = cfg.box
     status = "open"
     closed = False
-    last_jac = None  # grad_beta of the corrector's last evaluated iterate
-
-    def keep_jacobian(_it, _p, _val, _gmax, bundle):
-        nonlocal last_jac
-        last_jac = bundle.grad_beta
-
     for step in range(1, cfg.max_steps + 1):
         pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
-        last_jac = None
-        p, ival, _, corrector = _project(pred, cfg.corrector_target, cfg.corrector_budget,
-                                         on_step=keep_jacobian, mu=1e-3)
+        p, ival, bundle, corrector = _project(pred, cfg.corrector_target,
+                                              cfg.corrector_budget, mu=1e-3)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
@@ -619,7 +612,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
             break
         verts.append(w)
         ivals.append(ival)
-        t_new = _null_direction(gradient(p).grad_beta if last_jac is None else last_jac)
+        t_new = _null_direction((gradient(p) if bundle is None else bundle).grad_beta)
         if t_new @ tangent < 0.0:
             t_new = -t_new
         tangent = t_new

@@ -9,13 +9,14 @@ concatenating per-step 2x2 matrices acting on (f, f').
 One step kernel, ``_step_entries``, gives the entries of a step's matrix A
 and, on request, of its first two derivatives in omega, A' and A'', from one
 cos and one sin; below one threshold of |omega*dt| the ratios that would
-cancel come from Taylor series instead. Propagation and the derivative
-sweeps of ``sensitivities`` call it once per pulse.
+cancel come from Taylor series instead. The forward pass, :func:`forward`,
+is the package's only loop over the pulses; ``propagate``, ``infidelity``
+and the backward pass of ``sensitivities`` read what it records.
 
-The final-basis mixing coefficients follow from the boundary values alone:
+The final-basis mixing coefficients are linear in the boundary values:
 
-    beta  = -i/sqrt(2*omegaT) * (f'(T) + i*omegaT*f(T))
-    alpha = +i/sqrt(2*omegaT) * (f'(T) - i*omegaT*f(T))
+    beta  = -i/sqrt(2*omegaT) * (f'(T) + i*omegaT*f(T)) = c . (f, f')
+    alpha = +i/sqrt(2*omegaT) * (f'(T) - i*omegaT*f(T)) = conj(c) . (f, f')
 
 with |alpha|^2 - |beta|^2 = 1 guaranteed by the Wronskian condition
 f*conj(f') - f'*conj(f) = i. The primary objective everywhere in this
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,32 +116,64 @@ def initial_state(omega0: float) -> ModeState:
                      complex(0.0, -math.sqrt(omega0 / 2.0)))
 
 
-def propagate(p: Protocol) -> ModeState:
-    """Evolve the mode pair through all steps of ``p`` exactly.
+def _beta_row(omegaT: float) -> tuple[complex, complex]:
+    """The row c = (omegaT, -i)/sqrt(2*omegaT) of beta; alpha's is conj(c)."""
+    r = 1.0 / math.sqrt(2.0 * omegaT)
+    return complex(omegaT * r), complex(0.0, -r)
 
-    M = 0 returns the initial state (sudden quench).
+
+class Forward(NamedTuple):
+    """One forward pass: kernel entries, entering states, final state, beta.
+
+    ``steps`` holds each pulse's ``_step_entries`` and ``fs``/``fds`` the
+    state (f, f') entering each step; I = |beta|^2.
     """
-    s = initial_state(p.omega0)
-    f, fd = s.f, s.fdot
+
+    steps: list
+    fs: list
+    fds: list
+    f: complex
+    fd: complex
+    beta: complex
+
+
+def forward(p: Protocol, order: int = 1) -> Forward:
+    """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
+
+    M = 0 leaves the initial state (sudden quench).
+    """
+    dt = p.dt
+    s0 = initial_state(p.omega0)
+    f, fd = s0.f, s0.fdot
+    steps, fs, fds = [], [], []
     for w in p.omegas:
-        a00, a01, a10 = _step_entries(w, p.dt)
-        f, fd = a00 * f + a01 * fd, a10 * f + a00 * fd
-    return ModeState(f, fd)
+        e = _step_entries(w, dt, order)
+        steps.append(e)
+        fs.append(f)
+        fds.append(fd)
+        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
+    cf, cd = _beta_row(p.omegaT)
+    return Forward(steps, fs, fds, f, fd, cf * f + cd * fd)
+
+
+def propagate(p: Protocol) -> ModeState:
+    """The final mode pair (f, f') of ``p``, from its order-0 forward pass."""
+    fw = forward(p, 0)
+    return ModeState(fw.f, fw.fd)
 
 
 def bogoliubov(s: ModeState, omegaT: float) -> BogoliubovPair:
     """Mixing coefficients of the final-trap basis for a propagated state."""
     if not (omegaT > 0 and math.isfinite(omegaT)):
         raise NonPositiveFrequency(f"omegaT must be > 0, got {omegaT!r}")
-    pref = 1j / math.sqrt(2.0 * omegaT)
-    return BogoliubovPair(alpha=pref * (s.fdot - 1j * omegaT * s.f),
-                          beta=-pref * (s.fdot + 1j * omegaT * s.f))
+    cf, cd = _beta_row(omegaT)
+    return BogoliubovPair(alpha=cf * s.f + cd.conjugate() * s.fdot,
+                          beta=cf * s.f + cd * s.fdot)
 
 
 def infidelity(p: Protocol) -> float:
-    """Primary objective |beta|^2 >= 0."""
-    b = bogoliubov(propagate(p), p.omegaT).beta
-    return abs(b) ** 2
+    """Primary objective |beta|^2 >= 0, from the order-0 forward pass."""
+    return abs(forward(p, 0).beta) ** 2
 
 
 def particle_number(n0: float, beta: complex) -> float:

@@ -2,16 +2,14 @@
 
 beta is linear in the final mode pair, beta = c^T s_M, and s_M is a product
 of per-step matrices applied to the initial state, s_M = A_M ... A_1 s_0.
-Everything comes from one forward pass and one backward pass that reads it
+The forward pass of ``propagator.forward`` records the kernel entries of
+every A_j and A'_j (and A''_j for the Hessian) and the states s_{j-1}
+entering each step. This module is the backward pass that reads that record
 (GRAPE-style adjoint; Khaneja et al., J. Magn. Reson. 172, 296 (2005)):
 
-* the forward pass, :func:`forward`, calls the propagator's step kernel
-  once per pulse, for the entries of A_j and A'_j (and A''_j for the
-  Hessian), stores the states s_{j-1} entering each step and gives beta,
-  so I = |beta|^2;
-* the backward pass reads those same entries and states. It carries the
-  costate lambda_j = c^T A_M ... A_{j+1}, so
-  d beta / d omega_j = lambda_j A'_j s_{j-1}: O(M) for the gradient;
+* it carries the costate lambda_j = c^T A_M ... A_{j+1}, seeded by the row
+  c of ``propagator._beta_row``, so d beta / d omega_j = lambda_j A'_j
+  s_{j-1}: O(M) for the gradient;
 * only when the Hessian is asked for, row j below the diagonal is
   lambda_j A'_j applied to the forward sensitivities d s_{j-1} / d omega_i
   (i < j), each seeded by A'_i s_{i-1} and carried by the step matrices,
@@ -27,14 +25,12 @@ expansion of the product is deliberately avoided.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyProtocol, NonFiniteEntry
-from .propagator import ModeState, _step_entries, bogoliubov, initial_state
+from .propagator import Forward, _beta_row, forward
 from .protocol import Protocol
 
 
@@ -53,39 +49,6 @@ class SensitivityBundle:
     hess_infidelity: np.ndarray | None = None
 
 
-class Forward(NamedTuple):
-    """One forward pass of a protocol, as :func:`forward` returns it.
-
-    ``steps`` holds each pulse's ``_step_entries`` (of A and A', and of A''
-    at order 2), ``fs`` and ``fds`` the state (f, f') entering each step,
-    and ``beta`` the final mixing coefficient, so I = |beta|^2.
-    """
-
-    steps: list
-    fs: list
-    fds: list
-    beta: complex
-
-
-def forward(p: Protocol, order: int = 1) -> Forward:
-    """The forward pass: kernel entries to ``order``, entering states and beta.
-
-    One ``_step_entries`` call per pulse. Its beta is bit for bit that of
-    ``propagator.infidelity``, which reads the same leading entries of A.
-    """
-    dt = p.dt
-    s0 = initial_state(p.omega0)
-    f, fd = s0.f, s0.fdot
-    steps, fs, fds = [], [], []
-    for w in p.omegas:
-        e = _step_entries(w, dt, order)
-        steps.append(e)
-        fs.append(f)
-        fds.append(fd)
-        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
-    return Forward(steps, fs, fds, bogoliubov(ModeState(f, fd), p.omegaT).beta)
-
-
 def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle:
     """grad(beta), grad(I) and, if ``second_order``, Hess(beta) from a forward pass.
 
@@ -97,9 +60,8 @@ def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle
     if m == 0:
         raise EmptyProtocol(("hessian" if second_order else "gradient")
                             + " requires at least one pulse")
-    steps, fs, fds, beta = fw
-    r = 1.0 / math.sqrt(2.0 * p.omegaT)
-    lf, ld = complex(p.omegaT * r), complex(0.0, -r)  # beta = lf*f + ld*fd
+    steps, fs, fds, _, _, beta = fw
+    lf, ld = _beta_row(p.omegaT)
     grad = [0j] * m
     costates = [None] * m
     for j in range(m - 1, -1, -1):

@@ -11,7 +11,7 @@ from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     TraceConfig, c1, c2, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
-from oscnav import navigator, propagator, sensitivities
+from oscnav import navigator, propagator
 from oscnav.navigator import trajectory_to_csv
 from oracles import optimal_hessian
 
@@ -281,7 +281,6 @@ class TestProjectionEvaluations:
             return real_with(self, omegas)
 
         monkeypatch.setattr(propagator, "_step_entries", counting_entries)
-        monkeypatch.setattr(sensitivities, "_step_entries", counting_entries)
         monkeypatch.setattr(Protocol, "with_omegas", counting_with)
         return kernel, trials
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
                     hessian, infidelity, step_matrix)
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
-                               bogoliubov, initial_state, propagate)
-from oscnav.sensitivities import forward
+                               bogoliubov, forward, initial_state, propagate)
 from oracles import fd_gradient, fd_hessian, optimal_hessian
 
 
