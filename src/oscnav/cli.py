@@ -203,10 +203,11 @@ def _navigate_command(args, cost: SecondaryCost) -> int:
     nav = cfg.navigation if cfg else NavigationConfig()
     if args.double:
         try:
-            schedule = tuple(int(k) for k in args.double.split(","))
+            nav = dataclasses.replace(
+                nav, doubling_schedule=tuple(int(k) for k in args.double.split(",")))
         except ValueError:
-            raise ConfigError(f"--double must be comma-separated integers, got {args.double!r}")
-        nav = dataclasses.replace(nav, doubling_schedule=schedule)
+            raise ConfigError(f"--double must be comma-separated integers >= 1, "
+                              f"got {args.double!r}")
     traj = navigate(p, cost, nav)
     final = traj.final_protocol
     out = (cfg.output if cfg else {})

@@ -90,10 +90,15 @@ class NavigationConfig:
     max_iterations: int = 200000
 
     def __post_init__(self):
+        if not self.infidelity_threshold > 0:
+            raise ValueError("infidelity threshold must be > 0")
         if not self.corrector_target < self.infidelity_threshold:
             raise ValueError("corrector target must be below the infidelity threshold")
         if self.corrector_budget < 0 or self.max_iterations < 0:
             raise ValueError("iteration budgets must be >= 0")
+        if not all(isinstance(k, int) and k >= 1 for k in self.doubling_schedule):
+            raise ValueError(f"doubling factors must be integers >= 1, "
+                             f"got {self.doubling_schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,9 @@ class TraceConfig:
             raise ValueError("runaway box must have lo < hi")
         if self.max_steps < 0 or self.corrector_budget < 0:
             raise ValueError("step and corrector budgets must be >= 0")
+        if not self.closure_factor > 0:
+            # a closure radius of 0 is never reached, so a closed curve runs on
+            raise ValueError("closure factor must be > 0")
         if self.initial_sign not in (1.0, -1.0):
             # any other factor scales the first tangent, and 0 stalls the trace
             raise ValueError(f"initial sign must be +1 or -1, got {self.initial_sign!r}")

@@ -245,10 +245,19 @@ class TestInputContract:
          "ConfigError"),
         (["levelset", "--seeds", "2"], dict(TASK_DOC, scan={"max_curves": -1}),
          "ConfigError"),
+        (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"closure_factor": 0}),
+         "ConfigError"),
+        (["smooth", "{p}"],
+         dict(TASK_DOC, navigation={"infidelity_threshold": -1, "corrector_target": -2}),
+         "ConfigError"),
+        (["smooth", "{p}"], dict(TASK_DOC, navigation={"doubling_schedule": [0]}),
+         "ConfigError"),
+        (["smooth", "{p}", "--double", "0"], TASK_DOC, "ConfigError"),
         (["levelset", "--seeds", "-1"], TASK_DOC, "ValueError"),
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
             "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
-            "scan.max_curves", "seeds"])
+            "scan.max_curves", "trace.closure_factor", "navigation.infidelity_threshold",
+            "navigation.doubling_schedule", "double", "seeds"])
     def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
         path = tmp_path / "p.json"
         proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution

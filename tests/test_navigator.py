@@ -244,6 +244,15 @@ class TestNavigate:
         with pytest.raises(ValueError):
             NavigationConfig(corrector_target=1e-4, infidelity_threshold=1e-5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(doubling_schedule=(0,)), dict(doubling_schedule=(2, -1)),
+        dict(doubling_schedule=(2.0,)),
+        dict(infidelity_threshold=-1.0, corrector_target=-2.0),
+    ])
+    def test_out_of_range_settings_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            NavigationConfig(**kwargs)
+
     def test_quartic_infidelity_rise_of_projected_step(self, m8_solution):
         # a tangent step of size eps lifts I by O(eps^4) from a deep solution
         p, report, _ = descend(m8_solution.protocol, DescentConfig(grad_tolerance=1e-12))
@@ -305,6 +314,30 @@ class TestProjectionEvaluations:
         assert status == "target" and ival < 1e-12
         assert iterates and trials
         assert len(kernel) == 3 * (1 + len(trials))
+
+    def test_returned_bundle_is_the_gradient_of_the_last_iterate(self, m3_solution):
+        p = m3_solution.protocol
+        tangent = navigator._null_direction(gradient(p).grad_beta)
+        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * tangent)
+        descent = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
+        # a descent returns its last iterate; a projection that reaches its
+        # target returns a point whose gradient it never evaluated
+        for start, target, tol, mu, want_status in ((descent, 0.0, 1e-9, 1.0, "critical"),
+                                                    (pred, 1e-12, 0.0, 1e-3, "target")):
+            seen = []
+            _, _, bundle, status = navigator._project(
+                start, target, 300, tol, lambda it, q, *_: seen.append(q), mu=mu)
+            assert status == want_status and seen
+            want = gradient(seen[-1])
+            assert bundle.beta == want.beta
+            assert np.array_equal(bundle.grad_beta, want.grad_beta)
+            assert np.array_equal(bundle.grad_infidelity, want.grad_infidelity)
+
+    def test_no_bundle_when_the_start_is_below_the_target(self, m3_solution):
+        seen = []
+        _, _, bundle, status = navigator._project(
+            m3_solution.protocol, 1.0, 300, on_step=lambda *args: seen.append(args))
+        assert status == "target" and bundle is None and not seen
 
 
 class TestTraceLevelset:

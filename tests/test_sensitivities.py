@@ -347,6 +347,19 @@ class TestForwardPass:
                 assert np.array_equal(held.grad_beta, fresh.grad_beta)
                 assert np.array_equal(held.grad_infidelity, fresh.grad_infidelity)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 48])
+    def test_propagation_reads_the_forward_pass(self, m):
+        protocols = oracle_protocols(m) if m else [Protocol(1.0, 0.25, _DT, ()),
+                                                   Protocol(2.0, 0.7, 0.1, ())]
+        for p in protocols:
+            final = propagate(p)
+            beta = bogoliubov(final, p.omegaT).beta
+            for order in (0, 1, 2):
+                fw = forward(p, order)
+                assert (fw.f, fw.fd) == (final.f, final.fdot)
+                assert fw.beta == beta
+                assert infidelity(p) == abs(fw.beta) ** 2
+
     @pytest.mark.parametrize("m", [1, 2, 3, 48])
     def test_hessians_share_their_bits(self, m):
         for p in oracle_protocols(m):
