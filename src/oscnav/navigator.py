@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
                      RestartBudgetExhausted)
-from .objectives import SecondaryCost
-from .propagator import forward, infidelity
+from .objectives import SecondaryCost, _cost_hessian
+from .propagator import forward
 from .protocol import Protocol, refine
-from .sensitivities import beta_hessian, gradient
+from .sensitivities import _backward, gradient
 
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
@@ -206,7 +206,7 @@ class ScanResult:
 
 
 def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.0,
-             on_step=None, mu=1.0):
+             on_step=None, mu=1.0, fw=None):
     """Levenberg-Marquardt projection onto beta = 0.
 
     Returns (protocol, I, bundle, status), where ``bundle`` is the
@@ -228,9 +228,10 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     one forward pass (``propagator.forward``), which gives I; an accepted
     point's gradient is the backward pass of that same forward pass, so an
     iterate costs one forward plus one backward pass and no point's kernel
-    entries or states are computed twice. ``on_step(it, protocol, I,
-    grad_max)`` is called for every iterate whose gradient is evaluated,
-    the start included.
+    entries or states are computed twice. ``fw``, when given, is the
+    start's forward pass, already evaluated by the caller. ``on_step(it,
+    protocol, I, grad_max)`` is called for every iterate whose gradient is
+    evaluated, the start included.
 
     status: "target" (I below ``target``), "critical" (gradient of I below
     ``grad_tolerance``, or exactly zero), "budget", "floor" (no trial lowers
@@ -240,7 +241,8 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     longer, a trap or a rank-deficient J).
     """
     w = np.asarray(p.omegas, dtype=float)
-    fw = forward(p)
+    if fw is None:
+        fw = forward(p)
     val = abs(fw.beta) ** 2
     status = "budget"
     bundle = None
@@ -377,7 +379,8 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta and its exact gradient and Hessian, and one SVD of the Jacobian of
+    beta and its exact gradient and Hessian (the start's forward pass also
+    gives the infidelity that admits it), and one SVD of the Jacobian of
     beta for the bases Q and Z and the pseudo-inverse the step uses
     (:func:`_level_set_frame`). Each step is one trust-region SQP step,
     ``_navigation_step``; the radius carries over between steps and starts,
@@ -393,7 +396,8 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    i0 = infidelity(solution)
+    fw = forward(solution, 2)
+    i0 = abs(fw.beta) ** 2
     if not i0 < cfg.infidelity_threshold:
         raise NotASolution(f"navigate requires I < {cfg.infidelity_threshold:g}, got {i0:g}")
     p = solution
@@ -402,7 +406,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     status = "budget_exhausted"
     hess_c = radius = None
     for it in range(cfg.max_iterations + 1):
-        bundle = beta_hessian(p)
+        bundle = _backward(p, fw if it == 0 else forward(p, 2), second_order=True)
         cur_c = cost.value(p.omegas)
         g = cost.grad(p.omegas)
         q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
@@ -419,8 +423,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         if it == cfg.max_iterations:
             break
         if hess_c is None:
-            # both costs are homogeneous quadratics: Hess C e_i = grad C(e_i)
-            hess_c = np.array([cost.grad(e) for e in np.eye(p.m)])
+            hess_c = _cost_hessian(cost, p.m)
         if radius is None:
             curvature = 2.0 * cost.value(pg)
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
@@ -572,6 +575,18 @@ def _null_direction(grad_beta: np.ndarray) -> np.ndarray:
     return t / np.linalg.norm(t)
 
 
+def _check_corrector_target(cfg: TraceConfig):
+    """Refuse a trace whose vertices need not be solutions.
+
+    The corrector target must lie below the threshold. It is checked where
+    a trace starts, not in TraceConfig, whose threshold a configuration
+    takes from its descent section, also for commands that never trace.
+    """
+    if not cfg.corrector_target < cfg.infidelity_threshold:
+        raise ValueError(f"trace corrector target {cfg.corrector_target:g} must be "
+                         f"below the infidelity threshold {cfg.infidelity_threshold:g}")
+
+
 def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     """Predictor-corrector continuation of an M = 3 solution curve.
 
@@ -588,21 +603,28 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     already below the target, costs a sweep at the vertex. Ends on loop
     closure - returning within ``closure_factor * step_size`` of the start,
     moving the same way - or on leaving the box (reported as an open curve).
+    Raises ValueError unless ``corrector_target`` is below
+    ``infidelity_threshold``, as vertices held only to the target need not
+    be solutions; the input's one forward pass both admits it (NotASolution
+    otherwise, before any backward pass) and starts its projection.
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
-    i0 = infidelity(solution)
+    _check_corrector_target(cfg)
+    fw = forward(solution)
+    i0 = abs(fw.beta) ** 2
     if not i0 < cfg.infidelity_threshold:
         raise NotASolution("trace_levelset requires a solution protocol")
     p, ival, bundle, status = _project(solution, cfg.corrector_target,
-                                       cfg.corrector_budget)
+                                       cfg.corrector_budget, fw=fw)
     if status not in _ON_LEVEL_SET:
         return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([i0]), False,
                              "corrector_failed")
     verts = [np.asarray(p.omegas)]
     ivals = [ival]
+    # no bundle: the start was below the target, and p is the start
     t0 = cfg.initial_sign * _null_direction(
-        (gradient(p) if bundle is None else bundle).grad_beta)
+        (gradient(p, fw) if bundle is None else bundle).grad_beta)
     tangent = t0
     lo, hi = cfg.box
     status = "open"
@@ -657,12 +679,14 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
     point within ``assign_distance`` of it, repeating until all points are
     labeled. Output ordering follows seed order, independent of scheduling.
     A point is a solution by the descent's threshold, so the traces take
-    that threshold too, in place of ``cfg.trace.infidelity_threshold``.
+    that threshold too, in place of ``cfg.trace.infidelity_threshold``,
+    and a corrector target not below it is refused before any solve.
     """
     if n_seeds < 0:
         raise ValueError(f"the number of seeds must be >= 0, got {n_seeds}")
     trace_cfg = dataclasses.replace(
         cfg.trace, infidelity_threshold=cfg.descent.infidelity_threshold)
+    _check_corrector_target(trace_cfg)
     pts: list[np.ndarray] = []
     ivals: list[float] = []
     for i in range(n_seeds):

@@ -110,6 +110,26 @@ class SecondaryCost:
         return c2_grad(omegas, self.chunks)
 
 
+def _cost_hessian(cost: SecondaryCost, m: int) -> np.ndarray:
+    """The constant Hessian of a secondary cost on M pulses.
+
+    Both costs are homogeneous quadratics. Smoothness is 2 D^T D for the
+    (M - 1) x M difference matrix D: twice the Laplacian of the path graph,
+    tridiagonal. Compression is 2 (K I - 1 1^T) on each chunk of K pulses.
+    Every entry is a small integer, so the matrix equals, entry for entry,
+    the one built from the gradients of the unit vectors.
+    """
+    if cost.kind == "smoothness":
+        degree = np.zeros(m)
+        degree[1:] += 1.0
+        degree[:-1] += 1.0
+        return 2.0 * (np.diag(degree) - np.eye(m, k=1) - np.eye(m, k=-1))
+    if m % cost.chunks != 0:
+        raise IndivisibleChunking(f"M={m} is not divisible by L={cost.chunks}")
+    k = m // cost.chunks
+    return np.kron(np.eye(cost.chunks), 2.0 * (k * np.eye(k) - 1.0))
+
+
 def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     """Quadrature transfer matrix S built from the mode pair; det S = 1.
 

@@ -10,11 +10,20 @@ entering each step. This module is the backward pass that reads that record
 * it carries the costate lambda_j = c^T A_M ... A_{j+1}, seeded by the row
   c of ``propagator._beta_row``, so d beta / d omega_j = lambda_j A'_j
   s_{j-1}: O(M) for the gradient;
-* only when the Hessian is asked for, row j below the diagonal is
-  lambda_j A'_j applied to the forward sensitivities d s_{j-1} / d omega_i
-  (i < j), each seeded by A'_i s_{i-1} and carried by the step matrices,
-  and the diagonal is lambda_j A''_j s_{j-1}: O(M^2), with no matrix
-  inverse.
+* only when the Hessian is asked for, the same loop records mu_j =
+  lambda_j A'_j, y_j = A'_j s_{j-1} (the change of s_j with omega_j) and
+  the diagonal lambda_j A''_j s_{j-1}. Below the diagonal Hess(beta) is
+  then semiseparable, d^2 beta / d omega_j d omega_i = u_j . v_i for
+  i < j (Vandebril, Van Barel and Mastronardi, Matrix Computations and
+  Semiseparable Matrices, 2008). The generators come from a basis solution
+  z of the steps with Wronskian W(z, conj z) = i: u_j applies mu_j to z and
+  conj z at state j, and v_i holds the coefficients of y_i in the basis
+  (z, conj z). The forward states are such a z, so nothing new is
+  propagated and the lower triangle is one rank-2 product: O(M^2), with no
+  matrix inverse. Where |z| is large the products u_j . v_i cancel, so
+  the basis restarts from a unit solution, |z|^2 = 1, once |z|^2 passes
+  100; earlier coefficients are carried into each new block by one 2 x 2
+  matrix.
 
 A caller that already holds a point's forward pass, as the
 Levenberg-Marquardt projection does for every trial it evaluates, hands it
@@ -25,6 +34,7 @@ expansion of the product is deliberately avoided.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,13 @@ import numpy as np
 from .errors import EmptyProtocol, NonFiniteEntry
 from .propagator import Forward, _beta_row, forward
 from .protocol import Protocol
+
+# A block of the basis solution z of Hess(beta) ends once |z|^2 passes this
+# factor times that of _UNIT, which is 1 (see _anchored_basis)
+_GROWTH = 1e2
+# the unit solution (1, -i)/sqrt(2), with W(z, conj z) = i, that every
+# later block starts from
+_UNIT = (complex(math.sqrt(0.5)), complex(0.0, -math.sqrt(0.5)))
 
 
 @dataclass(frozen=True)
@@ -63,64 +80,112 @@ def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle
     steps, fs, fds, _, _, beta = fw
     lf, ld = _beta_row(p.omegaT)
     grad = [0j] * m
-    costates = [None] * m
-    for j in range(m - 1, -1, -1):
-        costates[j] = (lf, ld)
-        a00, a01, a10, d00, d01, d10 = steps[j][:6]
-        # (lf, ld) A'_j, applied to s_{j-1}
-        grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
-        lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
+    if second_order:
+        mu0, mu1, y0, y1, diag = ([0j] * m for _ in range(5))
+        for j in range(m - 1, -1, -1):
+            a00, a01, a10, d00, d01, d10, h00, h01, h10 = steps[j]
+            f, fd = fs[j], fds[j]
+            # mu_j = (lf, ld) A'_j; the gradient is mu_j s_{j-1}
+            mu0[j] = m0 = lf * d00 + ld * d10
+            mu1[j] = m1 = lf * d01 + ld * d00
+            grad[j] = m0 * f + m1 * fd
+            y0[j] = d00 * f + d01 * fd
+            y1[j] = d10 * f + d00 * fd
+            diag[j] = lf * (h00 * f + h01 * fd) + ld * (h10 * f + h00 * fd)
+            lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
+    else:
+        for j in range(m - 1, -1, -1):
+            a00, a01, a10, d00, d01, d10 = steps[j][:6]
+            # (lf, ld) A'_j, applied to s_{j-1}
+            grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
+            lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     grad_beta = np.array(grad)
     grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
     if not np.isfinite(grad_infid).all():
         raise NonFiniteEntry("gradient of beta is not finite")
     hess_beta = None
     if second_order:
-        hess_beta = _hessian_of_beta(steps, fs, fds, costates)
-        if not np.isfinite(hess_beta).all():
+        hess_beta = _hessian_of_beta(fw, np.array([mu0, mu1, y0, y1]), diag)
+        if not np.isfinite(hess_beta.view(np.float64)).all():
             raise NonFiniteEntry("Hessian of beta is not finite")
     return SensitivityBundle(beta=beta, grad_beta=grad_beta,
                              grad_infidelity=grad_infid, hess_beta=hess_beta)
 
 
-# kron(A^T, I_2) for A = [[a00, a01], [a10, a00]], as indices into a row
-# (a00, a01, a10, ..., 0) of the padded kernel entries
-_KRON_AT_I2 = np.array([[0, 9, 2, 9], [9, 0, 9, 2], [1, 9, 0, 9], [9, 1, 9, 0]])
+def _anchored_basis(fw: Forward):
+    """The basis solutions of Hess(beta), block by block: (zj, zn, blocks).
 
-
-def _hessian_of_beta(steps, fs, fds, costates) -> np.ndarray:
-    """Hess(beta) from the kernel entries, states and costates of :func:`_backward`.
-
-    Below the diagonal, row j is mu_j = lambda_j A'_j contracted with the
-    forward sensitivities d s_{j-1} / d omega_i (i < j): sensitivity i is
-    seeded by A'_i s_{i-1} and carried forward by the step matrices. The
-    diagonal is lambda_j A''_j s_{j-1}. The lower triangle is mirrored, so
-    the result is exactly symmetric.
+    Column j of ``zj`` is state j of the basis solution z of the block that
+    holds state j, and column j of ``zn`` is that solution one step on, at
+    state j + 1. ``blocks`` lists [start, stop, t] for each block of pulses:
+    t is None for the first, and for a later one the transpose of the
+    2 x 2 matrix that takes coefficients in the basis (z, conj z) of the
+    previous block to its own. The first block's z is the forward pass
+    itself. A block ends at the first state where |z|^2 passes _GROWTH
+    times |_UNIT|^2 = 1; the next block's z starts there from _UNIT and is
+    propagated through the recorded step entries. The forward pass starts
+    at |s_0|^2 = (omega0 + 1/omega0) / 2, which is 1 at omega0 = 1; far
+    from 1 the forward states are a poorly conditioned basis from the
+    start, and once |s_0|^2 passes the bound the first block is empty. A
+    protocol whose states stay within the bound is one block and enters no
+    loop here.
     """
-    m = len(steps)
-    entries = np.zeros((m, 10))  # A, A', A'' entries of _step_entries, then 0
-    entries[:, :9] = steps
-    d00, d01, d10, h00, h01, h10 = entries[:, 3:9].T
-    lf, ld = np.array(costates).T
-    f, fd = np.array(fs), np.array(fds)
-    mus = np.empty((m, 2), dtype=complex)
-    mus[:, 0] = lf * d00 + ld * d10
-    mus[:, 1] = lf * d01 + ld * d00
-    diag = lf * (h00 * f + h01 * fd) + ld * (h10 * f + h00 * fd)
-    # Row i of sens holds d s_{j-1} / d omega_i once i < j. The step matrices
-    # are real, so they act on the float view of a row,
-    # (Re f, Im f, Re f', Im f'), as kron(A^T, I_2).
-    sens = np.empty((m, 2), dtype=complex)
-    sens[:, 0] = d00 * f + d01 * fd
-    sens[:, 1] = d10 * f + d00 * fd
-    sens_re = sens.view(np.float64)
-    step_t = entries[:, _KRON_AT_I2]
-    hess = np.zeros((m, m), dtype=complex)
-    for j in range(1, m):
-        np.matmul(sens[:j], mus[j], out=hess[j, :j])
-        sens_re[:j] = sens_re[:j] @ step_t[j]
-    hess += hess.T  # the upper triangle and the diagonal are still zero
-    hess[np.diag_indices(m)] = diag
+    z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]])
+    size = (z * z.conj()).real.sum(axis=0)
+    m = len(fw.steps)
+    zn = z[:, 1:]
+    blocks = [[0, m, None]]
+    if size.max() > _GROWTH:
+        zn = zn.copy()
+        k = int(np.argmax(size > _GROWTH))
+        zf, zd = complex(z[0, k]), complex(z[1, k])
+        while k < m:
+            # the old basis solution at state k is a u + b conj(u), u = _UNIT
+            a, b = (zf + 1j * zd) * _UNIT[0], (zf - 1j * zd) * _UNIT[0]
+            blocks[-1][1] = k
+            blocks.append([k, m, np.array([[a, b], [b.conjugate(), a.conjugate()]])])
+            zf, zd = z[:, k] = _UNIT
+            for k in range(k + 1, m + 1):
+                a00, a01, a10 = fw.steps[k - 1][:3]
+                zf, zd = a00 * zf + a01 * zd, a10 * zf + a00 * zd
+                zn[:, k - 1] = zf, zd
+                if (zf * zf.conjugate() + zd * zd.conjugate()).real > _GROWTH:
+                    break
+                z[:, k] = zf, zd
+            else:
+                break
+    return z[:, :-1], zn, blocks
+
+
+def _hessian_of_beta(fw: Forward, terms: np.ndarray, diag) -> np.ndarray:
+    """Hess(beta) in generator form from the per-pulse terms of :func:`_backward`.
+
+    ``terms`` holds the rows mu_0, mu_1, y_0, y_1 and ``diag`` the diagonal.
+    Below the diagonal, d^2 beta / d omega_j d omega_i = u_j . v_i (i < j)
+    with u_j = (mu_j . z_j, mu_j . conj z_j) and
+    v_i = (-i W(y_i, conj z_{i+1}), i W(y_i, z_{i+1})), the coefficients of
+    y_i in the basis (z, conj z); W(p, q) = p_0 q_1 - p_1 q_0 and z is a
+    solution with W(z, conj z) = i. Each block of :func:`_anchored_basis`
+    is one product of its rows of u with the columns v of its own pulses
+    and of every earlier block, the latter carried into its basis. The
+    lower triangle is mirrored, so the result is exactly symmetric.
+    """
+    m = len(diag)
+    mu0, mu1, y0, y1 = terms
+    zj, zn, blocks = _anchored_basis(fw)
+    u = np.empty((m, 2), dtype=complex)
+    u[:, 0] = mu0 * zj[0] + mu1 * zj[1]
+    u[:, 1] = mu0 * zj[0].conj() + mu1 * zj[1].conj()
+    v = np.empty((m, 2), dtype=complex)
+    v[:, 0] = -1j * (y0 * zn[1].conj() - y1 * zn[0].conj())
+    v[:, 1] = 1j * (y0 * zn[1] - y1 * zn[0])
+    low = np.empty((m, m), dtype=complex)
+    for start, stop, t in blocks:
+        cols = v[:stop] if t is None else np.concatenate([cols @ t, v[start:stop]])
+        np.matmul(u[start:stop], cols.T, out=low[start:stop, :stop])
+    r = np.arange(m)
+    hess = np.where(r[:, None] > r, low, low.T)
+    hess.reshape(-1)[::m + 1] = diag
     return hess
 
 
@@ -137,7 +202,9 @@ def beta_hessian(p: Protocol) -> SensitivityBundle:
     """Exact gradient plus the Hessian of beta alone, O(M^2).
 
     The second-order sweep of :func:`hessian` without assembling Hess(I):
-    ``hess_infidelity`` stays None. Navigation calls it once per iterate.
+    ``hess_infidelity`` stays None. Navigation runs this sweep once per
+    iterate; at its first it reuses the forward pass that admitted the
+    input.
     """
     return _backward(p, forward(p, 2), second_order=True)
 

@@ -247,6 +247,8 @@ class TestInputContract:
          "ConfigError"),
         (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"closure_factor": 0}),
          "ConfigError"),
+        (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"corrector_target": 0.01}),
+         "ValueError"),
         (["smooth", "{p}"],
          dict(TASK_DOC, navigation={"infidelity_threshold": -1, "corrector_target": -2}),
          "ConfigError"),
@@ -256,7 +258,8 @@ class TestInputContract:
         (["levelset", "--seeds", "-1"], TASK_DOC, "ValueError"),
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
             "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
-            "scan.max_curves", "trace.closure_factor", "navigation.infidelity_threshold",
+            "scan.max_curves", "trace.closure_factor", "trace.corrector_target",
+            "navigation.infidelity_threshold",
             "navigation.doubling_schedule", "double", "seeds"])
     def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -276,6 +279,18 @@ class TestInputContract:
         assert code == 1 and out == ""
         line = _one_error_line(err)
         assert line["error"] == "ConfigError" and "infidelity_threshold" in line["detail"]
+
+    def test_solve_below_the_trace_corrector_target(self, tmp_path, capsys):
+        # the trace section takes the descent threshold, here below its
+        # corrector target of 1e-12; only a trace refuses that
+        doc = dict(TASK_DOC, descent={"seed": 1, "infidelity_threshold": 1e-13},
+                   output={"protocol": str(tmp_path / "p.json"),
+                           "trajectory": str(tmp_path / "t.csv")})
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["infidelity"] < 1e-13
 
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "grad_tolerance": 1},

@@ -340,6 +340,54 @@ class TestProjectionEvaluations:
         assert status == "target" and bundle is None and not seen
 
 
+class TestEntryEvaluations:
+    """The input's one forward pass gives the I that admits it, and the
+    first iterate's derivatives; a rejected input gets no backward pass."""
+
+    @staticmethod
+    def _count_backward(monkeypatch):
+        calls = []
+        real_backward, real_gradient = navigator._backward, navigator.gradient
+
+        def counting_backward(*args, **kwargs):
+            calls.append(1)
+            return real_backward(*args, **kwargs)
+
+        def counting_gradient(*args):
+            calls.append(1)
+            return real_gradient(*args)
+
+        monkeypatch.setattr(navigator, "_backward", counting_backward)
+        monkeypatch.setattr(navigator, "gradient", counting_gradient)
+        return calls
+
+    def test_navigation(self, m8_solution, monkeypatch):
+        p = m8_solution.protocol
+        kernel, _ = TestProjectionEvaluations._count(monkeypatch)
+        traj = navigate(p, SecondaryCost("smoothness"), NavigationConfig(max_iterations=0))
+        assert len(traj.records) == 1 and traj.records[0].infidelity < 1e-5
+        assert len(kernel) == p.m
+
+    def test_tracing(self, m3_solution, monkeypatch):
+        kernel, trials = TestProjectionEvaluations._count(monkeypatch)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig(max_steps=0))
+        assert len(curve.vertices) == 1
+        assert len(kernel) == 3 * (1 + len(trials))
+
+    @pytest.mark.parametrize("run", [
+        lambda p: navigate(p, SecondaryCost("smoothness"), NavigationConfig()),
+        lambda p: trace_levelset(p, TraceConfig())], ids=["navigate", "trace"])
+    @pytest.mark.parametrize("omegas", [(1.0, 1.0, 1.0), (1e300, 1.0, 1.0)],
+                             ids=["above-threshold", "not-finite"])
+    def test_non_solution_is_rejected_before_any_backward_pass(self, run, omegas,
+                                                               monkeypatch):
+        kernel, _ = TestProjectionEvaluations._count(monkeypatch)
+        backward = self._count_backward(monkeypatch)
+        with pytest.raises(NotASolution), np.errstate(all="ignore"):
+            run(Protocol(1.0, 0.25, 0.6, omegas))
+        assert len(kernel) == 3 and not backward
+
+
 class TestTraceLevelset:
     def test_closed_curve_with_rank_condition(self, m3_solution):
         curve = trace_levelset(m3_solution.protocol, TraceConfig())
@@ -412,6 +460,14 @@ class TestTraceLevelset:
         with pytest.raises(ValueError):
             trace_levelset(m8_solution.protocol, TraceConfig())
 
+    @pytest.mark.parametrize("target", [1e-5, 0.01])
+    def test_corrector_target_must_be_below_the_threshold(self, m3_solution, target):
+        # vertices held only to a target at or above the threshold need not
+        # be solutions; the config itself loads, as a solve never traces
+        cfg = TraceConfig(corrector_target=target)
+        with pytest.raises(ValueError, match="corrector target"):
+            trace_levelset(m3_solution.protocol, cfg)
+
 
 def _closed_polyline_distance(point, vertices):
     """Distance from a point to the closed polyline through ``vertices``."""
@@ -422,6 +478,12 @@ def _closed_polyline_distance(point, vertices):
 
 
 class TestScanLevelset:
+    def test_corrector_target_is_checked_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(navigator, "solve", None)  # a solve would now fail
+        cfg = ScanConfig(trace=TraceConfig(corrector_target=0.01))
+        with pytest.raises(ValueError, match="corrector target"):
+            scan_levelset(TASK, cfg, 2)
+
     def test_small_scan_labels_everything(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
         result = scan_levelset(TASK, cfg, 40)

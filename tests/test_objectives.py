@@ -9,6 +9,7 @@ from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol
                     SecondaryCost, c1, c1_grad, c2, c2_grad, infidelity,
                     initial_state, propagate, refine, symplectic_final,
                     target_matrix, theta_infidelity, theta_scan)
+from oscnav.objectives import _cost_hessian
 from oscnav.propagator import ModeState
 
 
@@ -21,6 +22,21 @@ def fd_grad(func, w, h=1e-7):
         dn[i] -= h
         g[i] = (func(up) - func(dn)) / (2 * h)
     return g
+
+
+class TestCostHessian:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_equals_the_per_column_construction(self, m):
+        # both costs are homogeneous quadratics: Hess C e_i = grad C(e_i)
+        costs = [SecondaryCost("smoothness")] + [
+            SecondaryCost("compression", chunks) for chunks in (1, 2, 3) if m % chunks == 0]
+        for cost in costs:
+            want = np.array([cost.grad(e) for e in np.eye(m)])
+            assert np.array_equal(_cost_hessian(cost, m), want), cost
+
+    def test_indivisible_chunking(self):
+        with pytest.raises(IndivisibleChunking):
+            _cost_hessian(SecondaryCost("compression", 3), 8)
 
 
 class TestSmoothnessCost:

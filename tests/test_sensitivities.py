@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
-                    hessian, infidelity, step_matrix)
+                    hessian, infidelity, refine, step_matrix)
+from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
+from oscnav.sensitivities import _anchored_basis
 from oracles import fd_gradient, fd_hessian, optimal_hessian
 
 
@@ -315,20 +318,72 @@ def oracle_protocols(m):
     return out
 
 
+def resonant_protocol(total_t, m, eps):
+    """omega(t) = 1 + eps cos 2t, sampled at the step midpoints.
+
+    The drive is at twice the trap frequency, a parametric resonance, so
+    the mode grows exponentially: max |s| is 66 for (20, 192, 0.5) and
+    6.2e8 for (60, 384, 0.9).
+    """
+    dt = total_t / m
+    t = (np.arange(m) + 0.5) * dt
+    return Protocol(1.0, 0.25, dt, tuple((1.0 + eps * np.cos(2.0 * t)).tolist()))
+
+
+RESONANT = [(20.0, 192, 0.5), (60.0, 384, 0.9)]
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+
+
+def assert_matches_tableau(p):
+    full = hessian(p)
+    beta, grad_beta, grad_infid = tableau_gradient(p)
+    hess_beta, hess_infid = tableau_hessian(p)
+    assert full.beta == beta
+    for got, want in ((full.grad_beta, grad_beta),
+                      (full.grad_infidelity, grad_infid),
+                      (full.hess_beta, hess_beta),
+                      (full.hess_infidelity, hess_infid)):
+        # relative in the max norm; a gradient at omega = 0 is exactly 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestAdjointSweepAgainstTableau:
     @pytest.mark.parametrize("m", [1, 2, 3, 48, 192])
     def test_matches_forward_tableau(self, m):
         for p in oracle_protocols(m):
-            full = hessian(p)
-            beta, grad_beta, grad_infid = tableau_gradient(p)
-            hess_beta, hess_infid = tableau_hessian(p)
-            assert full.beta == beta
-            for got, want in ((full.grad_beta, grad_beta),
-                              (full.grad_infidelity, grad_infid),
-                              (full.hess_beta, hess_beta),
-                              (full.hess_infidelity, hess_infid)):
-                # relative in the max norm; a gradient at omega = 0 is exactly 0
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert_matches_tableau(p)
+
+    @pytest.mark.parametrize("args", RESONANT, ids=lambda a: "T{}-M{}-eps{}".format(*a))
+    def test_resonant_growth_matches_forward_tableau(self, args):
+        assert_matches_tableau(resonant_protocol(*args))
+
+    @pytest.mark.parametrize("omega0", [1e-4, 1e4])
+    def test_far_initial_trap_matches_forward_tableau(self, omega0):
+        # |s_0|^2 = (omega0 + 1/omega0) / 2 = 5e3: the forward states are a
+        # poorly conditioned basis from the first pulse on
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            assert_matches_tableau(Protocol(omega0, 0.25, 0.1125,
+                                            tuple(rng.uniform(-2.5, 2.5, 48))))
+
+
+def blocks_of(p):
+    return len(_anchored_basis(forward(p, 2))[2])
+
+
+class TestReanchoring:
+    """Hess(beta) restarts its basis solution only where the mode grows."""
+
+    def test_resonant_protocols_are_reanchored(self):
+        for args in RESONANT:
+            assert blocks_of(resonant_protocol(*args)) > 1
+
+    def test_pool_protocols_and_their_refinements_are_one_block(self):
+        paths = sorted(POOL.glob("m*/*.json"))
+        assert len(paths) == 13
+        for path in paths:
+            p = proto.load(path)
+            assert blocks_of(p) == 1 and blocks_of(refine(p, 4)) == 1, path.name
 
 
 class TestForwardPass:
@@ -425,6 +480,21 @@ class TestSweepProperties:
         assert full.beta == first.beta
         assert np.array_equal(full.grad_beta, first.grad_beta)
         assert np.array_equal(full.grad_infidelity, first.grad_infidelity)
+
+    @given(protocols, st.data())
+    def test_sign_flip_negates_only_that_hessian_row_and_column(self, p, data):
+        # A and A'' are even in omega_k and A' odd: off the diagonal, only
+        # row and column k change, by an exact negation
+        k = data.draw(st.integers(0, p.m - 1))
+        flipped = list(p.omegas)
+        flipped[k] = -flipped[k]
+        h0 = beta_hessian(p).hess_beta
+        h1 = beta_hessian(p.with_omegas(flipped)).hess_beta
+        rest = np.arange(p.m) != k
+        assert np.array_equal(h1[k, rest], -h0[k, rest])
+        assert np.array_equal(h1[rest, k], -h0[rest, k])
+        assert np.array_equal(h1[np.ix_(rest, rest)], h0[np.ix_(rest, rest)])
+        assert np.array_equal(np.diag(h1), np.diag(h0))
 
     @given(protocols, st.data())
     def test_sign_flip_negates_only_that_gradient_entry(self, p, data):
