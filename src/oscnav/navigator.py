@@ -14,9 +14,11 @@ Three layers build on each other:
   gradient stalls, opening fresh directions in the enlarged parameter
   space.
 * ``trace_levelset``/``scan_levelset``: for 3-pulse protocols the level set
-  is a curve; it is traced by predictor steps along the null direction plus
-  the same projection as corrector, and solution clouds are grouped into
-  connected components by proximity to traced curves.
+  is a curve; it is traced by secant predictor steps, along the null
+  direction corrected by the turn of the last two tangents, plus the same
+  projection as corrector, about one adjoint sweep per vertex, and
+  solution clouds are grouped into connected components by proximity to
+  traced curves.
 
 Every operation is deterministic given its configuration and seed.
 """
@@ -251,7 +253,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             status = "target"
             break
         bundle = gradient(p, fw)
-        gmax = float(np.max(np.abs(bundle.grad_infidelity)))
+        gmax = float(np.abs(bundle.grad_infidelity).max())
         if on_step is not None:
             on_step(it, p, val, gmax)
         if gmax < grad_tolerance or gmax == 0.0:
@@ -271,7 +273,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             y0 = ((c + lam) * r0 - b * r1) / det
             y1 = ((a + lam) * r1 - b * r0) / det
             cand = w - (y0 * jr + y1 * ji)
-            if np.array_equal(cand, w):
+            if (cand == w).all():
                 # |J^+ r|^2 = r^T (J J^T)^-1 r; inf when J has rank < 2
                 rank2 = a * c - b * b
                 gn_sq = ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
@@ -317,7 +319,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
     # with a target of 0 the returned point's gradient is always evaluated
     p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                       on_step)
-    gmax = float(np.max(np.abs(bundle.grad_infidelity)))
+    gmax = float(np.abs(bundle.grad_infidelity).max())
     report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
     return p, report, DescentTrajectory(tuple(records), traj_status)
@@ -567,12 +569,19 @@ def _trust_region_step(evals, evecs, grad, radius):
     return u if norm <= radius else u * (radius / norm)
 
 
-def _null_direction(grad_beta: np.ndarray) -> np.ndarray:
-    """Unit tangent of a 3-pulse level set: orthogonal to Re and Im grad_beta."""
+def _null_direction(grad_beta: np.ndarray):
+    """Unit tangent of a 3-pulse level set, orthogonal to Re and Im grad_beta.
+
+    A 3-tuple of floats, or None where Re and Im grad_beta are parallel (the
+    Jacobian has rank < 2) and the level set has no tangent.
+    """
     # the cross product written out: np.cross costs ten times more on 3-vectors
     (a0, a1, a2), (b0, b1, b2) = grad_beta.real.tolist(), grad_beta.imag.tolist()
-    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    return t / np.linalg.norm(t)
+    t0, t1, t2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    norm = math.hypot(t0, t1, t2)
+    if not 0.0 < norm < math.inf:
+        return None
+    return t0 / norm, t1 / norm, t2 / norm
 
 
 def _check_corrector_target(cfg: TraceConfig):
@@ -587,26 +596,42 @@ def _check_corrector_target(cfg: TraceConfig):
                          f"below the infidelity threshold {cfg.infidelity_threshold:g}")
 
 
+def _dot(a, b) -> float:
+    """Dot product of two 3-tuples."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     """Predictor-corrector continuation of an M = 3 solution curve.
 
-    Steps of ``step_size`` along the current null direction (sign kept
-    continuous with the previous tangent), each followed by the
-    Levenberg-Marquardt projection back onto beta = 0 (the Moore-Penrose
-    corrector of Allgower and Georg). A predictor point lies near beta = 0,
-    so its projection starts near Gauss-Newton (mu = 1e-3), as navigation's
-    trials do, and usually reaches the target in one step. Every tangent,
+    Each step leaves the last vertex v_k for the secant predictor point
+    v_k + h (1.5 t_k - 0.5 t_{k-1}), h = ``step_size``: the Euler step along
+    the tangent t_k plus the curvature term (t_k - t_{k-1}) / h of the last
+    two tangents, which cuts the predictor's error from O(h^2) to O(h^3).
+    The first step, with one tangent known, is Euler. Every tangent is the
+    null direction of the Jacobian, its sign kept continuous with the
+    previous one. The predictor point is projected back onto beta = 0 by
+    the Levenberg-Marquardt projection (the Moore-Penrose corrector of
+    Allgower and Georg, ch. 6). A predictor point lies near beta = 0, so
+    its projection starts near Gauss-Newton (mu = 1e-3), as navigation's
+    trials do, and reaches the target in one step or none. Every tangent,
     the first included, comes from the Jacobian of the last iterate its
-    projection evaluated, within one Gauss-Newton step of the vertex; its
-    error is below that of the Euler predictor and the next projection
-    absorbs it. Only a projection that evaluated no gradient, its start
-    already below the target, costs a sweep at the vertex. Ends on loop
-    closure - returning within ``closure_factor * step_size`` of the start,
-    moving the same way - or on leaving the box (reported as an open curve).
-    Raises ValueError unless ``corrector_target`` is below
-    ``infidelity_threshold``, as vertices held only to the target need not
-    be solutions; the input's one forward pass both admits it (NotASolution
-    otherwise, before any backward pass) and starts its projection.
+    projection evaluated, within one Gauss-Newton step of the vertex; the
+    next projection absorbs its error. Only a projection that evaluated no
+    gradient, its start already below the target, costs a sweep at the
+    vertex, so a vertex costs about one adjoint sweep either way. The
+    vertex geometry runs on 3-tuples of floats; the vertices become an
+    array once, on return.
+
+    Ends on loop closure - returning within ``closure_factor * step_size``
+    of the start, moving the same way - or on leaving the box (reported as
+    an open curve). A projection that fails, or a vertex whose Jacobian has
+    rank < 2, so that no tangent exists, ends the curve
+    ``corrector_failed`` at the last vertex on beta = 0. Raises ValueError
+    unless ``corrector_target`` is below ``infidelity_threshold``, as
+    vertices held only to the target need not be solutions; the input's
+    one forward pass both admits it (NotASolution otherwise, before any
+    backward pass) and starts its projection.
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
@@ -620,39 +645,43 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     if status not in _ON_LEVEL_SET:
         return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([i0]), False,
                              "corrector_failed")
-    verts = [np.asarray(p.omegas)]
-    ivals = [ival]
+    v0 = v = p.omegas
+    verts, ivals = [v], [ival]
     # no bundle: the start was below the target, and p is the start
-    t0 = cfg.initial_sign * _null_direction(
-        (gradient(p, fw) if bundle is None else bundle).grad_beta)
-    tangent = t0
-    lo, hi = cfg.box
+    tangent = _null_direction((gradient(p, fw) if bundle is None else bundle).grad_beta)
+    if tangent is None:
+        return LevelsetCurve(np.asarray(verts), np.asarray(ivals), False, "corrector_failed")
+    # the first step, with one tangent known, is Euler
+    t0 = tangent = direction = tuple(cfg.initial_sign * x for x in tangent)
+    h, (lo, hi) = cfg.step_size, cfg.box
     status = "open"
-    closed = False
     for step in range(1, cfg.max_steps + 1):
-        pred = p.with_omegas(verts[-1] + cfg.step_size * tangent)
-        p, ival, bundle, corrector = _project(pred, cfg.corrector_target,
-                                              cfg.corrector_budget, mu=1e-3)
+        pred = (v[0] + h * direction[0], v[1] + h * direction[1], v[2] + h * direction[2])
+        p, ival, bundle, corrector = _project(Protocol(p.omega0, p.omegaT, p.dt, pred),
+                                              cfg.corrector_target, cfg.corrector_budget,
+                                              mu=1e-3)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
-        w = np.asarray(p.omegas)
-        if np.any(w < lo) or np.any(w > hi):
-            status = "open"
+        v = p.omegas
+        if min(v) < lo or max(v) > hi:
             break
-        verts.append(w)
+        verts.append(v)
         ivals.append(ival)
-        t_new = _null_direction((gradient(p) if bundle is None else bundle).grad_beta)
-        if t_new @ tangent < 0.0:
-            t_new = -t_new
-        tangent = t_new
+        t = _null_direction((gradient(p) if bundle is None else bundle).grad_beta)
+        if t is None:
+            status = "corrector_failed"
+            break
+        if _dot(t, tangent) < 0.0:
+            t = (-t[0], -t[1], -t[2])
+        direction = (1.5 * t[0] - 0.5 * tangent[0], 1.5 * t[1] - 0.5 * tangent[1],
+                     1.5 * t[2] - 0.5 * tangent[2])
+        tangent = t
         if (step >= cfg.min_steps_before_closure
-                and np.linalg.norm(w - verts[0]) < cfg.closure_factor * cfg.step_size
-                and tangent @ t0 > 0.0):
-            closed = True
+                and math.dist(v, v0) < cfg.closure_factor * h and _dot(tangent, t0) > 0.0):
             status = "closed"
             break
-    return LevelsetCurve(np.asarray(verts), np.asarray(ivals), closed, status)
+    return LevelsetCurve(np.asarray(verts), np.asarray(ivals), status == "closed", status)
 
 
 def _polyline_distance(point: np.ndarray, curve: LevelsetCurve) -> float:

@@ -100,7 +100,9 @@ def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle
             grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     grad_beta = np.array(grad)
-    grad_infid = 2.0 * np.real(grad_beta * np.conj(beta))
+    # 2 Re(grad_beta conj(beta)) from one product: doubling is exact, so
+    # doubling conj(beta) first gives the bits of doubling the result
+    grad_infid = (grad_beta * (2.0 * beta.conjugate())).real
     if not np.isfinite(grad_infid).all():
         raise NonFiniteEntry("gradient of beta is not finite")
     hess_beta = None
@@ -215,13 +217,16 @@ def hessian(p: Protocol) -> SensitivityBundle:
     The gradient fields are bit-identical to those of :func:`gradient`.
     """
     bundle = beta_hessian(p)
-    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic
-    beta, gr, gi = bundle.beta, bundle.grad_beta.real, bundle.grad_beta.imag
-    hess_infid = gr[:, None] * gr
-    hess_infid += gi[:, None] * gi
-    hess_infid += bundle.hess_beta.real * beta.real
-    hess_infid += bundle.hess_beta.imag * beta.imag
-    hess_infid *= 2.0
+    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic:
+    # the real and imaginary views of Hess(beta), scaled, plus one rank-2
+    # product of the M x 2 real view [Re, Im] of grad_beta. Entries (i, j)
+    # and (j, i) of that product sum the same two products, so Hess(I) is
+    # exactly symmetric, as Hess(beta) is.
+    beta, hess_beta = bundle.beta, bundle.hess_beta
+    g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
+    hess_infid = hess_beta.real * (2.0 * beta.real)
+    hess_infid += hess_beta.imag * (2.0 * beta.imag)
+    hess_infid += (2.0 * g) @ g.T
     if not np.isfinite(hess_infid).all():
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return dataclasses.replace(bundle, hess_infidelity=hess_infid)

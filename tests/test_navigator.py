@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator, propagator
+from oscnav import protocol as proto
 from oscnav.navigator import trajectory_to_csv
 from oracles import optimal_hessian
 
 TASK = (1.0, 0.25, 1.8)
+# the benchmark's pool of M = 3 solutions of TASK
+POOL_M3 = sorted((pathlib.Path(__file__).parents[1] / "perfbench" / "pool" / "m3").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +311,7 @@ class TestProjectionEvaluations:
     def test_tracer_predictor_point(self, m3_solution, monkeypatch):
         p = m3_solution.protocol
         tangent = navigator._null_direction(gradient(p).grad_beta)
-        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * tangent)
+        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * np.asarray(tangent))
         kernel, trials = self._count(monkeypatch)
         iterates = []
         _, ival, _, status = navigator._project(
@@ -318,7 +323,7 @@ class TestProjectionEvaluations:
     def test_returned_bundle_is_the_gradient_of_the_last_iterate(self, m3_solution):
         p = m3_solution.protocol
         tangent = navigator._null_direction(gradient(p).grad_beta)
-        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * tangent)
+        pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * np.asarray(tangent))
         descent = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
         # a descent returns its last iterate; a projection that reaches its
         # target returns a point whose gradient it never evaluated
@@ -412,10 +417,10 @@ class TestTraceLevelset:
 
     def test_about_one_sweep_per_vertex(self, m3_solution, monkeypatch):
         # the corrector starts near Gauss-Newton and its last Jacobian gives
-        # the next tangent, so no vertex pays a sweep of its own: the sweeps
-        # outside the corrector are the start tangent's and at most one
-        # more. Of the 200 projections, 31 on two arcs end their first step
-        # at I = 1e-12 to 4e-12, just above the target, and take a second.
+        # the next tangent; a secant predictor point already below the
+        # target evaluates no gradient in the corrector and pays its one
+        # sweep at the vertex instead. Either way a vertex costs one sweep:
+        # with the start tangent's, at most two more than there are vertices.
         sweeps, outside, depth = [], [], []
         real_gradient, real_project = navigator.gradient, navigator._project
 
@@ -436,8 +441,47 @@ class TestTraceLevelset:
         curve = trace_levelset(m3_solution.protocol, cfg)
         assert curve.closed, curve.status
         assert np.all(curve.infidelities < cfg.corrector_target)
-        assert len(outside) <= 2
-        assert len(sweeps) + len(outside) <= 1.2 * len(curve.vertices)
+        assert len(sweeps) + len(outside) <= len(curve.vertices) + 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_tangent_where_the_jacobian_is_rank_deficient(self):
+        assert navigator._null_direction(np.array([1 + 1j, 2 + 2j, 3 + 3j])) is None
+        assert navigator._null_direction(np.zeros(3, dtype=complex)) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rank_deficient_jacobian_ends_the_curve(self, m3_solution, monkeypatch, k):
+        # the k-th sweep returns parallel Re and Im parts of grad beta: the
+        # vertex it belongs to has no tangent, and the curve ends there
+        # instead of predicting from a NaN direction
+        calls = []
+        real = navigator.gradient
+
+        def parallel_at_k(p, *rest):
+            bundle = real(p, *rest)
+            calls.append(p.omegas)
+            if len(calls) == k:
+                return dataclasses.replace(bundle, grad_beta=bundle.grad_beta.real * (1 + 1j))
+            return bundle
+
+        monkeypatch.setattr(navigator, "gradient", parallel_at_k)
+        cfg = TraceConfig()
+        curve = trace_levelset(m3_solution.protocol, cfg)
+        assert curve.status == "corrector_failed" and not curve.closed
+        assert len(calls) == k
+        assert 1 <= len(curve.vertices) <= k
+        assert np.isfinite(curve.vertices).all()
+        assert np.all(curve.infidelities < cfg.corrector_target)
+
+    @pytest.mark.parametrize("path", POOL_M3, ids=lambda path: path.stem)
+    def test_every_pool_entry_closes_both_ways(self, path):
+        p = proto.load(path)
+        for sign in (1.0, -1.0):
+            cfg = TraceConfig(step_size=0.3, initial_sign=sign)
+            curve = trace_levelset(p, cfg)
+            assert curve.status == "closed", sign
+            assert all(infidelity(p.with_omegas(v)) < cfg.corrector_target
+                       for v in curve.vertices)
 
     def test_tangent_sign_is_continuous(self, m3_solution, monkeypatch):
         # every predictor point is the start of a projection; its offset
