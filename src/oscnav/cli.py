@@ -10,11 +10,11 @@ verify      conservation diagnostics for a protocol
 levelset    labeled M = 3 solution cloud and traced curves
 theta-scan  the phase-resolved objective on a grid (plus refined minimum)
 
-Exit codes: 0 success, 1 malformed command line, config or input, 2 restart
-budget exhausted, 3 input protocol is not a solution, 4 corrector failure.
-Failures print a single-line JSON object to stderr. JSON output is strict:
-a NaN or infinite value is an exit-1 failure, never printed. All outputs are
-deterministic functions of the config and seeds.
+Exit codes: 0 success, 1 malformed command line, config or input or an
+unwritable output, 2 restart budget exhausted, 3 input protocol is not a
+solution, 4 corrector failure. Failures print one JSON line to stderr. JSON
+output is strict: a NaN or infinity is an exit-1 failure, never printed.
+Outputs, overwritten in place, are deterministic in the config and seeds.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ class RunConfig:
         out = doc.get("output", {})
         _check_keys(out, ["protocol", "trajectory", "cloud", "curves", "collapsed"],
                     "output")
+        if not all(isinstance(path, str) for path in out.values()):
+            raise ConfigError(f"output values must be string paths, got {out!r}")
         self.output = out
 
 
@@ -178,9 +180,12 @@ def _load_protocol(path):
         raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _emit(text, path):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        proto._write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
@@ -189,15 +194,16 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve requires 'task' and 'M' in the config")
     result = solve(cfg.descent, cfg.m, cfg.task)
     proto.save(result.protocol, cfg.output.get("protocol", "protocol.json"))
-    _write(cfg.output.get("trajectory", "trajectory.csv"),
-           trajectory_to_csv(result.trajectory))
+    proto._write_text(cfg.output.get("trajectory", "trajectory.csv"),
+                      trajectory_to_csv(result.trajectory))
     print(_dumps({"infidelity": result.report.infidelity,
                   "restarts": result.restarts,
                   "iterations": result.trajectory.records[-1].iteration}))
     return 0
 
 
-def _navigate_command(args, cost: SecondaryCost) -> int:
+def _cmd_navigate(args) -> int:
+    cost = SecondaryCost(args.cost, args.chunks)
     p = _load_protocol(args.protocol)
     cfg = _load_config(args.config) if args.config else None
     nav = cfg.navigation if cfg else NavigationConfig()
@@ -211,8 +217,8 @@ def _navigate_command(args, cost: SecondaryCost) -> int:
     traj = navigate(p, cost, nav)
     final = traj.final_protocol
     out = (cfg.output if cfg else {})
-    _write(args.out_trajectory or out.get("trajectory", "trajectory.csv"),
-           trajectory_to_csv(traj))
+    proto._write_text(args.out_trajectory or out.get("trajectory", "trajectory.csv"),
+                      trajectory_to_csv(traj))
     proto.save(final, args.out_protocol or out.get("protocol", "protocol.json"))
     extra = {}
     if cost.kind == "compression":
@@ -228,24 +234,12 @@ def _navigate_command(args, cost: SecondaryCost) -> int:
     return 0
 
 
-def _cmd_smooth(args) -> int:
-    return _navigate_command(args, SecondaryCost("smoothness"))
-
-
-def _cmd_compress(args) -> int:
-    return _navigate_command(args, SecondaryCost("compression", args.chunks))
-
-
 def _cmd_spectrum(args) -> int:
     p = _load_protocol(args.protocol)
     eigs = np.linalg.eigvalsh(hessian(p).hess_infidelity)[::-1]
     lines = ["index,eigenvalue"]
     lines += [f"{i + 1},{repr(float(v))}" for i, v in enumerate(eigs)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -272,9 +266,10 @@ def _cmd_levelset(args) -> int:
     if cfg.task is None:
         raise ConfigError("levelset requires 'task' in the config")
     result = scan_levelset(cfg.task, cfg.scan, args.seeds)
-    _write(args.out_cloud or cfg.output.get("cloud", "cloud.csv"), cloud_to_csv(result))
-    _write(args.out_curves or cfg.output.get("curves", "curves.csv"),
-           curves_to_csv(result.curves))
+    proto._write_text(args.out_cloud or cfg.output.get("cloud", "cloud.csv"),
+                      cloud_to_csv(result))
+    proto._write_text(args.out_curves or cfg.output.get("curves", "curves.csv"),
+                      curves_to_csv(result.curves))
     n_components = len(set(int(v) for v in result.labels if v >= 0))
     print(_dumps({"points": int(len(result.points)), "components": n_components}))
     return 0
@@ -290,11 +285,7 @@ def _cmd_theta_scan(args) -> int:
     rows = zip(np.insert(thetas, k, theta_min).tolist(),
                np.insert(values, k, value_min).tolist())
     lines = ["theta,J"] + [f"{t!r},{v!r}" for t, v in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -310,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.set_defaults(func=_cmd_solve)
 
-    for name, helptext in (("smooth", "level-set smoothing descent"),
-                           ("compress", "level-set compression descent")):
+    for name, cost, helptext in (("smooth", "smoothness", "level-set smoothing descent"),
+                                 ("compress", "compression", "level-set compression descent")):
         np_ = sub.add_parser(name, help=helptext)
+        np_.set_defaults(func=_cmd_navigate, cost=cost, chunks=None)
         np_.add_argument("protocol", help="input protocol JSON (must be a solution)")
         np_.add_argument("--config", default=None)
         np_.add_argument("--double", default=None,
@@ -322,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compress":
             np_.add_argument("--chunks", type=int, required=True)
             np_.add_argument("--out-collapsed", default=None)
-            np_.set_defaults(func=_cmd_compress)
-        else:
-            np_.set_defaults(func=_cmd_smooth)
 
     sp = sub.add_parser("spectrum", help="full Hessian eigenvalues, descending")
     sp.add_argument("protocol")
@@ -363,10 +352,10 @@ def main(argv=None) -> int:
         return _fail(2, "RestartBudgetExhausted", str(exc))
     except NotASolution as exc:
         return _fail(3, "NotASolution", str(exc))
-    except (ConfigError, OscnavError, ValueError, TypeError) as exc:
+    except (ConfigError, OscnavError, ValueError, TypeError, OSError) as exc:
         # ValueError and TypeError: malformed input rejected by the library,
         # e.g. theta-scan --points 2 or compress --chunks 0, or a non-finite
-        # value refused as JSON
+        # value refused as JSON; OSError: an output that cannot be written
         return _fail(1, type(exc).__name__, str(exc))
 
 

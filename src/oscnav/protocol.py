@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +164,25 @@ def load(path) -> Protocol:
 
 
 def save(p: Protocol, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(p))
-        fh.write("\n")
+    _write_text(path, to_json(p) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place; an OSError names the path.
+
+    No O_TRUNC, since ext4 flushes the data on close after a truncate to 0;
+    the old tail is cut after the write, on a regular file only (ftruncate
+    fails on /dev/null and on pipes). Not atomic."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    except OSError as exc:
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import oscnav
 from oscnav import DescentConfig, Protocol, infidelity, solve
 from oscnav import protocol as proto
-from oscnav.cli import _load_config, main
+from oscnav.cli import ConfigError, _load_config, main
 
 TASK_DOC = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8}, "M": 3,
             "descent": {"seed": 1}}
@@ -358,6 +360,137 @@ class TestInputContract:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert "omegas[0]" in _one_error_line(err)["detail"]
+
+
+M3_SOLUTION = Protocol(1.0, 0.25, 0.6, (2.331126716122641, 0.33573037593786065,
+                                         1.4600829700766007))
+
+
+def writing_commands(tmp, protocol_path):
+    """argv of every command that writes files, each with all its outputs
+    named under ``tmp``; the config also names every output."""
+    config = dict(TASK_DOC, descent={"seed": 1, "box": [0.0, 2.0]},
+                  output={name: str(tmp / f"cfg-{name}") for name in
+                          ("protocol", "trajectory", "cloud", "curves", "collapsed")})
+    (tmp / "cfg.json").write_text(json.dumps(config))
+    cfg, p = str(tmp / "cfg.json"), str(protocol_path)
+    return {
+        "solve": ["solve", "--config", cfg],
+        "smooth": ["smooth", p, "--out-protocol", str(tmp / "s.json"),
+                   "--out-trajectory", str(tmp / "s.csv")],
+        "compress": ["compress", p, "--chunks", "1", "--out-protocol", str(tmp / "c.json"),
+                     "--out-trajectory", str(tmp / "c.csv"),
+                     "--out-collapsed", str(tmp / "small.json")],
+        "spectrum": ["spectrum", p, "--out", str(tmp / "spectrum.csv")],
+        "levelset": ["levelset", "--config", cfg, "--seeds", "1",
+                     "--out-cloud", str(tmp / "cloud.csv"),
+                     "--out-curves", str(tmp / "curves.csv")],
+        "theta-scan": ["theta-scan", p, "--points", "64", "--out", str(tmp / "theta.csv")],
+    }
+
+
+class TestOutputFiles:
+    """Outputs are written in place through one writer; every writing
+    command reports a failed write as one JSON error line."""
+
+    @pytest.mark.parametrize("command", ["solve", "smooth", "compress", "spectrum",
+                                         "levelset", "theta-scan"])
+    def test_no_command_opens_a_file_for_writing(self, command, tmp_path, monkeypatch,
+                                                 capsys):
+        proto.save(M3_SOLUTION, tmp_path / "p.json")
+        argv = writing_commands(tmp_path, tmp_path / "p.json")[command]
+        real_open = builtins.open
+
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                raise AssertionError(f"open({file!r}, {mode!r}) in {command}")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", read_only_open)
+        assert main(argv) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "smooth", "compress", "spectrum",
+                                         "levelset", "theta-scan"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_output_exits_1_naming_the_path(self, command, target, tmp_path,
+                                                       capsys):
+        proto.save(M3_SOLUTION, tmp_path / "p.json")
+        bad = tmp_path / "no" / "such" / "dir.out" if target == "missing" else tmp_path
+        argv = writing_commands(tmp_path, tmp_path / "p.json")[command]
+        if command == "solve":
+            cfg = json.loads((tmp_path / "cfg.json").read_text())
+            cfg["output"]["trajectory"] = str(bad)
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        else:  # the last output the command writes
+            argv[-1] = str(bad)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == ("FileNotFoundError" if target == "missing"
+                                 else "IsADirectoryError")
+        assert str(bad) in line["detail"]
+
+    @pytest.mark.parametrize("value", [2, ["a"], None, True, {"path": "p.json"}])
+    def test_non_string_output_value_is_a_config_error(self, value, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TASK_DOC,
+                                                           output={"trajectory": value})))
+        with pytest.raises(ConfigError, match="output"):
+            _load_config(tmp_path / "cfg.json")
+
+    def test_non_string_output_fails_before_solving(self, tmp_path, capsys):
+        doc = dict(TASK_DOC, output={"protocol": ["a"], "trajectory": str(tmp_path / "t.csv")})
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "ConfigError"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "theta-scan"])
+    def test_devnull_and_fifo_outputs(self, command, m8_solution_file, tmp_path, capsys):
+        argv = [command, str(m8_solution_file)]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        assert main(argv + ["--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert main(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert got == [expected]
+
+    def test_rerun_over_longer_outputs_is_byte_identical(self, m8_solution_file,
+                                                         tmp_path):
+        def run(directory, solve_m, source):
+            directory.mkdir(exist_ok=True)
+            doc = dict(TASK_DOC, M=solve_m, output={
+                "protocol": str(directory / "p.json"),
+                "trajectory": str(directory / "t.csv")})
+            (directory / "cfg.json").write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["solve", "--config", str(directory / "cfg.json")]) == 0
+                assert main(["compress", str(source or directory / "p.json"),
+                             "--chunks", "1", "--out-protocol", str(directory / "p.json"),
+                             "--out-trajectory", str(directory / "t.csv"),
+                             "--out-collapsed", str(directory / "small.json")]) == 0
+            return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+        stale = tmp_path / "stale"
+        first = run(stale, 8, m8_solution_file)  # M = 8 outputs, longer
+        rerun, fresh = run(stale, 3, None), run(tmp_path / "fresh", 3, None)
+        assert set(fresh) == {"cfg.json", "p.json", "t.csv", "small.json"}
+        assert all(len(first[name]) > len(rerun[name]) for name in ("p.json", "t.csv"))
+        assert {k: v for k, v in rerun.items() if k != "cfg.json"} == {
+            k: v for k, v in fresh.items() if k != "cfg.json"}
 
 
 def mostly(valid, invalid):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
                     Protocol, collapse, propagate, refine, validate)
+from oscnav import protocol as proto
 from oscnav.protocol import from_json, to_json
 
 FIG1 = Protocol(1.0, 0.25, 0.6, (1.0, 1.0, 1.0))
@@ -148,3 +150,46 @@ def test_from_json_names_an_overflowing_pulse(dt, omegas):
     doc = {"omega0": 1.0, "omegaT": 0.25, "dt": dt, "omegas": omegas}
     with pytest.raises(NonFiniteEntry, match=rf"omegas\[{omegas.index(max(omegas))}\]"):
         from_json(json.dumps(doc))
+
+
+def test_save_over_a_longer_file_leaves_exactly_the_protocol(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("x" * 5000 + "\n")
+    proto.save(FIG1, path)
+    assert path.read_bytes() == (to_json(FIG1) + "\n").encode()
+    assert proto.load(path) == FIG1
+
+
+def test_write_text_over_a_longer_file_leaves_exactly_the_text(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("iter,I\n" + "0,0.5\n" * 1000)
+    proto._write_text(path, "iter,I\n0,0.25\n")
+    assert path.read_bytes() == b"iter,I\n0,0.25\n"
+    proto._write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_write_text_creates_a_file_with_the_umask_mode(tmp_path):
+    path = tmp_path / "new.csv"
+    umask = os.umask(0o027)
+    try:
+        proto._write_text(path, "a\u00e9\n")
+    finally:
+        os.umask(umask)
+    assert path.read_bytes() == "a\u00e9\n".encode("utf-8")
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("where", ["missing/dir/out.csv", "."])
+def test_write_text_error_names_the_path(tmp_path, where):
+    path = str(tmp_path / where)
+    with pytest.raises(OSError) as exc:
+        proto._write_text(path, "a\n")
+    assert exc.value.filename == path
+
+
+def test_write_error_after_the_open_names_the_path():
+    # /dev/full opens, then refuses the write with ENOSPC
+    with pytest.raises(OSError) as exc:
+        proto._write_text("/dev/full", "a\n")
+    assert exc.value.filename == "/dev/full"
