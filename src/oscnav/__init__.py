@@ -14,7 +14,7 @@ from .objectives import (SecondaryCost, c1, c1_grad, c2, c2_grad,
                          symplectic_final, target_matrix, theta_infidelity,
                          theta_scan)
 from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
-                         initial_state, particle_number, propagate, step_matrix,
+                         initial_state, particle_number, propagate,
                          wronskian_defect)
 from .protocol import Protocol, collapse, refine, validate
 from .sensitivities import SensitivityBundle, beta_hessian, gradient, hessian
@@ -22,7 +22,7 @@ from .sensitivities import SensitivityBundle, beta_hessian, gradient, hessian
 __version__ = "0.1.0"
 __all__ = [
     "Protocol", "validate", "refine", "collapse",
-    "ModeState", "BogoliubovPair", "initial_state", "step_matrix", "propagate",
+    "ModeState", "BogoliubovPair", "initial_state", "propagate",
     "bogoliubov", "infidelity", "particle_number", "wronskian_defect",
     "SensitivityBundle", "gradient", "beta_hessian", "hessian",
     "SecondaryCost", "c1", "c1_grad", "c2", "c2_grad", "symplectic_final",

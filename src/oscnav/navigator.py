@@ -36,7 +36,7 @@ from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
 from .objectives import SecondaryCost, _cost_hessian
 from .propagator import forward
 from .protocol import Protocol, refine
-from .sensitivities import _backward, gradient
+from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
 
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
@@ -381,10 +381,10 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta and its exact gradient and Hessian (the start's forward pass also
-    gives the infidelity that admits it), and one SVD of the Jacobian of
-    beta for the bases Q and Z and the pseudo-inverse the step uses
-    (:func:`_level_set_frame`). Each step is one trust-region SQP step,
+    beta, its exact gradient and the generators of its Hessian (the
+    start's forward pass also gives the infidelity that admits it), and
+    one SVD of the Jacobian of beta for the bases Q and Z and the
+    pseudo-inverse the step uses (:func:`_level_set_frame`). Each step is one trust-region SQP step,
     ``_navigation_step``; the radius carries over between steps and starts,
     at the first step and after every doubling, at the Cauchy point of the
     cost along the projected gradient. Stalls consume the doubling
@@ -408,7 +408,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     status = "budget_exhausted"
     hess_c = radius = None
     for it in range(cfg.max_iterations + 1):
-        bundle = _backward(p, fw if it == 0 else forward(p, 2), second_order=True)
+        bundle, gens = _backward(p, fw if it == 0 else forward(p, 2), second_order=True)
         cur_c = cost.value(p.omegas)
         g = cost.grad(p.omegas)
         q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
@@ -431,7 +431,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
             step = None if stalled else _navigation_step(
-                p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg)
+                p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radius, cfg)
         except CorrectorFailed:
             status = "corrector_failed"
             break
@@ -446,7 +446,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg):
+def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radius, cfg):
     """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
     The step d solves the KKT system of min C subject to
@@ -457,7 +457,10 @@ def _navigation_step(p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg
     come from the one SVD of :func:`_level_set_frame`, under its rank rule.
     H is the Hessian of the Lagrangian, Hess C + nu_0 Re Hess beta
     + nu_1 Im Hess beta, with the least-squares multipliers nu = -(J^+)^T g
-    of this iterate.
+    of this iterate: Re((nu_0 - i nu_1) Hess beta), one real assembly from
+    the generators ``gens`` of Hess beta, plus Hess C. The second-order
+    correction of a trial takes d^T Hess beta d from the O(M) product of
+    the same generators, so Hess beta itself is never built.
 
     Each trial is projected onto beta = 0 and accepted once it lies below
     the threshold with a lower cost; the ratio of actual to predicted
@@ -475,7 +478,8 @@ def _navigation_step(p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg
     """
     w = np.asarray(p.omegas, dtype=float)
     nu = -(g @ jac_pinv)
-    hess = hess_c + nu[0] * bundle.hess_beta.real + nu[1] * bundle.hess_beta.imag
+    hess = _assemble(gens, complex(nu[0], -nu[1]))
+    hess += hess_c
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
     normal_size = float(np.linalg.norm(normal))
     evals, evecs = np.linalg.eigh(z.T @ hess @ z)
@@ -498,8 +502,8 @@ def _navigation_step(p, cost, bundle, g, z, jac_pinv, hess_c, cur_c, radius, cfg
         if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
             break
         # second-order correction: cancel the curvature term of r(w + d)
-        curv = [0.5 * (d @ bundle.hess_beta.real @ d), 0.5 * (d @ bundle.hess_beta.imag @ d)]
-        trial = w + d - jac_pinv @ curv
+        curv = 0.5 * (d @ _hess_beta_times(gens, d))
+        trial = w + d - jac_pinv @ [curv.real, curv.imag]
         # the trial is near beta = 0, so the projection starts near
         # Gauss-Newton: a start at mu = 1 costs a quarter more sweeps
         p_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
@@ -757,19 +761,22 @@ def trajectory_to_csv(traj: DescentTrajectory) -> str:
     the table is rectangular. Refinement leaves the represented control and
     its infidelity unchanged, and the smoothness cost C1 too; the
     compression cost C2 would change, which is why compression refuses a
-    doubling schedule.
+    doubling schedule. Each record's own pulses are rendered once: a row
+    refined by k repeats each rendered pulse k times, the text of
+    ``refine(p, k)``.
     """
     if not traj.records:
         return "iter,I,cost,pgrad_norm\n"
     m_final = traj.records[-1].protocol.m
     lines = ["iter,I,cost,pgrad_norm," + ",".join(f"omega_{i+1}" for i in range(m_final))]
     for rec in traj.records:
-        p = rec.protocol
-        if p.m != m_final:
-            p = refine(p, m_final // p.m)
+        omegas = rec.protocol.omegas
+        cells = list(map(repr, map(float, omegas)))
+        if len(omegas) != m_final:
+            k = m_final // len(omegas)
+            cells = [c for c in cells for _ in range(k)]
         lines.append(",".join([str(rec.iteration), _fmt(rec.infidelity),
-                               _fmt(rec.cost), _fmt(rec.pgrad_norm),
-                               *(_fmt(w) for w in p.omegas)]))
+                               _fmt(rec.cost), _fmt(rec.pgrad_norm), *cells]))
     return "\n".join(lines) + "\n"
 
 

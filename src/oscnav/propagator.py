@@ -97,17 +97,6 @@ def _step_entries(omega: float, dt: float, order: int = 0):
     return entries
 
 
-def step_matrix(omega: float, dt: float) -> np.ndarray:
-    """Exact one-step transfer matrix acting on the column (f, f').
-
-    A(omega) = [[cos(omega*dt), sin(omega*dt)/omega],
-                [-omega*sin(omega*dt), cos(omega*dt)]], det = 1,
-    with the omega -> 0 free-particle limit [[1, dt], [0, 1]] exact.
-    """
-    a00, a01, a10 = _step_entries(omega, dt)
-    return np.array([[a00, a01], [a10, a00]])
-
-
 def _ground(omega0: float) -> tuple[complex, complex]:
     """The unchecked pair (f, f') = (1/sqrt(2*w0), -i*sqrt(w0/2)), w0 > 0."""
     return complex(1.0 / math.sqrt(2.0 * omega0), 0.0), complex(0.0, -math.sqrt(omega0 / 2.0))

@@ -19,11 +19,21 @@ entering each step. This module is the backward pass that reads that record
   z of the steps with Wronskian W(z, conj z) = i: u_j applies mu_j to z and
   conj z at state j, and v_i holds the coefficients of y_i in the basis
   (z, conj z). The forward states are such a z, so nothing new is
-  propagated and the lower triangle is one rank-2 product: O(M^2), with no
-  matrix inverse. Where |z| is large the products u_j . v_i cancel, so
+  propagated and no matrix is inverted. Where |z| is large the products
+  u_j . v_i cancel, so
   the basis restarts from a unit solution, |z|^2 = 1, once |z|^2 passes
   100; earlier coefficients are carried into each new block by one 2 x 2
   matrix.
+
+The backward pass hands back these generators, not a matrix. A dense
+Hessian is one real M x M array, Re(kappa Hess(beta)) plus optional real
+rank columns, built by one real product per block (:func:`_assemble`):
+Hess(I) = 2 Re(conj(beta) Hess(beta)) + 2 Re(grad beta grad beta^H) takes
+kappa = 2 conj(beta) and the columns of the real M x 2 view of grad beta,
+and the Lagrangian of navigation takes kappa = nu_0 - i nu_1. Hess(beta)
+times a vector is O(M) on the same generators (:func:`_hess_beta_times`),
+so navigation never holds Hess(beta); only :func:`beta_hessian` builds it,
+from two real assemblies.
 
 A caller that already holds a point's forward pass, as the
 Levenberg-Marquardt projection does for every trial it evaluates, hands it
@@ -36,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,14 +60,18 @@ _GROWTH = 1e2
 # the unit solution (1, -i)/sqrt(2), with W(z, conj z) = i, that every
 # later block starts from
 _UNIT = (complex(math.sqrt(0.5)), complex(0.0, -math.sqrt(0.5)))
+# rows per tile of the in-place mirror of an assembled Hessian
+_TILE = 64
 
 
 @dataclass(frozen=True)
 class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
-    ``hess_beta``/``hess_infidelity`` are None unless produced by
-    :func:`hessian`; :func:`beta_hessian` fills ``hess_beta`` only.
+    :func:`gradient` fills neither Hessian. :func:`hessian` fills
+    ``hess_infidelity`` only and :func:`beta_hessian` ``hess_beta`` only:
+    Hess(I) is assembled from the generators of Hess(beta) without
+    building it, so ``hessian(p).hess_beta`` is None.
     """
 
     beta: complex
@@ -66,12 +81,27 @@ class SensitivityBundle:
     hess_infidelity: np.ndarray | None = None
 
 
-def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle:
-    """grad(beta), grad(I) and, if ``second_order``, Hess(beta) from a forward pass.
+class _Generators(NamedTuple):
+    """Hess(beta) in generator form, as :func:`_backward` hands it back.
 
-    ``fw`` is ``forward(p)``, of order 2 when ``second_order``. See the
-    module docstring; Hess(I) is left to :func:`hessian`. Raises
-    NonFiniteEntry when a derivative comes out NaN or infinite.
+    Below the diagonal, entry (j, i) is u_j . v_i with uv[j] = (u_j, v_j),
+    an (M, 2, 2) complex array, and v_i carried into the basis of the block
+    that holds pulse j; ``blocks`` is that of :func:`_anchored_basis` and
+    ``diag`` the diagonal.
+    """
+
+    uv: np.ndarray
+    diag: np.ndarray
+    blocks: list
+
+
+def _backward(p: Protocol, fw: Forward, second_order: bool):
+    """grad(beta), grad(I) and, if ``second_order``, Hess(beta)'s generators.
+
+    ``fw`` is ``forward(p)``, of order 2 when ``second_order``. Returns
+    (bundle, generators), the generators None unless ``second_order``; see
+    the module docstring. Raises NonFiniteEntry when a derivative or a
+    generator comes out NaN or infinite.
     """
     m = p.m
     if m == 0:
@@ -105,13 +135,13 @@ def _backward(p: Protocol, fw: Forward, second_order: bool) -> SensitivityBundle
     grad_infid = (grad_beta * (2.0 * beta.conjugate())).real
     if not np.isfinite(grad_infid).all():
         raise NonFiniteEntry("gradient of beta is not finite")
-    hess_beta = None
+    gens = None
     if second_order:
-        hess_beta = _hessian_of_beta(fw, np.array([mu0, mu1, y0, y1]), diag)
-        if not np.isfinite(hess_beta.view(np.float64)).all():
+        gens = _generators(fw, np.array([mu0, mu1, y0, y1]), np.array(diag))
+        if not (np.isfinite(gens.uv).all() and np.isfinite(gens.diag).all()):
             raise NonFiniteEntry("Hessian of beta is not finite")
     return SensitivityBundle(beta=beta, grad_beta=grad_beta,
-                             grad_infidelity=grad_infid, hess_beta=hess_beta)
+                             grad_infidelity=grad_infid), gens
 
 
 def _anchored_basis(fw: Forward):
@@ -159,36 +189,104 @@ def _anchored_basis(fw: Forward):
     return z[:, :-1], zn, blocks
 
 
-def _hessian_of_beta(fw: Forward, terms: np.ndarray, diag) -> np.ndarray:
-    """Hess(beta) in generator form from the per-pulse terms of :func:`_backward`.
+def _generators(fw: Forward, terms: np.ndarray, diag: np.ndarray) -> _Generators:
+    """The generators of Hess(beta) from the per-pulse terms of :func:`_backward`.
 
     ``terms`` holds the rows mu_0, mu_1, y_0, y_1 and ``diag`` the diagonal.
     Below the diagonal, d^2 beta / d omega_j d omega_i = u_j . v_i (i < j)
     with u_j = (mu_j . z_j, mu_j . conj z_j) and
     v_i = (-i W(y_i, conj z_{i+1}), i W(y_i, z_{i+1})), the coefficients of
-    y_i in the basis (z, conj z); W(p, q) = p_0 q_1 - p_1 q_0 and z is a
-    solution with W(z, conj z) = i. Each block of :func:`_anchored_basis`
-    is one product of its rows of u with the columns v of its own pulses
-    and of every earlier block, the latter carried into its basis. The
-    lower triangle is mirrored, so the result is exactly symmetric.
+    y_i in the basis (z, conj z); W(p, q) = p_0 q_1 - p_1 q_0 and z is the
+    solution of :func:`_anchored_basis`, with W(z, conj z) = i, in each
+    block.
     """
-    m = len(diag)
     mu0, mu1, y0, y1 = terms
     zj, zn, blocks = _anchored_basis(fw)
-    u = np.empty((m, 2), dtype=complex)
-    u[:, 0] = mu0 * zj[0] + mu1 * zj[1]
-    u[:, 1] = mu0 * zj[0].conj() + mu1 * zj[1].conj()
-    v = np.empty((m, 2), dtype=complex)
-    v[:, 0] = -1j * (y0 * zn[1].conj() - y1 * zn[0].conj())
-    v[:, 1] = 1j * (y0 * zn[1] - y1 * zn[0])
-    low = np.empty((m, m), dtype=complex)
+    uv = np.empty((len(diag), 2, 2), dtype=complex)
+    uv[:, 0, 0] = mu0 * zj[0] + mu1 * zj[1]
+    uv[:, 0, 1] = mu0 * zj[0].conj() + mu1 * zj[1].conj()
+    uv[:, 1, 0] = -1j * (y0 * zn[1].conj() - y1 * zn[0].conj())
+    uv[:, 1, 1] = 1j * (y0 * zn[1] - y1 * zn[0])
+    return _Generators(uv, diag, blocks)
+
+
+def _assemble(gens: _Generators, kappa: complex, extra=None) -> np.ndarray:
+    """Re(kappa Hess(beta)) + E F^T as one real M x M array, exactly symmetric.
+
+    ``extra``, when given, is a pair (E, F) of real M x r arrays whose
+    product E F^T is symmetric. With a = kappa u, entry (j, i) below the
+    diagonal is Re(a_j . v_i) = Re a_j . Re v_i - Im a_j . Im v_i: the
+    float view of conj(a) times that of v. So each block of rows is one
+    real product of [conj a | E] with the rows [v | F] of its own pulses
+    and of every earlier block, the latter carried into its basis as in
+    Hess(beta): each entry p + iq of t acts on a pair (Re, Im) as the real
+    2 x 2 block [[p, q], [-q, p]], and F is left as it is. The lower
+    triangle is then copied onto the upper in place, and the diagonal set
+    from that of Hess(beta).
+    """
+    uv, diag, blocks = gens
+    m = len(diag)
+    lhs = (kappa * uv[:, 0]).conj().view(np.float64)
+    rhs = uv[:, 1].view(np.float64)
+    if extra is not None:
+        lhs = np.concatenate([lhs, extra[0]], axis=1)
+        rhs = np.concatenate([rhs, extra[1]], axis=1)
+    out = np.empty((m, m))
     for start, stop, t in blocks:
-        cols = v[:stop] if t is None else np.concatenate([cols @ t, v[start:stop]])
-        np.matmul(u[start:stop], cols.T, out=low[start:stop, :stop])
-    r = np.arange(m)
-    hess = np.where(r[:, None] > r, low, low.T)
-    hess.reshape(-1)[::m + 1] = diag
-    return hess
+        if t is None:
+            cols = rhs[:stop]
+        else:
+            carry = np.eye(rhs.shape[1])
+            carry[0:4:2, 0:4:2] = carry[1:4:2, 1:4:2] = t.real
+            carry[0:4:2, 1:4:2] = t.imag
+            carry[1:4:2, 0:4:2] = -t.imag
+            cols = np.concatenate([cols @ carry, rhs[start:stop]])
+        np.matmul(lhs[start:stop], cols.T, out=out[start:stop, :stop])
+    for k in range(0, m, _TILE):
+        # the diagonal block of a tile of rows needs a temporary; the rest
+        # of its rows are the columns below it
+        e = min(k + _TILE, m)
+        block = out[k:e, k:e]
+        block[...] = np.where(np.tri(e - k, dtype=bool), block, block.T)
+        if e < m:
+            out[k:e, e:] = out[e:, k:e].T
+    d = (kappa * diag).real
+    if extra is not None:
+        d += (extra[0] * extra[1]).sum(axis=1)
+    out.reshape(-1)[::m + 1] = d
+    return out
+
+
+def _hess_beta_times(gens: _Generators, x: np.ndarray) -> np.ndarray:
+    """Hess(beta) x for a real M-vector x, in O(M) from the generators.
+
+    (Hess(beta) x)_j = diag_j x_j + u_j . sum_{i<j} x_i v_i
+    + v_j . sum_{i>j} x_i u_i. The first sum is a running sum forward
+    through the pulses, the second one backward. Entering a block forward,
+    the running sum is carried into its basis by t, as the columns of
+    Hess(beta) are (v -> v t); leaving one backward, by t from the left,
+    since (v t) . u = v . (t u).
+    """
+    uv, diag, blocks = gens
+    m = len(diag)
+    # run[j] = (sum_{i<j} x_i v_i, sum_{i>j} x_i u_i), the partners of
+    # (u_j, v_j): each half is filled one row off and summed in place, block
+    # by block, and the row a block shares with the next holds the sum
+    # carried across
+    run = np.zeros((m + 1, 2, 2), dtype=complex)
+    xuv = uv * x[:, None, None]
+    run[1:, 0] = xuv[:, 1]
+    run[:m - 1, 1] = xuv[1:, 0]
+    for start, stop, t in blocks:
+        if t is not None:
+            run[start, 0] = run[start, 0] @ t
+        np.cumsum(run[start:stop + 1, 0], axis=0, out=run[start:stop + 1, 0])
+    for start, stop, t in reversed(blocks):
+        back = run[max(start - 1, 0):stop, 1][::-1]
+        np.cumsum(back, axis=0, out=back)
+        if t is not None and start > 0:
+            run[start - 1, 1] = t @ run[start - 1, 1]
+    return diag * x + (uv * run[:m]).sum(axis=(1, 2))
 
 
 def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
@@ -197,36 +295,37 @@ def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
     ``fw``, when given, is ``forward(p)`` already evaluated, and only the
     backward pass runs; the result is bit for bit that of ``gradient(p)``.
     """
-    return _backward(p, forward(p) if fw is None else fw, second_order=False)
+    return _backward(p, forward(p) if fw is None else fw, second_order=False)[0]
 
 
 def beta_hessian(p: Protocol) -> SensitivityBundle:
     """Exact gradient plus the Hessian of beta alone, O(M^2).
 
-    The second-order sweep of :func:`hessian` without assembling Hess(I):
-    ``hess_infidelity`` stays None. Navigation runs this sweep once per
-    iterate; at its first it reuses the forward pass that admitted the
-    input.
+    Two real assemblies from the generators give Re Hess(beta) and
+    Im Hess(beta) = Re(-i Hess(beta)); ``hess_infidelity`` stays None. The
+    library itself never builds Hess(beta): :func:`hessian` and navigation
+    assemble the real matrices they need from the generators directly.
     """
-    return _backward(p, forward(p, 2), second_order=True)
+    bundle, gens = _backward(p, forward(p, 2), second_order=True)
+    hess_beta = _assemble(gens, 1.0) + 1j * _assemble(gens, -1j)
+    if not np.isfinite(hess_beta).all():
+        raise NonFiniteEntry("Hessian of beta is not finite")
+    return dataclasses.replace(bundle, hess_beta=hess_beta)
 
 
 def hessian(p: Protocol) -> SensitivityBundle:
-    """Exact gradient plus Hessians of beta and of I, O(M^2).
+    """Exact gradient plus the Hessian of I, O(M^2); ``hess_beta`` is None.
 
-    The gradient fields are bit-identical to those of :func:`gradient`.
+    Hess(I) = 2 Re(conj(beta) Hess(beta)) + 2 Re(grad beta grad beta^H)
+    is one real assembly (:func:`_assemble`) with kappa = 2 conj(beta) and
+    the rank-2 columns (2G, G) of the real M x 2 view G = [Re, Im] of
+    grad(beta): one real M x M array, exactly symmetric, and Hess(beta) is
+    never built. The gradient fields are bit-identical to those of
+    :func:`gradient`.
     """
-    bundle = beta_hessian(p)
-    # 2 Re(grad_beta grad_beta^H + hess_beta conj(beta)), in real arithmetic:
-    # the real and imaginary views of Hess(beta), scaled, plus one rank-2
-    # product of the M x 2 real view [Re, Im] of grad_beta. Entries (i, j)
-    # and (j, i) of that product sum the same two products, so Hess(I) is
-    # exactly symmetric, as Hess(beta) is.
-    beta, hess_beta = bundle.beta, bundle.hess_beta
+    bundle, gens = _backward(p, forward(p, 2), second_order=True)
     g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
-    hess_infid = hess_beta.real * (2.0 * beta.real)
-    hess_infid += hess_beta.imag * (2.0 * beta.imag)
-    hess_infid += (2.0 * g) @ g.T
+    hess_infid = _assemble(gens, 2.0 * bundle.beta.conjugate(), (2.0 * g, g))
     if not np.isfinite(hess_infid).all():
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return dataclasses.replace(bundle, hess_infidelity=hess_infid)

@@ -1,13 +1,27 @@
-"""Reference derivatives the exact sweep is checked against.
+"""Reference matrices and derivatives the exact engine is checked against.
 
-They are independent of the adjoint sweep in ``oscnav.sensitivities``:
-central differences of the propagated state, and the rank-2 Hessian of I
-at a frictionless point written from its definition.
+The derivatives are independent of the adjoint sweep in
+``oscnav.sensitivities``: central differences of the propagated state, and
+the rank-2 Hessian of I at a frictionless point written from its
+definition. ``step_matrix`` assembles one step's 2 x 2 matrix from the
+kernel entries, for checks of the kernel itself.
 """
 
 import numpy as np
 
 from oscnav import bogoliubov, infidelity, propagate
+from oscnav.propagator import _step_entries
+
+
+def step_matrix(omega: float, dt: float) -> np.ndarray:
+    """Exact one-step transfer matrix acting on the column (f, f').
+
+    A(omega) = [[cos(omega*dt), sin(omega*dt)/omega],
+                [-omega*sin(omega*dt), cos(omega*dt)]], det = 1,
+    with the omega -> 0 free-particle limit [[1, dt], [0, 1]] exact.
+    """
+    a00, a01, a10 = _step_entries(omega, dt)
+    return np.array([[a00, a01], [a10, a00]])
 
 
 def optimal_hessian(grad_beta: np.ndarray) -> np.ndarray:

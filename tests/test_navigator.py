@@ -167,6 +167,20 @@ class TestNavigate:
         assert traj.final_protocol.m == 16
         assert all(r.infidelity < 1e-5 for r in traj.records)
 
+    def test_doubled_trajectory_csv_rows_are_the_refined_records(self, m8_solution):
+        traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),
+                        NavigationConfig(doubling_schedule=(2, 3)))
+        assert {r.protocol.m for r in traj.records} == {8, 16, 48}
+        rows = trajectory_to_csv(traj).splitlines()[1:]
+        assert len(rows) == len(traj.records)
+        for row, rec in zip(rows, traj.records):
+            cells = row.split(",")
+            assert int(cells[0]) == rec.iteration
+            assert [float(c) for c in cells[1:4]] == [rec.infidelity, rec.cost,
+                                                      rec.pgrad_norm]
+            refined = refine(rec.protocol, 48 // rec.protocol.m)
+            assert tuple(float(c) for c in cells[4:]) == refined.omegas
+
     def test_determinism(self, m8_solution):
         cfg = NavigationConfig(max_iterations=200)
         a = navigate(m8_solution.protocol, SecondaryCost("smoothness"), cfg)

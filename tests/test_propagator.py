@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from oscnav import (NegativeOccupation, NonPositiveFrequency, Protocol,
                     bogoliubov, infidelity, initial_state, particle_number,
-                    propagate, refine, step_matrix, wronskian_defect)
+                    propagate, refine, wronskian_defect)
 from oscnav.objectives import symplectic_final
 from oscnav.propagator import SERIES_THRESHOLD, ModeState
+from oracles import step_matrix
 
 TASK = (1.0, 0.25, 1.8)  # omega0, omegaT, T used throughout
 

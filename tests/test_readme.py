@@ -1,19 +1,27 @@
-"""The README's library sketch runs as written and gives the numbers it quotes."""
+"""The README's library sketch runs as written and gives the numbers it
+quotes, and its CLI example runs as written on its own run config."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import oscnav
+from oscnav import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _sketch() -> str:
+def _block(heading: str, fence: str) -> str:
+    """The first fenced block opened by ``fence`` after ``heading``."""
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Library sketch"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading):]
+    return re.search(re.escape(fence) + r"\n(.*?)```", section, re.S).group(1)
+
+
+def _sketch() -> str:
+    return _block("## Library sketch", "```python")
 
 
 def test_library_sketch(monkeypatch, capsys):
@@ -36,3 +44,21 @@ def test_library_sketch(monkeypatch, capsys):
     assert smoothing.records[-1].cost == pytest.approx(0.0567536, abs=5e-8)
     assert compression.records[-1].cost == pytest.approx(39.81, abs=5e-3)
     assert oscnav.infidelity(scope["small"]) == pytest.approx(0.0797, abs=5e-5)
+
+
+def test_cli_example(tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.json").write_text(_block("A run config provides", "```json"),
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line) for line in _block("## CLI", "```").splitlines()]
+    assert [argv[0] for argv in lines] == ["oscnav"] * len(lines)
+    assert lines[0][1] == "solve"
+    solved = None
+    for argv in lines:
+        if argv[1] == "levelset":
+            continue  # its 500 solves take minutes
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        if solved is None:
+            solved = (tmp_path / "protocol.json").read_bytes()
+    # the later lines read the solve's protocol, and no line overwrites it
+    assert (tmp_path / "protocol.json").read_bytes() == solved

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
-                    hessian, infidelity, refine, step_matrix)
+                    hessian, infidelity, refine)
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
-from oscnav.sensitivities import _anchored_basis
-from oracles import fd_gradient, fd_hessian, optimal_hessian
+from oscnav.sensitivities import _anchored_basis, _backward, _hess_beta_times
+from oracles import fd_gradient, fd_hessian, optimal_hessian, step_matrix
 
 
 EPS = np.finfo(float).eps
@@ -159,9 +160,9 @@ class TestHessian:
     def test_symmetry(self):
         rng = np.random.default_rng(201)
         p = random_protocol(rng, 12)
-        bundle = hessian(p)
-        assert np.array_equal(bundle.hess_infidelity, bundle.hess_infidelity.T)
-        assert np.array_equal(bundle.hess_beta, bundle.hess_beta.T)
+        hess_infid, hess_beta = hessian(p).hess_infidelity, beta_hessian(p).hess_beta
+        assert np.array_equal(hess_infid, hess_infid.T)
+        assert np.array_equal(hess_beta, hess_beta.T)
 
     def test_gradient_consistency(self):
         rng = np.random.default_rng(202)
@@ -341,7 +342,7 @@ def assert_matches_tableau(p):
     assert full.beta == beta
     for got, want in ((full.grad_beta, grad_beta),
                       (full.grad_infidelity, grad_infid),
-                      (full.hess_beta, hess_beta),
+                      (beta_hessian(p).hess_beta, hess_beta),
                       (full.hess_infidelity, hess_infid)):
         # relative in the max norm; a gradient at omega = 0 is exactly 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -386,6 +387,51 @@ class TestReanchoring:
             assert blocks_of(p) == 1 and blocks_of(refine(p, 4)) == 1, path.name
 
 
+class TestGeneratorProduct:
+    """Hess(beta) x from the generators, in O(M), is the dense product."""
+
+    @staticmethod
+    def assert_matches_dense(p, x):
+        gens = _backward(p, forward(p, 2), second_order=True)[1]
+        want = beta_hessian(p).hess_beta @ x
+        got = _hess_beta_times(gens, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(st.integers(1, 48), st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_product(self, m, seed):
+        rng = np.random.default_rng(seed)
+        p = random_protocol(rng, m, omega_range=(-2.5, 2.5))
+        self.assert_matches_dense(p, rng.normal(size=m))
+
+    @pytest.mark.parametrize("args, blocks", zip(RESONANT, (2, 9)),
+                             ids=["T{}-M{}-eps{}".format(*a) for a in RESONANT])
+    def test_resonant_growth_matches_dense_product(self, args, blocks):
+        p = resonant_protocol(*args)
+        assert blocks_of(p) == blocks
+        self.assert_matches_dense(p, np.random.default_rng(8).normal(size=p.m))
+
+    @pytest.mark.parametrize("omega0", [1e-4, 1e4])
+    def test_empty_first_block_matches_dense_product(self, omega0):
+        rng = np.random.default_rng(9)
+        p = Protocol(omega0, 0.25, 0.1125, tuple(rng.uniform(-2.5, 2.5, 48)))
+        assert _anchored_basis(forward(p, 2))[2][0][:2] == [0, 0]
+        self.assert_matches_dense(p, rng.normal(size=48))
+
+
+class TestHessianMemory:
+    def test_peak_of_a_hessian_call_is_under_three_matrices(self):
+        # Hess(I) is one real M x M array: no complex Hess(beta), no copy
+        p = refine(proto.load(sorted(POOL.glob("m48/*.json"))[0]), 4)
+        hessian(p)  # a first call may allocate lasting caches
+        tracemalloc.start()
+        try:
+            hessian(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.m == 192 and peak <= 3 * p.m ** 2 * 8
+
+
 class TestForwardPass:
     """The backward pass on a held forward pass gives the same bits."""
 
@@ -419,8 +465,7 @@ class TestForwardPass:
     def test_hessians_share_their_bits(self, m):
         for p in oracle_protocols(m):
             first, partial, full = gradient(p), beta_hessian(p), hessian(p)
-            assert partial.hess_infidelity is None
-            assert np.array_equal(partial.hess_beta, full.hess_beta)
+            assert partial.hess_infidelity is None and full.hess_beta is None
             for bundle in (partial, full):
                 assert bundle.beta == first.beta
                 assert np.array_equal(bundle.grad_beta, first.grad_beta)
