@@ -10,9 +10,8 @@ from .navigator import (CriticalPointReport, DescentConfig, DescentTrajectory,
                         SolveResult, TraceConfig, TrajectoryRecord, descend,
                         navigate, null_projector, scan_levelset, solve,
                         trace_levelset)
-from .objectives import (SecondaryCost, c1, c1_grad, c2, c2_grad,
-                         symplectic_final, target_matrix, theta_infidelity,
-                         theta_scan)
+from .objectives import (SecondaryCost, symplectic_final, target_matrix,
+                         theta_infidelity, theta_scan)
 from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
                          initial_state, particle_number, propagate,
                          wronskian_defect)
@@ -25,8 +24,8 @@ __all__ = [
     "ModeState", "BogoliubovPair", "initial_state", "propagate",
     "bogoliubov", "infidelity", "particle_number", "wronskian_defect",
     "SensitivityBundle", "gradient", "beta_hessian", "hessian",
-    "SecondaryCost", "c1", "c1_grad", "c2", "c2_grad", "symplectic_final",
-    "target_matrix", "theta_infidelity", "theta_scan",
+    "SecondaryCost", "symplectic_final", "target_matrix", "theta_infidelity",
+    "theta_scan",
     "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",
     "DescentTrajectory", "TrajectoryRecord", "CriticalPointReport",
     "SolveResult", "LevelsetCurve", "ScanResult",

@@ -10,10 +10,11 @@ verify      conservation diagnostics for a protocol
 levelset    labeled M = 3 solution cloud and traced curves
 theta-scan  the phase-resolved objective on a grid (plus refined minimum)
 
-Exit codes: 0 success, 1 malformed command line, config or input or an
-unwritable output, 2 restart budget exhausted, 3 input protocol is not a
-solution, 4 corrector failure. Failures print one JSON line to stderr. JSON
-output is strict: a NaN or infinity is an exit-1 failure, never printed.
+Exit codes: 0 success, 1 malformed command line, config or input, an input
+too large to allocate or an unwritable output, 2 restart budget exhausted,
+3 input protocol is not a solution, 4 corrector failure. Failures print one
+JSON line to stderr. JSON output is strict: a NaN or infinity is an exit-1
+failure, never printed.
 Outputs, overwritten in place, are deterministic in the config and seeds.
 """
 
@@ -352,10 +353,16 @@ def main(argv=None) -> int:
         return _fail(2, "RestartBudgetExhausted", str(exc))
     except NotASolution as exc:
         return _fail(3, "NotASolution", str(exc))
-    except (ConfigError, OscnavError, ValueError, TypeError, OSError) as exc:
+    except MemoryError as exc:
+        # an input too large to allocate, e.g. theta-scan --points 10**12;
+        # numpy raises a private subclass, so name the public class
+        return _fail(1, "MemoryError", str(exc))
+    except (ConfigError, OscnavError, ValueError, TypeError, OverflowError,
+            OSError) as exc:
         # ValueError and TypeError: malformed input rejected by the library,
         # e.g. theta-scan --points 2 or compress --chunks 0, or a non-finite
-        # value refused as JSON; OSError: an output that cannot be written
+        # value refused as JSON; OverflowError: a size beyond the index
+        # range, e.g. M = 10**30; OSError: an output that cannot be written
         return _fail(1, type(exc).__name__, str(exc))
 
 

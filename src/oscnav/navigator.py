@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
                      RestartBudgetExhausted)
-from .objectives import SecondaryCost, _cost_hessian
+from .objectives import SecondaryCost
 from .propagator import forward
 from .protocol import Protocol, refine
 from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
@@ -203,7 +203,7 @@ class LevelsetCurve:
 class ScanResult:
     points: np.ndarray            # (n, 3)
     infidelities: np.ndarray      # (n,)
-    labels: np.ndarray            # (n,) component index per point
+    labels: np.ndarray            # (n,) component index per point, -1 past max_curves
     curves: tuple[LevelsetCurve, ...]
 
 
@@ -406,7 +406,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     status = "budget_exhausted"
-    hess_c = radius = None
+    radius = None
     for it in range(cfg.max_iterations + 1):
         bundle, gens = _backward(p, fw if it == 0 else forward(p, 2), second_order=True)
         cur_c = cost.value(p.omegas)
@@ -424,14 +424,12 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             break
         if it == cfg.max_iterations:
             break
-        if hess_c is None:
-            hess_c = _cost_hessian(cost, p.m)
         if radius is None:
             curvature = 2.0 * cost.value(pg)
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
             step = None if stalled else _navigation_step(
-                p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radius, cfg)
+                p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg)
         except CorrectorFailed:
             status = "corrector_failed"
             break
@@ -439,14 +437,14 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             p, radius = step
         elif schedule:
             p = refine(p, schedule.pop(0))
-            hess_c = radius = None
+            radius = None
         else:
             status = "completed"
             break
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radius, cfg):
+def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg):
     """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
     The step d solves the KKT system of min C subject to
@@ -458,9 +456,10 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radiu
     H is the Hessian of the Lagrangian, Hess C + nu_0 Re Hess beta
     + nu_1 Im Hess beta, with the least-squares multipliers nu = -(J^+)^T g
     of this iterate: Re((nu_0 - i nu_1) Hess beta), one real assembly from
-    the generators ``gens`` of Hess beta, plus Hess C. The second-order
-    correction of a trial takes d^T Hess beta d from the O(M) product of
-    the same generators, so Hess beta itself is never built.
+    the generators ``gens`` of Hess beta, with Hess C added in place from
+    the cost's pulse pairs. The second-order correction of a trial takes
+    d^T Hess beta d from the O(M) product of the same generators, so Hess
+    beta itself is never built.
 
     Each trial is projected onto beta = 0 and accepted once it lies below
     the threshold with a lower cost; the ratio of actual to predicted
@@ -478,8 +477,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, hess_c, cur_c, radiu
     """
     w = np.asarray(p.omegas, dtype=float)
     nu = -(g @ jac_pinv)
-    hess = _assemble(gens, complex(nu[0], -nu[1]))
-    hess += hess_c
+    hess = cost.add_hessian(_assemble(gens, complex(nu[0], -nu[1])))
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
     normal_size = float(np.linalg.norm(normal))
     evals, evecs = np.linalg.eigh(z.T @ hess @ z)
@@ -710,7 +708,8 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
     Runs one independent solve per seed (seed index offsets the base seed),
     then traces a curve from the first unlabeled point and attaches every
     point within ``assign_distance`` of it, repeating until all points are
-    labeled. Output ordering follows seed order, independent of scheduling.
+    labeled or ``cfg.max_curves`` curves are traced; points left then keep
+    label -1. Output ordering follows seed order, independent of scheduling.
     A point is a solution by the descent's threshold, so the traces take
     that threshold too, in place of ``cfg.trace.infidelity_threshold``,
     and a corrector target not below it is refused before any solve.

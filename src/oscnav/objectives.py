@@ -1,10 +1,12 @@
 """Secondary cost functionals and the phase-resolved symplectic objective.
 
-Two secondary costs act on the pulse sequence alone:
+Two secondary costs act on the pulse sequence alone. Each is a sum of
+squared differences (w_b - w_a)^2 over a list of pulse pairs (a, b), so
+its value, gradient and constant Hessian all come from that list:
 
-* smoothness: sum of squared jumps between consecutive pulses;
-* compression: for a split into L equal chunks, sum of squared pairwise
-  differences inside each chunk (zero iff every chunk is constant).
+* smoothness C1: the consecutive pairs (p, p + 1);
+* compression C2: for a split into L equal chunks, every pair inside each
+  chunk (zero iff every chunk is constant).
 
 Independently, the evolution can be scored against a one-parameter family of
 symplectic targets W(theta) = cos(theta) A + sin(theta) B through the
@@ -17,6 +19,7 @@ diagnostics; the primary objective elsewhere stays the phase-free |beta|^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,64 +33,38 @@ from .protocol import Protocol
 _DET_TOL = 1e-8
 
 
-def c1(omegas) -> float:
-    """Smoothness cost: sum of squared consecutive jumps (0 for M < 2).
+@functools.lru_cache(maxsize=16)
+def _pairs(m: int, chunks: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (a, b), a < b, of the pulse pairs of a cost.
 
-    Zero jumps are dropped before the sum, so ``c1(refine(p, k).omegas)``
-    sums the same terms in the same order and equals ``c1(p.omegas)``
-    bit for bit.
+    ``chunks`` None gives the M - 1 consecutive pairs (p, p + 1) of
+    smoothness; otherwise every pair inside each of ``chunks`` equal
+    chunks, chunk by chunk. Cached per (m, chunks): the arrays are rebuilt
+    only when the pulse count changes.
     """
-    w = np.asarray(omegas, dtype=float)
-    if w.size < 2:
-        return 0.0
-    d = np.diff(w)
-    d = d[d != 0.0]
-    return float(d @ d)
-
-
-def c1_grad(omegas) -> np.ndarray:
-    w = np.asarray(omegas, dtype=float)
-    g = np.zeros_like(w)
-    if w.size < 2:
-        return g
-    d = np.diff(w)
-    g[1:] += 2.0 * d
-    g[:-1] -= 2.0 * d
-    return g
-
-
-def _chunked(omegas, chunks: int) -> np.ndarray:
-    w = np.asarray(omegas, dtype=float)
-    if chunks < 1 or w.size % chunks != 0:
-        raise IndivisibleChunking(f"M={w.size} is not divisible by L={chunks}")
-    return w.reshape(chunks, w.size // chunks)
-
-
-def c2(omegas, chunks: int) -> float:
-    """Compression cost: squared pairwise spread inside each of L chunks.
-
-    Computed from explicit pairwise differences (a sum of squares), so the
-    result is non-negative and exactly zero on chunk-constant sequences;
-    the algebraically equal form K*sum(w^2) - (sum w)^2 cancels badly there.
-    """
-    blocks = _chunked(omegas, chunks)
-    diffs = blocks[:, :, None] - blocks[:, None, :]
-    return 0.5 * float(np.sum(diffs * diffs))
-
-
-def c2_grad(omegas, chunks: int) -> np.ndarray:
-    """Per pulse: 2*(K*w_p - chunk sum), via pairwise differences."""
-    blocks = _chunked(omegas, chunks)
-    diffs = blocks[:, :, None] - blocks[:, None, :]
-    return 2.0 * np.sum(diffs, axis=2).reshape(-1)
+    if chunks is None:
+        a = np.arange(max(m - 1, 0))
+        b = a + 1
+    else:
+        if chunks < 1 or m % chunks != 0:
+            raise IndivisibleChunking(f"M={m} is not divisible by L={chunks}")
+        k = m // chunks
+        start = np.arange(0, m, k)[:, None]
+        i, j = np.triu_indices(k, 1)
+        a, b = (start + i).ravel(), (start + j).ravel()
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 @dataclass(frozen=True)
 class SecondaryCost:
-    """Selects which auxiliary objective a navigation run descends.
+    """A secondary cost: C(w) = sum over its pulse pairs (a, b) of (w_b - w_a)^2.
 
-    kind is "smoothness" or "compression"; ``chunks`` is required (and only
-    meaningful) for compression.
+    kind is "smoothness" (consecutive pairs) or "compression" (every pair
+    inside each of ``chunks`` equal chunks); ``chunks`` is required (and
+    only meaningful) for compression. An M that the chunks do not divide
+    raises IndivisibleChunking.
     """
 
     kind: str
@@ -99,35 +76,44 @@ class SecondaryCost:
         if self.kind == "compression" and (self.chunks is None or self.chunks < 1):
             raise ValueError("compression cost requires a positive chunk count")
 
+    def _pairs_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pulse pairs (a, b) of this cost on M pulses."""
+        return _pairs(m, self.chunks if self.kind == "compression" else None)
+
     def value(self, omegas) -> float:
-        if self.kind == "smoothness":
-            return c1(omegas)
-        return c2(omegas, self.chunks)
+        """C(w) as one dot product of the nonzero pair differences.
+
+        Dropping the zeros makes ``refine`` leave the smoothness terms, and
+        their order, unchanged, so C1 is bit-exact under it; a
+        chunk-constant sequence has no nonzero compression term, so its C2
+        is exactly 0.
+        """
+        w = np.asarray(omegas, dtype=float)
+        a, b = self._pairs_for(w.size)
+        d = w[b] - w[a]
+        d = d[d != 0.0]
+        return float(d @ d)
 
     def grad(self, omegas) -> np.ndarray:
-        if self.kind == "smoothness":
-            return c1_grad(omegas)
-        return c2_grad(omegas, self.chunks)
+        """Each pair adds 2 (w_b - w_a) at pulse b and its negative at a."""
+        w = np.asarray(omegas, dtype=float)
+        a, b = self._pairs_for(w.size)
+        d = w[b] - w[a]
+        return 2.0 * (np.bincount(b, d, w.size) - np.bincount(a, d, w.size))
 
+    def add_hessian(self, out: np.ndarray) -> np.ndarray:
+        """Add the constant Hessian of C to the square array ``out`` in place.
 
-def _cost_hessian(cost: SecondaryCost, m: int) -> np.ndarray:
-    """The constant Hessian of a secondary cost on M pulses.
-
-    Both costs are homogeneous quadratics. Smoothness is 2 D^T D for the
-    (M - 1) x M difference matrix D: twice the Laplacian of the path graph,
-    tridiagonal. Compression is 2 (K I - 1 1^T) on each chunk of K pulses.
-    Every entry is a small integer, so the matrix equals, entry for entry,
-    the one built from the gradients of the unit vectors.
-    """
-    if cost.kind == "smoothness":
-        degree = np.zeros(m)
-        degree[1:] += 1.0
-        degree[:-1] += 1.0
-        return 2.0 * (np.diag(degree) - np.eye(m, k=1) - np.eye(m, k=-1))
-    if m % cost.chunks != 0:
-        raise IndivisibleChunking(f"M={m} is not divisible by L={cost.chunks}")
-    k = m // cost.chunks
-    return np.kron(np.eye(cost.chunks), 2.0 * (k * np.eye(k) - 1.0))
+        It is twice the Laplacian of the pair graph: 2 times the number of
+        pairs of a pulse on the diagonal, and -2 at each pair and its mirror.
+        """
+        m = len(out)
+        a, b = self._pairs_for(m)
+        out[a, b] -= 2.0
+        out[b, a] -= 2.0
+        diag = np.arange(m)
+        out[diag, diag] += 2.0 * (np.bincount(a, minlength=m) + np.bincount(b, minlength=m))
+        return out
 
 
 def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:

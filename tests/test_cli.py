@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import oscnav
 from oscnav import DescentConfig, Protocol, infidelity, solve
+from oscnav import cli
 from oscnav import protocol as proto
 from oscnav.cli import ConfigError, _load_config, main
 
@@ -121,6 +122,25 @@ class TestNavigateCommands:
         r = run_cli("compress", str(m8_solution_file), "--chunks", "7", cwd=tmp_path)
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "IndivisibleChunking"
+
+    def test_corrector_failure_exits_4(self, tmp_path, capsys):
+        # pool m3/seed100 (I = 2.3e-19) sits above the corrector target, and
+        # a budget of 0 cannot project it onto the level set
+        pool = Path(__file__).parents[1] / "perfbench" / "pool" / "m3" / "seed100.json"
+        (tmp_path / "cfg.json").write_text(json.dumps({"navigation": {"corrector_budget": 0}}))
+        traj = tmp_path / "traj.csv"
+        code = main(["smooth", str(pool), "--config", str(tmp_path / "cfg.json"),
+                     "--out-protocol", str(tmp_path / "out.json"),
+                     "--out-trajectory", str(traj)])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert _strict_json(out)["status"] == "corrector_failed"
+        assert _one_error_line(err)["error"] == "CorrectorFailed"
+        # the run ends at its first step, so the CSV holds the input's record
+        rows = traj.read_text().splitlines()
+        assert rows[0] == "iter,I,cost,pgrad_norm,omega_1,omega_2,omega_3"
+        assert len(rows) == 2 and rows[1].startswith("0,")
+        assert proto.load(tmp_path / "out.json") == proto.load(pool)
 
 
 class TestDiagnosticsCommands:
@@ -327,6 +347,27 @@ class TestInputContract:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == "ConfigError"
+
+    def test_index_overflow_is_an_error(self, tmp_path, capsys):
+        # M = 10**30 fits no index: solve raises before it allocates anything
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TASK_DOC, M=10 ** 30)))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "OverflowError"
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate, raised here: a real attempt could
+        # take the host's memory first
+        def too_large(p, points):
+            raise MemoryError(f"cannot allocate {points} grid points")
+        monkeypatch.setattr(cli, "theta_scan", too_large)
+        path = tmp_path / "p.json"
+        proto.save(M3_SOLUTION, path)
+        code = main(["theta-scan", str(path), "--points", str(10 ** 12)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "MemoryError"
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
                     RestartBudgetExhausted, ScanConfig, SecondaryCost,
-                    TraceConfig, c1, c2, collapse, descend, gradient,
+                    TraceConfig, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator, propagator
@@ -278,18 +278,13 @@ class TestNavigate:
         assert report.infidelity < 1e-22
         gb = gradient(p).grad_beta
         proj = null_projector(gb)
-        direction = proj @ c1_gradient_of(p)
+        direction = proj @ SecondaryCost("smoothness").grad(p.omegas)
         direction /= np.linalg.norm(direction)
         base = np.asarray(p.omegas)
         eps = np.array([1e-2, 1e-3, 1e-4])
         vals = np.array([infidelity(p.with_omegas(base + e * direction)) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.3)
-
-
-def c1_gradient_of(p):
-    from oscnav import c1_grad
-    return c1_grad(np.asarray(p.omegas))
 
 
 class TestProjectionEvaluations:
@@ -419,6 +414,16 @@ class TestTraceLevelset:
             eigs = np.sort(np.linalg.eigvalsh(optimal_hessian(gb)))[::-1]
             assert eigs[2] < 1e-8 * eigs[0]
             assert eigs[1] > 1e-8 * eigs[0]
+
+    def test_leaving_the_box_ends_open(self):
+        # the closed curve through pool m3/seed100 does not fit in this box
+        p = proto.load(POOL_M3[0].with_name("seed100.json"))
+        cfg = TraceConfig(box=(-1.0, 4.0))
+        curve = trace_levelset(p, cfg)
+        assert curve.status == "open" and not curve.closed
+        assert len(curve.vertices) == 31
+        assert np.all((curve.vertices >= -1.0) & (curve.vertices <= 4.0))
+        assert np.all(curve.infidelities < 1e-5)
 
     def test_reverse_traversal_same_curve(self, m3_solution):
         fwd = trace_levelset(m3_solution.protocol, TraceConfig())
@@ -583,6 +588,14 @@ class TestScanLevelset:
                       for v in result.curves[i].vertices)
             assert gap > cfg.assign_distance
 
+    def test_curve_cap_leaves_points_unlabeled(self):
+        # the scan stops tracing at max_curves; later points keep label -1
+        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 5.0)), max_curves=1)
+        result = scan_levelset(TASK, cfg, 24)
+        assert len(result.curves) == 1 and len(result.points) == 24
+        assert sorted(set(result.labels.tolist())) == [-1, 0]
+        assert np.count_nonzero(result.labels == -1) == 22
+
     def test_determinism(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
         a = scan_levelset(TASK, cfg, 12)
@@ -615,6 +628,7 @@ class TestInvariantProperties:
            st.sampled_from([2, 3]))
     def test_refinement_keeps_smoothness_cost_exactly(self, omegas, k):
         p = _start(omegas)
+        c1 = SecondaryCost("smoothness").value
         assert c1(refine(p, k).omegas) == c1(p.omegas)
 
     @given(starts)

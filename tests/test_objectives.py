@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oscnav
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol,
-                    SecondaryCost, c1, c1_grad, c2, c2_grad, infidelity,
-                    initial_state, propagate, refine, symplectic_final,
-                    target_matrix, theta_infidelity, theta_scan)
-from oscnav.objectives import _cost_hessian
+                    SecondaryCost, infidelity, initial_state, propagate, refine,
+                    symplectic_final, target_matrix, theta_infidelity, theta_scan)
 from oscnav.propagator import ModeState
+
+C1 = SecondaryCost("smoothness")
+
+
+def c2(chunks):
+    return SecondaryCost("compression", chunks)
 
 
 def fd_grad(func, w, h=1e-7):
@@ -24,77 +29,95 @@ def fd_grad(func, w, h=1e-7):
     return g
 
 
+def test_every_exported_name_resolves():
+    assert all(hasattr(oscnav, name) for name in oscnav.__all__)
+
+
 class TestCostHessian:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_equals_the_per_column_construction(self, m):
         # both costs are homogeneous quadratics: Hess C e_i = grad C(e_i)
-        costs = [SecondaryCost("smoothness")] + [
-            SecondaryCost("compression", chunks) for chunks in (1, 2, 3) if m % chunks == 0]
+        costs = [C1] + [c2(chunks) for chunks in (1, 2, 3) if m % chunks == 0]
         for cost in costs:
             want = np.array([cost.grad(e) for e in np.eye(m)])
-            assert np.array_equal(_cost_hessian(cost, m), want), cost
+            assert np.array_equal(cost.add_hessian(np.zeros((m, m))), want), cost
+
+    def test_adds_in_place(self):
+        base = np.arange(16.0).reshape(4, 4)
+        out = base.copy()
+        assert c2(2).add_hessian(out) is out
+        assert np.array_equal(out - base, c2(2).add_hessian(np.zeros((4, 4))))
 
     def test_indivisible_chunking(self):
         with pytest.raises(IndivisibleChunking):
-            _cost_hessian(SecondaryCost("compression", 3), 8)
+            c2(3).add_hessian(np.zeros((8, 8)))
+
+    def test_pairs_are_read_only(self):
+        for a in oscnav.objectives._pairs(6, 2) + oscnav.objectives._pairs(6, None):
+            assert not a.flags.writeable
 
 
 class TestSmoothnessCost:
     def test_constant_sequence_is_free(self):
-        assert c1([2.0] * 10) == 0.0
-        assert np.all(c1_grad([2.0] * 10) == 0.0)
+        assert C1.value([2.0] * 10) == 0.0
+        assert np.all(C1.grad([2.0] * 10) == 0.0)
 
     def test_arithmetic(self):
-        assert c1([1.0, 2.0, 4.0]) == pytest.approx(5.0)
+        assert C1.value([1.0, 2.0, 4.0]) == pytest.approx(5.0)
 
     def test_short_sequences(self):
-        assert c1([]) == 0.0
-        assert c1([3.0]) == 0.0
+        assert C1.value([]) == 0.0
+        assert C1.value([3.0]) == 0.0
+        assert C1.grad([]).shape == (0,)
+        assert np.array_equal(C1.grad([3.0]), [0.0])
 
     def test_gradient_matches_fd(self):
         # h = 1e-7 round-off is ~eps*C1/h, so keep the cost at modest scale
         rng = np.random.default_rng(1)
         w = rng.uniform(-0.3, 0.3, 8)
-        assert np.max(np.abs(c1_grad(w) - fd_grad(c1, w))) < 1e-8
+        assert np.max(np.abs(C1.grad(w) - fd_grad(C1.value, w))) < 1e-8
         # the cost is exactly quadratic, so a coarse step has no truncation error
-        assert np.max(np.abs(c1_grad(w) - fd_grad(c1, w, h=1e-3))) < 1e-10
+        assert np.max(np.abs(C1.grad(w) - fd_grad(C1.value, w, h=1e-3))) < 1e-10
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         w = rng.uniform(-2, 2, 9)
-        assert c1(w + 0.7) == pytest.approx(c1(w), rel=1e-12)
-        assert abs(np.sum(c1_grad(w))) < 1e-12
+        assert C1.value(w + 0.7) == pytest.approx(C1.value(w), rel=1e-12)
+        assert abs(np.sum(C1.grad(w))) < 1e-12
 
 
 class TestCompressionCost:
     def test_arithmetic(self):
-        assert c2([1.0, 3.0, 2.0, 2.0], 2) == pytest.approx(4.0)
+        assert c2(2).value([1.0, 3.0, 2.0, 2.0]) == pytest.approx(4.0)
 
     def test_chunk_constant_is_free(self):
         w = np.repeat([1.0, 2.5, -0.5], 4)
-        assert c2(w, 3) == 0.0
-        assert np.all(c2_grad(w, 3) == 0.0)
+        assert c2(3).value(w) == 0.0
+        assert np.all(c2(3).grad(w) == 0.0)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(-0.3, 0.3, 12)
-        assert np.max(np.abs(c2_grad(w, 3) - fd_grad(lambda v: c2(v, 3), w))) < 1e-8
-        assert np.max(np.abs(c2_grad(w, 3) - fd_grad(lambda v: c2(v, 3), w, h=1e-3))) < 1e-10
+        cost = c2(3)
+        assert np.max(np.abs(cost.grad(w) - fd_grad(cost.value, w))) < 1e-8
+        assert np.max(np.abs(cost.grad(w) - fd_grad(cost.value, w, h=1e-3))) < 1e-10
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         w = rng.uniform(-2, 2, 8)
-        assert c2(w + 1.3, 2) == pytest.approx(c2(w, 2), rel=1e-12)
-        assert abs(np.sum(c2_grad(w, 2))) < 1e-12
+        assert c2(2).value(w + 1.3) == pytest.approx(c2(2).value(w), rel=1e-12)
+        assert abs(np.sum(c2(2).grad(w))) < 1e-12
 
     def test_rejects_indivisible(self):
         with pytest.raises(IndivisibleChunking):
-            c2([1.0, 2.0, 3.0], 2)
+            c2(2).value([1.0, 2.0, 3.0])
+        with pytest.raises(IndivisibleChunking):
+            c2(2).grad([1.0, 2.0, 3.0])
 
     def test_chunk_constant_survives_refinement(self):
         p = Protocol(1.0, 0.25, 0.1, tuple(np.repeat([0.4, 1.9], 3)))
-        assert c2(p.omegas, 2) == 0.0
-        assert c2(refine(p, 2).omegas, 2) == 0.0
+        assert c2(2).value(p.omegas) == 0.0
+        assert c2(2).value(refine(p, 2).omegas) == 0.0
 
 
 class TestSecondaryCost:
