@@ -5,11 +5,11 @@ from .errors import (CorrectorFailed, EmptyProtocol, IndivisibleChunking,
                      NegativeOccupation, NonFiniteEntry, NonPositiveFrequency,
                      NonSymplectic, NotASolution, OscnavError,
                      RestartBudgetExhausted)
-from .navigator import (CriticalPointReport, DescentConfig, DescentTrajectory,
-                        LevelsetCurve, NavigationConfig, ScanConfig, ScanResult,
-                        SolveResult, TraceConfig, TrajectoryRecord, descend,
-                        navigate, null_projector, scan_levelset, solve,
-                        trace_levelset)
+from .navigator import (INFIDELITY_THRESHOLD, CriticalPointReport, DescentConfig,
+                        DescentTrajectory, LevelsetCurve, NavigationConfig,
+                        ScanConfig, ScanResult, SolveResult, TraceConfig,
+                        TrajectoryRecord, descend, navigate, null_projector,
+                        scan_levelset, solve, trace_levelset)
 from .objectives import (SecondaryCost, symplectic_final, target_matrix,
                          theta_infidelity, theta_scan)
 from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
@@ -26,6 +26,7 @@ __all__ = [
     "SensitivityBundle", "gradient", "beta_hessian", "hessian",
     "SecondaryCost", "symplectic_final", "target_matrix", "theta_infidelity",
     "theta_scan",
+    "INFIDELITY_THRESHOLD",
     "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",
     "DescentTrajectory", "TrajectoryRecord", "CriticalPointReport",
     "SolveResult", "LevelsetCurve", "ScanResult",

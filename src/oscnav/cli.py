@@ -109,8 +109,8 @@ def _type_hints(cls):
 def _dataclass_from(cls, section, where, **fixed):
     """Build config dataclass ``cls`` from a JSON section, checking each type.
 
-    ``fixed`` fields are supplied by the caller and are not keys of the
-    section.
+    ``fixed`` fields, the nested configs of ScanConfig, are supplied by the
+    caller and are not keys of the section.
     """
     fields = _type_hints(cls)
     _check_keys(section, [name for name in fields if name not in fixed], where)
@@ -148,10 +148,7 @@ class RunConfig:
         self.descent = _dataclass_from(DescentConfig, doc.get("descent", {}), "descent")
         self.navigation = _dataclass_from(NavigationConfig, doc.get("navigation", {}),
                                           "navigation")
-        # a traced point is a solution by the descent's threshold
-        self.trace = _dataclass_from(
-            TraceConfig, doc.get("trace", {}), "trace",
-            infidelity_threshold=self.descent.infidelity_threshold)
+        self.trace = _dataclass_from(TraceConfig, doc.get("trace", {}), "trace")
         self.scan = _dataclass_from(ScanConfig, doc.get("scan", {}), "scan",
                                     descent=self.descent, trace=self.trace)
         out = doc.get("output", {})

@@ -20,7 +20,10 @@ Three layers build on each other:
   solution clouds are grouped into connected components by proximity to
   traced curves.
 
-Every operation is deterministic given its configuration and seed.
+A protocol is a solution, a point of the optimal level set, when its
+infidelity I = |beta|^2 is below ``INFIDELITY_THRESHOLD``; solve, navigation
+and tracing all read that one constant. Every operation is deterministic
+given its configuration and seed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,18 @@ from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
 _ON_LEVEL_SET = ("target", "floor")
+# a protocol is a solution when I = |beta|^2 is below this
+INFIDELITY_THRESHOLD = 1e-5
+
+
+def _admit(solution: Protocol, caller: str, order: int = 1):
+    """The forward pass of ``solution``; NotASolution unless I is below
+    ``INFIDELITY_THRESHOLD``."""
+    fw = forward(solution, order)
+    i0 = abs(fw.beta) ** 2
+    if not i0 < INFIDELITY_THRESHOLD:
+        raise NotASolution(f"{caller} requires I < {INFIDELITY_THRESHOLD:g}, got {i0:g}")
+    return fw
 
 
 @dataclass(frozen=True)
@@ -49,7 +64,6 @@ class DescentConfig:
 
     max_iterations: int = 20000
     grad_tolerance: float = 1e-9
-    infidelity_threshold: float = 1e-5
     box: tuple[float, float] = (0.1, 2.0)
     seed: int = 0
     max_restarts: int = 32
@@ -57,8 +71,8 @@ class DescentConfig:
     def __post_init__(self):
         if not self.box[0] < self.box[1]:
             raise ValueError("amplitude box must have lo < hi")
-        if self.grad_tolerance <= 0 or self.infidelity_threshold <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.grad_tolerance <= 0:
+            raise ValueError("grad tolerance must be > 0")
         if self.max_iterations < 0 or self.max_restarts < 0:
             raise ValueError("iteration and restart budgets must be >= 0")
 
@@ -70,12 +84,13 @@ class NavigationConfig:
     Every trial step is projected by the Levenberg-Marquardt corrector
     until the infidelity is below ``corrector_target`` or at its rounding
     floor, within ``corrector_budget`` steps; a target below the floor does
-    not by itself fail a run. The default sits a few decades above the
-    floor (about 1e-31 for M up to 96 on the README task): the cost of a
-    point at infidelity I differs from that of the level set by about
-    |nu| sqrt(I), and a looser target lets that difference mask the last
-    steps. A doubling factor from the schedule is consumed whenever the
-    projected gradient stalls.
+    not by itself fail a run. The target must be below
+    ``INFIDELITY_THRESHOLD``. The default sits a few decades above the floor
+    (about 1e-31 for M up to 96 on the README task): the cost of a point at
+    infidelity I differs from that of the level set by about |nu| sqrt(I),
+    and a looser target lets that difference mask the last steps. A
+    doubling factor from the schedule is consumed whenever the projected
+    gradient stalls.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -83,7 +98,6 @@ class NavigationConfig:
     leaving the bulk of the secondary descent to the enlarged space.
     """
 
-    infidelity_threshold: float = 1e-5
     corrector_target: float = 1e-28
     corrector_budget: int = 500
     stall_tolerance: float = 1e-8
@@ -92,9 +106,7 @@ class NavigationConfig:
     max_iterations: int = 200000
 
     def __post_init__(self):
-        if not self.infidelity_threshold > 0:
-            raise ValueError("infidelity threshold must be > 0")
-        if not self.corrector_target < self.infidelity_threshold:
+        if not self.corrector_target < INFIDELITY_THRESHOLD:
             raise ValueError("corrector target must be below the infidelity threshold")
         if self.corrector_budget < 0 or self.max_iterations < 0:
             raise ValueError("iteration budgets must be >= 0")
@@ -112,6 +124,8 @@ class TraceConfig:
     about -2 to +5, inside the default bound. Other components reach much
     further (one spans omega_2 in [-10.2, 10.2]); a trace of such a curve
     leaves the default box and ends ``open`` rather than ``closed``.
+    The corrector target must be below ``INFIDELITY_THRESHOLD``: a vertex
+    held only to a higher target need not be a solution.
     """
 
     step_size: float = 0.05
@@ -122,9 +136,10 @@ class TraceConfig:
     corrector_budget: int = 300
     box: tuple[float, float] = (-4.0, 8.0)
     initial_sign: float = 1.0
-    infidelity_threshold: float = 1e-5
 
     def __post_init__(self):
+        if not self.corrector_target < INFIDELITY_THRESHOLD:
+            raise ValueError("corrector target must be below the infidelity threshold")
         if not self.step_size > 0:
             raise ValueError("step size must be > 0")
         if not self.box[0] < self.box[1]:
@@ -291,14 +306,15 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     return p, val, bundle, status
 
 
-def _classify(status: str, i_val: float, cfg: DescentConfig) -> str:
+def _classify(status: str, i_val: float) -> str:
     """Restart outcome from the stop state of ``_project``.
 
-    A stall above the threshold is a trap too: there the gradient of I
-    cannot fall below an absolute tolerance, as rounding sets its floor.
-    Below the threshold, a point at the rounding floor of I is a solution.
+    Below ``INFIDELITY_THRESHOLD`` a critical point, or a point at the
+    rounding floor of I, is a solution. A stall above it is a trap too:
+    there the gradient of I cannot fall below an absolute tolerance, as
+    rounding sets its floor.
     """
-    if i_val < cfg.infidelity_threshold:
+    if i_val < INFIDELITY_THRESHOLD:
         return "solution" if status in ("critical", "floor") else "non-critical"
     return "trap" if status in ("critical", "stalled") else "non-critical"
 
@@ -320,7 +336,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
     p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
                                       on_step)
     gmax = float(np.abs(bundle.grad_infidelity).max())
-    report = CriticalPointReport(_classify(status, val, cfg), val, gmax)
+    report = CriticalPointReport(_classify(status, val), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
     return p, report, DescentTrajectory(tuple(records), traj_status)
 
@@ -343,7 +359,7 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         if report.classification == "solution":
             return SolveResult(p, restart, report, traj)
     raise RestartBudgetExhausted(
-        f"no solution with I < {cfg.infidelity_threshold:g} in {cfg.max_restarts} restarts")
+        f"no solution with I < {INFIDELITY_THRESHOLD:g} in {cfg.max_restarts} restarts")
 
 
 def _level_set_frame(grad_beta: np.ndarray, tol: float = 1e-10):
@@ -398,10 +414,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    fw = forward(solution, 2)
-    i0 = abs(fw.beta) ** 2
-    if not i0 < cfg.infidelity_threshold:
-        raise NotASolution(f"navigate requires I < {cfg.infidelity_threshold:g}, got {i0:g}")
+    fw = _admit(solution, "navigate", 2)
     p = solution
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
@@ -510,7 +523,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg):
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
         length = float(np.linalg.norm(dt))
-        if ival < cfg.infidelity_threshold and decrease > 0.0 and cost.value(w_c) <= cur_c:
+        if ival < INFIDELITY_THRESHOLD and decrease > 0.0 and cost.value(w_c) <= cur_c:
             ratio = decrease / predicted
             if ratio < 0.25:
                 radius = 0.25 * length
@@ -586,18 +599,6 @@ def _null_direction(grad_beta: np.ndarray):
     return t0 / norm, t1 / norm, t2 / norm
 
 
-def _check_corrector_target(cfg: TraceConfig):
-    """Refuse a trace whose vertices need not be solutions.
-
-    The corrector target must lie below the threshold. It is checked where
-    a trace starts, not in TraceConfig, whose threshold a configuration
-    takes from its descent section, also for commands that never trace.
-    """
-    if not cfg.corrector_target < cfg.infidelity_threshold:
-        raise ValueError(f"trace corrector target {cfg.corrector_target:g} must be "
-                         f"below the infidelity threshold {cfg.infidelity_threshold:g}")
-
-
 def _dot(a, b) -> float:
     """Dot product of two 3-tuples."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -629,24 +630,18 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     of the start, moving the same way - or on leaving the box (reported as
     an open curve). A projection that fails, or a vertex whose Jacobian has
     rank < 2, so that no tangent exists, ends the curve
-    ``corrector_failed`` at the last vertex on beta = 0. Raises ValueError
-    unless ``corrector_target`` is below ``infidelity_threshold``, as
-    vertices held only to the target need not be solutions; the input's
-    one forward pass both admits it (NotASolution otherwise, before any
+    ``corrector_failed`` at the last vertex on beta = 0. The input's one
+    forward pass both admits it (NotASolution otherwise, before any
     backward pass) and starts its projection.
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
-    _check_corrector_target(cfg)
-    fw = forward(solution)
-    i0 = abs(fw.beta) ** 2
-    if not i0 < cfg.infidelity_threshold:
-        raise NotASolution("trace_levelset requires a solution protocol")
+    fw = _admit(solution, "trace_levelset")
     p, ival, bundle, status = _project(solution, cfg.corrector_target,
                                        cfg.corrector_budget, fw=fw)
     if status not in _ON_LEVEL_SET:
-        return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([i0]), False,
-                             "corrector_failed")
+        return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([abs(fw.beta) ** 2]),
+                             False, "corrector_failed")
     v0 = v = p.omegas
     verts, ivals = [v], [ival]
     # no bundle: the start was below the target, and p is the start
@@ -710,15 +705,11 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
     point within ``assign_distance`` of it, repeating until all points are
     labeled or ``cfg.max_curves`` curves are traced; points left then keep
     label -1. Output ordering follows seed order, independent of scheduling.
-    A point is a solution by the descent's threshold, so the traces take
-    that threshold too, in place of ``cfg.trace.infidelity_threshold``,
-    and a corrector target not below it is refused before any solve.
+    Every point and every traced vertex is a solution by the same
+    ``INFIDELITY_THRESHOLD``.
     """
     if n_seeds < 0:
         raise ValueError(f"the number of seeds must be >= 0, got {n_seeds}")
-    trace_cfg = dataclasses.replace(
-        cfg.trace, infidelity_threshold=cfg.descent.infidelity_threshold)
-    _check_corrector_target(trace_cfg)
     pts: list[np.ndarray] = []
     ivals: list[float] = []
     for i in range(n_seeds):
@@ -740,7 +731,7 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
         if len(curves) >= cfg.max_curves:
             break
         p = Protocol(omega0, omegaT, total_t / 3.0, tuple(points[idx]))
-        curve = trace_levelset(p, trace_cfg)
+        curve = trace_levelset(p, cfg.trace)
         label = len(curves)
         curves.append(curve)
         for j in range(idx, len(pts)):

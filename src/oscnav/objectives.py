@@ -1,12 +1,13 @@
 """Secondary cost functionals and the phase-resolved symplectic objective.
 
 Two secondary costs act on the pulse sequence alone. Each is a sum of
-squared differences (w_b - w_a)^2 over a list of pulse pairs (a, b), so
-its value, gradient and constant Hessian all come from that list:
+squared differences (w_b - w_a)^2 over a set of pulse pairs (a, b), with a
+constant Hessian:
 
 * smoothness C1: the consecutive pairs (p, p + 1);
-* compression C2: for a split into L equal chunks, every pair inside each
-  chunk (zero iff every chunk is constant).
+* compression C2: for a split into L equal chunks of K pulses, every pair
+  inside each chunk, summed through the chunk as K sum(e^2) with e the
+  deviations from the chunk mean (zero iff every chunk is constant).
 
 Independently, the evolution can be scored against a one-parameter family of
 symplectic targets W(theta) = cos(theta) A + sin(theta) B through the
@@ -19,7 +20,6 @@ diagnostics; the primary objective elsewhere stays the phase-free |beta|^2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,30 +33,6 @@ from .protocol import Protocol
 _DET_TOL = 1e-8
 
 
-@functools.lru_cache(maxsize=16)
-def _pairs(m: int, chunks: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (a, b), a < b, of the pulse pairs of a cost.
-
-    ``chunks`` None gives the M - 1 consecutive pairs (p, p + 1) of
-    smoothness; otherwise every pair inside each of ``chunks`` equal
-    chunks, chunk by chunk. Cached per (m, chunks): the arrays are rebuilt
-    only when the pulse count changes.
-    """
-    if chunks is None:
-        a = np.arange(max(m - 1, 0))
-        b = a + 1
-    else:
-        if chunks < 1 or m % chunks != 0:
-            raise IndivisibleChunking(f"M={m} is not divisible by L={chunks}")
-        k = m // chunks
-        start = np.arange(0, m, k)[:, None]
-        i, j = np.triu_indices(k, 1)
-        a, b = (start + i).ravel(), (start + j).ravel()
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
 @dataclass(frozen=True)
 class SecondaryCost:
     """A secondary cost: C(w) = sum over its pulse pairs (a, b) of (w_b - w_a)^2.
@@ -64,7 +40,9 @@ class SecondaryCost:
     kind is "smoothness" (consecutive pairs) or "compression" (every pair
     inside each of ``chunks`` equal chunks); ``chunks`` is required (and
     only meaningful) for compression. An M that the chunks do not divide
-    raises IndivisibleChunking.
+    raises IndivisibleChunking. Compression never lists its pairs: over a
+    chunk of K pulses with deviations e from the chunk mean, its pairs sum
+    to K sum(e^2), so its value and gradient take O(M) memory.
     """
 
     kind: str
@@ -76,43 +54,73 @@ class SecondaryCost:
         if self.kind == "compression" and (self.chunks is None or self.chunks < 1):
             raise ValueError("compression cost requires a positive chunk count")
 
-    def _pairs_for(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pulse pairs (a, b) of this cost on M pulses."""
-        return _pairs(m, self.chunks if self.kind == "compression" else None)
+    def _chunk_size(self, m: int) -> int:
+        """Pulses per compression chunk on M pulses."""
+        if m % self.chunks != 0:
+            raise IndivisibleChunking(f"M={m} is not divisible by L={self.chunks}")
+        return m // self.chunks
+
+    def _chunk_deviations(self, w: np.ndarray) -> np.ndarray:
+        """(L, K) deviations of each pulse from the first pulse of its chunk.
+
+        A constant chunk gives exact zeros, so its cost and gradient are
+        exactly 0, as in ``protocol.collapse``.
+        """
+        chunked = w.reshape(self.chunks, self._chunk_size(w.size))
+        return chunked - chunked[:, :1]
 
     def value(self, omegas) -> float:
-        """C(w) as one dot product of the nonzero pair differences.
+        """C(w) as one dot product.
 
-        Dropping the zeros makes ``refine`` leave the smoothness terms, and
-        their order, unchanged, so C1 is bit-exact under it; a
-        chunk-constant sequence has no nonzero compression term, so its C2
-        is exactly 0.
+        Smoothness drops its zero differences, so ``refine`` leaves its
+        terms, and their order, unchanged and C1 is bit-exact under it.
+        Compression is K sum(e^2) with e the deviations from each chunk's
+        mean, which is exactly 0 on a chunk-constant sequence.
         """
         w = np.asarray(omegas, dtype=float)
-        a, b = self._pairs_for(w.size)
-        d = w[b] - w[a]
-        d = d[d != 0.0]
-        return float(d @ d)
+        if self.kind == "smoothness":
+            d = w[1:] - w[:-1]
+            d = d[d != 0.0]
+            return float(d @ d)
+        d = self._chunk_deviations(w)
+        k = d.shape[1]
+        e = (d - d.sum(axis=1, keepdims=True) / k).ravel()
+        return float(k * (e @ e))
 
     def grad(self, omegas) -> np.ndarray:
-        """Each pair adds 2 (w_b - w_a) at pulse b and its negative at a."""
+        """Smoothness: each pair adds 2 (w_b - w_a) at pulse b and its negative
+        at a; compression: 2 (K w_p - sum of w over the chunk of p)."""
         w = np.asarray(omegas, dtype=float)
-        a, b = self._pairs_for(w.size)
-        d = w[b] - w[a]
-        return 2.0 * (np.bincount(b, d, w.size) - np.bincount(a, d, w.size))
+        if self.kind == "smoothness":
+            d = w[1:] - w[:-1]
+            g = np.zeros(w.size)
+            g[1:] += d
+            g[:-1] -= d
+            return 2.0 * g
+        d = self._chunk_deviations(w)
+        return 2.0 * (d.shape[1] * d - d.sum(axis=1, keepdims=True)).ravel()
 
     def add_hessian(self, out: np.ndarray) -> np.ndarray:
         """Add the constant Hessian of C to the square array ``out`` in place.
 
-        It is twice the Laplacian of the pair graph: 2 times the number of
-        pairs of a pulse on the diagonal, and -2 at each pair and its mirror.
+        It is twice the Laplacian of the pair graph. Smoothness: 2 times the
+        number of neighbours of a pulse on the diagonal and -2 at each
+        consecutive pair; compression: 2K on the diagonal and -2 over each
+        K x K chunk block.
         """
         m = len(out)
-        a, b = self._pairs_for(m)
-        out[a, b] -= 2.0
-        out[b, a] -= 2.0
         diag = np.arange(m)
-        out[diag, diag] += 2.0 * (np.bincount(a, minlength=m) + np.bincount(b, minlength=m))
+        if self.kind == "smoothness":
+            a = diag[:-1]
+            out[a, a + 1] -= 2.0
+            out[a + 1, a] -= 2.0
+            # one for a left and one for a right neighbour
+            out[diag, diag] += 2.0 * (np.minimum(diag, 1) + np.minimum(diag[::-1], 1))
+            return out
+        k = self._chunk_size(m)
+        for start in range(0, m, k):
+            out[start:start + k, start:start + k] -= 2.0
+        out[diag, diag] += 2.0 * k
         return out
 
 

@@ -4,7 +4,8 @@ The derivatives are independent of the adjoint sweep in
 ``oscnav.sensitivities``: central differences of the propagated state, and
 the rank-2 Hessian of I at a frictionless point written from its
 definition. ``step_matrix`` assembles one step's 2 x 2 matrix from the
-kernel entries, for checks of the kernel itself.
+kernel entries, for checks of the kernel itself. ``pair_cost`` sums a
+secondary cost over its pulse pairs one pair at a time.
 """
 
 import numpy as np
@@ -77,3 +78,30 @@ def fd_hessian(p, h: float = 1e-4) -> np.ndarray:
                    + f_at(-ei - ej)) / (4.0 * h * h)
             out[i, j] = out[j, i] = val
     return out
+
+
+def pair_cost(omegas, chunks=None):
+    """Value, gradient and Hessian of a secondary cost, pair by pair.
+
+    A double loop over the pulses visits every pair (a, b), a < b, of the
+    cost: consecutive for smoothness (``chunks`` None), inside one of
+    ``chunks`` equal chunks for compression. Each adds (w_b - w_a)^2 to the
+    value, +-2 (w_b - w_a) to the gradient and its 2 x 2 block to the Hessian.
+    """
+    w = [float(x) for x in omegas]
+    m = len(w)
+    k = m // chunks if chunks else None
+    value, grad, hess = 0.0, np.zeros(m), np.zeros((m, m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            if (b != a + 1) if k is None else (a // k != b // k):
+                continue
+            d = w[b] - w[a]
+            value += d * d
+            grad[b] += 2.0 * d
+            grad[a] -= 2.0 * d
+            hess[a, a] += 2.0
+            hess[b, b] += 2.0
+            hess[a, b] -= 2.0
+            hess[b, a] -= 2.0
+    return value, grad, hess

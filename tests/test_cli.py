@@ -206,18 +206,6 @@ class TestDiagnosticsCommands:
         info = json.loads(r.stdout)
         assert info["points"] == 8
 
-    def test_levelset_traces_solutions_by_the_descent_threshold(self, tmp_path):
-        # a loose descent threshold accepts solves far above the trace's own
-        # default threshold; the scan must trace them, not exit 3 as if an
-        # input protocol were not a solution
-        cfg = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8},
-               "descent": {"grad_tolerance": 0.5, "infidelity_threshold": 0.05},
-               "output": {"cloud": "cloud.csv", "curves": "curves.csv"}}
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        r = run_cli("levelset", "--config", "cfg.json", "--seeds", "3", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout)["points"] == 3
-
 
 def _strict_json(line):
     """Parse one JSON line, refusing the NaN/Infinity extensions."""
@@ -247,6 +235,8 @@ class TestInputContract:
         dict(TASK_DOC, descent={"armijo_constant": 1e-4}),  # removed keys
         dict(TASK_DOC, navigation={"grad_tolerance": 1e-9}),
         dict(TASK_DOC, navigation={"initial_step": 0.1}),
+        dict(TASK_DOC, descent={"infidelity_threshold": 1e-3}),
+        dict(TASK_DOC, navigation={"infidelity_threshold": 1e-3}),
     ])
     def test_badly_typed_config_field(self, config, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -270,7 +260,10 @@ class TestInputContract:
         (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"closure_factor": 0}),
          "ConfigError"),
         (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"corrector_target": 0.01}),
-         "ValueError"),
+         "ConfigError"),
+        (["solve"], dict(TASK_DOC, trace={"corrector_target": 0.01}), "ConfigError"),
+        (["smooth", "{p}"], dict(TASK_DOC, navigation={"corrector_target": 1e-5}),
+         "ConfigError"),
         (["smooth", "{p}"],
          dict(TASK_DOC, navigation={"infidelity_threshold": -1, "corrector_target": -2}),
          "ConfigError"),
@@ -281,6 +274,7 @@ class TestInputContract:
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
             "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
             "scan.max_curves", "trace.closure_factor", "trace.corrector_target",
+            "solve.trace.corrector_target", "navigation.corrector_target",
             "navigation.infidelity_threshold",
             "navigation.doubling_schedule", "double", "seeds"])
     def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
@@ -293,26 +287,17 @@ class TestInputContract:
         assert _one_error_line(err)["error"] == error
 
     def test_trace_threshold_is_not_a_config_key(self, tmp_path, capsys):
-        # traces take the descent's threshold, so the key would have no effect
-        (tmp_path / "cfg.json").write_text(
-            json.dumps(dict(TASK_DOC, trace={"infidelity_threshold": 1e-3})))
-        code = main(["levelset", "--config", str(tmp_path / "cfg.json"), "--seeds", "1"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        line = _one_error_line(err)
-        assert line["error"] == "ConfigError" and "infidelity_threshold" in line["detail"]
-
-    def test_solve_below_the_trace_corrector_target(self, tmp_path, capsys):
-        # the trace section takes the descent threshold, here below its
-        # corrector target of 1e-12; only a trace refuses that
-        doc = dict(TASK_DOC, descent={"seed": 1, "infidelity_threshold": 1e-13},
-                   output={"protocol": str(tmp_path / "p.json"),
-                           "trajectory": str(tmp_path / "t.csv")})
-        (tmp_path / "cfg.json").write_text(json.dumps(doc))
-        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
-        out, err = capsys.readouterr()
-        assert code == 0, err
-        assert json.loads(out)["infidelity"] < 1e-13
+        # every command reads the one INFIDELITY_THRESHOLD, so no section
+        # has a threshold key
+        for section in ("descent", "navigation", "trace"):
+            (tmp_path / "cfg.json").write_text(
+                json.dumps(dict(TASK_DOC, **{section: {"infidelity_threshold": 1e-3}})))
+            code = main(["levelset", "--config", str(tmp_path / "cfg.json"), "--seeds", "1"])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            line = _one_error_line(err)
+            assert line["error"] == "ConfigError", section
+            assert f"unknown keys in {section}: ['infidelity_threshold']" in line["detail"]
 
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "grad_tolerance": 1},

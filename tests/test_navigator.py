@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnav import (DescentConfig, NavigationConfig, NotASolution, Protocol,
-                    RestartBudgetExhausted, ScanConfig, SecondaryCost,
-                    TraceConfig, collapse, descend, gradient,
+from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, NavigationConfig,
+                    NotASolution, Protocol, RestartBudgetExhausted, ScanConfig,
+                    SecondaryCost, TraceConfig, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator, propagator
@@ -261,12 +261,12 @@ class TestNavigate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            NavigationConfig(corrector_target=1e-4, infidelity_threshold=1e-5)
+            NavigationConfig(corrector_target=1e-4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(doubling_schedule=(0,)), dict(doubling_schedule=(2, -1)),
         dict(doubling_schedule=(2.0,)),
-        dict(infidelity_threshold=-1.0, corrector_target=-2.0),
+        dict(corrector_target=INFIDELITY_THRESHOLD),
     ])
     def test_out_of_range_settings_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -524,12 +524,11 @@ class TestTraceLevelset:
             trace_levelset(m8_solution.protocol, TraceConfig())
 
     @pytest.mark.parametrize("target", [1e-5, 0.01])
-    def test_corrector_target_must_be_below_the_threshold(self, m3_solution, target):
+    def test_corrector_target_must_be_below_the_threshold(self, target):
         # vertices held only to a target at or above the threshold need not
-        # be solutions; the config itself loads, as a solve never traces
-        cfg = TraceConfig(corrector_target=target)
+        # be solutions, so the config itself is refused
         with pytest.raises(ValueError, match="corrector target"):
-            trace_levelset(m3_solution.protocol, cfg)
+            TraceConfig(corrector_target=target)
 
 
 def _closed_polyline_distance(point, vertices):
@@ -543,9 +542,8 @@ def _closed_polyline_distance(point, vertices):
 class TestScanLevelset:
     def test_corrector_target_is_checked_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(navigator, "solve", None)  # a solve would now fail
-        cfg = ScanConfig(trace=TraceConfig(corrector_target=0.01))
         with pytest.raises(ValueError, match="corrector target"):
-            scan_levelset(TASK, cfg, 2)
+            scan_levelset(TASK, ScanConfig(trace=TraceConfig(corrector_target=0.01)), 2)
 
     def test_small_scan_labels_everything(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
@@ -639,7 +637,7 @@ class TestInvariantProperties:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert traj.final_protocol == p
         if report.classification == "solution":
-            assert infidelity(p) < cfg.infidelity_threshold
+            assert infidelity(p) < INFIDELITY_THRESHOLD
             assert np.max(np.abs(gradient(p).grad_infidelity)) < cfg.grad_tolerance
 
     @settings(max_examples=25)
@@ -652,7 +650,7 @@ class TestInvariantProperties:
         traj = navigate(start, cost, cfg)
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
-        assert all(r.infidelity < cfg.infidelity_threshold for r in traj.records)
+        assert all(r.infidelity < INFIDELITY_THRESHOLD for r in traj.records)
 
 
 def _tangent_model(n, seed, definite, lowest_weight, g_scale):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol
                     SecondaryCost, infidelity, initial_state, propagate, refine,
                     symplectic_final, target_matrix, theta_infidelity, theta_scan)
 from oscnav.propagator import ModeState
+from oracles import pair_cost
 
 C1 = SecondaryCost("smoothness")
 
@@ -52,9 +54,37 @@ class TestCostHessian:
         with pytest.raises(IndivisibleChunking):
             c2(3).add_hessian(np.zeros((8, 8)))
 
-    def test_pairs_are_read_only(self):
-        for a in oscnav.objectives._pairs(6, 2) + oscnav.objectives._pairs(6, None):
-            assert not a.flags.writeable
+
+class TestCostProperties:
+    """Both costs against the pair-by-pair oracle, for every chunk count.
+
+    Bit-exactness of C1 under ``refine`` is checked in test_navigator.
+    """
+
+    @given(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=1, max_size=40))
+    def test_matches_the_pair_oracle(self, omegas):
+        m = len(omegas)
+        for chunks in [None] + [n for n in range(1, m + 1) if m % n == 0]:
+            cost = C1 if chunks is None else c2(chunks)
+            value, grad, hess = pair_cost(omegas, chunks)
+            assert math.isclose(cost.value(omegas), value, rel_tol=1e-12, abs_tol=1e-300)
+            assert np.allclose(cost.grad(omegas), grad, rtol=0.0, atol=1e-11)
+            assert np.array_equal(cost.add_hessian(np.zeros((m, m))), hess)
+            if chunks is not None:  # chunk-constant pulses are exactly free
+                flat = np.repeat(omegas[::m // chunks], m // chunks)
+                assert cost.value(flat) == 0.0 and np.all(cost.grad(flat) == 0.0)
+
+    def test_compression_memory_is_linear(self):
+        # the pairs of one 2048-pulse chunk would take tens of MB
+        w = np.random.default_rng(5).uniform(0.1, 2.0, 2048)
+        tracemalloc.start()
+        try:
+            c2(1).value(w)
+            c2(1).grad(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSmoothnessCost:
