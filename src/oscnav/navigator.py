@@ -71,7 +71,7 @@ class DescentConfig:
     def __post_init__(self):
         if not self.box[0] < self.box[1]:
             raise ValueError("amplitude box must have lo < hi")
-        if self.grad_tolerance <= 0:
+        if not self.grad_tolerance > 0:
             raise ValueError("grad tolerance must be > 0")
         if self.max_iterations < 0 or self.max_restarts < 0:
             raise ValueError("iteration and restart budgets must be >= 0")
@@ -110,6 +110,9 @@ class NavigationConfig:
             raise ValueError("corrector target must be below the infidelity threshold")
         if self.corrector_budget < 0 or self.max_iterations < 0:
             raise ValueError("iteration budgets must be >= 0")
+        if not (self.stall_tolerance >= 0 and (self.doubling_stall_tolerance is None
+                                               or self.doubling_stall_tolerance >= 0)):
+            raise ValueError("stall tolerances must be >= 0")
         if not all(isinstance(k, int) and k >= 1 for k in self.doubling_schedule):
             raise ValueError(f"doubling factors must be integers >= 1, "
                              f"got {self.doubling_schedule!r}")
@@ -233,13 +236,21 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
 
     I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
     J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
-    delta = -J^T (J J^T + lam I)^-1 r with lam = mu |r| tr(J J^T) / 2, and a
-    trial is accepted only if it lowers I: mu, ``mu`` at the start, falls
-    tenfold after an accepted step (floor 1e-12) and rises tenfold after a
-    rejected one. Damping in proportion to |r| gives Gauss-Newton steps near
-    beta = 0 and short gradient-like steps at traps, where the rank of J
-    may drop. One Protocol is built per evaluated point, and the same object
-    is evaluated and handed on.
+    delta = -J^T y, y = (J J^T + lam I)^-1 r, with lam = mu |r| tr(J J^T) / 2,
+    and a trial is accepted only if it lowers I. mu, ``mu`` at the start,
+    follows the gain ratio rho = (I - I_trial) / (I - lam^2 |y|^2) of the
+    actual to the predicted decrease, the model residual r + J delta being
+    lam y (Nielsen 1999; Madsen, Nielsen and Tingleff 2004, section 3.2).
+    An accepted step multiplies mu by 0.1 when rho > 0.75 and by
+    1 - (2 rho - 1)^3, between 0.875 and 2, otherwise (floor 1e-12). The
+    rejected trials of one step multiply it by 2, 4, 8, ..., so a trap is
+    not caught in a cycle of a rejected short-damped trial and an accepted
+    longer-damped one, and a stall is found after a few rejections.
+    Damping in proportion to |r| gives Gauss-Newton steps near beta = 0,
+    where rho is near 1 and mu falls tenfold, and short
+    gradient-like steps at traps, where the rank of J may drop. One
+    Protocol is built per evaluated point, and the same object is evaluated
+    and handed on.
 
     Each evaluated point, the start and every trial, accepted or not, costs
     one forward pass (``propagator.forward``), which gives I; an accepted
@@ -280,6 +291,7 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
         r0, r1 = bundle.beta.real, bundle.beta.imag
         a, b, c = float(jr @ jr), float(jr @ ji), float(ji @ ji)
         scale = math.hypot(r0, r1) * (a + c) / 2.0
+        nu = 2.0
         while True:
             lam = mu * scale
             # (a + lam)(c + lam) - b^2, with the rounding of a c - b^2 >= 0
@@ -299,9 +311,15 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             trial_fw = forward(trial)
             cval = abs(trial_fw.beta) ** 2
             if cval < val:
-                mu = max(mu * 0.1, 1e-12)
+                # rho > 0.75 tested without dividing: a predicted decrease
+                # rounded to 0 or below counts as rho > 0.75
+                gain, predicted = val - cval, val - lam * lam * (y0 * y0 + y1 * y1)
+                factor = (0.1 if gain > 0.75 * predicted
+                          else 1.0 - (2.0 * gain / predicted - 1.0) ** 3)
+                mu = max(mu * factor, 1e-12)
                 break
-            mu *= 10.0
+            mu *= nu
+            nu *= 2.0
         p, w, val, fw = trial, cand, cval, trial_fw
     return p, val, bundle, status
 

@@ -271,12 +271,19 @@ class TestInputContract:
          "ConfigError"),
         (["smooth", "{p}", "--double", "0"], TASK_DOC, "ConfigError"),
         (["levelset", "--seeds", "-1"], TASK_DOC, "ValueError"),
+        (["smooth", "{p}"], dict(TASK_DOC, navigation={"stall_tolerance": -1}),
+         "ConfigError"),
+        (["smooth", "{p}", "--double", "2"],
+         dict(TASK_DOC, navigation={"doubling_stall_tolerance": -0.2}), "ConfigError"),
+        (["solve"], dict(TASK_DOC, descent={"grad_tolerance": 0}), "ConfigError"),
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
             "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
             "scan.max_curves", "trace.closure_factor", "trace.corrector_target",
             "solve.trace.corrector_target", "navigation.corrector_target",
             "navigation.infidelity_threshold",
-            "navigation.doubling_schedule", "double", "seeds"])
+            "navigation.doubling_schedule", "double", "seeds",
+            "navigation.stall_tolerance", "navigation.doubling_stall_tolerance",
+            "descent.grad_tolerance"])
     def test_out_of_range_setting(self, argv, config, error, tmp_path, capsys):
         path = tmp_path / "p.json"
         proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution

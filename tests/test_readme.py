@@ -55,10 +55,13 @@ def test_cli_example(tmp_path, monkeypatch, capsys):
     assert lines[0][1] == "solve"
     solved = None
     for argv in lines:
-        if argv[1] == "levelset":
-            continue  # its 500 solves take minutes
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
         if solved is None:
             solved = (tmp_path / "protocol.json").read_bytes()
     # the later lines read the solve's protocol, and no line overwrites it
     assert (tmp_path / "protocol.json").read_bytes() == solved
+    levelset = next(argv for argv in lines if argv[1] == "levelset")
+    for option, header in (("--out-cloud", "omega1,omega2,omega3,I,component"),
+                           ("--out-curves", "curve,vertex,omega1,omega2,omega3,I,closed")):
+        text = (tmp_path / levelset[levelset.index(option) + 1]).read_text(encoding="utf-8")
+        assert text.splitlines()[0] == header and len(text.splitlines()) > 1
