@@ -10,8 +10,7 @@ from .navigator import (INFIDELITY_THRESHOLD, CriticalPointReport, DescentConfig
                         ScanConfig, ScanResult, SolveResult, TraceConfig,
                         TrajectoryRecord, descend, navigate, null_projector,
                         scan_levelset, solve, trace_levelset)
-from .objectives import (SecondaryCost, symplectic_final, target_matrix,
-                         theta_infidelity, theta_scan)
+from .objectives import SecondaryCost, symplectic_final, target_matrix, theta_scan
 from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
                          initial_state, particle_number, propagate,
                          wronskian_defect)
@@ -24,8 +23,7 @@ __all__ = [
     "ModeState", "BogoliubovPair", "initial_state", "propagate",
     "bogoliubov", "infidelity", "particle_number", "wronskian_defect",
     "SensitivityBundle", "gradient", "beta_hessian", "hessian",
-    "SecondaryCost", "symplectic_final", "target_matrix", "theta_infidelity",
-    "theta_scan",
+    "SecondaryCost", "symplectic_final", "target_matrix", "theta_scan",
     "INFIDELITY_THRESHOLD",
     "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",
     "DescentTrajectory", "TrajectoryRecord", "CriticalPointReport",

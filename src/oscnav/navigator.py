@@ -46,6 +46,21 @@ _EPS = float(np.finfo(float).eps)
 _ON_LEVEL_SET = ("target", "floor")
 # a protocol is a solution when I = |beta|^2 is below this
 INFIDELITY_THRESHOLD = 1e-5
+# navigation projects a trial until I is below this or at its rounding floor
+# (about 1e-31 up to M = 96 on the README task): the cost at infidelity I
+# differs from the level set's by about |nu| sqrt(I), and a looser target
+# lets that difference mask the last steps
+_NAV_TARGET = 1e-28
+# the tracer's target, below the threshold so that every vertex is a solution
+_TRACE_TARGET = 1e-12
+# LM steps per corrector projection; binds only when a projection fails
+_CORRECTOR_BUDGET = 500
+# a traced curve closes on returning, after this many steps, within
+# _CLOSURE_FACTOR step sizes of its start, moving the same way
+_MIN_STEPS_BEFORE_CLOSURE = 10
+_CLOSURE_FACTOR = 2.0
+# the rank of the Jacobian counts its singular values above this times the largest
+_RANK_TOL = 1e-10
 
 
 def _admit(solution: Protocol, caller: str, order: int = 1):
@@ -81,16 +96,11 @@ class DescentConfig:
 class NavigationConfig:
     """Secondary-objective navigation settings.
 
-    Every trial step is projected by the Levenberg-Marquardt corrector
-    until the infidelity is below ``corrector_target`` or at its rounding
-    floor, within ``corrector_budget`` steps; a target below the floor does
-    not by itself fail a run. The target must be below
-    ``INFIDELITY_THRESHOLD``. The default sits a few decades above the floor
-    (about 1e-31 for M up to 96 on the README task): the cost of a point at
-    infidelity I differs from that of the level set by about |nu| sqrt(I),
-    and a looser target lets that difference mask the last steps. A
-    doubling factor from the schedule is consumed whenever the projected
-    gradient stalls.
+    A stall consumes a doubling factor from the schedule, or completes the
+    run once the schedule is used up. It is a projected gradient below
+    ``stall_tolerance``, or a step whose predicted decrease falls to
+    rounding level, so a run can end ``completed`` with its projected
+    gradient above ``stall_tolerance``.
 
     ``doubling_stall_tolerance`` sets the stall level that consumes the
     schedule; None means use ``stall_tolerance`` for both. A looser doubling
@@ -98,18 +108,14 @@ class NavigationConfig:
     leaving the bulk of the secondary descent to the enlarged space.
     """
 
-    corrector_target: float = 1e-28
-    corrector_budget: int = 500
     stall_tolerance: float = 1e-8
     doubling_stall_tolerance: float | None = None
     doubling_schedule: tuple[int, ...] = ()
     max_iterations: int = 200000
 
     def __post_init__(self):
-        if not self.corrector_target < INFIDELITY_THRESHOLD:
-            raise ValueError("corrector target must be below the infidelity threshold")
-        if self.corrector_budget < 0 or self.max_iterations < 0:
-            raise ValueError("iteration budgets must be >= 0")
+        if self.max_iterations < 0:
+            raise ValueError("iteration budget must be >= 0")
         if not (self.stall_tolerance >= 0 and (self.doubling_stall_tolerance is None
                                                or self.doubling_stall_tolerance >= 0)):
             raise ValueError("stall tolerances must be >= 0")
@@ -127,31 +133,20 @@ class TraceConfig:
     about -2 to +5, inside the default bound. Other components reach much
     further (one spans omega_2 in [-10.2, 10.2]); a trace of such a curve
     leaves the default box and ends ``open`` rather than ``closed``.
-    The corrector target must be below ``INFIDELITY_THRESHOLD``: a vertex
-    held only to a higher target need not be a solution.
     """
 
     step_size: float = 0.05
     max_steps: int = 5000
-    min_steps_before_closure: int = 10
-    closure_factor: float = 2.0
-    corrector_target: float = 1e-12
-    corrector_budget: int = 300
     box: tuple[float, float] = (-4.0, 8.0)
     initial_sign: float = 1.0
 
     def __post_init__(self):
-        if not self.corrector_target < INFIDELITY_THRESHOLD:
-            raise ValueError("corrector target must be below the infidelity threshold")
         if not self.step_size > 0:
             raise ValueError("step size must be > 0")
         if not self.box[0] < self.box[1]:
             raise ValueError("runaway box must have lo < hi")
-        if self.max_steps < 0 or self.corrector_budget < 0:
-            raise ValueError("step and corrector budgets must be >= 0")
-        if not self.closure_factor > 0:
-            # a closure radius of 0 is never reached, so a closed curve runs on
-            raise ValueError("closure factor must be > 0")
+        if self.max_steps < 0:
+            raise ValueError("step budget must be >= 0")
         if self.initial_sign not in (1.0, -1.0):
             # any other factor scales the first tangent, and 0 stalls the trace
             raise ValueError(f"initial sign must be +1 or -1, got {self.initial_sign!r}")
@@ -380,13 +375,13 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
         f"no solution with I < {INFIDELITY_THRESHOLD:g} in {cfg.max_restarts} restarts")
 
 
-def _level_set_frame(grad_beta: np.ndarray, tol: float = 1e-10):
+def _level_set_frame(grad_beta: np.ndarray):
     """Normal basis Q, tangent basis Z and pseudo-inverse J^+ of a level set.
 
     All three come from one SVD J^T = U S V^T of the M x 2 matrix of the
     gradients Re grad_beta and Im grad_beta, the rows of the Jacobian J,
-    under one rank rule: k counts the singular values above ``tol`` times
-    the largest, so a zero J has rank 0 and a second gradient (nearly)
+    under one rank rule: k counts the singular values above ``_RANK_TOL``
+    times the largest, so a zero J has rank 0 and a second gradient (nearly)
     parallel to the first adds nothing. Q (M x k) and Z (M x (M - k)) are
     the first k and the other columns of U: orthonormal bases of the span
     of the two gradients and of its orthogonal complement, the level-set
@@ -394,11 +389,11 @@ def _level_set_frame(grad_beta: np.ndarray, tol: float = 1e-10):
     J truncated to rank k.
     """
     u, sv, vt = np.linalg.svd(np.array([np.real(grad_beta), np.imag(grad_beta)]).T)
-    k = int(np.count_nonzero(sv > tol * sv[0]))
+    k = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     return u[:, :k], u[:, k:], (u[:, :k] / sv[:k]) @ vt[:k]
 
 
-def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def null_projector(grad_beta: np.ndarray) -> np.ndarray:
     """Projector onto the level-set tangent space at a frictionless point.
 
     P = I - Q Q^T with Q the orthonormal basis of span{Re grad_beta,
@@ -406,7 +401,7 @@ def null_projector(grad_beta: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     vectors and is an orthogonal projector of rank M - rank(Q). Navigation
     works in the bases Q and Z and never builds P.
     """
-    q = _level_set_frame(grad_beta, tol)[0]
+    q = _level_set_frame(grad_beta)[0]
     return np.eye(len(grad_beta)) - q @ q.T
 
 
@@ -422,9 +417,11 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     ``_navigation_step``; the radius carries over between steps and starts,
     at the first step and after every doubling, at the Cauchy point of the
     cost along the projected gradient. Stalls consume the doubling
-    schedule; once the schedule is exhausted a stall ends the run. The
-    secondary cost is non-increasing and the infidelity stays below the
-    threshold at every record.
+    schedule; once the schedule is exhausted a stall ends the run. A step
+    whose predicted decrease falls to rounding level stalls too, so a run
+    can end ``completed`` with its projected gradient above
+    ``cfg.stall_tolerance``. The secondary cost is non-increasing and the
+    infidelity stays below the threshold at every record.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -460,7 +457,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
         try:
             step = None if stalled else _navigation_step(
-                p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg)
+                p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius)
         except CorrectorFailed:
             status = "corrector_failed"
             break
@@ -475,7 +472,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     return DescentTrajectory(tuple(records), status)
 
 
-def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg):
+def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     """One trust-region SQP step; (protocol, next radius), or None on a stall.
 
     The step d solves the KKT system of min C subject to
@@ -518,8 +515,8 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg):
     def holds():
         nonlocal held
         if held is None:
-            held = abs(bundle.beta) ** 2 < cfg.corrector_target or _project(
-                p, cfg.corrector_target, cfg.corrector_budget)[3] in _ON_LEVEL_SET
+            held = abs(bundle.beta) ** 2 < _NAV_TARGET or _project(
+                p, _NAV_TARGET, _CORRECTOR_BUDGET)[3] in _ON_LEVEL_SET
         return held
 
     while radius > 0.0:
@@ -535,8 +532,8 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius, cfg):
         trial = w + d - jac_pinv @ [curv.real, curv.imag]
         # the trial is near beta = 0, so the projection starts near
         # Gauss-Newton: a start at mu = 1 costs a quarter more sweeps
-        p_c, ival, _, status = _project(p.with_omegas(trial), cfg.corrector_target,
-                                        cfg.corrector_budget, mu=1e-3)
+        p_c, ival, _, status = _project(p.with_omegas(trial), _NAV_TARGET,
+                                        _CORRECTOR_BUDGET, mu=1e-3)
         w_c = np.asarray(p_c.omegas)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
@@ -644,10 +641,11 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     vertex geometry runs on 3-tuples of floats; the vertices become an
     array once, on return.
 
-    Ends on loop closure - returning within ``closure_factor * step_size``
-    of the start, moving the same way - or on leaving the box (reported as
-    an open curve). A projection that fails, or a vertex whose Jacobian has
-    rank < 2, so that no tangent exists, ends the curve
+    Ends on loop closure - returning, after ``_MIN_STEPS_BEFORE_CLOSURE``
+    steps, within ``_CLOSURE_FACTOR * step_size`` of the start, moving the
+    same way - or on leaving the box (reported as an open curve). A
+    projection that fails, or a vertex whose Jacobian has rank < 2, so that
+    no tangent exists, ends the curve
     ``corrector_failed`` at the last vertex on beta = 0. The input's one
     forward pass both admits it (NotASolution otherwise, before any
     backward pass) and starts its projection.
@@ -655,8 +653,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
     fw = _admit(solution, "trace_levelset")
-    p, ival, bundle, status = _project(solution, cfg.corrector_target,
-                                       cfg.corrector_budget, fw=fw)
+    p, ival, bundle, status = _project(solution, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
     if status not in _ON_LEVEL_SET:
         return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([abs(fw.beta) ** 2]),
                              False, "corrector_failed")
@@ -673,8 +670,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     for step in range(1, cfg.max_steps + 1):
         pred = (v[0] + h * direction[0], v[1] + h * direction[1], v[2] + h * direction[2])
         p, ival, bundle, corrector = _project(Protocol(p.omega0, p.omegaT, p.dt, pred),
-                                              cfg.corrector_target, cfg.corrector_budget,
-                                              mu=1e-3)
+                                              _TRACE_TARGET, _CORRECTOR_BUDGET, mu=1e-3)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
@@ -692,8 +688,8 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
         direction = (1.5 * t[0] - 0.5 * tangent[0], 1.5 * t[1] - 0.5 * tangent[1],
                      1.5 * t[2] - 0.5 * tangent[2])
         tangent = t
-        if (step >= cfg.min_steps_before_closure
-                and math.dist(v, v0) < cfg.closure_factor * h and _dot(tangent, t0) > 0.0):
+        if (step >= _MIN_STEPS_BEFORE_CLOSURE
+                and math.dist(v, v0) < _CLOSURE_FACTOR * h and _dot(tangent, t0) > 0.0):
             status = "closed"
             break
     return LevelsetCurve(np.asarray(verts), np.asarray(ivals), status == "closed", status)

@@ -38,11 +38,12 @@ class SecondaryCost:
     """A secondary cost: C(w) = sum over its pulse pairs (a, b) of (w_b - w_a)^2.
 
     kind is "smoothness" (consecutive pairs) or "compression" (every pair
-    inside each of ``chunks`` equal chunks); ``chunks`` is required (and
-    only meaningful) for compression. An M that the chunks do not divide
-    raises IndivisibleChunking. Compression never lists its pairs: over a
-    chunk of K pulses with deviations e from the chunk mean, its pairs sum
-    to K sum(e^2), so its value and gradient take O(M) memory.
+    inside each of ``chunks`` equal chunks); ``chunks``, an integer of at
+    least 1, is required for compression and refused for smoothness. An M
+    that the chunks do not divide raises IndivisibleChunking. Compression
+    never lists its pairs: over a chunk of K pulses with deviations e from
+    the chunk mean, its pairs sum to K sum(e^2), so its value and gradient
+    take O(M) memory.
     """
 
     kind: str
@@ -51,8 +52,13 @@ class SecondaryCost:
     def __post_init__(self):
         if self.kind not in ("smoothness", "compression"):
             raise ValueError(f"unknown secondary cost kind {self.kind!r}")
-        if self.kind == "compression" and (self.chunks is None or self.chunks < 1):
-            raise ValueError("compression cost requires a positive chunk count")
+        if self.kind == "smoothness" and self.chunks is not None:
+            raise ValueError(f"smoothness takes no chunk count, got {self.chunks!r}")
+        # a float or bool count would construct and fail only inside value
+        if self.kind == "compression" and (isinstance(self.chunks, bool) or not (
+                isinstance(self.chunks, int) and self.chunks >= 1)):
+            raise ValueError(f"compression requires a chunk count that is an "
+                             f"integer >= 1, got {self.chunks!r}")
 
     def _chunk_size(self, m: int) -> int:
         """Pulses per compression chunk on M pulses."""
@@ -166,13 +172,6 @@ def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     """
     a, b = _target_basis(omega0, omegaT)
     return math.cos(theta) * a + math.sin(theta) * b
-
-
-def theta_infidelity(p: Protocol, theta: float) -> float:
-    """Squared Frobenius distance of S(T) to the target W(theta)."""
-    s = symplectic_final(propagate(p), p.omega0)
-    diff = s - target_matrix(theta, p.omega0, p.omegaT)
-    return float(np.sum(diff * diff))
 
 
 def theta_scan(p: Protocol, points: int = 1024):

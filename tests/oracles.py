@@ -5,12 +5,14 @@ The derivatives are independent of the adjoint sweep in
 the rank-2 Hessian of I at a frictionless point written from its
 definition. ``step_matrix`` assembles one step's 2 x 2 matrix from the
 kernel entries, for checks of the kernel itself. ``pair_cost`` sums a
-secondary cost over its pulse pairs one pair at a time.
+secondary cost over its pulse pairs one pair at a time. ``theta_infidelity``
+scores one phase of the symplectic target at a time, for checks of
+``theta_scan``.
 """
 
 import numpy as np
 
-from oscnav import bogoliubov, infidelity, propagate
+from oscnav import bogoliubov, infidelity, propagate, symplectic_final, target_matrix
 from oscnav.propagator import _step_entries
 
 
@@ -105,3 +107,10 @@ def pair_cost(omegas, chunks=None):
             hess[a, b] -= 2.0
             hess[b, a] -= 2.0
     return value, grad, hess
+
+
+def theta_infidelity(p, theta: float) -> float:
+    """Squared Frobenius distance of S(T) to the target W(theta)."""
+    s = symplectic_final(propagate(p), p.omega0)
+    diff = s - target_matrix(theta, p.omega0, p.omegaT)
+    return float(np.sum(diff * diff))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oscnav
 from oscnav import DescentConfig, Protocol, infidelity, solve
-from oscnav import cli
+from oscnav import cli, navigator
 from oscnav import protocol as proto
 from oscnav.cli import ConfigError, _load_config, main
 
@@ -123,14 +123,13 @@ class TestNavigateCommands:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "IndivisibleChunking"
 
-    def test_corrector_failure_exits_4(self, tmp_path, capsys):
+    def test_corrector_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         # pool m3/seed100 (I = 2.3e-19) sits above the corrector target, and
         # a budget of 0 cannot project it onto the level set
         pool = Path(__file__).parents[1] / "perfbench" / "pool" / "m3" / "seed100.json"
-        (tmp_path / "cfg.json").write_text(json.dumps({"navigation": {"corrector_budget": 0}}))
+        monkeypatch.setattr(navigator, "_CORRECTOR_BUDGET", 0)
         traj = tmp_path / "traj.csv"
-        code = main(["smooth", str(pool), "--config", str(tmp_path / "cfg.json"),
-                     "--out-protocol", str(tmp_path / "out.json"),
+        code = main(["smooth", str(pool), "--out-protocol", str(tmp_path / "out.json"),
                      "--out-trajectory", str(traj)])
         out, err = capsys.readouterr()
         assert code == 4
@@ -257,15 +256,7 @@ class TestInputContract:
          "ConfigError"),
         (["levelset", "--seeds", "2"], dict(TASK_DOC, scan={"max_curves": -1}),
          "ConfigError"),
-        (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"closure_factor": 0}),
-         "ConfigError"),
-        (["levelset", "--seeds", "2"], dict(TASK_DOC, trace={"corrector_target": 0.01}),
-         "ConfigError"),
-        (["solve"], dict(TASK_DOC, trace={"corrector_target": 0.01}), "ConfigError"),
-        (["smooth", "{p}"], dict(TASK_DOC, navigation={"corrector_target": 1e-5}),
-         "ConfigError"),
-        (["smooth", "{p}"],
-         dict(TASK_DOC, navigation={"infidelity_threshold": -1, "corrector_target": -2}),
+        (["smooth", "{p}"], dict(TASK_DOC, navigation={"infidelity_threshold": -1}),
          "ConfigError"),
         (["smooth", "{p}"], dict(TASK_DOC, navigation={"doubling_schedule": [0]}),
          "ConfigError"),
@@ -278,9 +269,7 @@ class TestInputContract:
         (["solve"], dict(TASK_DOC, descent={"grad_tolerance": 0}), "ConfigError"),
     ], ids=["navigation.max_iterations", "descent.max_iterations", "trace.max_steps",
             "trace.step_size", "trace.box", "trace.initial_sign", "scan.assign_distance",
-            "scan.max_curves", "trace.closure_factor", "trace.corrector_target",
-            "solve.trace.corrector_target", "navigation.corrector_target",
-            "navigation.infidelity_threshold",
+            "scan.max_curves", "navigation.infidelity_threshold",
             "navigation.doubling_schedule", "double", "seeds",
             "navigation.stall_tolerance", "navigation.doubling_stall_tolerance",
             "descent.grad_tolerance"])
@@ -305,6 +294,28 @@ class TestInputContract:
             line = _one_error_line(err)
             assert line["error"] == "ConfigError", section
             assert f"unknown keys in {section}: ['infidelity_threshold']" in line["detail"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("navigation", "corrector_target", 1e-28), ("navigation", "corrector_budget", 500),
+        ("trace", "corrector_target", 1e-12), ("trace", "corrector_budget", 500),
+        ("trace", "min_steps_before_closure", 10), ("trace", "closure_factor", 2.0),
+    ], ids=["navigation.corrector_target", "navigation.corrector_budget",
+            "trace.corrector_target", "trace.corrector_budget",
+            "trace.min_steps_before_closure", "trace.closure_factor"])
+    def test_projection_internals_are_not_config_keys(self, section, key, value,
+                                                      tmp_path, capsys):
+        # the corrector's target and budget and the tracer's closure test
+        # are constants of the navigator, refused even at the values it uses
+        path = tmp_path / "p.json"
+        proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TASK_DOC, **{section: {key: value}})))
+        argv = ["smooth", str(path)] if section == "navigation" else ["levelset", "--seeds", "1"]
+        code = main(argv + ["--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == "ConfigError"
+        assert f"unknown keys in {section}: [{key!r}]" in line["detail"]
 
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0], "grad_tolerance": 1},
@@ -561,8 +572,7 @@ config_docs = mostly(
             junk),
         "navigation": mostly(st.fixed_dictionaries(
             {"max_iterations": st.integers(-1, 3)},
-            optional={"corrector_target": mostly(st.floats(1e-30, 1e-6), numbers),
-                      "doubling_schedule": st.lists(st.integers(-1, 3), max_size=2)}),
+            optional={"doubling_schedule": st.lists(st.integers(-1, 3), max_size=2)}),
             junk)}),
     st.dictionaries(st.text(max_size=3), junk, max_size=2))
 commands = st.one_of(

@@ -274,25 +274,21 @@ class TestNavigate:
         w, ival, _, status = navigator._project(trap, 0.0, 500)
         assert status == "stalled" and ival > 1e-6
 
-    def test_target_below_the_rounding_floor_still_completes(self):
+    def test_target_below_the_rounding_floor_still_completes(self, monkeypatch):
         # seed 4, M = 6, C2 with 1 chunk stalls on the predicted decrease
         # while its pg is above the stall tolerance: the stall check then
         # projects a point at the rounding floor, above a 1e-40 target
         start = solve(DescentConfig(seed=4), 6, TASK).protocol
-        cfg = NavigationConfig(corrector_target=1e-40)
-        traj = navigate(start, SecondaryCost("compression", 1), cfg)
+        monkeypatch.setattr(navigator, "_NAV_TARGET", 1e-40)
+        traj = navigate(start, SecondaryCost("compression", 1), NavigationConfig())
         assert traj.status == "completed"
-        assert traj.records[-1].infidelity > cfg.corrector_target
+        assert traj.records[-1].infidelity > navigator._NAV_TARGET
         assert all(r.infidelity < 1e-28 for r in traj.records[1:])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NavigationConfig(corrector_target=1e-4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(doubling_schedule=(0,)), dict(doubling_schedule=(2, -1)),
         dict(doubling_schedule=(2.0,)),
-        dict(corrector_target=INFIDELITY_THRESHOLD),
+        dict(max_iterations=-1),
         dict(stall_tolerance=-1.0), dict(stall_tolerance=math.nan),
         dict(doubling_stall_tolerance=-1e-9), dict(doubling_stall_tolerance=math.nan),
     ])
@@ -484,10 +480,9 @@ class TestTraceLevelset:
 
         monkeypatch.setattr(navigator, "gradient", counting)
         monkeypatch.setattr(navigator, "_project", nested)
-        cfg = TraceConfig()
-        curve = trace_levelset(m3_solution.protocol, cfg)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
         assert curve.closed, curve.status
-        assert np.all(curve.infidelities < cfg.corrector_target)
+        assert np.all(curve.infidelities < navigator._TRACE_TARGET)
         assert len(sweeps) + len(outside) <= len(curve.vertices) + 2
 
     @pytest.mark.filterwarnings("error")
@@ -512,22 +507,20 @@ class TestTraceLevelset:
             return bundle
 
         monkeypatch.setattr(navigator, "gradient", parallel_at_k)
-        cfg = TraceConfig()
-        curve = trace_levelset(m3_solution.protocol, cfg)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
         assert curve.status == "corrector_failed" and not curve.closed
         assert len(calls) == k
         assert 1 <= len(curve.vertices) <= k
         assert np.isfinite(curve.vertices).all()
-        assert np.all(curve.infidelities < cfg.corrector_target)
+        assert np.all(curve.infidelities < navigator._TRACE_TARGET)
 
     @pytest.mark.parametrize("path", POOL_M3, ids=lambda path: path.stem)
     def test_every_pool_entry_closes_both_ways(self, path):
         p = proto.load(path)
         for sign in (1.0, -1.0):
-            cfg = TraceConfig(step_size=0.3, initial_sign=sign)
-            curve = trace_levelset(p, cfg)
+            curve = trace_levelset(p, TraceConfig(step_size=0.3, initial_sign=sign))
             assert curve.status == "closed", sign
-            assert all(infidelity(p.with_omegas(v)) < cfg.corrector_target
+            assert all(infidelity(p.with_omegas(v)) < navigator._TRACE_TARGET
                        for v in curve.vertices)
 
     def test_tangent_sign_is_continuous(self, m3_solution, monkeypatch):
@@ -551,12 +544,11 @@ class TestTraceLevelset:
         with pytest.raises(ValueError):
             trace_levelset(m8_solution.protocol, TraceConfig())
 
-    @pytest.mark.parametrize("target", [1e-5, 0.01])
-    def test_corrector_target_must_be_below_the_threshold(self, target):
-        # vertices held only to a target at or above the threshold need not
-        # be solutions, so the config itself is refused
-        with pytest.raises(ValueError, match="corrector target"):
-            TraceConfig(corrector_target=target)
+    def test_corrector_targets_are_below_the_threshold(self):
+        # a vertex or navigation record held only to a target at or above
+        # the threshold need not be a solution
+        assert navigator._TRACE_TARGET < INFIDELITY_THRESHOLD
+        assert navigator._NAV_TARGET < INFIDELITY_THRESHOLD
 
 
 def _closed_polyline_distance(point, vertices):
@@ -568,11 +560,6 @@ def _closed_polyline_distance(point, vertices):
 
 
 class TestScanLevelset:
-    def test_corrector_target_is_checked_before_any_solve(self, monkeypatch):
-        monkeypatch.setattr(navigator, "solve", None)  # a solve would now fail
-        with pytest.raises(ValueError, match="corrector target"):
-            scan_levelset(TASK, ScanConfig(trace=TraceConfig(corrector_target=0.01)), 2)
-
     def test_small_scan_labels_everything(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
         result = scan_levelset(TASK, cfg, 40)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import oscnav
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol,
                     SecondaryCost, infidelity, initial_state, propagate, refine,
-                    symplectic_final, target_matrix, theta_infidelity, theta_scan)
+                    symplectic_final, target_matrix, theta_scan)
 from oscnav.propagator import ModeState
-from oracles import pair_cost
+from oracles import pair_cost, theta_infidelity
 
 C1 = SecondaryCost("smoothness")
 
@@ -161,6 +161,12 @@ class TestSecondaryCost:
             SecondaryCost("sharpness")
         with pytest.raises(ValueError):
             SecondaryCost("compression")
+        # a chunk count that would construct and then fail inside value
+        for chunks in (0, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                SecondaryCost("compression", chunks)
+        with pytest.raises(ValueError, match="no chunk count"):
+            SecondaryCost("smoothness", 3)
 
 
 class TestSymplecticFinal:

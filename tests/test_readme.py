@@ -1,6 +1,8 @@
 """The README's library sketch runs as written and gives the numbers it
-quotes, and its CLI example runs as written on its own run config."""
+quotes, its CLI example runs as written on its own run config, and its
+list of `trace` keys is the config schema's."""
 
+import dataclasses
 import pathlib
 import re
 import shlex
@@ -65,3 +67,11 @@ def test_cli_example(tmp_path, monkeypatch, capsys):
                            ("--out-curves", "curve,vertex,omega1,omega2,omega3,I,closed")):
         text = (tmp_path / levelset[levelset.index(option) + 1]).read_text(encoding="utf-8")
         assert text.splitlines()[0] == header and len(text.splitlines()) > 1
+
+
+def test_trace_keys_match_the_schema():
+    # the keys are the names in backquotes from "accepts" to the period
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    start = text.index("accepts", text.index("The `trace` section"))
+    named = re.findall(r"`([a-z_]+)`", text[start:text.index(".", start)])
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(oscnav.TraceConfig))
