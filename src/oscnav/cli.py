@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-import types
 import typing
 
 import numpy as np
@@ -88,11 +87,7 @@ def _fits(value, tp) -> bool:
         return _is_number(value)
     if tp is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    if tp is type(None):
-        return value is None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
     if origin is tuple and isinstance(value, list):
         if len(args) == 2 and args[1] is Ellipsis:
             return all(_fits(v, args[0]) for v in value)

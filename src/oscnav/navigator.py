@@ -46,6 +46,12 @@ _EPS = float(np.finfo(float).eps)
 _ON_LEVEL_SET = ("target", "floor")
 # a protocol is a solution when I = |beta|^2 is below this
 INFIDELITY_THRESHOLD = 1e-5
+# descent stops at a critical point, max |grad I| below this
+_GRAD_TOLERANCE = 1e-9
+# navigation stalls once the max norm of its projected gradient is below this
+_STALL_TOLERANCE = 1e-8
+# a scanned solution joins a traced curve within this distance of it
+_ASSIGN_DISTANCE = 0.15
 # navigation projects a trial until I is below this or at its rounding floor
 # (about 1e-31 up to M = 96 on the README task): the cost at infidelity I
 # differs from the level set's by about |nu| sqrt(I), and a looser target
@@ -78,7 +84,6 @@ class DescentConfig:
     """Primary-objective descent and restart settings."""
 
     max_iterations: int = 20000
-    grad_tolerance: float = 1e-9
     box: tuple[float, float] = (0.1, 2.0)
     seed: int = 0
     max_restarts: int = 32
@@ -86,8 +91,6 @@ class DescentConfig:
     def __post_init__(self):
         if not self.box[0] < self.box[1]:
             raise ValueError("amplitude box must have lo < hi")
-        if not self.grad_tolerance > 0:
-            raise ValueError("grad tolerance must be > 0")
         if self.max_iterations < 0 or self.max_restarts < 0:
             raise ValueError("iteration and restart budgets must be >= 0")
 
@@ -98,28 +101,25 @@ class NavigationConfig:
 
     A stall consumes a doubling factor from the schedule, or completes the
     run once the schedule is used up. It is a projected gradient below
-    ``stall_tolerance``, or a step whose predicted decrease falls to
-    rounding level, so a run can end ``completed`` with its projected
-    gradient above ``stall_tolerance``.
-
-    ``doubling_stall_tolerance`` sets the stall level that consumes the
-    schedule; None means use ``stall_tolerance`` for both. A looser doubling
-    trigger refines as soon as progress at the current resolution slows,
-    leaving the bulk of the secondary descent to the enlarged space.
+    ``doubling_stall_tolerance`` while the schedule lasts and below
+    ``_STALL_TOLERANCE`` after it, or a step whose predicted decrease falls
+    to rounding level, so a run can end ``completed`` with its projected
+    gradient above ``_STALL_TOLERANCE``. A looser doubling trigger refines
+    as soon as progress at the current resolution slows, leaving the bulk
+    of the secondary descent to the enlarged space.
     """
 
-    stall_tolerance: float = 1e-8
-    doubling_stall_tolerance: float | None = None
+    doubling_stall_tolerance: float = _STALL_TOLERANCE
     doubling_schedule: tuple[int, ...] = ()
     max_iterations: int = 200000
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("iteration budget must be >= 0")
-        if not (self.stall_tolerance >= 0 and (self.doubling_stall_tolerance is None
-                                               or self.doubling_stall_tolerance >= 0)):
-            raise ValueError("stall tolerances must be >= 0")
-        if not all(isinstance(k, int) and k >= 1 for k in self.doubling_schedule):
+        if not self.doubling_stall_tolerance >= 0:
+            raise ValueError("doubling stall tolerance must be >= 0")
+        if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+                   for k in self.doubling_schedule):
             raise ValueError(f"doubling factors must be integers >= 1, "
                              f"got {self.doubling_schedule!r}")
 
@@ -158,12 +158,9 @@ class ScanConfig:
 
     descent: DescentConfig = field(default_factory=DescentConfig)
     trace: TraceConfig = field(default_factory=TraceConfig)
-    assign_distance: float = 0.15
     max_curves: int = 64
 
     def __post_init__(self):
-        if not self.assign_distance > 0:
-            raise ValueError("assign distance must be > 0")
         if self.max_curves < 1:
             raise ValueError("max_curves must be >= 1")
 
@@ -346,8 +343,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
     # with a target of 0 the returned point's gradient is always evaluated
-    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, cfg.grad_tolerance,
-                                      on_step)
+    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, _GRAD_TOLERANCE, on_step)
     gmax = float(np.abs(bundle.grad_infidelity).max())
     report = CriticalPointReport(_classify(status, val), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
@@ -420,7 +416,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     schedule; once the schedule is exhausted a stall ends the run. A step
     whose predicted decrease falls to rounding level stalls too, so a run
     can end ``completed`` with its projected gradient above
-    ``cfg.stall_tolerance``. The secondary cost is non-increasing and the
+    ``_STALL_TOLERANCE``. The secondary cost is non-increasing and the
     infidelity stays below the threshold at every record.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
@@ -443,10 +439,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         pg = g - q @ (q.T @ g)
         pgmax = float(np.max(np.abs(pg)))
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
-        stall_tol = cfg.stall_tolerance
-        if schedule and cfg.doubling_stall_tolerance is not None:
-            stall_tol = cfg.doubling_stall_tolerance
-        stalled = pgmax < stall_tol
+        stalled = pgmax < (cfg.doubling_stall_tolerance if schedule else _STALL_TOLERANCE)
         if stalled and not schedule:
             status = "completed"
             break
@@ -716,7 +709,7 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
 
     Runs one independent solve per seed (seed index offsets the base seed),
     then traces a curve from the first unlabeled point and attaches every
-    point within ``assign_distance`` of it, repeating until all points are
+    point within ``_ASSIGN_DISTANCE`` of it, repeating until all points are
     labeled or ``cfg.max_curves`` curves are traced; points left then keep
     label -1. Output ordering follows seed order, independent of scheduling.
     Every point and every traced vertex is a solution by the same
@@ -749,7 +742,7 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
         label = len(curves)
         curves.append(curve)
         for j in range(idx, len(pts)):
-            if labels[j] < 0 and _polyline_distance(points[j], curve) <= cfg.assign_distance:
+            if labels[j] < 0 and _polyline_distance(points[j], curve) <= _ASSIGN_DISTANCE:
                 labels[j] = label
     return ScanResult(points, infs, labels, tuple(curves))
 
@@ -769,8 +762,6 @@ def trajectory_to_csv(traj: DescentTrajectory) -> str:
     refined by k repeats each rendered pulse k times, the text of
     ``refine(p, k)``.
     """
-    if not traj.records:
-        return "iter,I,cost,pgrad_norm\n"
     m_final = traj.records[-1].protocol.m
     lines = ["iter,I,cost,pgrad_norm," + ",".join(f"omega_{i+1}" for i in range(m_final))]
     for rec in traj.records:

@@ -136,8 +136,10 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     S = sqrt(omega0/2) * [[f + f*, i(f - f*)/omega0],
                           [f' + f'*, i(f' - f'*)/omega0]],
     built in real arithmetic: f + f* = 2 Re f and i(f - f*) = -2 Im f.
-    A finite state whose entries overflow gives an inf or NaN det and is
-    rejected.
+    det S = s00 s11 - s01 s10 must be 1 to within ``_DET_TOL`` relative to
+    max(1, |s00 s11| + |s01 s10|): the rounding of the difference grows with
+    |S|^2, which strongly driven protocols make large. A finite state whose
+    entries overflow gives an inf or NaN det and is rejected.
     """
     if not omega0 > 0:
         raise NonPositiveFrequency(f"omega0 must be > 0, got {omega0!r}")
@@ -148,8 +150,11 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     # Python floats: an overflow gives inf or NaN without a numpy warning
     s00, s01 = pref * (f.real + f.real), pref * (-(f.imag + f.imag) / omega0)
     s10, s11 = pref * (fd.real + fd.real), pref * (-(fd.imag + fd.imag) / omega0)
-    det = s00 * s11 - s01 * s10
-    if not abs(det - 1.0) <= _DET_TOL:  # NaN fails too
+    diag, anti = s00 * s11, s01 * s10
+    det = diag - anti
+    bound = _DET_TOL * max(1.0, abs(diag) + abs(anti))
+    # a non-finite entry makes det inf or NaN, which an infinite bound could pass
+    if not (math.isfinite(det) and abs(det - 1.0) <= bound):
         raise NonSymplectic(f"det deviates from 1 by {det - 1.0:g}; invalid mode state")
     return np.array([[s00, s01], [s10, s11]])
 

@@ -93,7 +93,7 @@ def refine(p: Protocol, factor: int) -> Protocol:
     The represented omega(t) is unchanged pointwise, so all dynamics are
     preserved; only the parameter-space dimension grows (M -> factor * M).
     """
-    if not (isinstance(factor, int) and factor >= 1):
+    if isinstance(factor, bool) or not (isinstance(factor, int) and factor >= 1):
         raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return p
@@ -110,7 +110,7 @@ def collapse(p: Protocol, chunks: int) -> Protocol:
     can differ from the original dt by one rounding, since dt/K*K need not
     round back to dt.
     """
-    if not (isinstance(chunks, int) and chunks >= 1):
+    if isinstance(chunks, bool) or not (isinstance(chunks, int) and chunks >= 1):
         raise ValueError(f"chunk count must be a positive integer, got {chunks!r}")
     if p.m % chunks != 0:
         raise IndivisibleChunking(f"M={p.m} is not divisible by L={chunks}")

@@ -114,8 +114,7 @@ class TestSolve:
         assert a.restarts == b.restarts
 
     @pytest.mark.parametrize("kwargs", [
-        dict(grad_tolerance=0.0), dict(grad_tolerance=-1e-9),
-        dict(grad_tolerance=math.nan),
+        dict(box=(2.0, 0.1)), dict(max_iterations=-1), dict(max_restarts=-1),
     ])
     def test_out_of_range_settings_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -232,7 +231,7 @@ class TestNavigate:
         traj = navigate(m8_solution.protocol, cost, cfg)
         assert traj.status == "completed"
         assert traj.records[-1].infidelity <= 1e-12
-        assert traj.records[-1].pgrad_norm < cfg.stall_tolerance
+        assert traj.records[-1].pgrad_norm < navigator._STALL_TOLERANCE
 
     @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
                                       SecondaryCost("compression", 1)],
@@ -257,12 +256,12 @@ class TestNavigate:
         assert traj.status == "corrector_failed"
         assert len(projections) <= 3
 
-    def test_two_pulse_level_set_has_no_tangent_step(self):
+    def test_two_pulse_level_set_has_no_tangent_step(self, monkeypatch):
         # at M = 2 the level set is a point: with a stall tolerance of 0 the
         # step is still tried, in a tangent space of dimension 0, and stalls
         start = solve(DescentConfig(seed=2, box=(-10.0, 40.0)), 2, TASK).protocol
-        cfg = NavigationConfig(stall_tolerance=0.0)
-        traj = navigate(start, SecondaryCost("smoothness"), cfg)
+        monkeypatch.setattr(navigator, "_STALL_TOLERANCE", 0.0)
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
         assert traj.status == "completed" and len(traj.records) == 1
 
     def test_projection_tells_the_rounding_floor_from_a_trap(self, m8_solution):
@@ -289,16 +288,17 @@ class TestNavigate:
         dict(doubling_schedule=(0,)), dict(doubling_schedule=(2, -1)),
         dict(doubling_schedule=(2.0,)),
         dict(max_iterations=-1),
-        dict(stall_tolerance=-1.0), dict(stall_tolerance=math.nan),
         dict(doubling_stall_tolerance=-1e-9), dict(doubling_stall_tolerance=math.nan),
+        dict(doubling_schedule=(True,)), dict(doubling_schedule=(2, True)),
     ])
     def test_out_of_range_settings_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NavigationConfig(**kwargs)
 
-    def test_quartic_infidelity_rise_of_projected_step(self, m8_solution):
+    def test_quartic_infidelity_rise_of_projected_step(self, m8_solution, monkeypatch):
         # a tangent step of size eps lifts I by O(eps^4) from a deep solution
-        p, report, _ = descend(m8_solution.protocol, DescentConfig(grad_tolerance=1e-12))
+        monkeypatch.setattr(navigator, "_GRAD_TOLERANCE", 1e-12)
+        p, report, _ = descend(m8_solution.protocol, DescentConfig())
         assert report.infidelity < 1e-22
         gb = gradient(p).grad_beta
         proj = null_projector(gb)
@@ -514,6 +514,33 @@ class TestTraceLevelset:
         assert np.isfinite(curve.vertices).all()
         assert np.all(curve.infidelities < navigator._TRACE_TARGET)
 
+    def test_start_the_corrector_cannot_hold_ends_the_curve(self, m3_solution, monkeypatch):
+        # a start admitted at I = 1e-7, above the tracer's target, whose
+        # projection runs out of budget: the curve is the start alone
+        start = m3_solution.protocol.with_omegas(np.asarray(m3_solution.protocol.omegas) + 1e-4)
+        assert navigator._TRACE_TARGET < infidelity(start) < INFIDELITY_THRESHOLD
+        monkeypatch.setattr(navigator, "_CORRECTOR_BUDGET", 0)
+        curve = trace_levelset(start, TraceConfig())
+        assert curve.status == "corrector_failed" and not curve.closed
+        assert curve.vertices.tolist() == [list(start.omegas)]
+        assert curve.infidelities.tolist() == [infidelity(start)]
+
+    def test_vertex_without_a_tangent_ends_the_curve(self, m3_solution, monkeypatch):
+        # the third tangent, at the second vertex after the start, does not
+        # exist: the curve ends there, that vertex included
+        calls = []
+        real = navigator._null_direction
+
+        def none_at_third(grad_beta):
+            calls.append(grad_beta)
+            return None if len(calls) == 3 else real(grad_beta)
+
+        monkeypatch.setattr(navigator, "_null_direction", none_at_third)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
+        assert curve.status == "corrector_failed" and not curve.closed
+        assert len(calls) == 3 and len(curve.vertices) == 3
+        assert np.all(curve.infidelities < navigator._TRACE_TARGET)
+
     @pytest.mark.parametrize("path", POOL_M3, ids=lambda path: path.stem)
     def test_every_pool_entry_closes_both_ways(self, path):
         p = proto.load(path)
@@ -570,12 +597,12 @@ class TestScanLevelset:
         assert all(result.curves[k].status == "closed" for k in used)
         for point, label in zip(result.points, result.labels):
             dist = _closed_polyline_distance(point, result.curves[label].vertices)
-            assert dist <= cfg.assign_distance
+            assert dist <= navigator._ASSIGN_DISTANCE
         for i, j in itertools.combinations(used, 2):
             other = result.curves[j].vertices
             gap = min(_closed_polyline_distance(v, other)
                       for v in result.curves[i].vertices)
-            assert gap > cfg.assign_distance
+            assert gap > navigator._ASSIGN_DISTANCE
         # One component: no solution lies inside the box (smallest max|w| is
         # 2.316), and descent from box (0, 2) lands on a single closed curve,
         # w1 in [2.32, 4.93], w2 in [-1.75, 1.75], w3 in [0.77, 1.47], which an
@@ -594,12 +621,12 @@ class TestScanLevelset:
         assert all(result.curves[k].status == "closed" for k in used)
         for point, label in zip(result.points, result.labels):
             dist = _closed_polyline_distance(point, result.curves[label].vertices)
-            assert dist <= cfg.assign_distance
+            assert dist <= navigator._ASSIGN_DISTANCE
         for i, j in itertools.combinations(used, 2):
             other = result.curves[j].vertices
             gap = min(_closed_polyline_distance(v, other)
                       for v in result.curves[i].vertices)
-            assert gap > cfg.assign_distance
+            assert gap > navigator._ASSIGN_DISTANCE
 
     def test_curve_cap_leaves_points_unlabeled(self):
         # the scan stops tracing at max_curves; later points keep label -1
@@ -612,8 +639,15 @@ class TestScanLevelset:
         curve = result.curves[0]
         assert curve.closed
         for point, label in zip(result.points, result.labels):
-            near = _closed_polyline_distance(point, curve.vertices) <= cfg.assign_distance
+            near = (_closed_polyline_distance(point, curve.vertices)
+                    <= navigator._ASSIGN_DISTANCE)
             assert (label == 0) == near
+
+    def test_seeds_without_a_solution_are_skipped(self):
+        # with no restarts every solve exhausts its budget: no point, no curve
+        result = scan_levelset(TASK, ScanConfig(descent=DescentConfig(max_restarts=0)), 3)
+        assert result.points.shape == (0, 3)
+        assert len(result.infidelities) == len(result.labels) == len(result.curves) == 0
 
     def test_determinism(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
@@ -652,14 +686,13 @@ class TestInvariantProperties:
 
     @given(starts)
     def test_descent_is_monotone_and_solutions_are_critical(self, p0):
-        cfg = DescentConfig()
-        p, report, traj = descend(p0, cfg)
+        p, report, traj = descend(p0, DescentConfig())
         vals = [r.infidelity for r in traj.records]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert traj.final_protocol == p
         if report.classification == "solution":
             assert infidelity(p) < INFIDELITY_THRESHOLD
-            assert np.max(np.abs(gradient(p).grad_infidelity)) < cfg.grad_tolerance
+            assert np.max(np.abs(gradient(p).grad_infidelity)) < navigator._GRAD_TOLERANCE
 
     @settings(max_examples=25)
     @given(st.integers(3, 8), st.integers(0, 2 ** 16),

@@ -196,6 +196,24 @@ class TestSymplecticFinal:
         with pytest.raises(NonSymplectic):
             symplectic_final(ModeState(1.0 + 0j, 1.0 + 0j), 1.0)
 
+    def test_strongly_driven_protocol_scans(self):
+        # omega(t) = 1 + 0.9 cos 2t over T = 40 grows |f| to 6e5: det S
+        # rounds to 1 - 1.5e-5, 9e-17 relative to |s00 s11| + |s01 s10|
+        t = (np.arange(256) + 0.5) * (40.0 / 256)
+        p = Protocol(1.0, 0.25, 40.0 / 256, tuple(1.0 + 0.9 * np.cos(2.0 * t)))
+        s = symplectic_final(propagate(p), p.omega0)
+        assert abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0] - 1.0) > 1e-8
+        _, values, _, value_min = theta_scan(p, 64)
+        assert np.isfinite(values).all() and value_min <= values.min()
+
+    def test_rejects_a_large_state_off_by_more_than_rounding(self):
+        # det S = 2 b c - 2 a d with both products about 2e12, and d sets det
+        # to 1 + 4e6: 1e-6 of their sum, far above its rounding
+        a = b = c = 1e6
+        d = (2e12 - 1.0 - 4e6) / 2e6
+        with pytest.raises(NonSymplectic, match="by 4e\\+06"):
+            symplectic_final(ModeState(complex(a, b), complex(c, d)), 1.0)
+
     def test_rejects_overflowing_finite_state(self):
         # finite entries whose doubled real and imaginary parts overflow:
         # S holds infinities, its det is NaN, and the det check rejects it

@@ -86,6 +86,16 @@ def test_collapse_rejects_indivisible():
         collapse(FIG1, 2)
 
 
+@pytest.mark.parametrize("count", [0, 2.0, True, "2"])
+def test_refine_and_collapse_refuse_a_count_that_is_not_a_positive_integer(count):
+    # a bool is an int: True would refine by 1 or collapse to one pulse
+    p = Protocol(1.0, 0.25, 0.5, (3.0, 7.0))
+    with pytest.raises(ValueError, match="positive integer"):
+        refine(p, count)
+    with pytest.raises(ValueError, match="positive integer"):
+        collapse(p, count)
+
+
 def test_refine_preserves_dynamics():
     rng = np.random.default_rng(7)
     for _ in range(25):

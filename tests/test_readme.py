@@ -1,6 +1,6 @@
 """The README's library sketch runs as written and gives the numbers it
 quotes, its CLI example runs as written on its own run config, and its
-list of `trace` keys is the config schema's."""
+key list of each config section is the config schema's."""
 
 import dataclasses
 import pathlib
@@ -70,8 +70,14 @@ def test_cli_example(tmp_path, monkeypatch, capsys):
 
 
 def test_trace_keys_match_the_schema():
-    # the keys are the names in backquotes from "accepts" to the period
+    # a section's keys are the names in backquotes from "accepts" to the
+    # period; the nested descent and trace configs of ScanConfig are
+    # sections of their own, not keys of `scan`
     text = " ".join(README.read_text(encoding="utf-8").split())
-    start = text.index("accepts", text.index("The `trace` section"))
-    named = re.findall(r"`([a-z_]+)`", text[start:text.index(".", start)])
-    assert sorted(named) == sorted(f.name for f in dataclasses.fields(oscnav.TraceConfig))
+    for section, cls in (("descent", oscnav.DescentConfig),
+                         ("navigation", oscnav.NavigationConfig),
+                         ("trace", oscnav.TraceConfig), ("scan", oscnav.ScanConfig)):
+        start = text.index("accepts", text.index(f"The `{section}` section"))
+        named = re.findall(r"`([a-z_]+)`", text[start:text.index(".", start)])
+        keys = [f.name for f in dataclasses.fields(cls) if f.name not in ("descent", "trace")]
+        assert sorted(named) == sorted(keys), section

@@ -215,10 +215,11 @@ class TestFiniteDifferenceOracles:
 
 
 class TestQuarticScaling:
-    def test_null_direction_quartic_and_gradient_direction_quadratic(self):
+    def test_null_direction_quartic_and_gradient_direction_quadratic(self, monkeypatch):
         # polished solution of the expansion task, frozen from a seeded solve
-        from oscnav import DescentConfig, solve
-        res = solve(DescentConfig(seed=5, grad_tolerance=1e-12), 8, (1.0, 0.25, 1.8))
+        from oscnav import DescentConfig, navigator, solve
+        monkeypatch.setattr(navigator, "_GRAD_TOLERANCE", 1e-12)
+        res = solve(DescentConfig(seed=5), 8, (1.0, 0.25, 1.8))
         p = res.protocol
         assert infidelity(p) < 1e-20
         gb = gradient(p).grad_beta
