@@ -482,6 +482,15 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     d^T Hess beta d from the O(M) product of the same generators, so Hess
     beta itself is never built.
 
+    The tangent model has the reduced Hessian Z^T H Z, and one Cholesky
+    factorisation per step tests whether it is positive definite. If it is,
+    a trial takes the Newton step when that lies within the radius: it is
+    then the trust-region step, with shift 0 (More and Sorensen 1983). An
+    indefinite model, or a Newton step outside the radius, eigendecomposes
+    Z^T H Z once per step; that decomposition serves this trial and every
+    later one of the step through :func:`_trust_region_step`, which needs
+    no linear solve.
+
     Each trial is projected onto beta = 0 and accepted once it lies below
     the threshold with a lower cost; the ratio of actual to predicted
     decrease then sets the next radius, and a rejected trial shrinks it.
@@ -501,7 +510,13 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     hess = cost.add_hessian(_assemble(gens, complex(nu[0], -nu[1])))
     normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
     normal_size = float(np.linalg.norm(normal))
-    evals, evecs = np.linalg.eigh(z.T @ hess @ z)
+    reduced = z.T @ hess @ z
+    try:
+        np.linalg.cholesky(reduced)
+        definite = True
+    except np.linalg.LinAlgError:
+        definite = False
+    eig = None  # the eigendecomposition of ``reduced``, once a trial needs it
     failed = False
     held = None  # whether the current point can be held, once checked
 
@@ -515,7 +530,13 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     while radius > 0.0:
         # the normal step takes at most half the radius
         dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
-        dt = z @ _trust_region_step(evals, evecs, z.T @ (g + hess @ dn), radius)
+        grad = z.T @ (g + hess @ dn)
+        u = -np.linalg.solve(reduced, grad) if definite and eig is None else None
+        if u is None or not _norm(u) <= radius:
+            if eig is None:
+                eig = np.linalg.eigh(reduced)
+            u = _trust_region_step(*eig, grad, radius)
+        dt = z @ u
         d = dn + dt
         predicted = -(g @ d + 0.5 * (d @ hess @ d))
         if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
@@ -557,12 +578,15 @@ def _trust_region_step(evals, evecs, grad, radius):
     is its floor (0 for a positive definite h, else just past -evals[0])
     when that step is inside the radius; otherwise Newton's method on
     1/|u(lam)| = 1/radius, the More-Sorensen iteration of Nocedal and
-    Wright (Algorithm 4.3), finds it to within 10 % of the radius. A step
-    still longer (rounding, or squares underflowing at a tiny radius) is
-    scaled back onto the radius. For an indefinite h a floor step inside
-    the radius is the hard case (Nocedal and Wright, section 4.3): it is
-    extended along the lowest eigenvector v onto the radius, u + tau v,
-    with tau of the sign of u^T v so that the model does not rise.
+    Wright (Algorithm 4.3), finds it to within 10 % of the radius. Lengths
+    are rescaled below 1e-150 (:func:`_norm`), where squares underflow, so
+    a step still longer (rounding, or an iteration cut short by its
+    underflowing derivative at a tiny radius) is scaled back onto the
+    radius. For an indefinite h a floor step inside the radius is the hard
+    case (Nocedal and Wright, section 4.3): it is extended along the lowest
+    eigenvector v onto the radius, u + tau v, with tau of the sign of u^T v
+    so that the model does not rise. Navigation calls this only in a step
+    whose model is indefinite or whose Newton step has left the radius.
     """
     floor = 0.0
     indefinite = len(evals) > 0 and evals[0] <= 0.0
@@ -573,7 +597,7 @@ def _trust_region_step(evals, evecs, grad, radius):
     for _ in range(20):
         shifted = evals + lam
         coef = gt / shifted
-        norm = float(np.linalg.norm(coef))
+        norm = _norm(coef)
         if norm <= radius and (lam == floor or norm >= 0.9 * radius):
             break
         uq = float(coef @ (coef / shifted))
@@ -588,8 +612,19 @@ def _trust_region_step(evals, evecs, grad, radius):
         denom = abs(uv) + math.sqrt(uv * uv + gap)
         if denom > 0.0:  # both vanish only once gap underflows
             u = u + math.copysign(gap / denom, uv) * evecs[:, 0]
-            norm = float(np.linalg.norm(u))
+            norm = _norm(u)
     return u if norm <= radius else u * (radius / norm)
+
+
+def _norm(v) -> float:
+    """Euclidean norm of v. Below 1e-150, where the squares of its entries
+    can underflow, it is max|v| times the norm of v / max|v|."""
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-150:
+        scale = float(np.max(np.abs(v), initial=0.0))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def _null_direction(grad_beta: np.ndarray):

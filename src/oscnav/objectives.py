@@ -81,7 +81,8 @@ class SecondaryCost:
         Smoothness drops its zero differences, so ``refine`` leaves its
         terms, and their order, unchanged and C1 is bit-exact under it.
         Compression is K sum(e^2) with e the deviations from each chunk's
-        mean, which is exactly 0 on a chunk-constant sequence.
+        mean, which is exactly 0 on a chunk-constant sequence. Both are 0 on
+        an empty sequence.
         """
         w = np.asarray(omegas, dtype=float)
         if self.kind == "smoothness":
@@ -90,6 +91,8 @@ class SecondaryCost:
             return float(d @ d)
         d = self._chunk_deviations(w)
         k = d.shape[1]
+        if k == 0:
+            return 0.0
         e = (d - d.sum(axis=1, keepdims=True) / k).ravel()
         return float(k * (e @ e))
 

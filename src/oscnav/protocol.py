@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency
+from .errors import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
+                     NonPositiveFrequency)
 
 _JSON_FIELDS = ("omega0", "omegaT", "dt", "omegas")
 
@@ -112,6 +113,8 @@ def collapse(p: Protocol, chunks: int) -> Protocol:
     """
     if isinstance(chunks, bool) or not (isinstance(chunks, int) and chunks >= 1):
         raise ValueError(f"chunk count must be a positive integer, got {chunks!r}")
+    if not p.omegas:
+        raise EmptyProtocol("collapse requires at least one pulse")
     if p.m % chunks != 0:
         raise IndivisibleChunking(f"M={p.m} is not divisible by L={chunks}")
     k = p.m // chunks

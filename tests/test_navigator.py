@@ -19,8 +19,9 @@ from oscnav.navigator import trajectory_to_csv
 from oracles import optimal_hessian
 
 TASK = (1.0, 0.25, 1.8)
-# the benchmark's pool of M = 3 solutions of TASK
-POOL_M3 = sorted((pathlib.Path(__file__).parents[1] / "perfbench" / "pool" / "m3").glob("*.json"))
+# the benchmark's pools of M = 3 and M = 48 solutions of TASK
+POOL = pathlib.Path(__file__).parents[1] / "perfbench" / "pool"
+POOL_M3 = sorted((POOL / "m3").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,101 @@ class TestNavigate:
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert all(r.infidelity < 1e-5 for r in traj.records)
+
+    def test_accepted_trial_with_a_low_gain_ratio_shrinks_the_radius(self, monkeypatch):
+        # from this M = 5 solution the third step's one trial is accepted
+        # with an actual-to-predicted ratio of about 0.17: the next radius
+        # is a quarter of its tangent step, which lies on the boundary
+        start = solve(DescentConfig(seed=28), 5, TASK).protocol
+        steps = []
+        real_step, real_project = navigator._navigation_step, navigator._project
+
+        def recording_step(*args):
+            steps.append([args[-1], 0, None])
+            result = real_step(*args)
+            steps[-1][2] = None if result is None else result[1]
+            return result
+
+        def counting_project(*args, **kwargs):
+            steps[-1][1] += 1
+            return real_project(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_navigation_step", recording_step)
+        monkeypatch.setattr(navigator, "_project", counting_project)
+        traj = navigate(start, SecondaryCost("compression", 1), NavigationConfig())
+        assert traj.status == "completed"
+        # one accepted trial keeps or doubles the radius unless its ratio is
+        # below 0.25; its tangent step is 0.9 to 1 times the radius
+        shrunk = [(before, after) for before, trials, after in steps
+                  if trials == 1 and after is not None and after < before]
+        assert shrunk
+        assert all(0.225 * before <= after <= 0.25 * before for before, after in shrunk)
+        costs = [r.cost for r in traj.records]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    def test_definite_models_with_interior_newton_steps_skip_eigh(self, monkeypatch):
+        # every subproblem of this M = 3 compression is positive definite
+        # with its Newton step inside the radius
+        start = proto.load(POOL / "m3" / "seed100.json")
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        traj = navigate(start, SecondaryCost("compression", 1),
+                        NavigationConfig(max_iterations=20))
+        assert traj.status == "completed" and len(traj.records) > 2
+        assert calls == []
+
+    def test_at_most_one_eigh_per_step(self, monkeypatch):
+        # this M = 48 compression has indefinite models, Newton steps
+        # outside the radius, steps whose second trial reuses the first
+        # trial's eigendecomposition, and interior Newton steps
+        start = proto.load(POOL / "m48" / "seed0.json")
+        steps = []
+        real_step, real_eigh = navigator._navigation_step, np.linalg.eigh
+        real_region = navigator._trust_region_step
+
+        def counting_step(*args):
+            steps.append({"eigh": 0, "shifted": 0})
+            return real_step(*args)
+
+        def counting_eigh(a):
+            steps[-1]["eigh"] += 1
+            return real_eigh(a)
+
+        def counting_region(*args):
+            steps[-1]["shifted"] += 1
+            return real_region(*args)
+
+        monkeypatch.setattr(navigator, "_navigation_step", counting_step)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(navigator, "_trust_region_step", counting_region)
+        traj = navigate(start, SecondaryCost("compression", 2),
+                        NavigationConfig(max_iterations=80))
+        assert traj.status == "completed"
+        assert all(s["eigh"] == min(s["shifted"], 1) for s in steps)
+        assert any(s["shifted"] > 1 for s in steps)
+        assert any(s["eigh"] == 0 for s in steps)
+
+    @pytest.mark.parametrize("path", ["m3/seed100.json", "m48/seed2.json"],
+                             ids=["m3", "m48"])
+    def test_newton_steps_match_the_eigendecomposition_path(self, monkeypatch, path):
+        # a Cholesky test that always fails sends every trial through the
+        # eigendecomposition: the smoothing ends the same way
+        start = proto.load(POOL / path)
+        cost, cfg = SecondaryCost("smoothness"), NavigationConfig()
+        fast = navigate(start, cost, cfg)
+        calls = []
+        real = np.linalg.eigh
+
+        def failing(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        slow = navigate(start, cost, cfg)
+        assert slow.status == fast.status == "completed"
+        assert len(calls) >= len(slow.records) - 1
+        assert fast.records[-1].cost == pytest.approx(slow.records[-1].cost, rel=1e-12, abs=0)
 
     def test_doubling_keeps_navigating(self, m8_solution):
         traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),
@@ -493,9 +589,13 @@ class TestTraceLevelset:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [1, 5])
     def test_rank_deficient_jacobian_ends_the_curve(self, m3_solution, monkeypatch, k):
-        # the k-th sweep returns parallel Re and Im parts of grad beta: the
-        # vertex it belongs to has no tangent, and the curve ends there
-        # instead of predicting from a NaN direction
+        # the k-th sweep returns parallel Re and Im parts of grad beta, and
+        # the curve ends instead of predicting from a NaN direction. The
+        # start is below the target, so sweep 1 is the tracer's own sweep
+        # there: the start has no tangent and is the whole curve. Sweep 5
+        # runs inside the projection of the fourth predictor point, which
+        # then fails: the curve ends through the corrector-failure branch
+        # at the vertex before it
         calls = []
         real = navigator.gradient
 
@@ -731,24 +831,41 @@ class TestTrustRegionStep:
     @settings(max_examples=300)
     @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.one_of(st.just(-math.inf), st.floats(-6.0, 0.0)),
-           st.floats(-8.0, 3.0), st.floats(-100.0, 2.0))
+           st.floats(-8.0, 3.0),
+           st.one_of(st.floats(-300.0, 2.0).map(lambda e: 10.0 ** e), st.just(5e-324)))
     def test_step_minimises_the_model_inside_the_radius(self, n, seed, definite,
-                                                        lowest_exp, g_exp, r_exp):
+                                                        lowest_exp, g_exp, radius):
         # lowest_exp = -inf draws a gradient orthogonal to the lowest
         # eigenvector: for an indefinite model, the hard case
         lowest_weight = 1.0 if n == 1 else 10.0 ** lowest_exp
         h, g = _tangent_model(n, seed, definite, lowest_weight, 10.0 ** g_exp)
-        radius = 10.0 ** r_exp
         evals, evecs = np.linalg.eigh(h)
         u = navigator._trust_region_step(evals, evecs, g, radius)
-        size = np.linalg.norm(u)
+        # squares of the step's entries underflow below about 1e-154
+        size = navigator._norm(u)
         assert np.all(np.isfinite(u))
         assert size <= radius * (1.0 + 1e-12)
+        if radius < 1e-300:
+            # the shift, about |g| / radius, can overflow to a step of 0
+            return
         newton = np.linalg.solve(h, -g)
         if definite and np.linalg.norm(newton) <= radius:
             assert np.linalg.norm(u - newton) <= 1e-10 * np.linalg.norm(newton)
         else:
             assert size >= 0.9 * radius
+
+    def test_tiny_radius_scales_the_step_back_onto_the_radius(self):
+        # the shift iteration stops once u^T (h + lam I)^-1 u underflows;
+        # the step, of length 1.14e-200 there, is scaled back onto the radius
+        u = navigator._trust_region_step(np.array([1.0, 2.0]), np.eye(2),
+                                         np.array([1.0, 1.0]), 1e-200)
+        assert navigator._norm(u) == pytest.approx(1e-200, rel=1e-12)
+        assert u[0] == pytest.approx(u[1], rel=1e-12) and u[0] < 0.0
+
+    def test_norm_does_not_underflow(self):
+        assert navigator._norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+        assert navigator._norm(np.array([5e-324])) == 5e-324
+        assert navigator._norm(np.zeros(3)) == navigator._norm(np.zeros(0)) == 0.0
 
     def test_hard_case_reaches_the_radius_at_the_exact_minimum(self):
         # g has no weight on the lowest eigenvector e_0, so the minimiser is

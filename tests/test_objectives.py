@@ -124,6 +124,8 @@ class TestCompressionCost:
         w = np.repeat([1.0, 2.5, -0.5], 4)
         assert c2(3).value(w) == 0.0
         assert np.all(c2(3).grad(w) == 0.0)
+        assert c2(1).value(()) == 0.0
+        assert c2(1).grad(()).shape == (0,)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscnav import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
-                    Protocol, collapse, propagate, refine, validate)
+from oscnav import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
+                    NonPositiveFrequency, Protocol, collapse, propagate, refine, validate)
 from oscnav import protocol as proto
 from oscnav.protocol import from_json, to_json
 
@@ -55,6 +55,9 @@ def test_with_omegas_converts_pulses_to_floats():
 def test_empty_protocol_is_legal():
     p = Protocol(1.0, 0.25, 0.6, ())
     assert validate(p).duration == 0.0
+    # every chunk count divides M = 0, but there is no pulse to merge
+    with pytest.raises(EmptyProtocol):
+        collapse(p, 1)
 
 
 def test_refine_identity_and_definition():
