@@ -279,9 +279,10 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             break
         if it == budget:
             break
-        jr, ji = np.real(bundle.grad_beta), np.imag(bundle.grad_beta)
+        jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
         r0, r1 = bundle.beta.real, bundle.beta.imag
-        a, b, c = float(jr @ jr), float(jr @ ji), float(ji @ ji)
+        # ndarray.dot is the ddot of ``@``, with less call overhead
+        a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
         scale = math.hypot(r0, r1) * (a + c) / 2.0
         nu = 2.0
         while True:
@@ -292,7 +293,9 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             y0 = ((c + lam) * r0 - b * r1) / det
             y1 = ((a + lam) * r1 - b * r0) / det
             cand = w - (y0 * jr + y1 * ji)
-            if (cand == w).all():
+            # w holds p's pulses; compared as Python floats, the test costs a
+            # tenth of (cand == w).all()
+            if tuple(cand.tolist()) == p.omegas:
                 # |J^+ r|^2 = r^T (J J^T)^-1 r; inf when J has rank < 2
                 rank2 = a * c - b * b
                 gn_sq = ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
@@ -582,8 +585,10 @@ def _trust_region_step(evals, evecs, grad, radius):
     are rescaled below 1e-150 (:func:`_norm`), where squares underflow, so
     a step still longer (rounding, or an iteration cut short by its
     underflowing derivative at a tiny radius) is scaled back onto the
-    radius. For an indefinite h a floor step inside the radius is the hard
-    case (Nocedal and Wright, section 4.3): it is extended along the lowest
+    radius. Below a radius of about |grad| 1e-308 the shift overflows, and
+    the step is its limit, the steepest-descent step onto the radius. For
+    an indefinite h a floor step inside the radius is the hard case
+    (Nocedal and Wright, section 4.3): it is extended along the lowest
     eigenvector v onto the radius, u + tau v, with tau of the sign of u^T v
     so that the model does not rise. Navigation calls this only in a step
     whose model is indefinite or whose Newton step has left the radius.
@@ -604,6 +609,13 @@ def _trust_region_step(evals, evecs, grad, radius):
         if not uq > 0.0:  # coef^2 underflowed: a tiny radius
             break
         lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, floor)
+        if lam == math.inf:
+            # the shift, about |grad| / radius, overflows: take its limit,
+            # the steepest-descent step onto the radius. Entries rounded up
+            # past it move one unit toward 0; at a radius of a few subnormal
+            # units, 5e-324 each, that can leave the step 0
+            u = -radius * (grad / _norm(grad))
+            return np.nextafter(u, 0.0) if _norm(u) > radius else u
     u = -(evecs @ coef)
     if indefinite and lam == floor and norm < radius:
         # the root of |u + tau v| = radius with the sign of u^T v = -coef[0];
@@ -663,11 +675,13 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     trials do, and reaches the target in one step or none. Every tangent,
     the first included, comes from the Jacobian of the last iterate its
     projection evaluated, within one Gauss-Newton step of the vertex; the
-    next projection absorbs its error. Only a projection that evaluated no
-    gradient, its start already below the target, costs a sweep at the
-    vertex, so a vertex costs about one adjoint sweep either way. The
-    vertex geometry runs on 3-tuples of floats; the vertices become an
-    array once, on return.
+    next projection absorbs its error. The tracer runs each predictor
+    point's forward pass and hands it to the projection. A projection that
+    evaluated no gradient, its start already below the target, returns
+    that point, and its tangent is the backward pass of the same forward
+    pass; so a vertex costs about one adjoint sweep either way, and no
+    point is propagated twice. The vertex geometry runs on 3-tuples of
+    floats; the vertices become an array once, on return.
 
     Ends on loop closure - returning, after ``_MIN_STEPS_BEFORE_CLOSURE``
     steps, within ``_CLOSURE_FACTOR * step_size`` of the start, moving the
@@ -696,9 +710,11 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     h, (lo, hi) = cfg.step_size, cfg.box
     status = "open"
     for step in range(1, cfg.max_steps + 1):
-        pred = (v[0] + h * direction[0], v[1] + h * direction[1], v[2] + h * direction[2])
-        p, ival, bundle, corrector = _project(Protocol(p.omega0, p.omegaT, p.dt, pred),
-                                              _TRACE_TARGET, _CORRECTOR_BUDGET, mu=1e-3)
+        pred = p.with_omegas((v[0] + h * direction[0], v[1] + h * direction[1],
+                              v[2] + h * direction[2]))
+        fw = forward(pred)
+        p, ival, bundle, corrector = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET,
+                                              mu=1e-3, fw=fw)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break
@@ -707,7 +723,8 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
             break
         verts.append(v)
         ivals.append(ival)
-        t = _null_direction((gradient(p) if bundle is None else bundle).grad_beta)
+        # no bundle: the predictor point was below the target, and fw is its pass
+        t = _null_direction((gradient(p, fw) if bundle is None else bundle).grad_beta)
         if t is None:
             status = "corrector_failed"
             break

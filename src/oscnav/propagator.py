@@ -25,6 +25,7 @@ package is the infidelity |beta|^2 (zero iff the evolution is frictionless).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,24 +82,32 @@ def _step_entries(omega: float, dt: float, order: int = 0):
     if abs(x) < SERIES_THRESHOLD:
         x2 = x * x
         snc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-        q = dt * dt * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0 + x2 * x2 * x2 / 45360.0)
+        if order:
+            q = dt * dt * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0 + x2 * x2 * x2 / 45360.0)
     else:
         snc = math.sin(x) / x
         if order:
             q = (c - snc) / (omega * omega)
-    entries = (c, dt * snc, -(omega * omega) * dt * snc)
-    if order:
-        s = x * snc
-        entries += (-dt * s, x * q, -s - x * c)
-        if order == 2:
-            # sinc'' = -sinc - 2 sinc'/x, the spherical Bessel equation of j0
-            entries += (-dt * dt * c, -dt * (dt * dt * snc + 2.0 * q),
-                        dt * (x * s - 2.0 * c))
-    return entries
+    if not order:
+        return c, dt * snc, -(omega * omega) * dt * snc
+    s = x * snc
+    if order == 1:
+        return c, dt * snc, -(omega * omega) * dt * snc, -dt * s, x * q, -s - x * c
+    # sinc'' = -sinc - 2 sinc'/x, the spherical Bessel equation of j0
+    return (c, dt * snc, -(omega * omega) * dt * snc, -dt * s, x * q, -s - x * c,
+            -dt * dt * c, -dt * (dt * dt * snc + 2.0 * q), dt * (x * s - 2.0 * c))
 
 
+@functools.lru_cache(maxsize=64)
 def _ground(omega0: float) -> tuple[complex, complex]:
-    """The unchecked pair (f, f') = (1/sqrt(2*w0), -i*sqrt(w0/2)), w0 > 0."""
+    """The unchecked pair (f, f') = (1/sqrt(2*w0), -i*sqrt(w0/2)), w0 > 0.
+
+    Memoised, since every forward pass asks for it and a run uses a handful
+    of boundary frequencies. Callers pass a frequency already checked
+    positive and finite: a Protocol's, or one :func:`initial_state` has
+    checked. An int and a float of equal value share an entry; both give
+    the same pair.
+    """
     return complex(1.0 / math.sqrt(2.0 * omega0), 0.0), complex(0.0, -math.sqrt(omega0 / 2.0))
 
 
@@ -109,8 +118,14 @@ def initial_state(omega0: float) -> ModeState:
     return ModeState(*_ground(omega0))
 
 
+@functools.lru_cache(maxsize=64)
 def _beta_row(omegaT: float) -> tuple[complex, complex]:
-    """The row c = (omegaT, -i)/sqrt(2*omegaT) of beta; alpha's is conj(c)."""
+    """The row c = (omegaT, -i)/sqrt(2*omegaT) of beta; alpha's is conj(c).
+
+    Memoised like :func:`_ground`, since every forward and backward pass
+    asks for it, on an omegaT already checked positive and finite: a
+    Protocol's, or one :func:`bogoliubov` has checked.
+    """
     r = 1.0 / math.sqrt(2.0 * omegaT)
     return complex(omegaT * r), complex(0.0, -r)
 

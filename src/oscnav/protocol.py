@@ -21,6 +21,8 @@ from .errors import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
                      NonPositiveFrequency)
 
 _JSON_FIELDS = ("omega0", "omegaT", "dt", "omegas")
+# pulse types that pass math.isfinite but are not pulses
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,18 @@ class Protocol:
     def with_omegas(self, omegas) -> "Protocol":
         """Copy of this protocol with the pulse sequence replaced.
 
-        The pulses are converted to floats by numpy in one call, so a pulse
-        that is not a number becomes nan and fails validation as
-        NonFiniteEntry.
+        Only the new pulses are checked: omega0, omegaT and dt are this
+        protocol's, valid by construction, so the copy equals the fully
+        validated ``Protocol(omega0, omegaT, dt, pulses)`` without running
+        :func:`validate`. The pulses are converted to floats by numpy in one
+        call, so a pulse that is not a number becomes nan and fails the
+        check as NonFiniteEntry, as in the constructor.
         """
-        return Protocol(self.omega0, self.omegaT, self.dt,
-                        tuple(np.asarray(omegas, dtype=float).tolist()))
+        pulses = tuple(np.asarray(omegas, dtype=float).tolist())
+        _check_pulses(pulses, floats=True)
+        new = object.__new__(Protocol)
+        new.__dict__.update(self.__dict__, omegas=pulses)
+        return new
 
 
 def validate(p: Protocol) -> Protocol:
@@ -71,21 +79,30 @@ def validate(p: Protocol) -> Protocol:
     ``Protocol.__post_init__`` calls it, so every Protocol has passed it
     once; it raises NonPositiveFrequency for a boundary frequency or step
     duration that is not a positive finite real, and NonFiniteEntry for a
-    non-finite pulse.
+    pulse that is not a finite real. A bool is neither.
     """
     for name in ("omega0", "omegaT", "dt"):
         v = getattr(p, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
             raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
+    _check_pulses(p.omegas)
+    return p
+
+
+def _check_pulses(omegas, floats: bool = False) -> None:
+    """Raise NonFiniteEntry, naming the first offending pulse, unless every
+    pulse is a finite real and none is a bool. ``floats`` says that the pulses are
+    Python floats, as :meth:`Protocol.with_omegas` makes them, so that only
+    their finiteness is checked."""
     try:
-        ok = all(map(math.isfinite, p.omegas))
+        ok = all(map(math.isfinite, omegas)) and (floats or _BOOLS.isdisjoint(map(type, omegas)))
     except TypeError:
         ok = False
     if not ok:
-        for i, w in enumerate(p.omegas):
-            if not (isinstance(w, (int, float)) and math.isfinite(w)):
-                raise NonFiniteEntry(f"omegas[{i}] is not finite: {w!r}")
-    return p
+        for i, w in enumerate(omegas):
+            if type(w) in _BOOLS or not (isinstance(w, (int, float)) and math.isfinite(w)):
+                raise NonFiniteEntry(f"omegas[{i}] is not a finite real: {w!r}")
 
 
 def refine(p: Protocol, factor: int) -> Protocol:

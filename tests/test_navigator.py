@@ -508,6 +508,24 @@ class TestEntryEvaluations:
         assert len(curve.vertices) == 1
         assert len(kernel) == 3 * (1 + len(trials))
 
+    def test_closed_trace_propagates_no_point_twice(self, m3_solution, monkeypatch):
+        # every predictor point and every trial is built by with_omegas and
+        # propagated once; a predictor point already below the target, which
+        # this trace has, takes its tangent from the tracer's forward pass
+        kernel, trials = TestProjectionEvaluations._count(monkeypatch)
+        unprojected = []
+        real_project = navigator._project
+
+        def recording(*args, **kwargs):
+            result = real_project(*args, **kwargs)
+            unprojected.append(result[2] is None)
+            return result
+
+        monkeypatch.setattr(navigator, "_project", recording)
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
+        assert curve.closed and any(unprojected[1:])
+        assert len(kernel) == 3 * (1 + len(trials))
+
     @pytest.mark.parametrize("run", [
         lambda p: navigate(p, SecondaryCost("smoothness"), NavigationConfig()),
         lambda p: trace_levelset(p, TraceConfig())], ids=["navigate", "trace"])
@@ -832,7 +850,7 @@ class TestTrustRegionStep:
     @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.one_of(st.just(-math.inf), st.floats(-6.0, 0.0)),
            st.floats(-8.0, 3.0),
-           st.one_of(st.floats(-300.0, 2.0).map(lambda e: 10.0 ** e), st.just(5e-324)))
+           st.one_of(st.floats(-308.0, 2.0).map(lambda e: 10.0 ** e), st.just(5e-324)))
     def test_step_minimises_the_model_inside_the_radius(self, n, seed, definite,
                                                         lowest_exp, g_exp, radius):
         # lowest_exp = -inf draws a gradient orthogonal to the lowest
@@ -845,8 +863,9 @@ class TestTrustRegionStep:
         size = navigator._norm(u)
         assert np.all(np.isfinite(u))
         assert size <= radius * (1.0 + 1e-12)
-        if radius < 1e-300:
-            # the shift, about |g| / radius, can overflow to a step of 0
+        if radius == 5e-324:
+            # every entry of a step rounds to 0 or +-5e-324, so a step within
+            # the radius has at most one nonzero entry and can be 0
             return
         newton = np.linalg.solve(h, -g)
         if definite and np.linalg.norm(newton) <= radius:
@@ -861,6 +880,22 @@ class TestTrustRegionStep:
                                          np.array([1.0, 1.0]), 1e-200)
         assert navigator._norm(u) == pytest.approx(1e-200, rel=1e-12)
         assert u[0] == pytest.approx(u[1], rel=1e-12) and u[0] < 0.0
+
+    @pytest.mark.parametrize("radius", [1e-308, 5e-324])
+    def test_overflowing_shift_takes_its_steepest_descent_limit(self, radius):
+        # at |g| = 1e3 the shift, about |g| / radius, overflows; the step is
+        # its limit -radius g / |g|, not 0. At the subnormal 5e-324 every
+        # entry rounds to 0 or +-5e-324, so some of those steps are still 0
+        reached = 0
+        for seed in range(200):
+            h, g = _tangent_model(4, seed, seed % 2 == 0, 0.5, 1e3)
+            u = navigator._trust_region_step(*np.linalg.eigh(h), g, radius)
+            size = navigator._norm(u)
+            assert size <= radius and np.all(u * g <= 0.0)
+            if radius == 1e-308:
+                assert np.abs(u / radius + g / np.linalg.norm(g)).max() < 1e-12
+            reached += size >= 0.9 * radius
+        assert reached == 200 if radius == 1e-308 else reached > 150
 
     def test_norm_does_not_underflow(self):
         assert navigator._norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)

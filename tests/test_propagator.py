@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oscnav import (NegativeOccupation, NonPositiveFrequency, Protocol,
                     bogoliubov, infidelity, initial_state, particle_number,
                     propagate, refine, wronskian_defect)
+from oscnav import propagator
 from oscnav.objectives import symplectic_final
 from oscnav.propagator import SERIES_THRESHOLD, ModeState
 from oracles import step_matrix
@@ -72,6 +75,44 @@ class TestStepMatrix:
             x = w * dt
             assert a[0, 1] == pytest.approx(np.sin(x) / w, rel=1e-13)
             assert a[1, 0] == pytest.approx(-w * np.sin(x), rel=1e-13)
+
+
+class TestStepEntries:
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
+    @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
+    @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
+    def test_lower_orders_are_prefixes_of_higher_ones(self, w, dt):
+        # every order computes A's entries by the same expressions, on
+        # either side of the series threshold
+        entries = [propagator._step_entries(w, dt, order) for order in (0, 1, 2)]
+        assert [len(e) for e in entries] == [3, 6, 9]
+        assert entries[2][:6] == entries[1] and entries[1][:3] == entries[0]
+
+
+def _bits(pair):
+    return [(z.real.hex(), z.imag.hex()) for z in pair]
+
+
+class TestBoundaryRows:
+    """The memoised rows are their closed forms, whatever the cache holds."""
+
+    @staticmethod
+    def _closed_forms(w):
+        r = 1.0 / math.sqrt(2.0 * w)
+        return ((complex(1.0 / math.sqrt(2.0 * w), 0.0), complex(0.0, -math.sqrt(w / 2.0))),
+                (complex(w * r), complex(0.0, -r)))
+
+    @given(st.one_of(st.integers(1, 2 ** 53), st.floats(5e-324, 1e308)))
+    def test_memoised_rows_are_their_closed_forms(self, w):
+        # an int and a float of equal value share a cache entry, in either order
+        keys = (w, float(w)) if isinstance(w, int) else (w,)
+        for order in (keys, keys[::-1]):
+            propagator._ground.cache_clear()
+            propagator._beta_row.cache_clear()
+            for key in order:
+                ground, row = self._closed_forms(key)
+                assert _bits(propagator._ground(key)) == _bits(ground)
+                assert _bits(propagator._beta_row(key)) == _bits(row)
 
 
 class TestPropagate:

@@ -52,6 +52,47 @@ def test_with_omegas_converts_pulses_to_floats():
         FIG1.with_omegas([1.0, None, 1.0])
 
 
+@pytest.mark.parametrize("field", ["omega0", "omegaT", "dt"])
+def test_bool_boundary_frequency_or_step_is_refused(field):
+    kwargs = {"omega0": 1.0, "omegaT": 0.25, "dt": 0.6, "omegas": (0.5, 1.2, 0.7)}
+    kwargs[field] = True
+    with pytest.raises(NonPositiveFrequency, match=field):
+        Protocol(**kwargs)
+
+
+@pytest.mark.parametrize("pulse", [True, False, np.True_])
+def test_bool_pulse_is_refused_and_named(pulse):
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[2\]"):
+        Protocol(1.0, 0.25, 0.6, (0.5, 1.2, pulse))
+
+
+_PULSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10 ** 6, 10 ** 6),
+                    st.sampled_from([math.nan, math.inf, -math.inf, None]))
+
+
+@given(st.lists(_PULSES, max_size=6))
+def test_with_omegas_is_the_validated_constructor(omegas):
+    # with_omegas checks only the pulses; the copy it makes, or the pulse it
+    # names, is the fully validated constructor's. An int omega0 shows that
+    # the boundary fields are carried over unchanged
+    p = Protocol(2, 0.25, 0.6, (1.0,))
+    try:
+        want = Protocol(p.omega0, p.omegaT, p.dt, tuple(omegas))
+    except NonFiniteEntry as exc:
+        with pytest.raises(NonFiniteEntry) as got:
+            p.with_omegas(omegas)
+        assert str(got.value).split()[0] == str(exc).split()[0]
+        return
+    got = p.with_omegas(omegas)
+    want = Protocol(p.omega0, p.omegaT, p.dt, tuple(map(float, want.omegas)))
+    for name in ("omega0", "omegaT", "dt", "omegas"):
+        assert getattr(got, name) == getattr(want, name)
+        assert type(getattr(got, name)) is type(getattr(want, name))
+    assert all(type(w) is float for w in got.omegas)
+    assert got == want and hash(got) == hash(want)
+
+
 def test_empty_protocol_is_legal():
     p = Protocol(1.0, 0.25, 0.6, ())
     assert validate(p).duration == 0.0
