@@ -15,14 +15,14 @@ from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
                          initial_state, particle_number, propagate,
                          wronskian_defect)
 from .protocol import Protocol, collapse, refine, validate
-from .sensitivities import SensitivityBundle, beta_hessian, gradient, hessian
+from .sensitivities import SensitivityBundle, gradient, hessian
 
 __version__ = "0.1.0"
 __all__ = [
     "Protocol", "validate", "refine", "collapse",
     "ModeState", "BogoliubovPair", "initial_state", "propagate",
     "bogoliubov", "infidelity", "particle_number", "wronskian_defect",
-    "SensitivityBundle", "gradient", "beta_hessian", "hessian",
+    "SensitivityBundle", "gradient", "hessian",
     "SecondaryCost", "symplectic_final", "target_matrix", "theta_scan",
     "INFIDELITY_THRESHOLD",
     "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",

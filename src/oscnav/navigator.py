@@ -103,8 +103,9 @@ class NavigationConfig:
     run once the schedule is used up. It is a projected gradient below
     ``doubling_stall_tolerance`` while the schedule lasts and below
     ``_STALL_TOLERANCE`` after it, or a step whose predicted decrease falls
-    to rounding level, so a run can end ``completed`` with its projected
-    gradient above ``_STALL_TOLERANCE``. A looser doubling trigger refines
+    to rounding level or whose radius falls to the resolution of the
+    pulses, so a run can end ``completed`` with its projected gradient
+    above ``_STALL_TOLERANCE``. A looser doubling trigger refines
     as soon as progress at the current resolution slows, leaving the bulk
     of the secondary descent to the enlarged space.
     """
@@ -412,15 +413,24 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     beta, its exact gradient and the generators of its Hessian (the
     start's forward pass also gives the infidelity that admits it), and
     one SVD of the Jacobian of beta for the bases Q and Z and the
-    pseudo-inverse the step uses (:func:`_level_set_frame`). Each step is one trust-region SQP step,
-    ``_navigation_step``; the radius carries over between steps and starts,
-    at the first step and after every doubling, at the Cauchy point of the
-    cost along the projected gradient. Stalls consume the doubling
-    schedule; once the schedule is exhausted a stall ends the run. A step
-    whose predicted decrease falls to rounding level stalls too, so a run
-    can end ``completed`` with its projected gradient above
-    ``_STALL_TOLERANCE``. The secondary cost is non-increasing and the
-    infidelity stays below the threshold at every record.
+    pseudo-inverse the step uses (:func:`_level_set_frame`). Each step is
+    one trust-region SQP step, ``_navigation_step``; the radius carries
+    over between steps and starts, at the first step and after every
+    doubling, at the Cauchy point of the cost along the projected gradient.
+    Stalls consume the doubling schedule; once the schedule is exhausted a
+    stall ends the run. A step whose predicted decrease falls to rounding
+    level, or whose radius falls to the resolution of w, stalls too, so a
+    run can end ``completed`` with its projected gradient above
+    ``_STALL_TOLERANCE``.
+
+    Before the first step the input must hold: I below ``_NAV_TARGET``, or
+    a projection from it, started on its admitted forward pass, that ends
+    below that target or at the rounding floor of I. An input the corrector
+    cannot hold ends the run ``corrector_failed`` with its one record. A
+    step accepts only a trial whose projection ends the same way, so the
+    secondary cost is non-increasing and every record after the input lies
+    on beta = 0: below ``_NAV_TARGET``, or at the rounding floor of I. A
+    doubling keeps the represented control, and so beta up to rounding.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -447,6 +457,11 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             status = "completed"
             break
         if it == cfg.max_iterations:
+            break
+        if it == 0 and not (records[0].infidelity < _NAV_TARGET or _project(
+                p, _NAV_TARGET, _CORRECTOR_BUDGET, fw=fw)[3] in _ON_LEVEL_SET):
+            # the corrector cannot hold the input on beta = 0
+            status = "corrector_failed"
             break
         if radius is None:
             curvature = 2.0 * cost.value(pg)
@@ -494,19 +509,18 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     later one of the step through :func:`_trust_region_step`, which needs
     no linear solve.
 
-    Each trial is projected onto beta = 0 and accepted once it lies below
-    the threshold with a lower cost; the ratio of actual to predicted
-    decrease then sets the next radius, and a rejected trial shrinks it.
-    The cost change of a trial is g^T s + C(s) for its displacement s,
-    exact for a homogeneous quadratic and free of the rounding of C(w).
-    The step stalls once the predicted decrease falls to the rounding level
-    of g^T d; it raises CorrectorFailed instead when the projection of the
-    last trial ended neither below the corrector target nor at the rounding
-    floor of I, or when the current point cannot be held on the level set:
-    it is above that target and its own projection ends neither way. That
-    check runs at most once, at the first failed trial or at the stall, and
-    a failing answer at the first failed trial ends the step at once rather
-    than after every quartering of the radius.
+    Each trial is projected onto beta = 0 and accepted once its projection
+    ends below the corrector target or at the rounding floor of I, below
+    the threshold, with a lower cost; the ratio of actual to predicted
+    decrease then sets the next radius, and a rejected trial shrinks it to
+    a quarter of its tangent step. The cost change of a trial is
+    g^T s + C(s) for its displacement s, exact for a homogeneous quadratic
+    and free of the rounding of C(w). The step stalls once the radius is
+    at the resolution eps max(1, max|w|) of w, which no step can move
+    (Nocedal and Wright, ch. 4), or once the predicted decrease falls to
+    the rounding level of g^T d; it raises CorrectorFailed instead when the
+    projection of its last trial ended neither way. ``navigate`` has
+    checked that the current point holds, so a stall leaves it on beta = 0.
     """
     w = np.asarray(p.omegas, dtype=float)
     nu = -(g @ jac_pinv)
@@ -521,21 +535,14 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         definite = False
     eig = None  # the eigendecomposition of ``reduced``, once a trial needs it
     failed = False
-    held = None  # whether the current point can be held, once checked
-
-    def holds():
-        nonlocal held
-        if held is None:
-            held = abs(bundle.beta) ** 2 < _NAV_TARGET or _project(
-                p, _NAV_TARGET, _CORRECTOR_BUDGET)[3] in _ON_LEVEL_SET
-        return held
-
-    while radius > 0.0:
+    # a radius at the rounding of w cannot move w
+    floor = _EPS * max(1.0, float(np.max(np.abs(w))))
+    while radius > floor:
         # the normal step takes at most half the radius
         dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
         grad = z.T @ (g + hess @ dn)
         u = -np.linalg.solve(reduced, grad) if definite and eig is None else None
-        if u is None or not _norm(u) <= radius:
+        if u is None or not np.linalg.norm(u) <= radius:
             if eig is None:
                 eig = np.linalg.eigh(reduced)
             u = _trust_region_step(*eig, grad, radius)
@@ -555,19 +562,17 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
         length = float(np.linalg.norm(dt))
-        if ival < INFIDELITY_THRESHOLD and decrease > 0.0 and cost.value(w_c) <= cur_c:
+        failed = status not in _ON_LEVEL_SET
+        if (not failed and ival < INFIDELITY_THRESHOLD and decrease > 0.0
+                and cost.value(w_c) <= cur_c):
             ratio = decrease / predicted
             if ratio < 0.25:
                 radius = 0.25 * length
             elif ratio > 0.75 and length > 0.99 * radius:
                 radius *= 2.0
             return p_c, radius
-        failed = status not in _ON_LEVEL_SET
-        if failed and not holds():
-            break
         radius = 0.25 * length
-    # a stall ends the run only at a point the corrector can hold
-    if failed or not holds():
+    if failed:
         raise CorrectorFailed("no projected point reached the corrector target "
                               "or the rounding floor of I")
     return None
@@ -581,17 +586,15 @@ def _trust_region_step(evals, evecs, grad, radius):
     is its floor (0 for a positive definite h, else just past -evals[0])
     when that step is inside the radius; otherwise Newton's method on
     1/|u(lam)| = 1/radius, the More-Sorensen iteration of Nocedal and
-    Wright (Algorithm 4.3), finds it to within 10 % of the radius. Lengths
-    are rescaled below 1e-150 (:func:`_norm`), where squares underflow, so
-    a step still longer (rounding, or an iteration cut short by its
-    underflowing derivative at a tiny radius) is scaled back onto the
-    radius. Below a radius of about |grad| 1e-308 the shift overflows, and
-    the step is its limit, the steepest-descent step onto the radius. For
-    an indefinite h a floor step inside the radius is the hard case
-    (Nocedal and Wright, section 4.3): it is extended along the lowest
-    eigenvector v onto the radius, u + tau v, with tau of the sign of u^T v
-    so that the model does not rise. Navigation calls this only in a step
-    whose model is indefinite or whose Newton step has left the radius.
+    Wright (Algorithm 4.3), finds it to within 10 % of the radius; a step
+    still longer by rounding is scaled back onto the radius. For an
+    indefinite h a floor step inside the radius is the hard case (Nocedal
+    and Wright, section 4.3): it is extended along the lowest eigenvector v
+    onto the radius, u + tau v, with tau of the sign of u^T v so that the
+    model does not rise. Navigation calls this only in a step whose model
+    is indefinite or whose Newton step has left the radius, and only with a
+    radius above eps, where neither the squares of the step's entries
+    underflow nor the shift overflows.
     """
     floor = 0.0
     indefinite = len(evals) > 0 and evals[0] <= 0.0
@@ -602,41 +605,19 @@ def _trust_region_step(evals, evecs, grad, radius):
     for _ in range(20):
         shifted = evals + lam
         coef = gt / shifted
-        norm = _norm(coef)
+        norm = float(np.linalg.norm(coef))
         if norm <= radius and (lam == floor or norm >= 0.9 * radius):
             break
         uq = float(coef @ (coef / shifted))
-        if not uq > 0.0:  # coef^2 underflowed: a tiny radius
-            break
         lam = max(lam + (norm * norm / uq) * (norm - radius) / radius, floor)
-        if lam == math.inf:
-            # the shift, about |grad| / radius, overflows: take its limit,
-            # the steepest-descent step onto the radius. Entries rounded up
-            # past it move one unit toward 0; at a radius of a few subnormal
-            # units, 5e-324 each, that can leave the step 0
-            u = -radius * (grad / _norm(grad))
-            return np.nextafter(u, 0.0) if _norm(u) > radius else u
     u = -(evecs @ coef)
     if indefinite and lam == floor and norm < radius:
         # the root of |u + tau v| = radius with the sign of u^T v = -coef[0];
         # along v the model changes by -lam tau u^T v + evals[0] tau^2 / 2 <= 0
         uv, gap = -float(coef[0]), (radius - norm) * (radius + norm)
-        denom = abs(uv) + math.sqrt(uv * uv + gap)
-        if denom > 0.0:  # both vanish only once gap underflows
-            u = u + math.copysign(gap / denom, uv) * evecs[:, 0]
-            norm = _norm(u)
+        u = u + math.copysign(gap / (abs(uv) + math.sqrt(uv * uv + gap)), uv) * evecs[:, 0]
+        norm = float(np.linalg.norm(u))
     return u if norm <= radius else u * (radius / norm)
-
-
-def _norm(v) -> float:
-    """Euclidean norm of v. Below 1e-150, where the squares of its entries
-    can underflow, it is max|v| times the norm of v / max|v|."""
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-150:
-        scale = float(np.max(np.abs(v), initial=0.0))
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(v / scale))
-    return norm
 
 
 def _null_direction(grad_beta: np.ndarray):

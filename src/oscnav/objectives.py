@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndivisibleChunking, NonFiniteEntry, NonPositiveFrequency,
-                     NonSymplectic)
+from .errors import IndivisibleChunking, NonFiniteEntry, NonSymplectic
 from .propagator import ModeState, bogoliubov, propagate
-from .protocol import Protocol
+from .protocol import Protocol, _check_positive
 
 _DET_TOL = 1e-8
 
@@ -144,8 +143,7 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
     |S|^2, which strongly driven protocols make large. A finite state whose
     entries overflow gives an inf or NaN det and is rejected.
     """
-    if not omega0 > 0:
-        raise NonPositiveFrequency(f"omega0 must be > 0, got {omega0!r}")
+    _check_positive("omega0", omega0)
     f, fd = s.f, s.fdot
     if not np.isfinite([f, fd]).all():
         raise NonFiniteEntry("mode state is not finite")
@@ -164,8 +162,8 @@ def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:
 
 def _target_basis(omega0: float, omegaT: float):
     """(A, B) with W(theta) = cos(theta) A + sin(theta) B."""
-    if not (omega0 > 0 and omegaT > 0):
-        raise NonPositiveFrequency("omega0 and omegaT must be > 0")
+    _check_positive("omega0", omega0)
+    _check_positive("omegaT", omegaT)
     k = math.sqrt(omega0 / omegaT)
     return (k * np.array([[1.0, 0.0], [0.0, omegaT / omega0]]),
             k * np.array([[0.0, -1.0 / omega0], [omegaT, 0.0]]))

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeOccupation, NonPositiveFrequency
-from .protocol import Protocol
+from .errors import NegativeOccupation
+from .protocol import Protocol, _check_positive
 
 # Below this |omega*dt| the two ratios that cancel, sin(x)/x and
 # (x cos x - sin x)/x^3, come from their Taylor series in x^2 through x^6;
@@ -113,8 +113,7 @@ def _ground(omega0: float) -> tuple[complex, complex]:
 
 def initial_state(omega0: float) -> ModeState:
     """Ground-trap initial conditions f = 1/sqrt(2*w0), f' = -i*sqrt(w0/2)."""
-    if not (omega0 > 0 and math.isfinite(omega0)):
-        raise NonPositiveFrequency(f"omega0 must be > 0, got {omega0!r}")
+    _check_positive("omega0", omega0)
     return ModeState(*_ground(omega0))
 
 
@@ -172,8 +171,7 @@ def propagate(p: Protocol) -> ModeState:
 
 def bogoliubov(s: ModeState, omegaT: float) -> BogoliubovPair:
     """Mixing coefficients of the final-trap basis for a propagated state."""
-    if not (omegaT > 0 and math.isfinite(omegaT)):
-        raise NonPositiveFrequency(f"omegaT must be > 0, got {omegaT!r}")
+    _check_positive("omegaT", omegaT)
     cf, cd = _beta_row(omegaT)
     return BogoliubovPair(alpha=cf * s.f + cd.conjugate() * s.fdot,
                           beta=cf * s.f + cd * s.fdot)

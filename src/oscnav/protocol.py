@@ -62,12 +62,18 @@ class Protocol:
         Only the new pulses are checked: omega0, omegaT and dt are this
         protocol's, valid by construction, so the copy equals the fully
         validated ``Protocol(omega0, omegaT, dt, pulses)`` without running
-        :func:`validate`. The pulses are converted to floats by numpy in one
-        call, so a pulse that is not a number becomes nan and fails the
-        check as NonFiniteEntry, as in the constructor.
+        :func:`validate`. The pulses become Python floats. A float64 array
+        converts in one call, and only its finiteness is checked; any other
+        sequence is checked as the constructor checks it first, so a pulse
+        the constructor refuses, such as a string or a bool, is refused here.
         """
-        pulses = tuple(np.asarray(omegas, dtype=float).tolist())
-        _check_pulses(pulses, floats=True)
+        if isinstance(omegas, np.ndarray) and omegas.dtype == np.float64:
+            pulses = tuple(omegas.tolist())
+            _check_pulses(pulses, floats=True)
+        else:
+            pulses = tuple(omegas)
+            _check_pulses(pulses)
+            pulses = tuple(map(float, pulses))
         new = object.__new__(Protocol)
         new.__dict__.update(self.__dict__, omegas=pulses)
         return new
@@ -82,19 +88,25 @@ def validate(p: Protocol) -> Protocol:
     pulse that is not a finite real. A bool is neither.
     """
     for name in ("omega0", "omegaT", "dt"):
-        v = getattr(p, name)
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) and v > 0):
-            raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
+        _check_positive(name, getattr(p, name))
     _check_pulses(p.omegas)
     return p
 
 
+def _check_positive(name: str, v) -> None:
+    """Raise NonPositiveFrequency, naming ``name``, unless ``v`` is a
+    positive finite real; a bool is not. The check of every boundary
+    frequency and step duration, in a Protocol or passed alone."""
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0):
+        raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
+
+
 def _check_pulses(omegas, floats: bool = False) -> None:
     """Raise NonFiniteEntry, naming the first offending pulse, unless every
-    pulse is a finite real and none is a bool. ``floats`` says that the pulses are
-    Python floats, as :meth:`Protocol.with_omegas` makes them, so that only
-    their finiteness is checked."""
+    pulse is a finite real and none is a bool. ``floats`` says that the
+    pulses are Python floats, as :meth:`Protocol.with_omegas` makes them from
+    a float64 array, so that only their finiteness is checked."""
     try:
         ok = all(map(math.isfinite, omegas)) and (floats or _BOOLS.isdisjoint(map(type, omegas)))
     except TypeError:

@@ -32,8 +32,7 @@ Hess(I) = 2 Re(conj(beta) Hess(beta)) + 2 Re(grad beta grad beta^H) takes
 kappa = 2 conj(beta) and the columns of the real M x 2 view of grad beta,
 and the Lagrangian of navigation takes kappa = nu_0 - i nu_1. Hess(beta)
 times a vector is O(M) on the same generators (:func:`_hess_beta_times`),
-so navigation never holds Hess(beta); only :func:`beta_hessian` builds it,
-from two real assemblies.
+so the library never builds the complex Hess(beta).
 
 A caller that already holds a point's forward pass, as the
 Levenberg-Marquardt projection does for every trial it evaluates, hands it
@@ -68,16 +67,13 @@ _TILE = 64
 class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
-    :func:`gradient` fills neither Hessian. :func:`hessian` fills
-    ``hess_infidelity`` only and :func:`beta_hessian` ``hess_beta`` only:
-    Hess(I) is assembled from the generators of Hess(beta) without
-    building it, so ``hessian(p).hess_beta`` is None.
+    :func:`gradient` leaves ``hess_infidelity`` None and :func:`hessian`
+    fills it.
     """
 
     beta: complex
     grad_beta: np.ndarray
     grad_infidelity: np.ndarray
-    hess_beta: np.ndarray | None = None
     hess_infidelity: np.ndarray | None = None
 
 
@@ -298,23 +294,8 @@ def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
     return _backward(p, forward(p) if fw is None else fw, second_order=False)[0]
 
 
-def beta_hessian(p: Protocol) -> SensitivityBundle:
-    """Exact gradient plus the Hessian of beta alone, O(M^2).
-
-    Two real assemblies from the generators give Re Hess(beta) and
-    Im Hess(beta) = Re(-i Hess(beta)); ``hess_infidelity`` stays None. The
-    library itself never builds Hess(beta): :func:`hessian` and navigation
-    assemble the real matrices they need from the generators directly.
-    """
-    bundle, gens = _backward(p, forward(p, 2), second_order=True)
-    hess_beta = _assemble(gens, 1.0) + 1j * _assemble(gens, -1j)
-    if not np.isfinite(hess_beta).all():
-        raise NonFiniteEntry("Hessian of beta is not finite")
-    return dataclasses.replace(bundle, hess_beta=hess_beta)
-
-
 def hessian(p: Protocol) -> SensitivityBundle:
-    """Exact gradient plus the Hessian of I, O(M^2); ``hess_beta`` is None.
+    """Exact gradient plus the Hessian of I, O(M^2).
 
     Hess(I) = 2 Re(conj(beta) Hess(beta)) + 2 Re(grad beta grad beta^H)
     is one real assembly (:func:`_assemble`) with kappa = 2 conj(beta) and

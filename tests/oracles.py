@@ -3,7 +3,9 @@
 The derivatives are independent of the adjoint sweep in
 ``oscnav.sensitivities``: central differences of the propagated state, and
 the rank-2 Hessian of I at a frictionless point written from its
-definition. ``step_matrix`` assembles one step's 2 x 2 matrix from the
+definition. ``beta_hessian`` builds the complex Hess beta, which the
+library never does, from the generators of the adjoint sweep, for checks
+of their O(M) product and of their symmetries. ``step_matrix`` assembles one step's 2 x 2 matrix from the
 kernel entries, for checks of the kernel itself. ``pair_cost`` sums a
 secondary cost over its pulse pairs one pair at a time. ``theta_infidelity``
 scores one phase of the symplectic target at a time, for checks of
@@ -13,7 +15,8 @@ scores one phase of the symplectic target at a time, for checks of
 import numpy as np
 
 from oscnav import bogoliubov, infidelity, propagate, symplectic_final, target_matrix
-from oscnav.propagator import _step_entries
+from oscnav.propagator import _step_entries, forward
+from oscnav.sensitivities import _assemble, _backward
 
 
 def step_matrix(omega: float, dt: float) -> np.ndarray:
@@ -25,6 +28,13 @@ def step_matrix(omega: float, dt: float) -> np.ndarray:
     """
     a00, a01, a10 = _step_entries(omega, dt)
     return np.array([[a00, a01], [a10, a00]])
+
+
+def beta_hessian(p) -> np.ndarray:
+    """Complex Hess beta from two real assemblies of its generators: Re Hess
+    beta with kappa = 1 and Im Hess beta = Re(-i Hess beta)."""
+    gens = _backward(p, forward(p, 2), second_order=True)[1]
+    return _assemble(gens, 1.0) + 1j * _assemble(gens, -1j)
 
 
 def optimal_hessian(grad_beta: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oscnav import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
-                    NonPositiveFrequency, Protocol, collapse, propagate, refine, validate)
+                    NonPositiveFrequency, Protocol, bogoliubov, collapse, initial_state,
+                    propagate, refine, symplectic_final, target_matrix, validate)
 from oscnav import protocol as proto
 from oscnav.protocol import from_json, to_json
 
@@ -66,12 +67,36 @@ def test_bool_pulse_is_refused_and_named(pulse):
         Protocol(1.0, 0.25, 0.6, (0.5, 1.2, pulse))
 
 
+# every function that takes a boundary frequency alone, with that frequency
+# as its one free argument
+_BOUNDARY_CALLS = {
+    "initial_state": initial_state,
+    "bogoliubov": lambda v: bogoliubov(initial_state(1.0), v),
+    "symplectic_final": lambda v: symplectic_final(initial_state(1.0), v),
+    "target_matrix-omega0": lambda v: target_matrix(0.8, v, 0.25),
+    "target_matrix-omegaT": lambda v: target_matrix(0.8, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("call", _BOUNDARY_CALLS.values(), ids=_BOUNDARY_CALLS.keys())
+@pytest.mark.parametrize("value", [True, 0.0, -0.25, math.inf, math.nan, "1.0"],
+                         ids=["bool", "zero", "negative", "inf", "nan", "str"])
+def test_boundary_frequency_is_checked_as_validate_checks_it(call, value):
+    # validate refuses each of these as omega0 or omegaT
+    with pytest.raises(NonPositiveFrequency):
+        Protocol(value, 0.25, 0.6, (1.0,))
+    with pytest.raises(NonPositiveFrequency):
+        call(value)
+
+
 _PULSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(-10 ** 6, 10 ** 6),
-                    st.sampled_from([math.nan, math.inf, -math.inf, None]))
+                    st.sampled_from([math.nan, math.inf, -math.inf, None,
+                                     True, np.False_, "0.5"]))
 
 
 @given(st.lists(_PULSES, max_size=6))
+@example(["0.5", True, 2])
 def test_with_omegas_is_the_validated_constructor(omegas):
     # with_omegas checks only the pulses; the copy it makes, or the pulse it
     # names, is the fully validated constructor's. An int omega0 shows that

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, beta_hessian, gradient,
-                    hessian, infidelity, refine)
+from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
+                    infidelity, refine)
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
 from oscnav.sensitivities import _anchored_basis, _backward, _hess_beta_times
-from oracles import fd_gradient, fd_hessian, optimal_hessian, step_matrix
+from oracles import beta_hessian, fd_gradient, fd_hessian, optimal_hessian, step_matrix
 
 
 EPS = np.finfo(float).eps
@@ -160,7 +160,7 @@ class TestHessian:
     def test_symmetry(self):
         rng = np.random.default_rng(201)
         p = random_protocol(rng, 12)
-        hess_infid, hess_beta = hessian(p).hess_infidelity, beta_hessian(p).hess_beta
+        hess_infid, hess_beta = hessian(p).hess_infidelity, beta_hessian(p)
         assert np.array_equal(hess_infid, hess_infid.T)
         assert np.array_equal(hess_beta, hess_beta.T)
 
@@ -343,7 +343,7 @@ def assert_matches_tableau(p):
     assert full.beta == beta
     for got, want in ((full.grad_beta, grad_beta),
                       (full.grad_infidelity, grad_infid),
-                      (beta_hessian(p).hess_beta, hess_beta),
+                      (beta_hessian(p), hess_beta),
                       (full.hess_infidelity, hess_infid)):
         # relative in the max norm; a gradient at omega = 0 is exactly 0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -394,7 +394,7 @@ class TestGeneratorProduct:
     @staticmethod
     def assert_matches_dense(p, x):
         gens = _backward(p, forward(p, 2), second_order=True)[1]
-        want = beta_hessian(p).hess_beta @ x
+        want = beta_hessian(p) @ x
         got = _hess_beta_times(gens, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -465,12 +465,11 @@ class TestForwardPass:
     @pytest.mark.parametrize("m", [1, 2, 3, 48])
     def test_hessians_share_their_bits(self, m):
         for p in oracle_protocols(m):
-            first, partial, full = gradient(p), beta_hessian(p), hessian(p)
-            assert partial.hess_infidelity is None and full.hess_beta is None
-            for bundle in (partial, full):
-                assert bundle.beta == first.beta
-                assert np.array_equal(bundle.grad_beta, first.grad_beta)
-                assert np.array_equal(bundle.grad_infidelity, first.grad_infidelity)
+            first, full = gradient(p), hessian(p)
+            assert first.hess_infidelity is None
+            assert full.beta == first.beta
+            assert np.array_equal(full.grad_beta, first.grad_beta)
+            assert np.array_equal(full.grad_infidelity, first.grad_infidelity)
 
     def test_kernel_runs_only_in_the_forward_pass(self, monkeypatch):
         p = random_protocol(np.random.default_rng(3), 8)
@@ -534,8 +533,8 @@ class TestSweepProperties:
         k = data.draw(st.integers(0, p.m - 1))
         flipped = list(p.omegas)
         flipped[k] = -flipped[k]
-        h0 = beta_hessian(p).hess_beta
-        h1 = beta_hessian(p.with_omegas(flipped)).hess_beta
+        h0 = beta_hessian(p)
+        h1 = beta_hessian(p.with_omegas(flipped))
         rest = np.arange(p.m) != k
         assert np.array_equal(h1[k, rest], -h0[k, rest])
         assert np.array_equal(h1[rest, k], -h0[rest, k])
