@@ -29,14 +29,16 @@ _BOOLS = frozenset((bool, np.bool_))
 class Protocol:
     """Immutable piecewise-constant control field, valid by construction.
 
-    Construction runs :func:`validate`, so no caller re-checks a Protocol.
+    Construction runs :func:`validate`, so no caller re-checks a Protocol,
+    and stores the pulses as a tuple of Python floats.
 
     Attributes
     ----------
     omega0 : initial trap frequency, > 0.
     omegaT : final trap frequency defining the target basis, > 0.
     dt : common step duration, > 0.
-    omegas : pulse amplitudes; may be negative (dynamics are even in each).
+    omegas : pulse amplitudes, Python floats; may be negative (dynamics are
+        even in each).
     """
 
     omega0: float
@@ -46,6 +48,9 @@ class Protocol:
 
     def __post_init__(self):
         validate(self)
+        # the pulses become Python floats, as with_omegas makes them, so a
+        # numpy scalar does not reach to_json
+        object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
 
     @property
     def m(self) -> int:
@@ -102,18 +107,24 @@ def _check_positive(name: str, v) -> None:
         raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
 
 
-def _check_pulses(omegas, floats: bool = False) -> None:
-    """Raise NonFiniteEntry, naming the first offending pulse, unless every
-    pulse is a finite real and none is a bool. ``floats`` says that the
-    pulses are Python floats, as :meth:`Protocol.with_omegas` makes them from
-    a float64 array, so that only their finiteness is checked."""
+def _are_pulses(omegas) -> bool:
+    """True if every pulse is a finite real and none is a bool: a value
+    ``math.isfinite`` takes, a numpy scalar included, and finds finite."""
     try:
-        ok = all(map(math.isfinite, omegas)) and (floats or _BOOLS.isdisjoint(map(type, omegas)))
-    except TypeError:
-        ok = False
-    if not ok:
+        return all(map(math.isfinite, omegas)) and _BOOLS.isdisjoint(map(type, omegas))
+    except (TypeError, OverflowError):
+        return False
+
+
+def _check_pulses(omegas, floats: bool = False) -> None:
+    """Raise NonFiniteEntry, naming the first offending pulse, unless the
+    pulses pass :func:`_are_pulses`, the test that also names the pulse.
+    ``floats`` says that the pulses are Python floats, as
+    :meth:`Protocol.with_omegas` makes them from a float64 array, for which
+    that test is ``math.isfinite``."""
+    if not (all(map(math.isfinite, omegas)) if floats else _are_pulses(omegas)):
         for i, w in enumerate(omegas):
-            if type(w) in _BOOLS or not (isinstance(w, (int, float)) and math.isfinite(w)):
+            if not _are_pulses((w,)):
                 raise NonFiniteEntry(f"omegas[{i}] is not a finite real: {w!r}")
 
 

@@ -5,7 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, NavigationConfig,
@@ -54,7 +54,8 @@ class TestDescend:
     def test_trapped_restart_ends_in_few_steps(self, monkeypatch):
         # the first restart of seed 253 at M = 3 lands on the trap at
         # I = 1.07e-2; a damping rule that cycles between rejected and
-        # accepted trials there took 44 iterates and 103 forward passes
+        # accepted trials there took 44 iterates and 103 forward passes,
+        # and without the trap test on accepted steps it takes 19 and 25
         passes = []
         real = navigator.forward
 
@@ -67,7 +68,7 @@ class TestDescend:
         p0 = _start(np.random.default_rng(cfg.seed).uniform(*cfg.box, 3))
         _, report, traj = descend(p0, cfg)
         assert report.classification == "trap"
-        assert len(traj.records) <= 25 and len(passes) <= 30
+        assert len(traj.records) <= 11 and len(passes) <= 17
 
     def test_monotone_infidelity(self, m8_solution):
         vals = [r.infidelity for r in m8_solution.trajectory.records]
@@ -194,28 +195,41 @@ class TestNavigate:
         start = solve(DescentConfig(seed=28), 5, TASK).protocol
         steps = []
         real_step, real_project = navigator._navigation_step, navigator._project
+        real_tr = navigator._trust_region_step
 
         def recording_step(*args):
-            steps.append([args[-1], 0, None])
+            # radius, tangent basis Z, trials, last trust-region u, next radius
+            steps.append([args[-1], args[5], 0, None, None])
             result = real_step(*args)
-            steps[-1][2] = None if result is None else result[1]
+            steps[-1][4] = None if result is None else result[1]
             return result
+
+        def recording_tr(*args):
+            steps[-1][3] = real_tr(*args)
+            return steps[-1][3]
 
         def counting_project(*args, **kwargs):
             if steps:  # the start check projects before the first step
-                steps[-1][1] += 1
+                steps[-1][2] += 1
             return real_project(*args, **kwargs)
 
         monkeypatch.setattr(navigator, "_navigation_step", recording_step)
+        monkeypatch.setattr(navigator, "_trust_region_step", recording_tr)
         monkeypatch.setattr(navigator, "_project", counting_project)
         traj = navigate(start, SecondaryCost("compression", 1), NavigationConfig())
         assert traj.status == "completed"
         # one accepted trial keeps or doubles the radius unless its ratio is
-        # below 0.25; its tangent step is 0.9 to 1 times the radius
-        shrunk = [(before, after) for before, trials, after in steps
+        # below 0.25; then the next radius is a quarter of its tangent step
+        # |Z u|, which on the boundary is 0.9 to 1 times the radius, up to
+        # the rounding of |Z u|
+        shrunk = [(before, float(np.linalg.norm(z @ u)), after)
+                  for before, z, trials, u, after in steps
                   if trials == 1 and after is not None and after < before]
         assert shrunk
-        assert all(0.225 * before <= after <= 0.25 * before for before, after in shrunk)
+        eps = navigator._EPS
+        for before, length, after in shrunk:
+            assert after == 0.25 * length
+            assert 0.9 * before <= length <= (1.0 + 4.0 * eps) * before
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
@@ -714,6 +728,26 @@ class TestTraceLevelset:
             assert all(infidelity(p.with_omegas(v)) < navigator._TRACE_TARGET
                        for v in curve.vertices)
 
+    @pytest.mark.parametrize("path", [POOL / "m3" / "seed100.json",
+                                      POOL / "m3" / "seed104.json"],
+                             ids=lambda path: path.stem)
+    def test_chord_steps_keep_coarse_traces_near_one_sweep_per_vertex(self, path,
+                                                                      monkeypatch):
+        # at step 0.3 most predictor points need a second corrector step; a
+        # chord step reuses the Jacobian of the first, where a fresh one
+        # costs 1.8-1.9 sweeps per vertex
+        sweeps = []
+        real = navigator.gradient
+        monkeypatch.setattr(navigator, "gradient",
+                            lambda *args: sweeps.append(1) or real(*args))
+        p = proto.load(path)
+        for sign in (1.0, -1.0):
+            sweeps.clear()
+            curve = trace_levelset(p, TraceConfig(step_size=0.3, initial_sign=sign))
+            assert curve.status == "closed", sign
+            assert np.all(curve.infidelities < navigator._TRACE_TARGET)
+            assert len(sweeps) <= 1.15 * len(curve.vertices), sign
+
     def test_tangent_sign_is_continuous(self, m3_solution, monkeypatch):
         # every predictor point is the start of a projection; its offset
         # from the vertex before it is the predictor direction
@@ -858,6 +892,38 @@ class TestInvariantProperties:
             assert infidelity(p) < INFIDELITY_THRESHOLD
             assert np.max(np.abs(gradient(p).grad_infidelity)) < navigator._GRAD_TOLERANCE
 
+    @given(st.sampled_from([3, 6, 12]).flatmap(
+        lambda m: st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    # the first restart of seed 253 at M = 3, which stops on its gain
+    @example([0.5846427559417524, 1.308606296965221, 0.25715791202884947])
+    def test_a_descent_stopped_on_its_gain_is_at_a_trap(self, omegas):
+        # a critical stop with the gradient above the tolerance is the trap
+        # test's: the step into the last iterate lowered I, above the
+        # threshold, by at most _TRAP_GAIN times I, from a point whose
+        # Gauss-Newton step |J^+ r| exceeds _TRAP_STEP max(1, max|w|)
+        statuses = []
+        real = navigator._project
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            statuses.append(result[3])
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(navigator, "_project", recording)
+            _, report, traj = descend(_start(omegas), DescentConfig())
+        if statuses != ["critical"] or report.grad_max_norm < navigator._GRAD_TOLERANCE:
+            return
+        assert report.classification == "trap"
+        before, last = traj.records[-2], traj.records[-1]
+        assert last.infidelity >= INFIDELITY_THRESHOLD
+        assert before.infidelity - last.infidelity <= navigator._TRAP_GAIN * last.infidelity
+        bundle = gradient(before.protocol)
+        jac = np.array([bundle.grad_beta.real, bundle.grad_beta.imag])
+        step = np.linalg.lstsq(jac, [bundle.beta.real, bundle.beta.imag], rcond=None)[0]
+        w = np.asarray(before.protocol.omegas)
+        assert np.linalg.norm(step) > navigator._TRAP_STEP * max(1.0, np.max(np.abs(w)))
+
     @settings(max_examples=25)
     @given(st.integers(3, 8), st.integers(0, 2 ** 16),
            st.sampled_from([SecondaryCost("smoothness"),
@@ -892,6 +958,61 @@ class TestInvariantProperties:
         for rec in traj.records[1:]:
             status = next(s for q, s in ends if q is rec.protocol)
             assert rec.infidelity < navigator._NAV_TARGET or status == "floor"
+
+
+class TestChordSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(POOL_M3 + sorted((POOL / "m48").glob("*.json"))),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.3),
+           st.sampled_from([1e-12, 1e-28]))
+    # a chord trial from these starts raises I
+    @example(POOL / "m3" / "seed100.json", 6, 0.3, 1e-12)
+    @example(POOL / "m3" / "seed106.json", 6, 0.3, 1e-28)
+    def test_projection_reaches_the_level_set_and_chord_steps_lower_i(
+            self, path, seed, size, target):
+        # the events of a projection are the forward pass of each evaluated
+        # point and the gradient of each iterate. A trial that follows an
+        # accepted trial with no gradient between them is a chord trial; it
+        # was accepted if the next gradient, or the returned point, is its
+        events = []
+        real_forward, real_gradient = navigator.forward, navigator.gradient
+
+        def recording_forward(p, *rest):
+            fw = real_forward(p, *rest)
+            events.append(("F", p, abs(fw.beta) ** 2))
+            return fw
+
+        def recording_gradient(p, *rest):
+            events.append(("G", p, None))
+            return real_gradient(p, *rest)
+
+        solution = proto.load(path)
+        direction = np.random.default_rng(seed).normal(size=solution.m)
+        start = solution.with_omegas(np.asarray(solution.omegas)
+                                     + size * direction / np.linalg.norm(direction))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(navigator, "forward", recording_forward)
+            mp.setattr(navigator, "gradient", recording_gradient)
+            q, ival, _, status = navigator._project(start, target, navigator._CORRECTOR_BUDGET,
+                                                    mu=1e-3)
+        assert status in navigator._ON_LEVEL_SET and ival < target
+
+        _, current, val = events[0]
+        mode, chord = "damped", None  # damped: the next trial is an LM trial
+        for kind, point, value in events[1:] + [("G", q, None)]:
+            if kind == "G":
+                if chord is not None and point is chord[0]:
+                    assert chord[1] < val
+                    current, val = chord[0], chord[1]
+                assert point is current
+                mode, chord = "damped", None
+            elif mode == "damped":
+                if value < val:
+                    current, val, mode = point, value, "accepted"
+            else:
+                assert mode == "accepted"
+                chord, mode = (point, value), "chord"
+        assert ival == val
 
 
 def _tangent_model(n, seed, definite, lowest_weight, g_scale):

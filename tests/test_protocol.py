@@ -67,6 +67,28 @@ def test_bool_pulse_is_refused_and_named(pulse):
         Protocol(1.0, 0.25, 0.6, (0.5, 1.2, pulse))
 
 
+@pytest.mark.parametrize("pulse", [np.int64(1), np.float32(0.5), 2])
+def test_numpy_scalar_pulse_is_accepted_and_the_bad_pulse_named(pulse):
+    # the pulse named is the first that fails the check, not the first
+    # whose type is not int or float
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[1\]"):
+        Protocol(1.0, 0.25, 0.6, (pulse, math.nan))
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[1\]"):
+        FIG1.with_omegas((pulse, math.nan, 1.0))
+
+
+def test_constructed_protocol_holds_python_floats():
+    p = Protocol(1.0, 0.25, 0.6, (np.int64(1), 2.0, np.float32(0.5), 3))
+    assert p.omegas == (1.0, 2.0, 0.5, 3.0)
+    assert all(type(w) is float for w in p.omegas)
+    assert from_json(to_json(p)) == p
+
+
+def test_pulse_too_large_for_a_float_is_named():
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[1\]"):
+        Protocol(1.0, 0.25, 0.6, (1.0, 10 ** 400))
+
+
 # every function that takes a boundary frequency alone, with that frequency
 # as its one free argument
 _BOUNDARY_CALLS = {
@@ -91,6 +113,7 @@ def test_boundary_frequency_is_checked_as_validate_checks_it(call, value):
 
 _PULSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(-10 ** 6, 10 ** 6),
+                    st.integers(-10 ** 6, 10 ** 6).map(np.int64),
                     st.sampled_from([math.nan, math.inf, -math.inf, None,
                                      True, np.False_, "0.5"]))
 
