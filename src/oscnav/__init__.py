@@ -1,10 +1,9 @@
 """Exact simulation, exact derivatives and level-set navigation for a
 frequency-controlled harmonic oscillator."""
 
-from .errors import (CorrectorFailed, EmptyProtocol, IndivisibleChunking,
-                     NegativeOccupation, NonFiniteEntry, NonPositiveFrequency,
-                     NonSymplectic, NotASolution, OscnavError,
-                     RestartBudgetExhausted)
+from .errors import (EmptyProtocol, IndivisibleChunking, NegativeOccupation,
+                     NonFiniteEntry, NonPositiveFrequency, NonSymplectic,
+                     NotASolution, OscnavError, RestartBudgetExhausted)
 from .navigator import (INFIDELITY_THRESHOLD, CriticalPointReport, DescentConfig,
                         DescentTrajectory, LevelsetCurve, NavigationConfig,
                         ScanConfig, ScanResult, SolveResult, TraceConfig,
@@ -32,5 +31,5 @@ __all__ = [
     "scan_levelset",
     "OscnavError", "NonPositiveFrequency", "NonFiniteEntry",
     "IndivisibleChunking", "NegativeOccupation", "EmptyProtocol",
-    "NonSymplectic", "NotASolution", "RestartBudgetExhausted", "CorrectorFailed",
+    "NonSymplectic", "NotASolution", "RestartBudgetExhausted",
 ]

@@ -10,7 +10,7 @@ class NonPositiveFrequency(OscnavError):
 
 
 class NonFiniteEntry(OscnavError):
-    """A pulse amplitude is NaN or infinite."""
+    """A pulse amplitude is NaN or infinite, or a propagation overflows."""
 
 
 class IndivisibleChunking(OscnavError):
@@ -30,12 +30,9 @@ class NonSymplectic(OscnavError):
 
 
 class NotASolution(OscnavError):
-    """Navigation requires a protocol already below the infidelity threshold."""
+    """An input is not a solution: its infidelity is not below the threshold,
+    or, for navigation, the corrector cannot hold it on beta = 0."""
 
 
 class RestartBudgetExhausted(OscnavError):
     """No solution found within the configured number of random restarts."""
-
-
-class CorrectorFailed(OscnavError):
-    """Infidelity could not be restored below threshold during navigation."""

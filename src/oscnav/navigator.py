@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorrectorFailed, EmptyProtocol, NotASolution,
-                     RestartBudgetExhausted)
+from .errors import EmptyProtocol, NotASolution, RestartBudgetExhausted
 from .objectives import SecondaryCost
 from .propagator import forward
 from .protocol import Protocol, refine
@@ -110,11 +109,12 @@ class NavigationConfig:
     run once the schedule is used up. It is a projected gradient below
     ``doubling_stall_tolerance`` while the schedule lasts and below
     ``_STALL_TOLERANCE`` after it, or a step whose predicted decrease falls
-    to rounding level or whose radius falls to the resolution of the
-    pulses, so a run can end ``completed`` with its projected gradient
-    above ``_STALL_TOLERANCE``. A looser doubling trigger refines
-    as soon as progress at the current resolution slows, leaving the bulk
-    of the secondary descent to the enlarged space.
+    to rounding level or that rejects trials, those projected off beta = 0
+    included, until its radius is at the resolution of the pulses, so a run
+    can end ``completed`` with its projected gradient above
+    ``_STALL_TOLERANCE``. A looser doubling trigger refines as soon as
+    progress at the current resolution slows, leaving the bulk of the
+    secondary descent to the enlarged space.
     """
 
     doubling_stall_tolerance: float = _STALL_TOLERANCE
@@ -187,7 +187,7 @@ class DescentTrajectory:
     """Ordered snapshots along one optimization run."""
 
     records: tuple[TrajectoryRecord, ...]
-    status: str  # "completed" | "budget_exhausted" | "corrector_failed"
+    status: str  # "completed" | "budget_exhausted"; a refused input raises
 
     @property
     def final_protocol(self) -> Protocol:
@@ -492,13 +492,12 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     run can end ``completed`` with its projected gradient above
     ``_STALL_TOLERANCE``.
 
-    Before the first step the input must hold: I below ``_NAV_TARGET``, or
-    a projection from it, started on its admitted forward pass, that ends
-    below that target or at the rounding floor of I. An input the corrector
-    cannot hold ends the run ``corrector_failed`` with its one record. A
-    step accepts only a trial whose projection ends the same way, so the
-    secondary cost is non-increasing and every record after the input lies
-    on beta = 0: below ``_NAV_TARGET``, or at the rounding floor of I. A
+    An input is admitted only if its projection, started on its forward
+    pass and free when I is below ``_NAV_TARGET``, ends below that target
+    or at the rounding floor of I; NotASolution otherwise. A step accepts
+    only a trial whose projection ends the same way, or stalls, so a run
+    ends ``completed`` or ``budget_exhausted``, with a non-increasing
+    secondary cost and every record after the input on beta = 0. A
     doubling keeps the represented control, and so beta up to rounding.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
@@ -508,6 +507,10 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
     fw = _admit(solution, "navigate", 2)
+    _, ival, _, status = _project(solution, _NAV_TARGET, _CORRECTOR_BUDGET, fw=fw)
+    if status not in _ON_LEVEL_SET:
+        raise NotASolution(f"navigate requires an input the corrector holds on beta = 0, "
+                           f"its projection ends {status!r} at I = {ival:g}")
     p = solution
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
@@ -527,20 +530,11 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             break
         if it == cfg.max_iterations:
             break
-        if it == 0 and not (records[0].infidelity < _NAV_TARGET or _project(
-                p, _NAV_TARGET, _CORRECTOR_BUDGET, fw=fw)[3] in _ON_LEVEL_SET):
-            # the corrector cannot hold the input on beta = 0
-            status = "corrector_failed"
-            break
         if radius is None:
             curvature = 2.0 * cost.value(pg)
             radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
-        try:
-            step = None if stalled else _navigation_step(
-                p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius)
-        except CorrectorFailed:
-            status = "corrector_failed"
-            break
+        step = None if stalled else _navigation_step(
+            p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius)
         if step is not None:
             p, radius = step
         elif schedule:
@@ -581,15 +575,15 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     Each trial is projected onto beta = 0 and accepted once its projection
     ends below the corrector target or at the rounding floor of I, below
     the threshold, with a lower cost; the ratio of actual to predicted
-    decrease then sets the next radius, and a rejected trial shrinks it to
-    a quarter of its tangent step. The cost change of a trial is
+    decrease then sets the next radius. Any other trial, one whose
+    projection ends off beta = 0 included, is rejected and shrinks the
+    radius to a quarter of its tangent step. The cost change of a trial is
     g^T s + C(s) for its displacement s, exact for a homogeneous quadratic
     and free of the rounding of C(w). The step stalls once the radius is
     at the resolution eps max(1, max|w|) of w, which no step can move
     (Nocedal and Wright, ch. 4), or once the predicted decrease falls to
-    the rounding level of g^T d; it raises CorrectorFailed instead when the
-    projection of its last trial ended neither way. ``navigate`` has
-    checked that the current point holds, so a stall leaves it on beta = 0.
+    the rounding level of g^T d. The current point holds, as ``navigate``
+    admits only such an input, so a stall leaves it on beta = 0.
     """
     w = np.asarray(p.omegas, dtype=float)
     nu = -(g @ jac_pinv)
@@ -603,7 +597,6 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     except np.linalg.LinAlgError:
         definite = False
     eig = None  # the eigendecomposition of ``reduced``, once a trial needs it
-    failed = False
     # a radius at the rounding of w cannot move w
     floor = _EPS * max(1.0, float(np.max(np.abs(w))))
     while radius > floor:
@@ -631,8 +624,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
         length = float(np.linalg.norm(dt))
-        failed = status not in _ON_LEVEL_SET
-        if (not failed and ival < INFIDELITY_THRESHOLD and decrease > 0.0
+        if (status in _ON_LEVEL_SET and ival < INFIDELITY_THRESHOLD and decrease > 0.0
                 and cost.value(w_c) <= cur_c):
             ratio = decrease / predicted
             if ratio < 0.25:
@@ -641,9 +633,6 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
                 radius *= 2.0
             return p_c, radius
         radius = 0.25 * length
-    if failed:
-        raise CorrectorFailed("no projected point reached the corrector target "
-                              "or the rounding floor of I")
     return None
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeOccupation
+from .errors import NegativeOccupation, NonFiniteEntry
 from .protocol import Protocol, _check_positive
 
 # Below this |omega*dt| the two ratios that cancel, sin(x)/x and
@@ -148,7 +148,8 @@ def forward(p: Protocol, order: int = 1) -> Forward:
     """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
 
     M = 0 leaves the initial state (sudden quench). A Protocol's omega0 is
-    valid by construction, so the initial state is taken unchecked.
+    valid by construction, so the initial state is taken unchecked. A beta
+    or I = |beta|^2 that overflows raises NonFiniteEntry.
     """
     dt = p.dt
     f, fd = _ground(p.omega0)
@@ -160,7 +161,11 @@ def forward(p: Protocol, order: int = 1) -> Forward:
         fds.append(fd)
         f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
     cf, cd = _beta_row(p.omegaT)
-    return Forward(steps, fs, fds, f, fd, cf * f + cd * fd)
+    beta = cf * f + cd * fd
+    # |beta| <= |Re| + |Im| < 1e154 keeps |beta|^2 below the float maximum
+    if not abs(beta.real) + abs(beta.imag) < 1e154:
+        raise NonFiniteEntry(f"propagation of {p.m} pulses overflows: |beta|^2 is not finite")
+    return Forward(steps, fs, fds, f, fd, beta)
 
 
 def propagate(p: Protocol) -> ModeState:

@@ -123,23 +123,20 @@ class TestNavigateCommands:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "IndivisibleChunking"
 
-    def test_corrector_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+    def test_input_the_corrector_cannot_hold_exits_3(self, tmp_path, capsys,
+                                                       monkeypatch):
         # pool m3/seed100 (I = 2.3e-19) sits above the corrector target, and
-        # a budget of 0 cannot project it onto the level set
+        # a budget of 0 cannot project it onto the level set: the input is
+        # refused before any output is written
         pool = Path(__file__).parents[1] / "perfbench" / "pool" / "m3" / "seed100.json"
         monkeypatch.setattr(navigator, "_CORRECTOR_BUDGET", 0)
-        traj = tmp_path / "traj.csv"
-        code = main(["smooth", str(pool), "--out-protocol", str(tmp_path / "out.json"),
-                     "--out-trajectory", str(traj)])
+        out_protocol, out_trajectory = tmp_path / "out.json", tmp_path / "traj.csv"
+        code = main(["smooth", str(pool), "--out-protocol", str(out_protocol),
+                     "--out-trajectory", str(out_trajectory)])
         out, err = capsys.readouterr()
-        assert code == 4
-        assert _strict_json(out)["status"] == "corrector_failed"
-        assert _one_error_line(err)["error"] == "CorrectorFailed"
-        # the run ends at its first step, so the CSV holds the input's record
-        rows = traj.read_text().splitlines()
-        assert rows[0] == "iter,I,cost,pgrad_norm,omega_1,omega_2,omega_3"
-        assert len(rows) == 2 and rows[1].startswith("0,")
-        assert proto.load(tmp_path / "out.json") == proto.load(pool)
+        assert code == 3 and out == ""
+        assert _one_error_line(err)["error"] == "NotASolution"
+        assert not out_protocol.exists() and not out_trajectory.exists()
 
 
 class TestDiagnosticsCommands:
@@ -407,6 +404,21 @@ class TestInputContract:
         assert r.stdout == ""
         assert _one_error_line(r.stderr)["error"] == "NonFiniteEntry"
 
+    @pytest.mark.parametrize("command", [["verify"], ["smooth"], ["compress", "--chunks", "1"],
+                                         ["theta-scan"], ["spectrum"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("repeats", [40, 60])
+    def test_overflowing_propagation_is_non_finite_entry(self, command, repeats, tmp_path,
+                                                         capsys, monkeypatch):
+        # every pulse is finite, but the propagation overflows: at 40 pulse
+        # pairs |beta|^2 exceeds the float range, at 60 the state is NaN
+        proto.save(Protocol(1.0, 0.25, 1.0, (1e6, 1e-3) * repeats), tmp_path / "p.json")
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "p.json", *command[1:]])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "NonFiniteEntry"
+        assert os.listdir(tmp_path) == ["p.json"]
+
     @pytest.mark.parametrize("command", [["verify"], ["spectrum"], ["smooth"]])
     def test_overflowing_pulse_is_named(self, command, tmp_path, capsys):
         # omega*dt = 2e308 overflows; the kernel's cos() would fail without a name
@@ -618,7 +630,7 @@ class TestCliProperty:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-        assert code in (0, 1, 2, 3, 4)
+        assert code in (0, 1, 2, 3)
         if code != 0:
             assert set(_one_error_line(err.getvalue())) == {"error", "detail"}
         if out.getvalue():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, NavigationConfig,
-                    NotASolution, Protocol, RestartBudgetExhausted, ScanConfig,
+from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, EmptyProtocol,
+                    NavigationConfig, NonFiniteEntry, NotASolution, Protocol,
+                    RestartBudgetExhausted, ScanConfig,
                     SecondaryCost, TraceConfig, collapse, descend, gradient,
                     hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
@@ -39,6 +40,10 @@ class TestDescend:
         p, report, traj = descend(m3_solution.protocol, DescentConfig())
         assert report.classification == "solution"
         assert len(traj.records) == 1
+
+    def test_no_pulses_is_an_empty_protocol(self):
+        with pytest.raises(EmptyProtocol):
+            descend(Protocol(1.0, 0.25, 0.6, ()), DescentConfig())
 
     def test_m1_lands_on_trap(self):
         # the 1-D scan over omega_1 in [0, 3] bottoms out at I ~ 0.145,
@@ -125,6 +130,10 @@ class TestSolve:
     def test_restart_budget(self):
         with pytest.raises(RestartBudgetExhausted):
             solve(DescentConfig(seed=0, max_restarts=2), 1, TASK)
+
+    def test_no_pulses_is_an_empty_protocol(self):
+        with pytest.raises(EmptyProtocol):
+            solve(DescentConfig(), 0, TASK)
 
 
 class TestNullProjector:
@@ -347,41 +356,37 @@ class TestNavigate:
     @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
                                       SecondaryCost("compression", 1)],
                              ids=["smoothness", "compression"])
-    def test_unreachable_level_set_is_a_corrector_failure(self, cost, monkeypatch):
-        # the seed-2 solve at M = 12 stops at a critical point of I = 9.3e-6,
-        # just under the threshold, which the corrector cannot hold on
-        # beta = 0: the start check's one projection ends the run at its
-        # input, before any trial
-        start = solve(DescentConfig(seed=2), 12, TASK).protocol
-        assert 1e-6 < infidelity(start) < 1e-5
-        projections = []
-        real = navigator._project
+    @pytest.mark.parametrize("m, seed, low", [(12, 2, 1e-6), (13, 3, 1e-7)],
+                             ids=["M12-seed2", "M13-seed3"])
+    def test_input_the_corrector_cannot_hold_is_refused(self, m, seed, low, cost,
+                                                        monkeypatch):
+        # the seed-2 solve at M = 12 and the seed-3 solve at M = 13 stop at a
+        # critical point of I = 9.3e-6 and 3.05e-7, under the threshold but
+        # off beta = 0: admission's one projection stalls there, and the
+        # input is refused before any step
+        start = solve(DescentConfig(seed=seed), m, TASK).protocol
+        assert low < infidelity(start) < INFIDELITY_THRESHOLD
+        projections, steps = [], []
+        real_project, real_step = navigator._project, navigator._navigation_step
 
-        def counting(*args, **kwargs):
+        def counting_project(*args, **kwargs):
             projections.append(args[0])
-            return real(*args, **kwargs)
+            return real_project(*args, **kwargs)
 
-        monkeypatch.setattr(navigator, "_project", counting)
-        traj = navigate(start, cost, NavigationConfig())
-        assert traj.status == "corrector_failed"
-        assert len(projections) == 1 and len(traj.records) == 1
+        def counting_step(*args):
+            steps.append(args[0])
+            return real_step(*args)
 
-    @pytest.mark.parametrize("cost", [SecondaryCost("smoothness"),
-                                      SecondaryCost("compression", 1)],
-                             ids=["smoothness", "compression"])
-    def test_input_the_corrector_cannot_hold_ends_at_its_record(self, cost):
-        # the seed-3 solve at M = 13 stops at a critical point of I = 3.05e-7
-        # whose projection stalls; steps from it would record trap points
-        # off beta = 0, so the run ends at its input
-        start = solve(DescentConfig(seed=3), 13, TASK).protocol
-        traj = navigate(start, cost, NavigationConfig())
-        assert traj.status == "corrector_failed"
-        assert len(traj.records) == 1 and traj.records[0].protocol == start
+        monkeypatch.setattr(navigator, "_project", counting_project)
+        monkeypatch.setattr(navigator, "_navigation_step", counting_step)
+        with pytest.raises(NotASolution, match="stalled"):
+            navigate(start, cost, NavigationConfig())
+        assert projections == [start] and not steps
 
-    def test_rejected_trials_stop_at_the_resolution_of_w(self, m8_solution, monkeypatch):
-        # every trial's projection is reported at the threshold, so every
-        # trial is rejected and quarters the radius: the step stalls once
-        # the radius is at eps max(1, max|w|), and no trial runs below it
+    @staticmethod
+    def _reject_every_trial(start, monkeypatch, reject):
+        """Navigate ``start`` with every trial's projection result passed
+        through ``reject``; (trajectory, the one step, the trust-region radii)."""
         steps, radii = [], []
         real_step, real_project = navigator._navigation_step, navigator._project
         real_region = navigator._trust_region_step
@@ -393,11 +398,11 @@ class TestNavigate:
             return real_step(*args)
 
         def rejecting_project(*args, **kwargs):
-            q, ival, bundle, status = real_project(*args, **kwargs)
-            if not steps:  # the start check
-                return q, ival, bundle, status
+            result = real_project(*args, **kwargs)
+            if not steps:  # the admission check
+                return result
             steps[-1]["trials"] += 1
-            return q, INFIDELITY_THRESHOLD, bundle, status
+            return reject(*result)
 
         def recording_region(*args):
             radii.append(args[-1])
@@ -406,9 +411,31 @@ class TestNavigate:
         monkeypatch.setattr(navigator, "_navigation_step", recording_step)
         monkeypatch.setattr(navigator, "_project", rejecting_project)
         monkeypatch.setattr(navigator, "_trust_region_step", recording_region)
-        traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"), NavigationConfig())
-        assert traj.status == "completed" and len(traj.records) == 1
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
         [step] = steps
+        return traj, step, radii
+
+    def test_rejected_trials_stop_at_the_resolution_of_w(self, m8_solution, monkeypatch):
+        # every trial's projection is reported at the threshold, so every
+        # trial is rejected and quarters the radius: the step stalls once
+        # the radius is at eps max(1, max|w|), and no trial runs below it
+        traj, step, radii = self._reject_every_trial(
+            m8_solution.protocol, monkeypatch,
+            lambda q, ival, bundle, status: (q, INFIDELITY_THRESHOLD, bundle, status))
+        assert traj.status == "completed" and len(traj.records) == 1
+        assert step["trials"] <= math.ceil(math.log(step["radius"] / step["floor"], 4)) + 1
+        assert radii and all(r > step["floor"] for r in radii)
+
+    def test_trials_projected_off_the_level_set_are_rejected(self, m8_solution,
+                                                             monkeypatch):
+        # every trial's projection is reported stalled, off beta = 0: each
+        # trial is an ordinary rejection, so the step stalls at the
+        # resolution of w and the run completes at its held input
+        traj, step, radii = self._reject_every_trial(
+            m8_solution.protocol, monkeypatch,
+            lambda q, ival, bundle, status: (q, ival, bundle, "stalled"))
+        assert traj.status == "completed" and len(traj.records) == 1
+        assert traj.final_protocol == m8_solution.protocol
         assert step["trials"] <= math.ceil(math.log(step["radius"] / step["floor"], 4)) + 1
         assert radii and all(r > step["floor"] for r in radii)
 
@@ -589,13 +616,14 @@ class TestEntryEvaluations:
     @pytest.mark.parametrize("run", [
         lambda p: navigate(p, SecondaryCost("smoothness"), NavigationConfig()),
         lambda p: trace_levelset(p, TraceConfig())], ids=["navigate", "trace"])
-    @pytest.mark.parametrize("omegas", [(1.0, 1.0, 1.0), (1e300, 1.0, 1.0)],
-                             ids=["above-threshold", "not-finite"])
-    def test_non_solution_is_rejected_before_any_backward_pass(self, run, omegas,
+    @pytest.mark.parametrize("omegas, error", [
+        pytest.param((1.0, 1.0, 1.0), NotASolution, id="above-threshold"),
+        pytest.param((1e300, 1.0, 1.0), NonFiniteEntry, id="not-finite")])
+    def test_non_solution_is_rejected_before_any_backward_pass(self, run, omegas, error,
                                                                monkeypatch):
         kernel, _ = TestProjectionEvaluations._count(monkeypatch)
         backward = self._count_backward(monkeypatch)
-        with pytest.raises(NotASolution), np.errstate(all="ignore"):
+        with pytest.raises(error), np.errstate(all="ignore"):
             run(Protocol(1.0, 0.25, 0.6, omegas))
         assert len(kernel) == 3 and not backward
 
@@ -785,6 +813,14 @@ def _closed_polyline_distance(point, vertices):
 
 
 class TestScanLevelset:
+    def test_distance_to_a_one_vertex_curve_is_to_its_vertex(self):
+        # a trace whose start the corrector cannot hold returns this curve,
+        # and the scan measures its points against it
+        curve = navigator.LevelsetCurve(np.array([[1.0, 2.0, 3.0]]), np.array([1e-6]),
+                                        False, "corrector_failed")
+        point = np.array([4.0, 6.0, 3.0])
+        assert navigator._polyline_distance(point, curve) == 5.0
+
     def test_small_scan_labels_everything(self):
         cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
         result = scan_levelset(TASK, cfg, 40)
@@ -870,6 +906,18 @@ def _start(omegas):
     return Protocol(TASK[0], TASK[1], TASK[2] / len(omegas), tuple(omegas))
 
 
+def _navigate_or_refuse(start, cost, cfg):
+    """The navigation of ``start``, or None when it is refused; a refusal is
+    right only for an input whose projection ends off beta = 0."""
+    try:
+        return navigate(start, cost, cfg)
+    except NotASolution:
+        status = navigator._project(start, navigator._NAV_TARGET,
+                                    navigator._CORRECTOR_BUDGET)[3]
+        assert status not in navigator._ON_LEVEL_SET
+        return None
+
+
 starts = st.integers(1, 8).flatmap(
     lambda m: st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)).map(_start)
 
@@ -931,7 +979,9 @@ class TestInvariantProperties:
     def test_navigation_keeps_cost_and_threshold(self, m, seed, cost):
         start = solve(DescentConfig(seed=seed), m, TASK).protocol
         cfg = NavigationConfig(max_iterations=20)
-        traj = navigate(start, cost, cfg)
+        traj = _navigate_or_refuse(start, cost, cfg)
+        if traj is None:
+            return
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert all(r.infidelity < INFIDELITY_THRESHOLD for r in traj.records)
@@ -954,7 +1004,9 @@ class TestInvariantProperties:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(navigator, "_project", recording)
-            traj = navigate(start, cost, NavigationConfig())
+            traj = _navigate_or_refuse(start, cost, NavigationConfig())
+        if traj is None:
+            return
         for rec in traj.records[1:]:
             status = next(s for q, s in ends if q is rec.protocol)
             assert rec.infidelity < navigator._NAV_TARGET or status == "floor"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oscnav import (NegativeOccupation, NonPositiveFrequency, Protocol,
-                    bogoliubov, infidelity, initial_state, particle_number,
-                    propagate, refine, wronskian_defect)
+from oscnav import (NegativeOccupation, NonFiniteEntry, NonPositiveFrequency,
+                    Protocol, bogoliubov, gradient, hessian, infidelity,
+                    initial_state, particle_number, propagate, refine,
+                    wronskian_defect)
 from oscnav import propagator
 from oscnav.objectives import symplectic_final
 from oscnav.propagator import SERIES_THRESHOLD, ModeState
@@ -215,6 +216,21 @@ class TestInfidelity:
     def test_single_step_value(self):
         assert infidelity(Protocol(1.0, 0.25, 1.8, (0.5,))) == pytest.approx(
             0.21734941086756926, abs=1e-14)
+
+
+class TestOverflow:
+    # the propagation overflows though every pulse is finite: at 40 pulse
+    # pairs beta is finite but |beta|^2 exceeds the float range, at 60 the
+    # state is NaN, and a pulse of 1e200 makes omega^2 infinite
+    @pytest.mark.parametrize("p", [Protocol(1.0, 0.25, 1.0, (1e6, 1e-3) * 40),
+                                   Protocol(1.0, 0.25, 1.0, (1e6, 1e-3) * 60),
+                                   Protocol(1.0, 0.25, 0.6, (1e200, 1.0))],
+                             ids=["beta-squared", "nan-state", "omega-squared"])
+    @pytest.mark.parametrize("run", [infidelity, propagate, gradient, hessian],
+                             ids=lambda f: f.__name__)
+    def test_is_a_non_finite_entry(self, run, p):
+        with pytest.raises(NonFiniteEntry, match="overflows"):
+            run(p)
 
 
 class TestParticleNumber:

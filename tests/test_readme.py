@@ -1,7 +1,9 @@
 """The README's library sketch runs as written and gives the numbers it
-quotes, its CLI example runs as written on its own run config, and its
-key list of each config section is the config schema's."""
+quotes, its CLI example runs as written on its own run config, its key
+list of each config section is the config schema's, and its exit codes
+are the CLI's."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -81,3 +83,21 @@ def test_trace_keys_match_the_schema():
         named = re.findall(r"`([a-z_]+)`", text[start:text.index(".", start)])
         keys = [f.name for f in dataclasses.fields(cls) if f.name not in ("descent", "trace")]
         assert sorted(named) == sorted(keys), section
+
+
+def test_exit_codes_match_the_cli():
+    # the codes are the numbers that open a clause of README's "All commands
+    # exit" sentence, up to its semicolon, and of the cli docstring's "Exit
+    # codes:" lines, up to "Failures"; the CLI's are 0 and the first
+    # argument of every _fail call
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    failing = {node.args[0].value for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"}
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    docstring = " ".join(cli.__doc__.split())
+    for where, text, first, last in (("README", readme, "All commands exit", ";"),
+                                     ("cli", docstring, "Exit codes:", "Failures")):
+        start = text.index(first)
+        sentence = text[start:text.index(last, start)]
+        listed = [int(code) for code in re.findall(r"\b(\d+) [a-z]", sentence)]
+        assert sorted(listed) == sorted({0} | failing), where
