@@ -36,7 +36,7 @@ from .errors import (NonFiniteEntry, NonPositiveFrequency, NotASolution, OscnavE
 from .navigator import (DescentConfig, NavigationConfig, ScanConfig, TraceConfig,
                         cloud_to_csv, curves_to_csv, navigate, scan_levelset,
                         solve, trajectory_to_csv)
-from .objectives import SecondaryCost, theta_scan
+from .objectives import SecondaryCost, _theta_grid, theta_scan
 from .propagator import bogoliubov, infidelity, particle_number, propagate, wronskian_defect
 from .sensitivities import hessian
 
@@ -226,9 +226,9 @@ def _cmd_navigate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     p = _load_protocol(args.protocol)
-    eigs = np.linalg.eigvalsh(hessian(p).hess_infidelity)[::-1]
+    eigs = np.linalg.eigvalsh(hessian(p).hess_infidelity)[::-1].tolist()
     lines = ["index,eigenvalue"]
-    lines += [f"{i + 1},{repr(float(v))}" for i, v in enumerate(eigs)]
+    lines += [f"{i},{v!r}" for i, v in enumerate(eigs, 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -263,17 +263,28 @@ def _cmd_levelset(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
+def _theta_cells(points: int) -> tuple[str, ...]:
+    """The theta column of ``theta-scan --points``, each grid angle rendered
+    as ``f"{theta!r},"``, built once per size like the grid itself."""
+    return tuple(f"{t!r}," for t in _theta_grid(points).tolist())
+
+
 def _cmd_theta_scan(args) -> int:
+    """Write the grid rows of J and the refined minimum as CSV.
+
+    Each row is the grid angle's memoised cell and the repr of its J; the
+    refined row is inserted where it keeps the theta column ascending,
+    after any equal grid angle.
+    """
     p = _load_protocol(args.protocol)
     thetas, values, theta_min, value_min = theta_scan(p, args.points)
     if not (np.isfinite(values).all() and math.isfinite(value_min)):
         raise NonFiniteEntry("theta landscape is not finite")
-    # the grid ascends; the refined row goes after any equal theta
-    k = int(np.searchsorted(thetas, theta_min, side="right"))
-    rows = zip(np.insert(thetas, k, theta_min).tolist(),
-               np.insert(values, k, value_min).tolist())
-    lines = ["theta,J"] + [f"{t!r},{v!r}" for t, v in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [t + repr(v) for t, v in zip(_theta_cells(args.points), values.tolist())]
+    rows.insert(int(np.searchsorted(thetas, theta_min, side="right")),
+                f"{theta_min!r},{value_min!r}")
+    _emit("theta,J\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
 

@@ -20,6 +20,7 @@ diagnostics; the primary objective elsewhere stays the phase-free |beta|^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,6 +181,20 @@ def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     return math.cos(theta) * a + math.sin(theta) * b
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _theta_grid(points: int) -> np.ndarray:
+    """The uniform grid of ``points`` angles in [0, 2 pi), read-only.
+
+    Built once per size and kept for the last size asked for: every scan
+    of that size shares it, so no caller may change it. ``typed`` keeps a
+    float size from sharing the entry of an equal integer, which
+    ``np.linspace`` refuses.
+    """
+    grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    grid.flags.writeable = False
+    return grid
+
+
 def theta_scan(p: Protocol, points: int = 1024):
     """The theta landscape on a uniform grid, and its exact global minimum.
 
@@ -194,6 +209,9 @@ def theta_scan(p: Protocol, points: int = 1024):
     of order eps |S|^2 instead of resolving J ~ 0.
 
     Returns (thetas, values, theta_min, value_min), theta_min in [0, 2 pi].
+    ``thetas`` is the uniform grid ``np.linspace(0, 2 pi, points,
+    endpoint=False)``, built once per size and returned read-only, since
+    later scans of the same size return the same array.
     """
     if points < 4:
         raise ValueError("need at least 4 grid points")
@@ -204,7 +222,7 @@ def theta_scan(p: Protocol, points: int = 1024):
         raise NonFiniteEntry("theta landscape is not finite")
     d = (p.omega0 / (2.0 * p.omegaT)) * (1.0 - p.omegaT ** 2) * (1.0 - p.omega0 ** -2)
     roots = np.roots([-2.0 * d, complex(-b, c), 0.0, complex(b, c), 2.0 * d])
-    thetas = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    thetas = _theta_grid(points)
     angles = np.concatenate([thetas, np.angle(roots) % (2.0 * math.pi)])
     diff = s - (np.cos(angles)[:, None, None] * basis_a
                 + np.sin(angles)[:, None, None] * basis_b)

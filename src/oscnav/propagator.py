@@ -148,18 +148,25 @@ def forward(p: Protocol, order: int = 1) -> Forward:
     """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
 
     M = 0 leaves the initial state (sudden quench). A Protocol's omega0 is
-    valid by construction, so the initial state is taken unchecked. A beta
-    or I = |beta|^2 that overflows raises NonFiniteEntry.
+    valid by construction, so the initial state is taken unchecked. A pulse
+    whose omega*dt overflows, which ``math.cos`` refuses, and a beta or
+    I = |beta|^2 that overflows raise NonFiniteEntry, the first naming the
+    pulse.
     """
     dt = p.dt
     f, fd = _ground(p.omega0)
     steps, fs, fds = [], [], []
-    for w in p.omegas:
-        e = _step_entries(w, dt, order)
-        steps.append(e)
-        fs.append(f)
-        fds.append(fd)
-        f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
+    # one try around the loop: a pulse costs no exception handling
+    try:
+        for w in p.omegas:
+            e = _step_entries(w, dt, order)
+            steps.append(e)
+            fs.append(f)
+            fds.append(fd)
+            f, fd = e[0] * f + e[1] * fd, e[2] * f + e[0] * fd
+    except ValueError:
+        i = len(steps)
+        raise NonFiniteEntry(f"omegas[{i}] * dt overflows: {p.omegas[i]!r} * {dt!r}") from None
     cf, cd = _beta_row(p.omegaT)
     beta = cf * f + cd * fd
     # |beta| <= |Re| + |Im| < 1e154 keeps |beta|^2 below the float maximum

@@ -123,6 +123,22 @@ class TestNavigateCommands:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"] == "IndivisibleChunking"
 
+    def test_smooth_takes_what_solve_writes(self, tmp_path, capsys):
+        # restart 0 of the seed-2 solve at M = 12 stops at a critical point
+        # under the threshold but off beta = 0, which smooth would refuse
+        # with exit 3: solve counts it as a trap and restarts
+        cfg = dict(TASK_DOC, M=12, descent={"seed": 2},
+                   output={"protocol": str(tmp_path / "p.json"),
+                           "trajectory": str(tmp_path / "t.csv")})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(tmp_path / "cfg.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["restarts"] >= 1
+        code = main(["smooth", str(tmp_path / "p.json"),
+                     "--out-protocol", str(tmp_path / "out.json"),
+                     "--out-trajectory", str(tmp_path / "traj.csv")])
+        assert code == 0, capsys.readouterr().err
+        assert infidelity(proto.load(tmp_path / "out.json")) < 1e-5
+
     def test_input_the_corrector_cannot_hold_exits_3(self, tmp_path, capsys,
                                                        monkeypatch):
         # pool m3/seed100 (I = 2.3e-19) sits above the corrector target, and
@@ -137,6 +153,85 @@ class TestNavigateCommands:
         assert code == 3 and out == ""
         assert _one_error_line(err)["error"] == "NotASolution"
         assert not out_protocol.exists() and not out_trajectory.exists()
+
+
+POOL = Path(__file__).parents[1] / "perfbench" / "pool"
+
+
+def _theta_csv_oracle(p, points):
+    """The theta-scan CSV as written before its grid column was memoised:
+    a fresh grid, both columns through ``np.insert``, an f-string per row."""
+    _, values, theta_min, value_min = oscnav.theta_scan(p, points)
+    thetas = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    k = int(np.searchsorted(thetas, theta_min, side="right"))
+    rows = zip(np.insert(thetas, k, theta_min).tolist(),
+               np.insert(values, k, value_min).tolist())
+    lines = ["theta,J"] + [f"{t!r},{v!r}" for t, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _spectrum_csv_oracle(p):
+    """The spectrum CSV as written before it rendered from ``tolist``."""
+    eigs = np.linalg.eigvalsh(oscnav.hessian(p).hess_infidelity)[::-1]
+    lines = ["index,eigenvalue"] + [f"{i + 1},{repr(float(v))}" for i, v in enumerate(eigs)]
+    return "\n".join(lines) + "\n"
+
+
+# pool entries, and constant resonant traps whose minimum lies on the
+# grid: theta_min is 3 pi/2 (a grid angle for 4 and 64 points) or 0
+RENDERED_PROTOCOLS = {
+    "m3-seed100": POOL / "m3" / "seed100.json",
+    "m48-seed0": POOL / "m48" / "seed0.json",
+    "trap-tie-3pi/2": Protocol(1.0, 1.0, np.pi / 8, (1.0,) * 4),
+    "trap-tie-0": Protocol(1.0, 1.0, np.pi / 8, (1.0,) * 16),
+}
+
+
+def _rendered_protocol_path(name, tmp_path):
+    entry = RENDERED_PROTOCOLS[name]
+    if isinstance(entry, Protocol):
+        proto.save(entry, tmp_path / "p.json")
+        return tmp_path / "p.json"
+    return entry
+
+
+class TestRenderedBytes:
+    """CSV outputs are byte-identical to the row code they replaced."""
+
+    @pytest.mark.parametrize("name", list(RENDERED_PROTOCOLS))
+    def test_theta_scan_rows_match_the_unmemoised_rows(self, name, tmp_path, capsys):
+        path = _rendered_protocol_path(name, tmp_path)
+        p = proto.load(path)
+        if name.startswith("trap-tie"):
+            thetas, _, theta_min, _ = oscnav.theta_scan(p, 4)
+            assert theta_min in thetas.tolist()
+        out = tmp_path / "theta.csv"
+        # sizes in the order A, B, A: the memo holds one size at a time
+        for points in (4, 5, 64, 1024, 64, 5, 4):
+            want = _theta_csv_oracle(p, points)
+            assert main(["theta-scan", str(path), "--points", str(points)]) == 0
+            assert capsys.readouterr().out == want
+            assert main(["theta-scan", str(path), "--points", str(points),
+                         "--out", str(out)]) == 0
+            assert out.read_text() == want
+
+    def test_refused_write_to_the_grid_leaves_the_next_output(self, tmp_path, capsys):
+        path = POOL / "m3" / "seed100.json"
+        p = proto.load(path)
+        thetas = oscnav.theta_scan(p, 64)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            thetas[:] = 0.0
+        assert main(["theta-scan", str(path), "--points", "64"]) == 0
+        assert capsys.readouterr().out == _theta_csv_oracle(p, 64)
+
+    @pytest.mark.parametrize("name", ["m3-seed100", "m48-seed0", "trap-tie-0"])
+    def test_spectrum_rows_match_the_per_scalar_rows(self, name, tmp_path, capsys):
+        path = _rendered_protocol_path(name, tmp_path)
+        want = _spectrum_csv_oracle(proto.load(path))
+        assert main(["spectrum", str(path)]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["spectrum", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_text() == want
 
 
 class TestDiagnosticsCommands:

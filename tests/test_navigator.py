@@ -35,6 +35,30 @@ def m8_solution():
     return solve(DescentConfig(seed=5), 8, TASK)
 
 
+def _trajectory_csv_oracle(traj):
+    """``trajectory_to_csv`` as written before it rendered the pulses as the
+    Python floats a Protocol holds: every pulse through ``float``."""
+    m_final = traj.records[-1].protocol.m
+    lines = ["iter,I,cost,pgrad_norm," + ",".join(f"omega_{i+1}" for i in range(m_final))]
+    for rec in traj.records:
+        omegas = rec.protocol.omegas
+        cells = list(map(repr, map(float, omegas)))
+        if len(omegas) != m_final:
+            k = m_final // len(omegas)
+            cells = [c for c in cells for _ in range(k)]
+        scalars = (rec.infidelity, rec.cost, rec.pgrad_norm)
+        lines.append(",".join([str(rec.iteration), *(repr(float(x)) for x in scalars), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _first_restart(seed, m):
+    """(protocol, report) of restart 0 of ``solve(DescentConfig(seed=seed),
+    m, TASK)``, rebuilt bit for bit: the descent from its uniform start."""
+    p, report, _ = descend(_start(np.random.default_rng(seed).uniform(0.1, 2.0, m)),
+                           DescentConfig())
+    return p, report
+
+
 class TestDescend:
     def test_starts_at_solution_returns_immediately(self, m3_solution):
         p, report, traj = descend(m3_solution.protocol, DescentConfig())
@@ -100,6 +124,7 @@ class TestDescend:
         assert lines[0] == ("iter,I,cost,pgrad_norm,"
                             + ",".join(f"omega_{i}" for i in range(1, 9)))
         assert len(lines) == len(m8_solution.trajectory.records) + 1
+        assert text == _trajectory_csv_oracle(m8_solution.trajectory)
 
 
 class TestSolve:
@@ -134,6 +159,32 @@ class TestSolve:
     def test_no_pulses_is_an_empty_protocol(self):
         with pytest.raises(EmptyProtocol):
             solve(DescentConfig(), 0, TASK)
+
+    @pytest.mark.parametrize("m, seed", [(12, 2), (13, 3)], ids=["M12-seed2", "M13-seed3"])
+    def test_critical_point_under_the_threshold_off_the_level_set_is_a_trap(self, m, seed):
+        # restart 0 stops critical at I = 9.3e-6 or 3.05e-7, under the
+        # threshold, with a Gauss-Newton step far above _TRAP_STEP: a trap,
+        # so the solve restarts, and its result projects onto beta = 0
+        p, report = _first_restart(seed, m)
+        assert report.infidelity < INFIDELITY_THRESHOLD
+        assert report.classification == "trap"
+        res = solve(DescentConfig(seed=seed), m, TASK)
+        assert res.restarts >= 1 and res.report.classification == "solution"
+        status = navigator._project(res.protocol, navigator._NAV_TARGET,
+                                    navigator._CORRECTOR_BUDGET)[3]
+        assert status in navigator._ON_LEVEL_SET
+
+    @pytest.mark.parametrize("m", [3, 12, 13, 24])
+    def test_every_solution_passes_the_step_test(self, m):
+        # seeds 0-19: a genuine solution's Gauss-Newton step |J^+ r| is at
+        # most 3.2e-10 max(1, max|w|), a sub-threshold trap's 2.8e2 or more
+        for seed in range(20):
+            p = solve(DescentConfig(seed=seed), m, TASK).protocol
+            bundle = gradient(p)
+            jac = np.array([bundle.grad_beta.real, bundle.grad_beta.imag])
+            step = np.linalg.lstsq(jac, [bundle.beta.real, bundle.beta.imag], rcond=None)[0]
+            scale = max(1.0, np.max(np.abs(p.omegas)))
+            assert np.linalg.norm(step) <= navigator._TRAP_STEP * scale
 
 
 class TestNullProjector:
@@ -316,7 +367,9 @@ class TestNavigate:
         traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),
                         NavigationConfig(doubling_schedule=(2, 3)))
         assert {r.protocol.m for r in traj.records} == {8, 16, 48}
-        rows = trajectory_to_csv(traj).splitlines()[1:]
+        text = trajectory_to_csv(traj)
+        assert text == _trajectory_csv_oracle(traj)
+        rows = text.splitlines()[1:]
         assert len(rows) == len(traj.records)
         for row, rec in zip(rows, traj.records):
             cells = row.split(",")
@@ -360,11 +413,11 @@ class TestNavigate:
                              ids=["M12-seed2", "M13-seed3"])
     def test_input_the_corrector_cannot_hold_is_refused(self, m, seed, low, cost,
                                                         monkeypatch):
-        # the seed-2 solve at M = 12 and the seed-3 solve at M = 13 stop at a
-        # critical point of I = 9.3e-6 and 3.05e-7, under the threshold but
-        # off beta = 0: admission's one projection stalls there, and the
-        # input is refused before any step
-        start = solve(DescentConfig(seed=seed), m, TASK).protocol
+        # the first restarts of the seed-2 solve at M = 12 and the seed-3
+        # solve at M = 13 stop at a critical point of I = 9.3e-6 and 3.05e-7,
+        # under the threshold but off beta = 0: admission's one projection
+        # stalls there, and the input is refused before any step
+        start = _first_restart(seed, m)[0]
         assert low < infidelity(start) < INFIDELITY_THRESHOLD
         projections, steps = [], []
         real_project, real_step = navigator._project, navigator._navigation_step
@@ -449,10 +502,11 @@ class TestNavigate:
 
     def test_projection_tells_the_rounding_floor_from_a_trap(self, m8_solution):
         # a target of 0 is never reached: the deep solution stops at the
-        # rounding floor of I, the seed-2 M = 12 point at its trap
+        # rounding floor of I, the first restart of the seed-2 M = 12 solve
+        # at its trap
         w, ival, _, status = navigator._project(m8_solution.protocol, 0.0, 500)
         assert status == "floor" and ival < 1e-28
-        trap = solve(DescentConfig(seed=2), 12, TASK).protocol
+        trap = _first_restart(2, 12)[0]
         w, ival, _, status = navigator._project(trap, 0.0, 500)
         assert status == "stalled" and ival > 1e-6
 

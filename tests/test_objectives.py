@@ -301,6 +301,24 @@ class TestThetaLandscape:
         assert thetas[0] == 0.0
         assert np.allclose(np.diff(thetas), 2 * np.pi / 64)
 
+    def test_returned_grid_cannot_change_the_next_scan(self):
+        # the grid is built once per size and shared by later scans, so the
+        # array a scan returns refuses writes
+        p = Protocol(1.0, 1.0, 0.2, (1.0,) * 4)
+        thetas = theta_scan(p, 64)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            thetas[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            thetas *= 2.0
+        again = theta_scan(p, 64)[0]
+        assert again.tolist() == np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False).tolist()
+
+    def test_float_size_is_refused_after_an_equal_integer_size(self):
+        p = Protocol(1.0, 1.0, 0.2, (1.0,) * 4)
+        theta_scan(p, 64)
+        with pytest.raises(TypeError):
+            theta_scan(p, 64.0)
+
 
 def golden_section_min(p, thetas, values):
     """Oracle: golden section on J over the two grid cells around the best grid point."""

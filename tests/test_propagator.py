@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oscnav import (NegativeOccupation, NonFiniteEntry, NonPositiveFrequency,
                     Protocol, bogoliubov, gradient, hessian, infidelity,
                     initial_state, particle_number, propagate, refine,
-                    wronskian_defect)
+                    theta_scan, wronskian_defect)
 from oscnav import propagator
 from oscnav.objectives import symplectic_final
 from oscnav.propagator import SERIES_THRESHOLD, ModeState
@@ -231,6 +232,17 @@ class TestOverflow:
     def test_is_a_non_finite_entry(self, run, p):
         with pytest.raises(NonFiniteEntry, match="overflows"):
             run(p)
+
+    @pytest.mark.parametrize("omegas, name", [((1e308, 1.0), "omegas[0]"),
+                                              ((1.0, 1e308, 1.0), "omegas[1]")])
+    @pytest.mark.parametrize("run", [infidelity, propagate, gradient, hessian,
+                                     lambda p: theta_scan(p, 16)],
+                             ids=["infidelity", "propagate", "gradient", "hessian",
+                                  "theta_scan"])
+    def test_overflowing_step_names_its_pulse(self, run, omegas, name):
+        # omega*dt = 1e309 is infinite, which the kernel's math.cos refuses
+        with pytest.raises(NonFiniteEntry, match=re.escape(name)):
+            run(Protocol(1.0, 0.25, 10.0, omegas))
 
 
 class TestParticleNumber:
