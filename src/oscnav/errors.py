@@ -31,7 +31,7 @@ class NonSymplectic(OscnavError):
 
 class NotASolution(OscnavError):
     """An input is not a solution: its infidelity is not below the threshold,
-    or, for navigation, the corrector cannot hold it on beta = 0."""
+    or the corrector of navigation or tracing cannot hold it on beta = 0."""
 
 
 class RestartBudgetExhausted(OscnavError):

@@ -62,7 +62,7 @@ _ASSIGN_DISTANCE = 0.15
 _NAV_TARGET = 1e-28
 # the tracer's target, below the threshold so that every vertex is a solution
 _TRACE_TARGET = 1e-12
-# steps, damped or chord, per corrector projection; binds only when a
+# iterates, chord or fresh, per corrector projection; binds only when a
 # projection fails
 _CORRECTOR_BUDGET = 500
 # a descent step that lowers I, still above the threshold, by at most
@@ -78,14 +78,23 @@ _CLOSURE_FACTOR = 2.0
 _RANK_TOL = 1e-10
 
 
-def _admit(solution: Protocol, caller: str, order: int = 1):
-    """The forward pass of ``solution``; NotASolution unless I is below
-    ``INFIDELITY_THRESHOLD``."""
+def _admit(solution: Protocol, caller: str, target: float, order: int = 1):
+    """(fw, protocol, I, bundle) of ``solution``, the input of ``caller``.
+
+    ``fw`` is its forward pass of order ``order``, which starts its
+    correction onto ``target``; the rest is what ``_project`` returns.
+    NotASolution unless I is below ``INFIDELITY_THRESHOLD``, before any
+    backward pass, and the projection ends on beta = 0.
+    """
     fw = forward(solution, order)
     i0 = abs(fw.beta) ** 2
     if not i0 < INFIDELITY_THRESHOLD:
         raise NotASolution(f"{caller} requires I < {INFIDELITY_THRESHOLD:g}, got {i0:g}")
-    return fw
+    p, ival, bundle, status = _project(solution, target, _CORRECTOR_BUDGET, fw=fw)
+    if status not in _ON_LEVEL_SET:
+        raise NotASolution(f"{caller} requires an input the corrector holds on beta = 0, "
+                           f"its projection ends {status!r} at I = {ival:g}")
+    return fw, p, ival, bundle
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,7 @@ class ScanResult:
     curves: tuple[LevelsetCurve, ...]
 
 
-def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.0,
-             on_step=None, mu=1.0, fw=None):
+def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
     """Levenberg-Marquardt projection onto beta = 0.
 
     Returns (protocol, I, bundle, status), where ``bundle`` is the
@@ -237,44 +245,46 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     the returned protocol unless it stopped below ``target``, or None if
     the start already was.
 
+    ``target`` alone sets the mode. A descent (``target`` 0, ``descend``)
+    starts at mu = 1, evaluates every iterate's gradient, which its records
+    need, and stops at a critical point or a trap (below). A correction
+    (``target`` > 0: admission and the corrector of navigation and of the
+    tracer) starts near beta = 0, so at mu = 1e-3, near Gauss-Newton, and
+    takes chord steps.
+
     I = |r|^2 with r = (Re beta, Im beta) and the 2 x M Jacobian
     J = [Re grad beta; Im grad beta]. Each trial is the minimum-norm step
     delta = -J^T y, y = (J J^T + lam I)^-1 r, with lam = mu |r| tr(J J^T) / 2,
-    and a trial is accepted only if it lowers I. mu, ``mu`` at the start,
-    follows the gain ratio rho = (I - I_trial) / (I - lam^2 |y|^2) of the
-    actual to the predicted decrease, the model residual r + J delta being
-    lam y (Nielsen 1999; Madsen, Nielsen and Tingleff 2004, section 3.2).
-    An accepted step multiplies mu by 0.1 when rho > 0.75 and by
-    1 - (2 rho - 1)^3, between 0.875 and 2, otherwise (floor 1e-12). The
-    rejected trials of one step multiply it by 2, 4, 8, ..., so a trap is
-    not caught in a cycle of a rejected short-damped trial and an accepted
-    longer-damped one, and a stall is found after a few rejections.
-    Damping in proportion to |r| gives Gauss-Newton steps near beta = 0,
-    where rho is near 1 and mu falls tenfold, and short
-    gradient-like steps at traps, where the rank of J may drop. One
-    Protocol is built per evaluated point, and the same object is evaluated
-    and handed on.
+    and a trial is accepted only if it lowers I. mu follows the gain ratio
+    rho = (I - I_trial) / (I - lam^2 |y|^2) of the actual to the predicted
+    decrease, the model residual r + J delta being lam y (Nielsen 1999;
+    Madsen, Nielsen and Tingleff 2004, section 3.2). An accepted step
+    multiplies mu by 0.1 when rho > 0.75 and by 1 - (2 rho - 1)^3, between
+    0.875 and 2, otherwise (floor 1e-12). The rejected trials of one step
+    multiply it by 2, 4, 8, ..., so a trap is not caught in a cycle of a
+    rejected short-damped trial and an accepted longer-damped one, and a
+    stall is found after a few rejections. Damping in proportion to |r|
+    gives Gauss-Newton steps near beta = 0, where rho is near 1 and mu
+    falls tenfold, and short gradient-like steps at traps, where the rank
+    of J may drop. One Protocol is built per evaluated point, and the same
+    object is evaluated and handed on.
 
-    A projection onto a target (``target`` > 0: the tracer's corrector and
-    navigation's) takes chord steps, the simplified Gauss-Newton steps of
-    Shamanskii's method, which with one Jacobian per two steps still
-    converges with order 3 (Kelley 1995, section 5.4). After a step with
-    rho > 0.75 the next trial keeps that step's J and Gram entries and
-    takes the residual from the accepted point's forward pass and lam from
-    the current mu, so it costs no backward pass. It is accepted only if
-    it lowers I with rho > 0.75 against its own model, and then multiplies
-    mu by 0.1. If it fails, or does not move w, the gradient is evaluated
-    at the current point and the ordinary step follows, with mu unchanged;
-    the floor/stalled test runs only on a fresh Jacobian. A Jacobian serves
-    at most one chord trial. Descent (``target`` 0) evaluates the gradient
-    of every iterate, which its records and its critical-point stop need.
+    Chord steps are the simplified Gauss-Newton steps of Shamanskii's
+    method, which with one Jacobian per two steps still converges with
+    order 3 (Kelley 1995, section 5.4): in a correction, the iterate after a
+    step with rho > 0.75 keeps that step's J and Gram entries, with its own
+    residual and the current mu, and costs no backward pass. Its one trial
+    is accepted only with rho > 0.75; otherwise the next iterate, at the
+    same point and mu, takes a fresh Jacobian. A Jacobian serves at most
+    one chord trial, the floor/stalled test runs only on a fresh one, and
+    every iterate, chord or fresh, takes up one iteration ``it`` of ``budget``.
 
-    A descent (``grad_tolerance`` > 0) also stops at a trap before its
-    gradient vanishes: an accepted step to a trial whose I is at least
-    ``INFIDELITY_THRESHOLD``, and which lowers I by at most ``_TRAP_GAIN``
-    times the trial's I, from a point whose Gauss-Newton step |J^+ r|,
-    formed from the Gram entries of the step, exceeds ``_TRAP_STEP``
-    max(1, max|w|), makes the next iterate the last, ``critical``.
+    A descent also stops at a trap before its gradient vanishes: an
+    accepted step to a trial whose I is at least ``INFIDELITY_THRESHOLD``,
+    and which lowers I by at most ``_TRAP_GAIN`` times the trial's I, from
+    a point whose Gauss-Newton step |J^+ r|, formed from the Gram entries
+    of the step, exceeds ``_TRAP_STEP`` max(1, max|w|), makes the next
+    iterate the last, ``critical``.
 
     Each evaluated point, the start and every trial, accepted or not, costs
     one forward pass (``propagator.forward``), which gives I; an accepted
@@ -283,16 +293,18 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
     pass and no point's kernel entries or states are computed twice.
     ``fw``, when given, is the start's forward pass, already evaluated by
     the caller. ``on_step(it, protocol, I, grad_max)`` is called for every
-    iterate whose gradient is evaluated, the start included; an accepted
-    chord trial takes up an iteration ``it`` of ``budget``.
+    iterate whose gradient is evaluated, the start included.
 
-    status: "target" (I below ``target``), "critical" (gradient of I below
-    ``grad_tolerance``, or exactly zero, or the trap test above), "budget",
-    "floor" (no trial lowers I and the Gauss-Newton step -J^+ r is below
-    sqrt(eps) max(1, |w|): the point is on beta = 0 to working precision,
-    at the rounding floor of I) or "stalled" (no trial lowers I at a point
-    whose Gauss-Newton step is longer, a trap or a rank-deficient J).
+    status: "target" (I below ``target``), "critical" (a descent's gradient
+    of I below ``_GRAD_TOLERANCE``, any gradient exactly zero, or the trap
+    test above), "budget", "floor" (no trial lowers I and the Gauss-Newton
+    step -J^+ r is below sqrt(eps) max(1, |w|): the point is on beta = 0 to
+    working precision, at the rounding floor of I) or "stalled" (no trial
+    lowers I at a point whose Gauss-Newton step is longer, a trap or a
+    rank-deficient J).
     """
+    descent = target == 0.0
+    grad_tolerance, mu = (_GRAD_TOLERANCE, 1.0) if descent else (0.0, 1e-3)
     w = np.asarray(p.omegas, dtype=float)
     if fw is None:
         fw = forward(p)
@@ -304,34 +316,21 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
         if val < target:
             status = "target"
             break
-        if chord and it < budget:
-            # the chord trial: the last step's J and Gram entries, this
-            # point's residual
-            chord = False
-            r0, r1 = fw.beta.real, fw.beta.imag
-            lam = mu * math.hypot(r0, r1) * (a + c) / 2.0
-            y0, y1, cand = _damped_step(w, jr, ji, a, b, c, r0, r1, lam)
-            if tuple(cand.tolist()) != p.omegas:
-                trial = p.with_omegas(cand)
-                trial_fw = forward(trial)
-                cval = abs(trial_fw.beta) ** 2
-                if cval < val and val - cval > 0.75 * (val - lam * lam * (y0 * y0 + y1 * y1)):
-                    mu = max(mu * 0.1, 1e-12)
-                    p, w, val, fw = trial, cand, cval, trial_fw
-                    continue
-        bundle = gradient(p, fw)
-        gmax = float(np.abs(bundle.grad_infidelity).max())
-        if on_step is not None:
-            on_step(it, p, val, gmax)
-        if gmax < grad_tolerance or gmax == 0.0 or trapped:
-            status = "critical"
-            break
-        if it == budget:
-            break
-        jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
-        r0, r1 = bundle.beta.real, bundle.beta.imag
-        # ndarray.dot is the ddot of ``@``, with less call overhead
-        a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
+        if not chord or it == budget:
+            bundle = gradient(p, fw)
+            gmax = float(np.abs(bundle.grad_infidelity).max())
+            if on_step is not None:
+                on_step(it, p, val, gmax)
+            if gmax < grad_tolerance or gmax == 0.0 or trapped:
+                status = "critical"
+                break
+            if it == budget:
+                break
+            jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
+            # ndarray.dot is the ddot of ``@``, with less call overhead
+            a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
+        # this point's residual; a chord trial pairs it with the last step's J
+        r0, r1 = fw.beta.real, fw.beta.imag
         scale = math.hypot(r0, r1) * (a + c) / 2.0
         nu = 2.0
         while True:
@@ -340,30 +339,37 @@ def _project(p: Protocol, target: float, budget: int, grad_tolerance: float = 0.
             # w holds p's pulses; compared as Python floats, the test costs a
             # tenth of (cand == w).all()
             if tuple(cand.tolist()) == p.omegas:
+                if chord:
+                    chord = False
+                    break
                 at_floor = (_gauss_newton_sq(a, b, c, r0, r1)
                             <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2)
                 return p, val, bundle, "floor" if at_floor else "stalled"
             trial = p.with_omegas(cand)
             trial_fw = forward(trial)
             cval = abs(trial_fw.beta) ** 2
-            if cval < val:
-                # rho > 0.75 tested without dividing: a predicted decrease
-                # rounded to 0 or below counts as rho > 0.75
-                gain, predicted = val - cval, val - lam * lam * (y0 * y0 + y1 * y1)
-                if gain > 0.75 * predicted:
-                    mu = max(mu * 0.1, 1e-12)
-                    chord = target > 0.0
-                else:
-                    mu = max(mu * (1.0 - (2.0 * gain / predicted - 1.0) ** 3), 1e-12)
+            # rho > 0.75 tested without dividing: a predicted decrease
+            # rounded to 0 or below counts as rho > 0.75
+            gain, predicted = val - cval, val - lam * lam * (y0 * y0 + y1 * y1)
+            good = gain > 0.75 * predicted
+            if cval < val and (good or not chord):
+                mu = max(mu * 0.1 if good else
+                         mu * (1.0 - (2.0 * gain / predicted - 1.0) ** 3), 1e-12)
+                # a Jacobian serves at most one chord trial
+                chord = good and not (chord or descent)
                 # a descent step that barely lowers I far above the threshold,
                 # from a point whose Gauss-Newton step is long, is at a trap
-                trapped = (grad_tolerance > 0.0 and cval >= INFIDELITY_THRESHOLD
+                trapped = (descent and cval >= INFIDELITY_THRESHOLD
                            and gain <= _TRAP_GAIN * cval
                            and _long_step(w, a, b, c, r0, r1))
+                p, w, val, fw = trial, cand, cval, trial_fw
+                break
+            if chord:
+                # a failed chord trial hands the point to a fresh Jacobian
+                chord = False
                 break
             mu *= nu
             nu *= 2.0
-        p, w, val, fw = trial, cand, cval, trial_fw
     return p, val, bundle, status
 
 
@@ -435,15 +441,13 @@ def descend(p0: Protocol, cfg: DescentConfig):
     if its Gauss-Newton step passes the step test, and a ``trap``
     otherwise, from the gradient the descent already evaluated there.
     """
-    if p0.m == 0:
-        raise EmptyProtocol("descent requires at least one pulse")
     records = []
 
     def on_step(it, p, val, gmax):
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
-    # with a target of 0 the returned point's gradient is always evaluated
-    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, _GRAD_TOLERANCE, on_step)
+    # a descent, target 0, evaluates the returned point's gradient
+    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, on_step)
     gmax = float(np.abs(bundle.grad_infidelity).max())
     report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val, gmax)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
@@ -525,9 +529,10 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     run can end ``completed`` with its projected gradient above
     ``_STALL_TOLERANCE``.
 
-    An input is admitted only if its projection, started on its forward
-    pass and free when I is below ``_NAV_TARGET``, ends below that target
-    or at the rounding floor of I; NotASolution otherwise. A step accepts
+    The input is admitted by :func:`_admit`, the tracer's rule: its
+    projection, started on its forward pass and free when I is below
+    ``_NAV_TARGET``, must end below that target or at the rounding floor of
+    I; NotASolution otherwise, before any step. A step accepts
     only a trial whose projection ends the same way, or stalls, so a run
     ends ``completed`` or ``budget_exhausted``, with a non-increasing
     secondary cost and every record after the input on beta = 0. A
@@ -539,11 +544,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    fw = _admit(solution, "navigate", 2)
-    _, ival, _, status = _project(solution, _NAV_TARGET, _CORRECTOR_BUDGET, fw=fw)
-    if status not in _ON_LEVEL_SET:
-        raise NotASolution(f"navigate requires an input the corrector holds on beta = 0, "
-                           f"its projection ends {status!r} at I = {ival:g}")
+    fw = _admit(solution, "navigate", _NAV_TARGET, 2)[0]
     p = solution
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
@@ -649,10 +650,8 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         # second-order correction: cancel the curvature term of r(w + d)
         curv = 0.5 * (d @ _hess_beta_times(gens, d))
         trial = w + d - jac_pinv @ [curv.real, curv.imag]
-        # the trial is near beta = 0, so the projection starts near
-        # Gauss-Newton: a start at mu = 1 costs a quarter more sweeps
         p_c, ival, _, status = _project(p.with_omegas(trial), _NAV_TARGET,
-                                        _CORRECTOR_BUDGET, mu=1e-3)
+                                        _CORRECTOR_BUDGET)
         w_c = np.asarray(p_c.omegas)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
@@ -742,12 +741,13 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     null direction of the Jacobian, its sign kept continuous with the
     previous one. The predictor point is projected back onto beta = 0 by
     the Levenberg-Marquardt projection (the Moore-Penrose corrector of
-    Allgower and Georg, ch. 6). A predictor point lies near beta = 0, so
-    its projection starts near Gauss-Newton (mu = 1e-3), as navigation's
-    trials do. At step 0.05 it reaches the target in one step or none; at
-    step 0.3 most projections need a second step, which is a chord step on
-    the first step's Jacobian, so a vertex costs about 1.09 sweeps there,
-    not 1.85. Every tangent, the first included, comes from the Jacobian of
+    Allgower and Georg, ch. 6). A predictor point lies near beta = 0, and
+    its projection, a correction onto ``_TRACE_TARGET``, starts near
+    Gauss-Newton (mu = 1e-3), as navigation's trials do. At step 0.05 it
+    reaches the target in one step or none; at step 0.3 most projections
+    need a second step, which is a chord step on the first step's
+    Jacobian, so a vertex costs about 1.09 sweeps there, not 1.85. Every
+    tangent, the first included, comes from the Jacobian of
     the last iterate its projection evaluated, within two Gauss-Newton
     steps of the vertex; the next projection absorbs its error. The tracer
     runs each predictor point's forward pass and hands it to the
@@ -761,19 +761,18 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     Ends on loop closure - returning, after ``_MIN_STEPS_BEFORE_CLOSURE``
     steps, within ``_CLOSURE_FACTOR * step_size`` of the start, moving the
     same way - or on leaving the box (reported as an open curve). A
-    projection that fails, or a vertex whose Jacobian has rank < 2, so that
-    no tangent exists, ends the curve
-    ``corrector_failed`` at the last vertex on beta = 0. The input's one
-    forward pass both admits it (NotASolution otherwise, before any
-    backward pass) and starts its projection.
+    predictor point's projection that fails, or a vertex whose Jacobian has
+    rank < 2, so that no tangent exists, ends the curve
+    ``corrector_failed`` at the last vertex on beta = 0.
+
+    The input is admitted by :func:`_admit`, as navigation's is: its one
+    forward pass gives I and starts its projection onto ``_TRACE_TARGET``.
+    An input the corrector cannot hold on beta = 0 raises NotASolution and
+    gets no curve; the first vertex is the projected start.
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
-    fw = _admit(solution, "trace_levelset")
-    p, ival, bundle, status = _project(solution, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
-    if status not in _ON_LEVEL_SET:
-        return LevelsetCurve(np.asarray([solution.omegas]), np.asarray([abs(fw.beta) ** 2]),
-                             False, "corrector_failed")
+    fw, p, ival, bundle = _admit(solution, "trace_levelset", _TRACE_TARGET)
     v0 = v = p.omegas
     verts, ivals = [v], [ival]
     # no bundle: the start was below the target, and p is the start
@@ -788,8 +787,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
         pred = p.with_omegas((v[0] + h * direction[0], v[1] + h * direction[1],
                               v[2] + h * direction[2]))
         fw = forward(pred)
-        p, ival, bundle, corrector = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET,
-                                              mu=1e-3, fw=fw)
+        p, ival, bundle, corrector = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break

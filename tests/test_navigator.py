@@ -501,13 +501,13 @@ class TestNavigate:
         assert traj.status == "completed" and len(traj.records) == 1
 
     def test_projection_tells_the_rounding_floor_from_a_trap(self, m8_solution):
-        # a target of 0 is never reached: the deep solution stops at the
-        # rounding floor of I, the first restart of the seed-2 M = 12 solve
-        # at its trap
-        w, ival, _, status = navigator._project(m8_solution.protocol, 0.0, 500)
+        # a correction onto a target below the rounding floor of I never
+        # reaches it: the deep solution stops at that floor, the first
+        # restart of the seed-2 M = 12 solve at its trap
+        w, ival, _, status = navigator._project(m8_solution.protocol, 1e-300, 500)
         assert status == "floor" and ival < 1e-28
         trap = _first_restart(2, 12)[0]
-        w, ival, _, status = navigator._project(trap, 0.0, 500)
+        w, ival, _, status = navigator._project(trap, 1e-300, 500)
         assert status == "stalled" and ival > 1e-6
 
     def test_target_below_the_rounding_floor_still_completes(self, monkeypatch):
@@ -572,8 +572,7 @@ class TestProjectionEvaluations:
         p0 = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
         kernel, trials = self._count(monkeypatch)
         iterates = []
-        navigator._project(p0, 0.0, 20000, 1e-9,
-                           lambda *args: iterates.append(args[1].omegas))
+        navigator._project(p0, 0.0, 20000, lambda *args: iterates.append(args[1].omegas))
         rejected = len(trials) - (len(iterates) - 1)
         assert rejected > 0 and len(set(iterates)) == len(iterates)
         assert len(kernel) == 8 * (1 + len(trials))
@@ -585,7 +584,7 @@ class TestProjectionEvaluations:
         kernel, trials = self._count(monkeypatch)
         iterates = []
         _, ival, _, status = navigator._project(
-            pred, 1e-12, 300, on_step=lambda *args: iterates.append(1), mu=1e-3)
+            pred, 1e-12, 300, on_step=lambda *args: iterates.append(1))
         assert status == "target" and ival < 1e-12
         assert iterates and trials
         assert len(kernel) == 3 * (1 + len(trials))
@@ -597,11 +596,11 @@ class TestProjectionEvaluations:
         descent = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
         # a descent returns its last iterate; a projection that reaches its
         # target returns a point whose gradient it never evaluated
-        for start, target, tol, mu, want_status in ((descent, 0.0, 1e-9, 1.0, "critical"),
-                                                    (pred, 1e-12, 0.0, 1e-3, "target")):
+        for start, target, want_status in ((descent, 0.0, "critical"),
+                                           (pred, 1e-12, "target")):
             seen = []
             _, _, bundle, status = navigator._project(
-                start, target, 300, tol, lambda it, q, *_: seen.append(q), mu=mu)
+                start, target, 300, lambda it, q, *_: seen.append(q))
             assert status == want_status and seen
             want = gradient(seen[-1])
             assert bundle.beta == want.beta
@@ -680,6 +679,31 @@ class TestEntryEvaluations:
         with pytest.raises(error), np.errstate(all="ignore"):
             run(Protocol(1.0, 0.25, 0.6, omegas))
         assert len(kernel) == 3 and not backward
+
+    @pytest.mark.parametrize("run", [
+        lambda p: navigate(p, SecondaryCost("smoothness"), NavigationConfig()),
+        lambda p: trace_levelset(p, TraceConfig())], ids=["navigate", "trace"])
+    def test_input_the_corrector_cannot_hold_is_refused_alike(self, run, monkeypatch):
+        # one admission rule for both drivers: an input under the threshold
+        # (I = 1e-7) whose one projection runs out of budget is refused
+        # before any navigation step or traced vertex
+        solution = proto.load(POOL_M3[0])
+        start = solution.with_omegas(np.asarray(solution.omegas) + 1e-4)
+        assert 1e-8 < infidelity(start) < 1e-6
+        projections, later = [], []
+        real_project = navigator._project
+
+        def counting_project(*args, **kwargs):
+            projections.append(args[0])
+            return real_project(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_CORRECTOR_BUDGET", 0)
+        monkeypatch.setattr(navigator, "_project", counting_project)
+        monkeypatch.setattr(navigator, "_navigation_step", lambda *args: later.append(args))
+        monkeypatch.setattr(navigator, "_null_direction", lambda *args: later.append(args))
+        with pytest.raises(NotASolution, match="budget"):
+            run(start)
+        assert projections == [start] and not later
 
 
 class TestTraceLevelset:
@@ -774,16 +798,14 @@ class TestTraceLevelset:
         assert np.isfinite(curve.vertices).all()
         assert np.all(curve.infidelities < navigator._TRACE_TARGET)
 
-    def test_start_the_corrector_cannot_hold_ends_the_curve(self, m3_solution, monkeypatch):
-        # a start admitted at I = 1e-7, above the tracer's target, whose
-        # projection runs out of budget: the curve is the start alone
+    def test_start_the_corrector_cannot_hold_is_refused(self, m3_solution, monkeypatch):
+        # a start under the threshold at I = 1e-7, above the tracer's
+        # target, whose projection runs out of budget: no curve is built
         start = m3_solution.protocol.with_omegas(np.asarray(m3_solution.protocol.omegas) + 1e-4)
         assert navigator._TRACE_TARGET < infidelity(start) < INFIDELITY_THRESHOLD
         monkeypatch.setattr(navigator, "_CORRECTOR_BUDGET", 0)
-        curve = trace_levelset(start, TraceConfig())
-        assert curve.status == "corrector_failed" and not curve.closed
-        assert curve.vertices.tolist() == [list(start.omegas)]
-        assert curve.infidelities.tolist() == [infidelity(start)]
+        with pytest.raises(NotASolution, match="budget"):
+            trace_levelset(start, TraceConfig())
 
     def test_vertex_without_a_tangent_ends_the_curve(self, m3_solution, monkeypatch):
         # the third tangent, at the second vertex after the start, does not
@@ -868,8 +890,8 @@ def _closed_polyline_distance(point, vertices):
 
 class TestScanLevelset:
     def test_distance_to_a_one_vertex_curve_is_to_its_vertex(self):
-        # a trace whose start the corrector cannot hold returns this curve,
-        # and the scan measures its points against it
+        # a trace whose start has no tangent returns this curve, and the
+        # scan measures its points against it
         curve = navigator.LevelsetCurve(np.array([[1.0, 2.0, 3.0]]), np.array([1e-6]),
                                         False, "corrector_failed")
         point = np.array([4.0, 6.0, 3.0])
@@ -1066,7 +1088,52 @@ class TestInvariantProperties:
             assert rec.infidelity < navigator._NAV_TARGET or status == "floor"
 
 
+def _accepted_steps(start, target, budget):
+    """Run ``navigator._project`` from ``start``: (result, accepted steps,
+    points of its gradient calls, points of its ``on_step`` calls). A trial
+    is built from the current point, so the points trials are built from,
+    then the returned one, change once per accepted step."""
+    bases, sweeps, iterates = [], [], []
+    real_with, real_gradient = Protocol.with_omegas, navigator.gradient
+
+    def recording_with(self, omegas):
+        bases.append(self)
+        return real_with(self, omegas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Protocol, "with_omegas", recording_with)
+        mp.setattr(navigator, "gradient",
+                   lambda p, *rest: sweeps.append(p) or real_gradient(p, *rest))
+        result = navigator._project(start, target, budget,
+                                    lambda it, q, *_: iterates.append(q))
+    chain = [start]
+    for q in bases + [result[0]]:
+        if q is not chain[-1]:
+            chain.append(q)
+    return result, len(chain) - 1, sweeps, iterates
+
+
 class TestChordSteps:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(POOL_M3), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1e-3),
+           st.sampled_from([navigator._TRACE_TARGET, navigator._NAV_TARGET]))
+    def test_the_target_sets_the_mode(self, path, seed, size, target):
+        # a correction (target > 0) reaches beta = 0 and serves each
+        # Jacobian to at most one chord trial after its own step; a descent
+        # (target 0) of the same start evaluates every iterate's gradient
+        solution = proto.load(path)
+        direction = np.random.default_rng(seed).normal(size=3)
+        start = solution.with_omegas(np.asarray(solution.omegas)
+                                     + size * direction / np.linalg.norm(direction))
+        (_, _, _, status), accepted, sweeps, _ = _accepted_steps(
+            start, target, navigator._CORRECTOR_BUDGET)
+        assert status in navigator._ON_LEVEL_SET
+        assert accepted <= 2 * len(sweeps)
+        (q, _, _, status), accepted, sweeps, iterates = _accepted_steps(start, 0.0, 20000)
+        assert status != "budget"
+        assert sweeps == iterates and iterates[-1] is q
+        assert accepted == len(iterates) - 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(POOL_M3 + sorted((POOL / "m48").glob("*.json"))),
            st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.3),
@@ -1099,8 +1166,7 @@ class TestChordSteps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(navigator, "forward", recording_forward)
             mp.setattr(navigator, "gradient", recording_gradient)
-            q, ival, _, status = navigator._project(start, target, navigator._CORRECTOR_BUDGET,
-                                                    mu=1e-3)
+            q, ival, _, status = navigator._project(start, target, navigator._CORRECTOR_BUDGET)
         assert status in navigator._ON_LEVEL_SET and ival < target
 
         _, current, val = events[0]
