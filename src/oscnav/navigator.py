@@ -7,13 +7,12 @@ Three layers build on each other:
   the threshold is found; a step that barely lowers I far from beta = 0
   ends a restart at its trap.
 * ``navigate``: descent of a secondary cost restricted to the optimal level
-  set by sequential quadratic programming. Each step solves the KKT system
-  of the cost under beta = 0, with the exact Hessian of beta in the
-  Lagrangian, inside a trust region on the level-set tangent space, then
-  projects back onto beta = 0 with the same Levenberg-Marquardt step. A
-  doubling schedule can refine the protocol in place once the projected
-  gradient stalls, opening fresh directions in the enlarged parameter
-  space.
+  set. Each step minimises the quadratic model of the cost, with the exact
+  Hessian of beta in the Lagrangian, inside a trust region on the level-set
+  tangent space, then projects back onto beta = 0 with the same
+  Levenberg-Marquardt step. A doubling schedule can refine the protocol in
+  place once the projected gradient stalls, opening fresh directions in
+  the enlarged parameter space.
 * ``trace_levelset``/``scan_levelset``: for 3-pulse protocols the level set
   is a curve; it is traced by secant predictor steps, along the null
   direction corrected by the turn of the last two tangents, plus the same
@@ -120,10 +119,10 @@ class NavigationConfig:
     A stall consumes a doubling factor from the schedule, or completes the
     run once the schedule is used up. It is a projected gradient below
     ``doubling_stall_tolerance`` while the schedule lasts and below
-    ``_STALL_TOLERANCE`` after it, or a step whose predicted decrease falls
-    to rounding level or that rejects trials, those projected off beta = 0
-    included, until its radius is at the resolution of the pulses, so a run
-    can end ``completed`` with its projected gradient above
+    ``_STALL_TOLERANCE`` after it, or a stall of ``_navigation_step``: a
+    predicted decrease within the rounding of g^T d plus the gap |nu^T r|
+    in C to the level set, or trials rejected down to the resolution of the
+    pulses. So a run can end ``completed`` with its projected gradient above
     ``_STALL_TOLERANCE``. A looser doubling trigger refines as soon as
     progress at the current resolution slows, leaving the bulk of the
     secondary descent to the enlarged space.
@@ -516,27 +515,28 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta, its exact gradient and the generators of its Hessian (the
-    start's forward pass also gives the infidelity that admits it), and
+    beta, its exact gradient and the generators of its Hessian (on the
+    input's forward pass, which admits it, when admission keeps it), and
     one SVD of the Jacobian of beta for the bases Q and Z and the
     pseudo-inverse the step uses (:func:`_level_set_frame`). Each step is
-    one trust-region SQP step, ``_navigation_step``; the radius carries
-    over between steps and starts, at the first step and after every
-    doubling, at the Cauchy point of the cost along the projected gradient.
-    Stalls consume the doubling schedule; once the schedule is exhausted a
-    stall ends the run. A step whose predicted decrease falls to rounding
-    level, or whose radius falls to the resolution of w, stalls too, so a
-    run can end ``completed`` with its projected gradient above
-    ``_STALL_TOLERANCE``.
+    one trust-region step along the level set, ``_navigation_step``; the
+    radius carries over between steps and starts, at the first step and
+    after every doubling, at the Cauchy point of the cost along the
+    projected gradient. Stalls, a projected gradient below the tolerance or
+    a step stalled by its predicted decrease, at most eps sum|g||d| plus the
+    gap |nu^T r|, or by its radius, consume the doubling schedule, then end
+    the run; so a run can end ``completed`` with its projected gradient
+    above ``_STALL_TOLERANCE``.
 
     The input is admitted by :func:`_admit`, the tracer's rule: its
     projection, started on its forward pass and free when I is below
     ``_NAV_TARGET``, must end below that target or at the rounding floor of
-    I; NotASolution otherwise, before any step. A step accepts
-    only a trial whose projection ends the same way, or stalls, so a run
-    ends ``completed`` or ``budget_exhausted``, with a non-increasing
-    secondary cost and every record after the input on beta = 0. A
-    doubling keeps the represented control, and so beta up to rounding.
+    I; NotASolution otherwise, before any step. The run starts from that
+    projection, the held input. A step accepts only a trial whose
+    projection ends the same way, or stalls, so a run ends ``completed`` or
+    ``budget_exhausted``, with a non-increasing secondary cost and every
+    record on beta = 0. A doubling keeps the represented control, and so
+    beta up to rounding.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -544,8 +544,9 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    fw = _admit(solution, "navigate", _NAV_TARGET, 2)[0]
-    p = solution
+    fw, p = _admit(solution, "navigate", _NAV_TARGET, 2)[:2]
+    if p is not solution:  # the projection moved the input
+        fw = forward(p, 2)
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     status = "budget_exhausted"
@@ -581,13 +582,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
 
 
 def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
-    """One trust-region SQP step; (protocol, next radius), or None on a stall.
+    """Trust-region tangent step; (protocol, next radius), or None on a stall.
 
-    The step d solves the KKT system of min C subject to
-    r = (Re beta, Im beta) = 0 (Nocedal and Wright, ch. 18): its normal
-    part is the minimum-norm solution J^+ (-r) of J d = -r, with the 2 x M
-    Jacobian J = [Re grad beta; Im grad beta], and its tangent part Z u
-    minimises the model g^T d + d^T H d / 2 within ``radius``. Z and J^+
+    The point holds on beta = 0, as ``navigate`` starts from the held input
+    and accepts only held trials, so the step for min C subject to
+    r = (Re beta, Im beta) = 0 (Nocedal and Wright, ch. 18) is d = Z u, u
+    minimising the model g^T d + d^T H d / 2 within ``radius``. Z and the
+    pseudo-inverse J^+ of the Jacobian J = [Re grad beta; Im grad beta]
     come from the one SVD of :func:`_level_set_frame`, under its rank rule.
     H is the Hessian of the Lagrangian, Hess C + nu_0 Re Hess beta
     + nu_1 Im Hess beta, with the least-squares multipliers nu = -(J^+)^T g
@@ -597,14 +598,14 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     d^T Hess beta d from the O(M) product of the same generators, so Hess
     beta itself is never built.
 
-    The tangent model has the reduced Hessian Z^T H Z, and one Cholesky
-    factorisation per step tests whether it is positive definite. If it is,
-    a trial takes the Newton step when that lies within the radius: it is
-    then the trust-region step, with shift 0 (More and Sorensen 1983). An
-    indefinite model, or a Newton step outside the radius, eigendecomposes
-    Z^T H Z once per step; that decomposition serves this trial and every
-    later one of the step through :func:`_trust_region_step`, which needs
-    no linear solve.
+    The tangent model has the reduced gradient Z^T g and Hessian Z^T H Z,
+    formed once per step, and one Cholesky factorisation tests whether the
+    latter is positive definite. If it is, its Newton step, one linear
+    solve per step, is the trust-region step, with shift 0, of every trial
+    whose radius holds it (More and Sorensen 1983). An indefinite model,
+    or a Newton step outside the radius, eigendecomposes Z^T H Z once per
+    step; that decomposition serves this trial and every later one of the
+    step through :func:`_trust_region_step`, which needs no linear solve.
 
     Each trial is projected onto beta = 0 and accepted once its projection
     ends below the corrector target or at the rounding floor of I, below
@@ -615,37 +616,34 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     g^T s + C(s) for its displacement s, exact for a homogeneous quadratic
     and free of the rounding of C(w). The step stalls once the radius is
     at the resolution eps max(1, max|w|) of w, which no step can move
-    (Nocedal and Wright, ch. 4), or once the predicted decrease falls to
-    the rounding level of g^T d. The current point holds, as ``navigate``
-    admits only such an input, so a stall leaves it on beta = 0.
+    (Nocedal and Wright, ch. 4), or once a trial's predicted decrease is at
+    most eps sum|g||d| + |nu_0 Re beta + nu_1 Im beta|: the rounding of
+    g^T d plus the first-order gap in C between the point and the level
+    set under it, which a smaller decrease cannot outrun.
     """
     w = np.asarray(p.omegas, dtype=float)
     nu = -(g @ jac_pinv)
     hess = cost.add_hessian(_assemble(gens, complex(nu[0], -nu[1])))
-    normal = -(jac_pinv @ [bundle.beta.real, bundle.beta.imag])
-    normal_size = float(np.linalg.norm(normal))
-    reduced = z.T @ hess @ z
+    reduced, grad = z.T @ hess @ z, z.T @ g
     try:
         np.linalg.cholesky(reduced)
-        definite = True
+        newton = -np.linalg.solve(reduced, grad)
     except np.linalg.LinAlgError:
-        definite = False
+        newton = None
     eig = None  # the eigendecomposition of ``reduced``, once a trial needs it
+    # the first-order gap in C between w and the level set under it
+    gap = abs(nu[0] * bundle.beta.real + nu[1] * bundle.beta.imag)
     # a radius at the rounding of w cannot move w
     floor = _EPS * max(1.0, float(np.max(np.abs(w))))
     while radius > floor:
-        # the normal step takes at most half the radius
-        dn = normal * min(1.0, 0.5 * radius / normal_size) if normal_size else normal
-        grad = z.T @ (g + hess @ dn)
-        u = -np.linalg.solve(reduced, grad) if definite and eig is None else None
-        if u is None or not np.linalg.norm(u) <= radius:
+        u = newton if newton is not None and np.linalg.norm(newton) <= radius else None
+        if u is None:
             if eig is None:
                 eig = np.linalg.eigh(reduced)
             u = _trust_region_step(*eig, grad, radius)
-        dt = z @ u
-        d = dn + dt
+        d = z @ u
         predicted = -(g @ d + 0.5 * (d @ hess @ d))
-        if not predicted > _EPS * float(np.abs(g) @ np.abs(d)):
+        if not predicted > _EPS * float(np.abs(g) @ np.abs(d)) + gap:
             break
         # second-order correction: cancel the curvature term of r(w + d)
         curv = 0.5 * (d @ _hess_beta_times(gens, d))
@@ -655,7 +653,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         w_c = np.asarray(p_c.omegas)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
-        length = float(np.linalg.norm(dt))
+        length = float(np.linalg.norm(d))
         if (status in _ON_LEVEL_SET and ival < INFIDELITY_THRESHOLD and decrease > 0.0
                 and cost.value(w_c) <= cur_c):
             ratio = decrease / predicted

@@ -336,6 +336,36 @@ class TestNavigate:
         assert any(s["shifted"] > 1 for s in steps)
         assert any(s["eigh"] == 0 for s in steps)
 
+    def test_at_most_one_newton_solve_per_step(self, monkeypatch):
+        # this M = 48 smoothing has a definite step whose Newton step lies
+        # inside the first trial's radius and whose first trial is
+        # rejected: the second trial reuses that step's one solve
+        start = proto.load(POOL / "m48" / "seed0.json")
+        steps = []
+        real_step, real_solve = navigator._navigation_step, np.linalg.solve
+        real_project = navigator._project
+
+        def counting_step(*args):
+            steps.append({"solve": 0, "trials": 0})
+            return real_step(*args)
+
+        def counting_solve(*args):
+            steps[-1]["solve"] += 1
+            return real_solve(*args)
+
+        def counting_project(*args, **kwargs):
+            if steps:  # the admission check projects before the first step
+                steps[-1]["trials"] += 1
+            return real_project(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "_navigation_step", counting_step)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(navigator, "_project", counting_project)
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
+        assert traj.status == "completed"
+        assert all(s["solve"] <= 1 for s in steps)
+        assert any(s["solve"] == 1 and s["trials"] > 1 for s in steps)
+
     @pytest.mark.parametrize("path", ["m3/seed100.json", "m48/seed2.json"],
                              ids=["m3", "m48"])
     def test_newton_steps_match_the_eigendecomposition_path(self, monkeypatch, path):
@@ -510,6 +540,15 @@ class TestNavigate:
         w, ival, _, status = navigator._project(trap, 1e-300, 500)
         assert status == "stalled" and ival > 1e-6
 
+    def test_step_inside_the_gap_to_the_level_set_stalls(self):
+        # a step that predicts no more decrease than the first-order gap
+        # |nu^T r| in C between the point and the level set under it
+        # stalls: without that bound this compression creeps on to its cap
+        start = proto.load(POOL / "m3" / "seed103.json")
+        traj = navigate(start, SecondaryCost("compression", 1),
+                        NavigationConfig(max_iterations=20))
+        assert traj.status == "completed" and len(traj.records) <= 5
+
     def test_target_below_the_rounding_floor_still_completes(self, monkeypatch):
         # seed 4, M = 6, C2 with 1 chunk stalls on the predicted decrease
         # while its pg is above the stall tolerance: the stall check then
@@ -616,7 +655,8 @@ class TestProjectionEvaluations:
 
 class TestEntryEvaluations:
     """The input's one forward pass gives the I that admits it, and the
-    first iterate's derivatives; a rejected input gets no backward pass."""
+    first iterate's derivatives when admission keeps the input; a rejected
+    input gets no backward pass."""
 
     @staticmethod
     def _count_backward(monkeypatch):
@@ -641,6 +681,27 @@ class TestEntryEvaluations:
         traj = navigate(p, SecondaryCost("smoothness"), NavigationConfig(max_iterations=0))
         assert len(traj.records) == 1 and traj.records[0].infidelity < 1e-5
         assert len(kernel) == p.m
+
+    def test_navigation_from_a_projected_input(self, monkeypatch):
+        # pool m3/seed100 (I = 2.3e-19) is above the navigation target: the
+        # first record is its admission projection, which costs one forward
+        # pass of its own on top of the input's and the trials'
+        start = proto.load(POOL_M3[0])
+        held = []
+        real_project = navigator._project
+
+        def recording(*args, **kwargs):
+            result = real_project(*args, **kwargs)
+            held.append(result[0])
+            return result
+
+        monkeypatch.setattr(navigator, "_project", recording)
+        kernel, trials = TestProjectionEvaluations._count(monkeypatch)
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig(max_iterations=0))
+        [rec] = traj.records
+        assert held[0] is not start and rec.protocol is held[0]
+        assert rec.infidelity < navigator._NAV_TARGET
+        assert len(kernel) == 3 * (2 + len(trials))
 
     def test_tracing(self, m3_solution, monkeypatch):
         kernel, trials = TestProjectionEvaluations._count(monkeypatch)
@@ -1066,9 +1127,9 @@ class TestInvariantProperties:
     @given(st.integers(3, 13), st.integers(0, 2 ** 16),
            st.sampled_from([SecondaryCost("smoothness"),
                             SecondaryCost("compression", 1)]))
-    def test_every_record_after_the_input_is_on_the_level_set(self, m, seed, cost):
-        # a record after the input is a projection's end point: below the
-        # corrector target, or at the rounding floor of I
+    def test_every_record_is_on_the_level_set(self, m, seed, cost):
+        # every record, the first included, is a projection's end point:
+        # below the corrector target, or at the rounding floor of I
         start = solve(DescentConfig(seed=seed), m, TASK).protocol
         ends = []
         real = navigator._project
@@ -1083,8 +1144,8 @@ class TestInvariantProperties:
             traj = _navigate_or_refuse(start, cost, NavigationConfig())
         if traj is None:
             return
-        for rec in traj.records[1:]:
-            status = next(s for q, s in ends if q is rec.protocol)
+        for rec in traj.records:
+            status = next((s for q, s in ends if q is rec.protocol), None)
             assert rec.infidelity < navigator._NAV_TARGET or status == "floor"
 
 
