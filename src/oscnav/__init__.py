@@ -6,9 +6,9 @@ from .errors import (EmptyProtocol, IndivisibleChunking, NegativeOccupation,
                      NotASolution, OscnavError, RestartBudgetExhausted)
 from .navigator import (INFIDELITY_THRESHOLD, CriticalPointReport, DescentConfig,
                         DescentTrajectory, LevelsetCurve, NavigationConfig,
-                        ScanConfig, ScanResult, SolveResult, TraceConfig,
-                        TrajectoryRecord, descend, navigate, null_projector,
-                        scan_levelset, solve, trace_levelset)
+                        ScanResult, SolveResult, TraceConfig, TrajectoryRecord,
+                        descend, navigate, null_projector, scan_levelset, solve,
+                        trace_levelset)
 from .objectives import SecondaryCost, symplectic_final, target_matrix, theta_scan
 from .propagator import (BogoliubovPair, ModeState, bogoliubov, infidelity,
                          initial_state, particle_number, propagate,
@@ -24,7 +24,7 @@ __all__ = [
     "SensitivityBundle", "gradient", "hessian",
     "SecondaryCost", "symplectic_final", "target_matrix", "theta_scan",
     "INFIDELITY_THRESHOLD",
-    "DescentConfig", "NavigationConfig", "TraceConfig", "ScanConfig",
+    "DescentConfig", "NavigationConfig", "TraceConfig",
     "DescentTrajectory", "TrajectoryRecord", "CriticalPointReport",
     "SolveResult", "LevelsetCurve", "ScanResult",
     "descend", "solve", "null_projector", "navigate", "trace_levelset",

@@ -33,9 +33,9 @@ import numpy as np
 from . import protocol as proto
 from .errors import (NonFiniteEntry, NonPositiveFrequency, NotASolution, OscnavError,
                      RestartBudgetExhausted)
-from .navigator import (DescentConfig, NavigationConfig, ScanConfig, TraceConfig,
-                        cloud_to_csv, curves_to_csv, navigate, scan_levelset,
-                        solve, trajectory_to_csv)
+from .navigator import (DescentConfig, NavigationConfig, TraceConfig, cloud_to_csv,
+                        curves_to_csv, navigate, scan_levelset, solve,
+                        trajectory_to_csv)
 from .objectives import SecondaryCost, _theta_grid, theta_scan
 from .propagator import bogoliubov, infidelity, particle_number, propagate, wronskian_defect
 from .sensitivities import hessian
@@ -100,15 +100,11 @@ def _type_hints(cls):
     return typing.get_type_hints(cls)
 
 
-def _dataclass_from(cls, section, where, **fixed):
-    """Build config dataclass ``cls`` from a JSON section, checking each type.
-
-    ``fixed`` fields, the nested configs of ScanConfig, are supplied by the
-    caller and are not keys of the section.
-    """
+def _dataclass_from(cls, section, where):
+    """Build config dataclass ``cls`` from a JSON section, checking each type."""
     fields = _type_hints(cls)
-    _check_keys(section, [name for name in fields if name not in fixed], where)
-    kwargs = dict(fixed)
+    _check_keys(section, fields, where)
+    kwargs = {}
     for key, value in section.items():
         tp = fields[key]
         if not _fits(value, tp):
@@ -125,8 +121,8 @@ class RunConfig:
     """Parsed run configuration; dt is always derived as T/M."""
 
     def __init__(self, doc):
-        _check_keys(doc, ["task", "M", "descent", "navigation", "trace", "scan",
-                          "output"], "config")
+        _check_keys(doc, ["task", "M", "descent", "navigation", "trace", "output"],
+                    "config")
         self.task = None
         if "task" in doc:
             task = doc["task"]
@@ -143,8 +139,6 @@ class RunConfig:
         self.navigation = _dataclass_from(NavigationConfig, doc.get("navigation", {}),
                                           "navigation")
         self.trace = _dataclass_from(TraceConfig, doc.get("trace", {}), "trace")
-        self.scan = _dataclass_from(ScanConfig, doc.get("scan", {}), "scan",
-                                    descent=self.descent, trace=self.trace)
         out = doc.get("output", {})
         _check_keys(out, ["protocol", "trajectory", "cloud", "curves", "collapsed"],
                     "output")
@@ -253,13 +247,12 @@ def _cmd_levelset(args) -> int:
     cfg = _load_config(args.config)
     if cfg.task is None:
         raise ConfigError("levelset requires 'task' in the config")
-    result = scan_levelset(cfg.task, cfg.scan, args.seeds)
+    result = scan_levelset(cfg.task, cfg.descent, cfg.trace, args.seeds)
     proto._write_text(args.out_cloud or cfg.output.get("cloud", "cloud.csv"),
                       cloud_to_csv(result))
     proto._write_text(args.out_curves or cfg.output.get("curves", "curves.csv"),
                       curves_to_csv(result.curves))
-    n_components = len(set(int(v) for v in result.labels if v >= 0))
-    print(_dumps({"points": int(len(result.points)), "components": n_components}))
+    print(_dumps({"points": len(result.points), "components": len(result.curves)}))
     return 0
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,15 @@ _CLOSURE_FACTOR = 2.0
 _RANK_TOL = 1e-10
 
 
-def _admit(solution: Protocol, caller: str, target: float, order: int = 1):
+def _admit(solution: Protocol, caller: str, target: float):
     """(fw, protocol, I, bundle) of ``solution``, the input of ``caller``.
 
-    ``fw`` is its forward pass of order ``order``, which starts its
-    correction onto ``target``; the rest is what ``_project`` returns.
-    NotASolution unless I is below ``INFIDELITY_THRESHOLD``, before any
-    backward pass, and the projection ends on beta = 0.
+    ``fw`` is its order-1 forward pass, which starts its correction onto
+    ``target``; the rest is what ``_project`` returns. NotASolution unless
+    I is below ``INFIDELITY_THRESHOLD``, before any backward pass, and the
+    projection ends on beta = 0.
     """
-    fw = forward(solution, order)
+    fw = forward(solution)
     i0 = abs(fw.beta) ** 2
     if not i0 < INFIDELITY_THRESHOLD:
         raise NotASolution(f"{caller} requires I < {INFIDELITY_THRESHOLD:g}, got {i0:g}")
@@ -172,19 +172,6 @@ class TraceConfig:
 
 
 @dataclass(frozen=True)
-class ScanConfig:
-    """Settings for clustering solution clouds into connected components."""
-
-    descent: DescentConfig = field(default_factory=DescentConfig)
-    trace: TraceConfig = field(default_factory=TraceConfig)
-    max_curves: int = 64
-
-    def __post_init__(self):
-        if self.max_curves < 1:
-            raise ValueError("max_curves must be >= 1")
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     iteration: int
     protocol: Protocol
@@ -224,15 +211,18 @@ class SolveResult:
 class LevelsetCurve:
     vertices: np.ndarray          # (n, 3) pulse amplitudes
     infidelities: np.ndarray      # (n,)
-    closed: bool
     status: str                   # "closed" | "open" | "corrector_failed"
+
+    @property
+    def closed(self) -> bool:
+        return self.status == "closed"
 
 
 @dataclass(frozen=True)
 class ScanResult:
     points: np.ndarray            # (n, 3)
     infidelities: np.ndarray      # (n,)
-    labels: np.ndarray            # (n,) component index per point, -1 past max_curves
+    labels: np.ndarray            # (n,) component index per point, every one >= 0
     curves: tuple[LevelsetCurve, ...]
 
 
@@ -514,29 +504,30 @@ def navigate(solution: Protocol, cost: SecondaryCost,
              cfg: NavigationConfig) -> DescentTrajectory:
     """Descend a secondary cost inside the optimal level set.
 
-    Every iteration is recorded. Each iterate gets one adjoint sweep for
-    beta, its exact gradient and the generators of its Hessian (on the
-    input's forward pass, which admits it, when admission keeps it), and
-    one SVD of the Jacobian of beta for the bases Q and Z and the
-    pseudo-inverse the step uses (:func:`_level_set_frame`). Each step is
-    one trust-region step along the level set, ``_navigation_step``; the
-    radius carries over between steps and starts, at the first step and
-    after every doubling, at the Cauchy point of the cost along the
-    projected gradient. Stalls, a projected gradient below the tolerance or
-    a step stalled by its predicted decrease, at most eps sum|g||d| plus the
-    gap |nu^T r|, or by its radius, consume the doubling schedule, then end
-    the run; so a run can end ``completed`` with its projected gradient
-    above ``_STALL_TOLERANCE``.
+    Every iteration is recorded. Each iterate, the first included, gets one
+    order-2 forward pass and one adjoint sweep for beta, its exact gradient
+    and the generators of its Hessian, and one SVD of the Jacobian of beta
+    for the bases Q and Z and the pseudo-inverse the step uses
+    (:func:`_level_set_frame`). Each step is one trust-region step along
+    the level set, ``_navigation_step``; the radius carries over between
+    steps and starts, at the first step and after every doubling, at the
+    Cauchy point of the cost along the projected gradient. Stalls, a
+    projected gradient below the tolerance or a step stalled by its
+    predicted decrease, at most eps sum|g||d| plus the gap |nu^T r|, or by
+    its radius, consume the doubling schedule, then end the run; so a run
+    can end ``completed`` with its projected gradient above
+    ``_STALL_TOLERANCE``.
 
     The input is admitted by :func:`_admit`, the tracer's rule: its
-    projection, started on its forward pass and free when I is below
-    ``_NAV_TARGET``, must end below that target or at the rounding floor of
-    I; NotASolution otherwise, before any step. The run starts from that
-    projection, the held input. A step accepts only a trial whose
-    projection ends the same way, or stalls, so a run ends ``completed`` or
-    ``budget_exhausted``, with a non-increasing secondary cost and every
-    record on beta = 0. A doubling keeps the represented control, and so
-    beta up to rounding.
+    projection, started on its order-1 forward pass and free when I is
+    below ``_NAV_TARGET``, must end below that target or at the rounding
+    floor of I; NotASolution otherwise, before any step. The run starts
+    from that projection, the held input, whose record takes its own
+    order-2 forward pass even when admission kept the input. A step accepts
+    only a trial whose projection ends the same way, or stalls, so a run
+    ends ``completed`` or ``budget_exhausted``, with a non-increasing
+    secondary cost and every record on beta = 0. A doubling keeps the
+    represented control, and so beta up to rounding.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -544,15 +535,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    fw, p = _admit(solution, "navigate", _NAV_TARGET, 2)[:2]
-    if p is not solution:  # the projection moved the input
-        fw = forward(p, 2)
+    p = _admit(solution, "navigate", _NAV_TARGET)[1]
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     status = "budget_exhausted"
     radius = None
     for it in range(cfg.max_iterations + 1):
-        bundle, gens = _backward(p, fw if it == 0 else forward(p, 2), second_order=True)
+        bundle, gens = _backward(p, forward(p, 2), second_order=True)
         cur_c = cost.value(p.omegas)
         g = cost.grad(p.omegas)
         q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
@@ -776,7 +765,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     # no bundle: the start was below the target, and p is the start
     tangent = _null_direction((gradient(p, fw) if bundle is None else bundle).grad_beta)
     if tangent is None:
-        return LevelsetCurve(np.asarray(verts), np.asarray(ivals), False, "corrector_failed")
+        return LevelsetCurve(np.asarray(verts), np.asarray(ivals), "corrector_failed")
     # the first step, with one tangent known, is Euler
     t0 = tangent = direction = tuple(cfg.initial_sign * x for x in tangent)
     h, (lo, hi) = cfg.step_size, cfg.box
@@ -808,7 +797,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
                 and math.dist(v, v0) < _CLOSURE_FACTOR * h and _dot(tangent, t0) > 0.0):
             status = "closed"
             break
-    return LevelsetCurve(np.asarray(verts), np.asarray(ivals), status == "closed", status)
+    return LevelsetCurve(np.asarray(verts), np.asarray(ivals), status)
 
 
 def _polyline_distance(point: np.ndarray, curve: LevelsetCurve) -> float:
@@ -826,24 +815,25 @@ def _polyline_distance(point: np.ndarray, curve: LevelsetCurve) -> float:
     return float(np.min(np.linalg.norm(point - proj, axis=1)))
 
 
-def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
-                  n_seeds: int) -> ScanResult:
+def scan_levelset(task: tuple[float, float, float], descent: DescentConfig,
+                  trace: TraceConfig, n_seeds: int) -> ScanResult:
     """Cloud of M = 3 solutions labeled by connected component.
 
-    Runs one independent solve per seed (seed index offsets the base seed),
-    then traces a curve from the first unlabeled point and attaches every
-    point within ``_ASSIGN_DISTANCE`` of it, repeating until all points are
-    labeled or ``cfg.max_curves`` curves are traced; points left then keep
-    label -1. Output ordering follows seed order, independent of scheduling.
-    Every point and every traced vertex is a solution by the same
-    ``INFIDELITY_THRESHOLD``.
+    Runs one independent solve per seed (seed index offsets
+    ``descent.seed``), then traces a curve from the first unlabeled point,
+    which takes the curve's label, and attaches every later unlabeled point
+    within ``_ASSIGN_DISTANCE`` of it, repeating until every point is
+    labeled. So each curve labels at least its own start, and a scan traces
+    at most one curve per point. Output ordering follows seed order,
+    independent of scheduling. Every point and every traced vertex is a
+    solution by the same ``INFIDELITY_THRESHOLD``.
     """
     if n_seeds < 0:
         raise ValueError(f"the number of seeds must be >= 0, got {n_seeds}")
     pts: list[np.ndarray] = []
     ivals: list[float] = []
     for i in range(n_seeds):
-        sub = dataclasses.replace(cfg.descent, seed=cfg.descent.seed + i)
+        sub = dataclasses.replace(descent, seed=descent.seed + i)
         try:
             res = solve(sub, 3, task)
         except RestartBudgetExhausted:
@@ -852,19 +842,17 @@ def scan_levelset(task: tuple[float, float, float], cfg: ScanConfig,
         ivals.append(res.report.infidelity)
     points = np.asarray(pts) if pts else np.zeros((0, 3))
     infs = np.asarray(ivals)
-    labels = np.full(len(pts), -1, dtype=int)
+    labels = np.full(len(pts), -1, dtype=int)  # -1: not yet labeled
     curves: list[LevelsetCurve] = []
     omega0, omegaT, total_t = task
     for idx in range(len(pts)):
         if labels[idx] >= 0:
             continue
-        if len(curves) >= cfg.max_curves:
-            break
         p = Protocol(omega0, omegaT, total_t / 3.0, tuple(points[idx]))
-        curve = trace_levelset(p, cfg.trace)
-        label = len(curves)
+        curve = trace_levelset(p, trace)
+        label = labels[idx] = len(curves)
         curves.append(curve)
-        for j in range(idx, len(pts)):
+        for j in range(idx + 1, len(pts)):
             if labels[j] < 0 and _polyline_distance(points[j], curve) <= _ASSIGN_DISTANCE:
                 labels[j] = label
     return ScanResult(points, infs, labels, tuple(curves))

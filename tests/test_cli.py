@@ -91,6 +91,19 @@ class TestSolveCommand:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "RestartBudgetExhausted"
 
+    def test_budget_stop_under_the_threshold_exits_2(self, tmp_path, capsys):
+        # the one restart stops at I = 4.86e-6, under the threshold, when
+        # its 3 iterations run out: no solution, so no protocol is written
+        out = {"protocol": str(tmp_path / "protocol.json"),
+               "trajectory": str(tmp_path / "trajectory.csv")}
+        cfg = dict(TASK_DOC, descent={"seed": 4, "max_iterations": 3, "max_restarts": 1},
+                   output=out)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        _, err = capsys.readouterr()
+        assert code == 2 and _one_error_line(err)["error"] == "RestartBudgetExhausted"
+        assert not (tmp_path / "protocol.json").exists()
+
 
 class TestNavigateCommands:
     def test_smooth_reduces_cost(self, m8_solution_file, tmp_path):
@@ -418,18 +431,22 @@ class TestInputContract:
         assert code == 1 and out == ""
         line = _one_error_line(err)
         assert line["error"] == "ConfigError"
-        assert f"unknown keys in {section}: [{key!r}]" in line["detail"]
+        # `scan` is no section: the config refuses it whole
+        where, name = ("config", section) if section == "scan" else (section, key)
+        assert f"unknown keys in {where}: [{name!r}]" in line["detail"]
 
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0]},
-                   navigation={"doubling_schedule": [2], "doubling_stall_tolerance": 1},
-                   scan={"max_curves": 8})
+                   navigation={"doubling_schedule": [2], "doubling_stall_tolerance": 1})
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         cfg = _load_config(tmp_path / "cfg.json")
         assert cfg.m == 3 and cfg.descent.box == (0, 2.0)
         assert cfg.navigation.doubling_schedule == (2,)
         assert cfg.navigation.doubling_stall_tolerance == 1
-        assert cfg.scan.max_curves == 8 and cfg.scan.descent is cfg.descent
+        # `scan` is no section of the config
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(doc, scan={"max_curves": 8})))
+        with pytest.raises(ConfigError, match=r"unknown keys in config: \['scan'\]"):
+            _load_config(tmp_path / "cfg.json")
 
     @pytest.mark.parametrize("argv", [
         ["theta-scan", "{p}", "--points", "2"],

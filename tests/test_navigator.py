@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, EmptyProtocol,
                     NavigationConfig, NonFiniteEntry, NotASolution, Protocol,
-                    RestartBudgetExhausted, ScanConfig,
-                    SecondaryCost, TraceConfig, collapse, descend, gradient,
-                    hessian, infidelity, navigate, null_projector,
+                    RestartBudgetExhausted, SecondaryCost, TraceConfig, collapse,
+                    descend, gradient, hessian, infidelity, navigate, null_projector,
                     refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator, propagator
 from oscnav import protocol as proto
@@ -173,6 +172,18 @@ class TestSolve:
         status = navigator._project(res.protocol, navigator._NAV_TARGET,
                                     navigator._CORRECTOR_BUDGET)[3]
         assert status in navigator._ON_LEVEL_SET
+
+    def test_budget_stop_under_the_threshold_is_no_solution(self):
+        # restart 0 of seed 4 at M = 3 runs out of iterations at I = 4.86e-6,
+        # under the threshold but at no critical point: ``non-critical``, so
+        # a solve with one restart finds nothing
+        p0 = _start(np.random.default_rng(4).uniform(0.1, 2.0, 3))
+        _, report, traj = descend(p0, DescentConfig(max_iterations=3))
+        assert traj.status == "budget_exhausted"
+        assert report.infidelity < INFIDELITY_THRESHOLD
+        assert report.classification == "non-critical"
+        with pytest.raises(RestartBudgetExhausted):
+            solve(DescentConfig(seed=4, max_iterations=3, max_restarts=1), 3, TASK)
 
     @pytest.mark.parametrize("m", [3, 12, 13, 24])
     def test_every_solution_passes_the_step_test(self, m):
@@ -654,9 +665,9 @@ class TestProjectionEvaluations:
 
 
 class TestEntryEvaluations:
-    """The input's one forward pass gives the I that admits it, and the
-    first iterate's derivatives when admission keeps the input; a rejected
-    input gets no backward pass."""
+    """The input's one order-1 forward pass gives the I that admits it and
+    starts its projection; navigation's first iterate takes an order-2
+    forward pass of its own, and a rejected input gets no backward pass."""
 
     @staticmethod
     def _count_backward(monkeypatch):
@@ -680,12 +691,14 @@ class TestEntryEvaluations:
         kernel, _ = TestProjectionEvaluations._count(monkeypatch)
         traj = navigate(p, SecondaryCost("smoothness"), NavigationConfig(max_iterations=0))
         assert len(traj.records) == 1 and traj.records[0].infidelity < 1e-5
-        assert len(kernel) == p.m
+        # admission keeps this input: its order-1 pass, then the record's order-2 one
+        assert traj.records[0].protocol is p
+        assert len(kernel) == 2 * p.m
 
     def test_navigation_from_a_projected_input(self, monkeypatch):
         # pool m3/seed100 (I = 2.3e-19) is above the navigation target: the
-        # first record is its admission projection, which costs one forward
-        # pass of its own on top of the input's and the trials'
+        # first record is its admission projection, which costs one order-2
+        # forward pass of its own on top of the input's and the trials'
         start = proto.load(POOL_M3[0])
         held = []
         real_project = navigator._project
@@ -954,13 +967,13 @@ class TestScanLevelset:
         # a trace whose start has no tangent returns this curve, and the
         # scan measures its points against it
         curve = navigator.LevelsetCurve(np.array([[1.0, 2.0, 3.0]]), np.array([1e-6]),
-                                        False, "corrector_failed")
+                                        "corrector_failed")
         point = np.array([4.0, 6.0, 3.0])
         assert navigator._polyline_distance(point, curve) == 5.0
 
     def test_small_scan_labels_everything(self):
-        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
-        result = scan_levelset(TASK, cfg, 40)
+        result = scan_levelset(TASK, DescentConfig(seed=100, box=(0.0, 2.0)),
+                               TraceConfig(), 40)
         assert len(result.points) == 40
         assert np.all(result.infidelities < 1e-5)
         assert np.all(result.labels >= 0)
@@ -983,8 +996,8 @@ class TestScanLevelset:
     def test_wide_box_scan_closes_every_curve(self):
         # from box (0, 5) the first-order corrector left four partial curves,
         # each minting its own label; every traced curve must close instead
-        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 5.0)))
-        result = scan_levelset(TASK, cfg, 24)
+        result = scan_levelset(TASK, DescentConfig(seed=100, box=(0.0, 5.0)),
+                               TraceConfig(), 24)
         assert len(result.points) == 24
         assert np.all(result.infidelities < 1e-5)
         assert np.all(result.labels >= 0)
@@ -999,31 +1012,40 @@ class TestScanLevelset:
                       for v in result.curves[i].vertices)
             assert gap > navigator._ASSIGN_DISTANCE
 
-    def test_curve_cap_leaves_points_unlabeled(self):
-        # the scan stops tracing at max_curves; later points keep label -1
-        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 5.0)), max_curves=1)
-        result = scan_levelset(TASK, cfg, 24)
-        assert len(result.curves) == 1 and len(result.points) == 24
-        assert sorted(set(result.labels.tolist())) == [-1, 0]
-        # which solutions the restarts find sets how many points the one
-        # curve takes; a point takes label 0 exactly when it is near curve 0
-        curve = result.curves[0]
-        assert curve.closed
-        for point, label in zip(result.points, result.labels):
-            near = (_closed_polyline_distance(point, curve.vertices)
-                    <= navigator._ASSIGN_DISTANCE)
-            assert (label == 0) == near
+    def test_wide_scan_labels_every_point(self):
+        # 500 seeds from box (-5, 5) need 80 curves; tracing stopped at 64
+        # used to leave 19 points unlabeled. The first 64 curves and their
+        # labels are those of a scan stopped there, replayed below.
+        result = scan_levelset(TASK, DescentConfig(box=(-5.0, 5.0)), TraceConfig(), 500)
+        labels = result.labels
+        assert len(result.points) == 500 and np.all(labels >= 0)
+        assert len(result.curves) == 80 and len(set(labels.tolist())) == 80
+        capped = np.full(len(labels), -1)
+        for idx, point in enumerate(result.points):
+            if capped[idx] >= 0:
+                continue
+            label = int(capped.max()) + 1
+            if label == 64:
+                break
+            curve = trace_levelset(_start(point), TraceConfig())
+            assert result.curves[label].status == curve.status
+            assert np.array_equal(result.curves[label].vertices, curve.vertices)
+            near = [navigator._polyline_distance(q, curve) <= navigator._ASSIGN_DISTANCE
+                    for q in result.points[idx:]]
+            capped[idx:][(capped[idx:] < 0) & near] = label
+        assert np.count_nonzero(capped < 0) == 19
+        assert np.array_equal(labels[capped >= 0], capped[capped >= 0])
 
     def test_seeds_without_a_solution_are_skipped(self):
         # with no restarts every solve exhausts its budget: no point, no curve
-        result = scan_levelset(TASK, ScanConfig(descent=DescentConfig(max_restarts=0)), 3)
+        result = scan_levelset(TASK, DescentConfig(max_restarts=0), TraceConfig(), 3)
         assert result.points.shape == (0, 3)
         assert len(result.infidelities) == len(result.labels) == len(result.curves) == 0
 
     def test_determinism(self):
-        cfg = ScanConfig(descent=DescentConfig(seed=100, box=(0.0, 2.0)))
-        a = scan_levelset(TASK, cfg, 12)
-        b = scan_levelset(TASK, cfg, 12)
+        cfg = DescentConfig(seed=100, box=(0.0, 2.0))
+        a = scan_levelset(TASK, cfg, TraceConfig(), 12)
+        b = scan_levelset(TASK, cfg, TraceConfig(), 12)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 

@@ -73,15 +73,14 @@ def test_cli_example(tmp_path, monkeypatch, capsys):
 
 def test_trace_keys_match_the_schema():
     # a section's keys are the names in backquotes from "accepts" to the
-    # period; the nested descent and trace configs of ScanConfig are
-    # sections of their own, not keys of `scan`
+    # period
     text = " ".join(README.read_text(encoding="utf-8").split())
     for section, cls in (("descent", oscnav.DescentConfig),
                          ("navigation", oscnav.NavigationConfig),
-                         ("trace", oscnav.TraceConfig), ("scan", oscnav.ScanConfig)):
+                         ("trace", oscnav.TraceConfig)):
         start = text.index("accepts", text.index(f"The `{section}` section"))
         named = re.findall(r"`([a-z_]+)`", text[start:text.index(".", start)])
-        keys = [f.name for f in dataclasses.fields(cls) if f.name not in ("descent", "trace")]
+        keys = [f.name for f in dataclasses.fields(cls)]
         assert sorted(named) == sorted(keys), section
 
 

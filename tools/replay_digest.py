@@ -16,14 +16,19 @@ even bytecode caches. The groups are:
 * ``solves_m3``: ``solve`` at M = 3, seeds 0-39;
 * ``solves_m48``: ``solve`` at M = 48, seeds 0-4, box (0.1, 5);
 * ``solves_m12_m13``: ``solve`` at M = 12 and 13, seeds 0-5, whose first
-  restarts include critical points under the threshold off beta = 0.
+  restarts include critical points under the threshold off beta = 0;
+* ``held_navigations``: the runs of ``navigations``, each started from its
+  pool entry's held input, the first record of a navigation capped at 0
+  iterations, which admission keeps;
+* ``scans``: ``scan_levelset`` with 40 seeds from the descent boxes (0, 2),
+  (0.1, 5) and (-5, 5).
 
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
-report and trajectory CSV, or the type and message of the error it
-raised. One line per group, then one for all of them together, gives the
-number of runs and the SHA-256; two versions whose lines agree replay
-these runs alike.
+report and trajectory CSV, a scan's cloud CSV and curves, or the type and
+message of the error it raised. One line per group, then one for all of
+them together, gives the number of runs and the SHA-256; two versions
+whose lines agree replay these runs alike.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def _text(result) -> str:
                 f"{result.infidelities.tolist()!r}")
     if isinstance(result, navigator.DescentTrajectory):
         return f"{result.status}\n{navigator.trajectory_to_csv(result)}"
+    if isinstance(result, navigator.ScanResult):
+        return "\n".join([navigator.cloud_to_csv(result), *map(_text, result.curves)])
     return (f"{result.restarts}\n{result.report!r}\n"
             f"{navigator.trajectory_to_csv(result.trajectory)}")
 
@@ -70,27 +77,40 @@ def groups():
     traces = [lambda p=p, h=h, s=s: navigator.trace_levelset(
                   p, navigator.TraceConfig(step_size=h, initial_sign=s))
               for p in m3 for h in (0.05, 0.3) for s in (1.0, -1.0)]
-    navigations = []
-    for entries, smooth_cap, compress_cap, chunks in ((m3, 50, 20, 1), (m48, 100, 80, 2)):
-        for p in entries:
-            smooth = navigator.NavigationConfig(doubling_stall_tolerance=0.2,
-                                                doubling_schedule=(2,),
-                                                max_iterations=smooth_cap)
-            compress = navigator.NavigationConfig(max_iterations=compress_cap)
-            navigations += [
-                lambda p=p, cfg=smooth: navigator.navigate(p, SecondaryCost("smoothness"), cfg),
-                lambda p=p, cfg=compress, k=chunks: navigator.navigate(
-                    p, SecondaryCost("compression", k), cfg)]
+
+    def navigations(hold):
+        runs = []
+        for entries, smooth_cap, compress_cap, chunks in ((m3, 50, 20, 1),
+                                                           (m48, 100, 80, 2)):
+            for p in entries:
+                smooth = navigator.NavigationConfig(doubling_stall_tolerance=0.2,
+                                                    doubling_schedule=(2,),
+                                                    max_iterations=smooth_cap)
+                compress = navigator.NavigationConfig(max_iterations=compress_cap)
+                runs += [
+                    lambda p=p, cfg=smooth: navigator.navigate(
+                        hold(p), SecondaryCost("smoothness"), cfg),
+                    lambda p=p, cfg=compress, k=chunks: navigator.navigate(
+                        hold(p), SecondaryCost("compression", k), cfg)]
+        return runs
+
+    def held(p):
+        return navigator.navigate(p, SecondaryCost("smoothness"),
+                                  navigator.NavigationConfig(max_iterations=0)).final_protocol
 
     def solves(ms, seeds, box=(0.1, 2.0)):
         return [lambda m=m, s=s: navigator.solve(navigator.DescentConfig(seed=s, box=box),
                                                  m, task)
                 for m in ms for s in seeds]
 
-    return [("traces", traces), ("navigations", navigations),
+    scans = [lambda box=box: navigator.scan_levelset(
+                 task, navigator.DescentConfig(box=box), navigator.TraceConfig(), 40)
+             for box in ((0.0, 2.0), (0.1, 5.0), (-5.0, 5.0))]
+    return [("traces", traces), ("navigations", navigations(lambda p: p)),
             ("solves_m3", solves((3,), range(40))),
             ("solves_m48", solves((48,), range(5), (0.1, 5.0))),
-            ("solves_m12_m13", solves((12, 13), range(6)))]
+            ("solves_m12_m13", solves((12, 13), range(6))),
+            ("held_navigations", navigations(held)), ("scans", scans)]
 
 
 def main() -> int:
