@@ -31,8 +31,7 @@ import typing
 import numpy as np
 
 from . import protocol as proto
-from .errors import (NonFiniteEntry, NonPositiveFrequency, NotASolution, OscnavError,
-                     RestartBudgetExhausted)
+from .errors import NonPositiveFrequency, NotASolution, OscnavError, RestartBudgetExhausted
 from .navigator import (DescentConfig, NavigationConfig, TraceConfig, cloud_to_csv,
                         curves_to_csv, navigate, scan_levelset, solve,
                         trajectory_to_csv)
@@ -157,12 +156,12 @@ def _load_config(path) -> RunConfig:
 
 
 def _load_protocol(path):
-    """Load a protocol file; a non-finite or overflowing pulse is reported
-    as NonFiniteEntry naming the pulse, any other defect as ConfigError."""
+    """Load a protocol file; a pulse that is not a finite real is reported as
+    NonFiniteEntry naming the pulse, any other defect as ConfigError. An
+    overflowing pulse loads: the command's first propagation names it."""
     try:
         return proto.load(path)
-    except (OSError, json.JSONDecodeError, ValueError, OverflowError,
-            NonPositiveFrequency) as exc:
+    except (OSError, ValueError, OverflowError, NonPositiveFrequency) as exc:
         raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
 
 
@@ -272,8 +271,6 @@ def _cmd_theta_scan(args) -> int:
     """
     p = _load_protocol(args.protocol)
     thetas, values, theta_min, value_min = theta_scan(p, args.points)
-    if not (np.isfinite(values).all() and math.isfinite(value_min)):
-        raise NonFiniteEntry("theta landscape is not finite")
     rows = [t + repr(v) for t, v in zip(_theta_cells(args.points), values.tolist())]
     rows.insert(int(np.searchsorted(thetas, theta_min, side="right")),
                 f"{theta_min!r},{value_min!r}")

@@ -437,8 +437,8 @@ def descend(p0: Protocol, cfg: DescentConfig):
 
     # a descent, target 0, evaluates the returned point's gradient
     p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, on_step)
-    gmax = float(np.abs(bundle.grad_infidelity).max())
-    report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val, gmax)
+    report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val,
+                                 records[-1].pgrad_norm)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
     return p, report, DescentTrajectory(tuple(records), traj_status)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndivisibleChunking, NonFiniteEntry, NonSymplectic
-from .propagator import ModeState, bogoliubov, propagate
+from .propagator import ModeState, propagate
 from .protocol import Protocol, _check_positive
 
 _DET_TOL = 1e-8
@@ -211,7 +211,8 @@ def theta_scan(p: Protocol, points: int = 1024):
     Returns (thetas, values, theta_min, value_min), theta_min in [0, 2 pi].
     ``thetas`` is the uniform grid ``np.linspace(0, 2 pi, points,
     endpoint=False)``, built once per size and returned read-only, since
-    later scans of the same size return the same array.
+    later scans of the same size return the same array. A landscape that is
+    not finite, at b, c or any J it evaluates, raises NonFiniteEntry here.
     """
     if points < 4:
         raise ValueError("need at least 4 grid points")
@@ -227,5 +228,7 @@ def theta_scan(p: Protocol, points: int = 1024):
     diff = s - (np.cos(angles)[:, None, None] * basis_a
                 + np.sin(angles)[:, None, None] * basis_b)
     values = np.sum(diff * diff, axis=(-2, -1))
+    if not np.isfinite(values).all():
+        raise NonFiniteEntry("theta landscape is not finite")
     k = points + int(np.argmin(values[points:]))
     return thetas, values[:points], float(angles[k]), float(values[k])

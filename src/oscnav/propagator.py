@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NegativeOccupation, NonFiniteEntry
 from .protocol import Protocol, _check_positive
 
@@ -148,10 +146,11 @@ def forward(p: Protocol, order: int = 1) -> Forward:
     """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
 
     M = 0 leaves the initial state (sudden quench). A Protocol's omega0 is
-    valid by construction, so the initial state is taken unchecked. A pulse
-    whose omega*dt overflows, which ``math.cos`` refuses, and a beta or
-    I = |beta|^2 that overflows raise NonFiniteEntry, the first naming the
-    pulse.
+    valid by construction, so the initial state is taken unchecked. Only
+    this pass refuses an overflowing pulse, by name: the first whose
+    omega*dt overflows (``math.cos`` refuses it), or else, once beta has
+    overflowed, the first whose omega^2 does. Any other overflowing beta
+    or I = |beta|^2 raises NonFiniteEntry unnamed.
     """
     dt = p.dt
     f, fd = _ground(p.omega0)
@@ -171,6 +170,9 @@ def forward(p: Protocol, order: int = 1) -> Forward:
     beta = cf * f + cd * fd
     # |beta| <= |Re| + |Im| < 1e154 keeps |beta|^2 below the float maximum
     if not abs(beta.real) + abs(beta.imag) < 1e154:
+        for i, w in enumerate(p.omegas):
+            if not math.isfinite(w * w):
+                raise NonFiniteEntry(f"omegas[{i}] ** 2 overflows: {w!r} ** 2")
         raise NonFiniteEntry(f"propagation of {p.m} pulses overflows: |beta|^2 is not finite")
     return Forward(steps, fs, fds, f, fd, beta)
 

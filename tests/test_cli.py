@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscnav
-from oscnav import DescentConfig, Protocol, infidelity, solve
-from oscnav import cli, navigator
+from oscnav import DescentConfig, ModeState, Protocol, infidelity, solve
+from oscnav import cli, navigator, objectives
 from oscnav import protocol as proto
 from oscnav.cli import ConfigError, _load_config, main
 
@@ -531,15 +532,55 @@ class TestInputContract:
         assert _one_error_line(err)["error"] == "NonFiniteEntry"
         assert os.listdir(tmp_path) == ["p.json"]
 
-    @pytest.mark.parametrize("command", [["verify"], ["spectrum"], ["smooth"]])
-    def test_overflowing_pulse_is_named(self, command, tmp_path, capsys):
-        # omega*dt = 2e308 overflows; the kernel's cos() would fail without a name
-        path = tmp_path / "w.json"
-        path.write_text('{"omega0": 1, "omegaT": 0.25, "dt": 2, "omegas": [1e308, 1, 1]}')
-        code = main([*command, str(path)])
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum"], ["smooth"],
+                                         ["compress", "--chunks", "1"], ["theta-scan"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("doc, name", [
+        ('{"omega0": 1, "omegaT": 0.25, "dt": 2, "omegas": [1e308, 1, 1]}', "omegas[0]"),
+        ('{"omega0": 1, "omegaT": 0.25, "dt": 0.6, "omegas": [1.0, 1e200]}', "omegas[1]")],
+        ids=["omega-dt", "omega-squared"])
+    def test_overflowing_pulse_is_named(self, command, doc, name, tmp_path, capsys,
+                                        monkeypatch):
+        # omega*dt = 2e308 overflows the kernel's cos(), and 1e200 ** 2 the
+        # state; the file loads, and the command's first propagation names
+        # the pulse before anything is written
+        (tmp_path / "w.json").write_text(doc)
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "w.json", *command[1:]])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert "omegas[0]" in _one_error_line(err)["detail"]
+        line = _one_error_line(err)
+        assert line["error"] == "NonFiniteEntry" and name in line["detail"]
+        assert os.listdir(tmp_path) == ["w.json"]
+
+    def test_infinite_theta_landscape_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a finite, physical state whose |S|^2 ~ 1e320 makes every J
+        # infinite; theta_scan refuses it, so no row is written
+        squeezed = ModeState(complex(1e160 / math.sqrt(2.0)),
+                             complex(0.0, -1e-160 / math.sqrt(2.0)))
+        monkeypatch.setattr(objectives, "propagate", lambda p: squeezed)
+        proto.save(M3_SOLUTION, tmp_path / "p.json")
+        code = main(["theta-scan", str(tmp_path / "p.json"), "--out", str(tmp_path / "j.csv")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line == {"error": "NonFiniteEntry", "detail": "theta landscape is not finite"}
+        assert os.listdir(tmp_path) == ["p.json"]
+
+    @pytest.mark.parametrize("argv, config, detail", [
+        (["levelset", "--seeds", "1"], {"M": 3}, "levelset requires 'task'"),
+        (["solve"], dict(TASK_DOC, descent={"box": 5}), "descent.box must be of type")],
+        ids=["levelset-without-task", "tuple-field-not-a-list"])
+    def test_config_refused_before_any_output(self, argv, config, detail, tmp_path, capsys):
+        config = dict(config, output={name: str(tmp_path / name) for name in
+                                      ("protocol", "trajectory", "cloud", "curves")})
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main([*argv, "--config", str(tmp_path / "cfg.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == "ConfigError" and detail in line["detail"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 M3_SOLUTION = Protocol(1.0, 0.25, 0.6, (2.331126716122641, 0.33573037593786065,

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oscnav
+from oscnav import objectives
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol,
                     SecondaryCost, infidelity, initial_state, propagate, refine,
                     symplectic_final, target_matrix, theta_scan)
@@ -235,6 +236,19 @@ class TestSymplecticFinal:
             theta_infidelity(p, 0.0)
         with pytest.raises(NonFiniteEntry):
             theta_scan(p, 16)
+
+    def test_squeezed_state_is_not_an_infinite_landscape(self, monkeypatch):
+        # theta_scan refuses the J it computes, not only b and c: this finite,
+        # physical state (det S = 1, Wronskian i) has finite b and c, but
+        # |S|^2 ~ 1e320 makes every J infinite
+        monkeypatch.setattr(objectives, "propagate", lambda p: SQUEEZED)
+        with pytest.raises(NonFiniteEntry, match="theta landscape"), \
+                np.errstate(over="ignore"):
+            theta_scan(Protocol(1.0, 0.25, 0.6, (1.0, 1.0, 1.0)), 16)
+
+
+# f = 1e160/sqrt 2, f' = -1e-160 i/sqrt 2 at omega0 = 1: S = diag(1e160, 1e-160)
+SQUEEZED = ModeState(complex(1e160 / math.sqrt(2.0)), complex(0.0, -1e-160 / math.sqrt(2.0)))
 
 
 class TestTargetMatrix:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oscnav import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
-                    NonPositiveFrequency, Protocol, bogoliubov, collapse, initial_state,
-                    propagate, refine, symplectic_final, target_matrix, validate)
+from oscnav import (EmptyProtocol, IndivisibleChunking, NavigationConfig, NonFiniteEntry,
+                    NonPositiveFrequency, Protocol, SecondaryCost, TraceConfig, bogoliubov,
+                    collapse, gradient, hessian, infidelity, initial_state, navigate,
+                    propagate, refine, symplectic_final, target_matrix, theta_scan,
+                    trace_levelset, validate)
 from oscnav import protocol as proto
 from oscnav.protocol import from_json, to_json
 
@@ -247,11 +249,21 @@ def test_collapse_inverts_refine(omegas, dt, k):
 
 
 @pytest.mark.parametrize("dt,omegas", [(2.0, [1e308, 1.0, 1.0]),   # omega*dt
-                                       (0.6, [1.0, 1e200])])       # omega^2
-def test_from_json_names_an_overflowing_pulse(dt, omegas):
+                                       (0.6, [1.0, 1e200, 1.0])],  # omega^2
+                         ids=["omega-dt", "omega-squared"])
+@pytest.mark.parametrize("run", [
+    infidelity, gradient, hessian, lambda p: theta_scan(p, 16),
+    lambda p: navigate(p, SecondaryCost("smoothness"), NavigationConfig()),
+    lambda p: trace_levelset(p, TraceConfig())],
+    ids=["infidelity", "gradient", "hessian", "theta_scan", "navigate", "trace_levelset"])
+def test_from_json_names_an_overflowing_pulse(dt, omegas, run):
+    # a finite pulse whose omega*dt or omega^2 overflows is a valid Protocol,
+    # so it loads; the first propagation refuses it and names the pulse
     doc = {"omega0": 1.0, "omegaT": 0.25, "dt": dt, "omegas": omegas}
+    p = from_json(json.dumps(doc))
+    assert p == Protocol(1.0, 0.25, dt, tuple(omegas))
     with pytest.raises(NonFiniteEntry, match=rf"omegas\[{omegas.index(max(omegas))}\]"):
-        from_json(json.dumps(doc))
+        run(p)
 
 
 def test_save_over_a_longer_file_leaves_exactly_the_protocol(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
                     infidelity, refine)
+from oscnav import propagator
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
@@ -510,6 +511,47 @@ class TestNonFinite:
             gradient(p)
         with pytest.raises(NonFiniteEntry), np.errstate(all="ignore"):
             hessian(p)
+
+    # Each backward-pass check is reached by overwriting the derivative
+    # entries of one pulse's step kernel: A' at entries 3-5, A'' at 6-8.
+    P = Protocol(1.0, 0.25, 0.6, (1.0, 1.3, 0.7))
+
+    @staticmethod
+    def _fault(monkeypatch, entries, value):
+        real = propagator._step_entries
+
+        def faulty(omega, dt, order=0):
+            e = real(omega, dt, order)
+            if omega == 1.3 and len(e) >= entries.stop:
+                e = e[:entries.start] + (value,) * 3 + e[entries.stop:]
+            return e
+
+        monkeypatch.setattr(propagator, "_step_entries", faulty)
+
+    def test_infinite_first_derivative_is_a_gradient_error(self, monkeypatch):
+        self._fault(monkeypatch, slice(3, 6), math.inf)
+        for run in (gradient, hessian):
+            with pytest.raises(NonFiniteEntry, match="gradient of beta is not finite"), \
+                    np.errstate(all="ignore"):
+                run(self.P)
+
+    def test_infinite_second_derivative_is_a_generator_error(self, monkeypatch):
+        expected = gradient(self.P)
+        self._fault(monkeypatch, slice(6, 9), math.inf)
+        # the gradient reads no A''
+        assert np.array_equal(gradient(self.P).grad_beta, expected.grad_beta)
+        with pytest.raises(NonFiniteEntry, match="Hessian of beta is not finite"), \
+                np.errstate(all="ignore"):
+            hessian(self.P)
+
+    def test_overflowing_rank_two_term_is_a_hessian_error(self, monkeypatch):
+        # A' entries of 1e160 leave grad(beta) and the generators finite,
+        # but grad beta grad beta^H, of order 1e320, overflows Hess(I)
+        self._fault(monkeypatch, slice(3, 6), 1e160)
+        assert np.isfinite(gradient(self.P).grad_infidelity).all()
+        with pytest.raises(NonFiniteEntry, match="Hessian of the infidelity is not finite"), \
+                np.errstate(all="ignore"):
+            hessian(self.P)
 
 
 protocols = st.builds(
