@@ -24,9 +24,7 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
-import typing
 
 import numpy as np
 
@@ -70,49 +68,14 @@ def _check_keys(section, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
-
-
-def _fits(value, tp) -> bool:
-    """Whether a parsed JSON value matches a config field's annotated type."""
-    if tp is float:
-        return _is_number(value)
-    if tp is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple and isinstance(value, list):
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    return False
-
-
-@functools.cache
-def _type_hints(cls):
-    """Field annotations of a config class, parsed once per class."""
-    return typing.get_type_hints(cls)
-
-
 def _dataclass_from(cls, section, where):
-    """Build config dataclass ``cls`` from a JSON section, checking each type."""
-    fields = _type_hints(cls)
-    _check_keys(section, fields, where)
-    kwargs = {}
-    for key, value in section.items():
-        tp = fields[key]
-        if not _fits(value, tp):
-            name = tp.__name__ if tp in (int, float) else tp
-            raise ConfigError(f"{where}.{key} must be of type {name}, got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    """Build config dataclass ``cls`` from a JSON section; ``cls`` checks
+    each field, and its ValueError becomes a ConfigError."""
+    _check_keys(section, [f.name for f in dataclasses.fields(cls)], where)
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad {where} section: {exc}") from exc
 
 
@@ -127,12 +90,12 @@ class RunConfig:
             task = doc["task"]
             _check_keys(task, ["omega0", "omegaT", "T"], "task")
             values = [task.get(k) for k in ("omega0", "omegaT", "T")]
-            if not all(map(_is_number, values)):
+            if not all(map(proto._is_real, values)):
                 raise ConfigError(f"task must provide numeric omega0, omegaT, T, "
                                   f"got {task!r}")
             self.task = tuple(float(v) for v in values)
         self.m = doc.get("M")
-        if self.m is not None and not (_fits(self.m, int) and self.m >= 1):
+        if self.m is not None and not (proto._is_int(self.m) and self.m >= 1):
             raise ConfigError("M must be a positive integer")
         self.descent = _dataclass_from(DescentConfig, doc.get("descent", {}), "descent")
         self.navigation = _dataclass_from(NavigationConfig, doc.get("navigation", {}),
@@ -149,19 +112,20 @@ class RunConfig:
 def _load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)  # RecursionError: a document nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig(doc)
 
 
 def _load_protocol(path):
-    """Load a protocol file; a pulse that is not a finite real is reported as
-    NonFiniteEntry naming the pulse, any other defect as ConfigError. An
-    overflowing pulse loads: the command's first propagation names it."""
+    """Load a protocol file; a pulse that is not a finite real, 10**400
+    included, is reported as NonFiniteEntry naming the pulse, any other
+    defect as ConfigError. An overflowing pulse loads: the command's first
+    propagation names it."""
     try:
         return proto.load(path)
-    except (OSError, ValueError, OverflowError, NonPositiveFrequency) as exc:
+    except (OSError, ValueError, RecursionError, NonPositiveFrequency) as exc:
         raise ConfigError(f"cannot read protocol {path}: {exc}") from exc
 
 

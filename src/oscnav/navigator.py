@@ -32,7 +32,9 @@ seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import EmptyProtocol, NotASolution, RestartBudgetExhausted
 from .objectives import SecondaryCost
 from .propagator import forward
-from .protocol import Protocol, refine
+from .protocol import Protocol, _is_int, _is_real, refine
 from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
 
 _EPS = float(np.finfo(float).eps)
@@ -96,9 +98,39 @@ def _admit(solution: Protocol, caller: str, target: float):
     return fw, p, ival, bundle
 
 
+def _fits(value, tp) -> bool:
+    """Whether ``value`` matches a config field's annotated type ``tp``."""
+    if tp is float:
+        return _is_real(value)
+    if tp is int:
+        return _is_int(value)
+    args = typing.get_args(tp)
+    if not isinstance(value, tuple):
+        return False
+    if args[1:] == (Ellipsis,):
+        return all(_fits(v, args[0]) for v in value)
+    return len(value) == len(args) and all(map(_fits, value, args))
+
+
+# field annotations of a config class, parsed once per class
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _check_fields(cfg) -> None:
+    """Raise ValueError naming the first field of config ``cfg`` that does
+    not match its annotation: a float field takes an :func:`_is_real`, an
+    int field an :func:`_is_int`, a tuple field a tuple of these."""
+    for name, tp in _field_types(type(cfg)).items():
+        value = getattr(cfg, name)
+        if not _fits(value, tp):
+            shown = tp.__name__ if tp in (int, float) else tp
+            raise ValueError(f"{name} must be of type {shown}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DescentConfig:
-    """Primary-objective descent and restart settings."""
+    """Primary-objective descent and restart settings: each field of its
+    type (:func:`_check_fields`), budgets and seed >= 0, box lo < hi."""
 
     max_iterations: int = 20000
     box: tuple[float, float] = (0.1, 2.0)
@@ -106,15 +138,19 @@ class DescentConfig:
     max_restarts: int = 32
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.box[0] < self.box[1]:
             raise ValueError("amplitude box must have lo < hi")
         if self.max_iterations < 0 or self.max_restarts < 0:
             raise ValueError("iteration and restart budgets must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class NavigationConfig:
-    """Secondary-objective navigation settings.
+    """Secondary-objective navigation settings: each field of its type
+    (:func:`_check_fields`), budget and tolerance >= 0, doubling factors >= 1.
 
     A stall consumes a doubling factor from the schedule, or completes the
     run once the schedule is used up. It is a projected gradient below
@@ -133,19 +169,21 @@ class NavigationConfig:
     max_iterations: int = 200000
 
     def __post_init__(self):
+        _check_fields(self)
         if self.max_iterations < 0:
             raise ValueError("iteration budget must be >= 0")
         if not self.doubling_stall_tolerance >= 0:
             raise ValueError("doubling stall tolerance must be >= 0")
-        if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
-                   for k in self.doubling_schedule):
+        if not all(k >= 1 for k in self.doubling_schedule):
             raise ValueError(f"doubling factors must be integers >= 1, "
                              f"got {self.doubling_schedule!r}")
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Continuation settings for one-dimensional (M = 3) level sets.
+    """Continuation settings for one-dimensional (M = 3) level sets: each
+    field of its type (:func:`_check_fields`), step size > 0, step budget
+    >= 0, box lo < hi, initial sign +1 or -1.
 
     The box only detects runaway curves. For the expansion task, the
     solution curve nearest the descent box (0, 2) spans amplitudes from
@@ -160,6 +198,7 @@ class TraceConfig:
     initial_sign: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self)
         if not self.step_size > 0:
             raise ValueError("step size must be > 0")
         if not self.box[0] < self.box[1]:
@@ -828,8 +867,8 @@ def scan_levelset(task: tuple[float, float, float], descent: DescentConfig,
     independent of scheduling. Every point and every traced vertex is a
     solution by the same ``INFIDELITY_THRESHOLD``.
     """
-    if n_seeds < 0:
-        raise ValueError(f"the number of seeds must be >= 0, got {n_seeds}")
+    if not (_is_int(n_seeds) and n_seeds >= 0):
+        raise ValueError(f"the number of seeds must be an integer >= 0, got {n_seeds!r}")
     pts: list[np.ndarray] = []
     ivals: list[float] = []
     for i in range(n_seeds):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import IndivisibleChunking, NonFiniteEntry, NonSymplectic
 from .propagator import ModeState, propagate
-from .protocol import Protocol, _check_positive
+from .protocol import Protocol, _check_positive, _is_int
 
 _DET_TOL = 1e-8
 
@@ -55,8 +55,7 @@ class SecondaryCost:
         if self.kind == "smoothness" and self.chunks is not None:
             raise ValueError(f"smoothness takes no chunk count, got {self.chunks!r}")
         # a float or bool count would construct and fail only inside value
-        if self.kind == "compression" and (isinstance(self.chunks, bool) or not (
-                isinstance(self.chunks, int) and self.chunks >= 1)):
+        if self.kind == "compression" and not (_is_int(self.chunks) and self.chunks >= 1):
             raise ValueError(f"compression requires a chunk count that is an "
                              f"integer >= 1, got {self.chunks!r}")
 
@@ -181,14 +180,13 @@ def target_matrix(theta: float, omega0: float, omegaT: float) -> np.ndarray:
     return math.cos(theta) * a + math.sin(theta) * b
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _theta_grid(points: int) -> np.ndarray:
     """The uniform grid of ``points`` angles in [0, 2 pi), read-only.
 
     Built once per size and kept for the last size asked for: every scan
-    of that size shares it, so no caller may change it. ``typed`` keeps a
-    float size from sharing the entry of an equal integer, which
-    ``np.linspace`` refuses.
+    of that size shares it, so no caller may change it. ``points`` is an
+    int, which :func:`theta_scan` checks before it asks.
     """
     grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     grid.flags.writeable = False
@@ -214,8 +212,8 @@ def theta_scan(p: Protocol, points: int = 1024):
     later scans of the same size return the same array. A landscape that is
     not finite, at b, c or any J it evaluates, raises NonFiniteEntry here.
     """
-    if points < 4:
-        raise ValueError("need at least 4 grid points")
+    if not (_is_int(points) and points >= 4):
+        raise ValueError(f"need an integer of at least 4 grid points, got {points!r}")
     s = symplectic_final(propagate(p), p.omega0)
     basis_a, basis_b = _target_basis(p.omega0, p.omegaT)
     b, c = -2.0 * float(np.sum(s * basis_a)), -2.0 * float(np.sum(s * basis_b))

@@ -21,8 +21,6 @@ from .errors import (EmptyProtocol, IndivisibleChunking, NonFiniteEntry,
                      NonPositiveFrequency)
 
 _JSON_FIELDS = ("omega0", "omegaT", "dt", "omegas")
-# pulse types that pass math.isfinite but are not pulses
-_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -30,15 +28,14 @@ class Protocol:
     """Immutable piecewise-constant control field, valid by construction.
 
     Construction runs :func:`validate`, so no caller re-checks a Protocol,
-    and stores the pulses as a tuple of Python floats.
+    and stores every field as Python floats: ``Protocol(2, ...)`` holds 2.0.
 
     Attributes
     ----------
     omega0 : initial trap frequency, > 0.
     omegaT : final trap frequency defining the target basis, > 0.
     dt : common step duration, > 0.
-    omegas : pulse amplitudes, Python floats; may be negative (dynamics are
-        even in each).
+    omegas : pulse amplitudes; may be negative (dynamics are even in each).
     """
 
     omega0: float
@@ -48,9 +45,10 @@ class Protocol:
 
     def __post_init__(self):
         validate(self)
-        # the pulses become Python floats, as with_omegas makes them, so a
-        # numpy scalar does not reach to_json
-        object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
+        # Python floats, as with_omegas makes the pulses, so a numpy scalar
+        # does not reach to_json
+        self.__dict__.update(omega0=float(self.omega0), omegaT=float(self.omegaT),
+                             dt=float(self.dt), omegas=tuple(map(float, self.omegas)))
 
     @property
     def m(self) -> int:
@@ -89,8 +87,8 @@ def validate(p: Protocol) -> Protocol:
 
     ``Protocol.__post_init__`` calls it, so every Protocol has passed it
     once; it raises NonPositiveFrequency for a boundary frequency or step
-    duration that is not a positive finite real, and NonFiniteEntry for a
-    pulse that is not a finite real. A bool is neither.
+    duration that is not a positive :func:`_is_real`, and NonFiniteEntry
+    for a pulse that is not one.
     """
     for name in ("omega0", "omegaT", "dt"):
         _check_positive(name, getattr(p, name))
@@ -98,33 +96,37 @@ def validate(p: Protocol) -> Protocol:
     return p
 
 
-def _check_positive(name: str, v) -> None:
-    """Raise NonPositiveFrequency, naming ``name``, unless ``v`` is a
-    positive finite real; a bool is not. The check of every boundary
-    frequency and step duration, in a Protocol or passed alone."""
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0):
-        raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
-
-
-def _are_pulses(omegas) -> bool:
-    """True if every pulse is a finite real and none is a bool: a value
-    ``math.isfinite`` takes, a numpy scalar included, and finds finite."""
+def _is_real(v) -> bool:
+    """The one test of an input number: a finite real that is not a bool, a
+    numpy scalar included. An int beyond the float range is not one."""
     try:
-        return all(map(math.isfinite, omegas)) and _BOOLS.isdisjoint(map(type, omegas))
+        return math.isfinite(v) and not isinstance(v, (bool, np.bool_))
     except (TypeError, OverflowError):
         return False
 
 
+def _is_int(v) -> bool:
+    """The one test of an input count: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_positive(name: str, v) -> None:
+    """Raise NonPositiveFrequency, naming ``name``, unless ``v`` is a
+    positive :func:`_is_real`. The check of every boundary frequency and
+    step duration, in a Protocol or passed alone."""
+    if not (_is_real(v) and v > 0):
+        raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
+
+
 def _check_pulses(omegas, floats: bool = False) -> None:
-    """Raise NonFiniteEntry, naming the first offending pulse, unless the
-    pulses pass :func:`_are_pulses`, the test that also names the pulse.
-    ``floats`` says that the pulses are Python floats, as
-    :meth:`Protocol.with_omegas` makes them from a float64 array, for which
-    that test is ``math.isfinite``."""
-    if not (all(map(math.isfinite, omegas)) if floats else _are_pulses(omegas)):
+    """Raise NonFiniteEntry, naming the first offending pulse, unless every
+    pulse passes :func:`_is_real`, which on Python floats is ``math.isfinite``;
+    ``floats`` says that they are, as :meth:`Protocol.with_omegas` makes
+    them from a float64 array."""
+    floats = floats or set(map(type, omegas)) <= {float}
+    if not all(map(math.isfinite if floats else _is_real, omegas)):
         for i, w in enumerate(omegas):
-            if not _are_pulses((w,)):
+            if not _is_real(w):
                 raise NonFiniteEntry(f"omegas[{i}] is not a finite real: {w!r}")
 
 
@@ -134,7 +136,7 @@ def refine(p: Protocol, factor: int) -> Protocol:
     The represented omega(t) is unchanged pointwise, so all dynamics are
     preserved; only the parameter-space dimension grows (M -> factor * M).
     """
-    if isinstance(factor, bool) or not (isinstance(factor, int) and factor >= 1):
+    if not (_is_int(factor) and factor >= 1):
         raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return p
@@ -151,7 +153,7 @@ def collapse(p: Protocol, chunks: int) -> Protocol:
     can differ from the original dt by one rounding, since dt/K*K need not
     round back to dt.
     """
-    if isinstance(chunks, bool) or not (isinstance(chunks, int) and chunks >= 1):
+    if not (_is_int(chunks) and chunks >= 1):
         raise ValueError(f"chunk count must be a positive integer, got {chunks!r}")
     if not p.omegas:
         raise EmptyProtocol("collapse requires at least one pulse")
@@ -172,7 +174,8 @@ def to_json(p: Protocol) -> str:
 
 def from_json_dict(doc) -> Protocol:
     """Build a validated Protocol from a parsed JSON document (strict schema).
-    A finite pulse that overflows loads: its first propagation names it."""
+    Only its shape is checked here; ``Protocol`` checks the values, naming a
+    bad pulse. A finite pulse that overflows loads: its first propagation names it."""
     if not isinstance(doc, dict):
         raise ValueError("protocol document must be a JSON object")
     missing = [k for k in _JSON_FIELDS if k not in doc]
@@ -181,14 +184,9 @@ def from_json_dict(doc) -> Protocol:
     unknown = [k for k in doc if k not in _JSON_FIELDS]
     if unknown:
         raise ValueError(f"protocol document has unknown fields: {unknown}")
-    for k in ("omega0", "omegaT", "dt"):
-        if not isinstance(doc[k], (int, float)) or isinstance(doc[k], bool):
-            raise ValueError(f"field {k!r} must be a number")
-    if not isinstance(doc["omegas"], list) or any(
-            not isinstance(w, (int, float)) or isinstance(w, bool) for w in doc["omegas"]):
-        raise ValueError("field 'omegas' must be an array of numbers")
-    return Protocol(float(doc["omega0"]), float(doc["omegaT"]), float(doc["dt"]),
-                    tuple(float(w) for w in doc["omegas"]))
+    if not isinstance(doc["omegas"], list):
+        raise ValueError("field 'omegas' must be an array")
+    return Protocol(doc["omega0"], doc["omegaT"], doc["dt"], tuple(doc["omegas"]))
 
 
 def from_json(text: str) -> Protocol:

@@ -507,7 +507,44 @@ class TestInputContract:
         code = main(["verify", str(path)])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == "NonFiniteEntry" and "omegas[0]" in line["detail"]
+
+    @pytest.mark.parametrize("command", [["verify"], ["smooth"], ["theta-scan"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("pulse", ['"1.0"', "true", "null", "1" + "0" * 400],
+                             ids=["string", "bool", "null", "beyond-float-range"])
+    def test_pulse_that_is_not_a_finite_real_is_named(self, command, pulse, tmp_path,
+                                                      capsys, monkeypatch):
+        # Protocol refuses the pulse as it refuses NaN: NonFiniteEntry naming
+        # it, before any output is written
+        (tmp_path / "w.json").write_text(
+            '{"omega0": 1, "omegaT": 0.25, "dt": 0.6, "omegas": [1.0, %s, 1.0]}' % pulse)
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "w.json", *command[1:]])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        line = _one_error_line(err)
+        assert line["error"] == "NonFiniteEntry" and "omegas[1]" in line["detail"]
+        assert os.listdir(tmp_path) == ["w.json"]
+
+    @pytest.mark.parametrize("argv", [["verify", "doc.json"], ["solve", "--config", "doc.json"]],
+                             ids=["verify", "solve"])
+    @pytest.mark.parametrize("content", [
+        b"[" * 2000 + b"]" * 2000,  # json raises RecursionError on this 4 KB file
+        b"\xff{}",                  # not UTF-8
+        b"1" + b"0" * 5000],        # beyond Python's 4 300-digit integer parsing
+        ids=["nested-2000-deep", "not-utf-8", "5001-digit-integer"])
+    def test_unreadable_json_is_a_config_error(self, argv, content, tmp_path, capsys,
+                                               monkeypatch):
+        # the protocol and the config loader report a file json cannot read alike
+        (tmp_path / "doc.json").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == "ConfigError"
+        assert os.listdir(tmp_path) == ["doc.json"]
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "theta-scan"])
     def test_non_finite_result_is_an_error_not_nan(self, command, tmp_path):
@@ -569,8 +606,11 @@ class TestInputContract:
 
     @pytest.mark.parametrize("argv, config, detail", [
         (["levelset", "--seeds", "1"], {"M": 3}, "levelset requires 'task'"),
-        (["solve"], dict(TASK_DOC, descent={"box": 5}), "descent.box must be of type")],
-        ids=["levelset-without-task", "tuple-field-not-a-list"])
+        (["solve"], dict(TASK_DOC, descent={"box": 5}),
+         "bad descent section: box must be of type"),
+        (["solve"], dict(TASK_DOC, descent={"seed": -1}),
+         "bad descent section: seed must be >= 0")],
+        ids=["levelset-without-task", "tuple-field-not-a-list", "negative-seed"])
     def test_config_refused_before_any_output(self, argv, config, detail, tmp_path, capsys):
         config = dict(config, output={name: str(tmp_path / name) for name in
                                       ("protocol", "trajectory", "cloud", "curves")})

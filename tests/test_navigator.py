@@ -198,6 +198,22 @@ class TestSolve:
             assert np.linalg.norm(step) <= navigator._TRAP_STEP * scale
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (DescentConfig, "max_restarts", 2.5), (DescentConfig, "max_iterations", True),
+    (DescentConfig, "seed", 1.5), (DescentConfig, "seed", -1),
+    (DescentConfig, "box", [0.1, 2.0]), (TraceConfig, "max_steps", 2.5),
+    (TraceConfig, "step_size", math.inf), (NavigationConfig, "max_iterations", 1.5),
+    (NavigationConfig, "doubling_stall_tolerance", math.inf)],
+    ids=["descent.max_restarts", "descent.max_iterations", "descent.seed",
+         "descent.negative-seed", "descent.box-list", "trace.max_steps", "trace.step_size",
+         "navigation.max_iterations", "navigation.doubling_stall_tolerance"])
+def test_config_refuses_a_field_by_name(cls, field, value):
+    # the config classes refuse what the CLI refuses, so a library caller
+    # meets the error where the value enters, not inside solve or a trace
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        cls(**{field: value})
+
+
 class TestNullProjector:
     def test_zero_gradient_gives_identity(self):
         assert np.array_equal(null_projector(np.zeros(5, complex)), np.eye(5))
@@ -1041,6 +1057,12 @@ class TestScanLevelset:
         result = scan_levelset(TASK, DescentConfig(max_restarts=0), TraceConfig(), 3)
         assert result.points.shape == (0, 3)
         assert len(result.infidelities) == len(result.labels) == len(result.curves) == 0
+
+    @pytest.mark.parametrize("n_seeds", [2.5, True])
+    def test_seed_count_that_is_not_an_integer_is_refused(self, n_seeds):
+        # range(True) would run one seed, range(2.5) raise TypeError
+        with pytest.raises(ValueError, match="number of seeds"):
+            scan_levelset(TASK, DescentConfig(), TraceConfig(), n_seeds)
 
     def test_determinism(self):
         cfg = DescentConfig(seed=100, box=(0.0, 2.0))

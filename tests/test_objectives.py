@@ -330,7 +330,7 @@ class TestThetaLandscape:
     def test_float_size_is_refused_after_an_equal_integer_size(self):
         p = Protocol(1.0, 1.0, 0.2, (1.0,) * 4)
         theta_scan(p, 64)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             theta_scan(p, 64.0)
 
 

@@ -86,6 +86,13 @@ def test_constructed_protocol_holds_python_floats():
     assert from_json(to_json(p)) == p
 
 
+def test_boundary_fields_are_stored_as_floats():
+    p = Protocol(2, 1, np.int64(1), (3,))
+    assert (p.omega0, p.omegaT, p.dt, p.omegas) == (2.0, 1.0, 1.0, (3.0,))
+    assert all(type(v) is float for v in (p.omega0, p.omegaT, p.dt))
+    assert to_json(p).startswith('{"omega0": 2.0, "omegaT": 1.0, "dt": 1.0')
+
+
 def test_pulse_too_large_for_a_float_is_named():
     with pytest.raises(NonFiniteEntry, match=r"omegas\[1\]"):
         Protocol(1.0, 0.25, 0.6, (1.0, 10 ** 400))
@@ -103,8 +110,9 @@ _BOUNDARY_CALLS = {
 
 
 @pytest.mark.parametrize("call", _BOUNDARY_CALLS.values(), ids=_BOUNDARY_CALLS.keys())
-@pytest.mark.parametrize("value", [True, 0.0, -0.25, math.inf, math.nan, "1.0"],
-                         ids=["bool", "zero", "negative", "inf", "nan", "str"])
+@pytest.mark.parametrize("value", [True, 0.0, -0.25, math.inf, math.nan, "1.0", 10 ** 400],
+                         ids=["bool", "zero", "negative", "inf", "nan", "str",
+                              "beyond-float-range"])
 def test_boundary_frequency_is_checked_as_validate_checks_it(call, value):
     # validate refuses each of these as omega0 or omegaT
     with pytest.raises(NonPositiveFrequency):
@@ -124,8 +132,8 @@ _PULSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @example(["0.5", True, 2])
 def test_with_omegas_is_the_validated_constructor(omegas):
     # with_omegas checks only the pulses; the copy it makes, or the pulse it
-    # names, is the fully validated constructor's. An int omega0 shows that
-    # the boundary fields are carried over unchanged
+    # names, is the fully validated constructor's. The boundary fields are
+    # carried over unchanged
     p = Protocol(2, 0.25, 0.6, (1.0,))
     try:
         want = Protocol(p.omega0, p.omegaT, p.dt, tuple(omegas))
@@ -225,16 +233,17 @@ def test_json_field_names_exact():
     assert sorted(doc) == ["dt", "omega0", "omegaT", "omegas"]
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.pop("dt"),
-    lambda d: d.update(extra=1.0),
-    lambda d: d.update(omegas="nope"),
-    lambda d: d.update(omega0="1.0"),
-])
-def test_json_strictness(mutate):
+@pytest.mark.parametrize("mutate, error", [
+    (lambda d: d.pop("dt"), ValueError),
+    (lambda d: d.update(extra=1.0), ValueError),
+    (lambda d: d.update(omegas="nope"), ValueError),
+    # a well-formed document: Protocol refuses the value by name
+    (lambda d: d.update(omega0="1.0"), NonPositiveFrequency),
+], ids=["missing-field", "unknown-field", "omegas-not-an-array", "omega0-a-string"])
+def test_json_strictness(mutate, error):
     doc = json.loads(to_json(FIG1))
     mutate(doc)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         from_json(json.dumps(doc))
 
 
