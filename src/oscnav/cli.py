@@ -80,7 +80,7 @@ def _dataclass_from(cls, section, where):
 
 
 class RunConfig:
-    """Parsed run configuration; dt is always derived as T/M."""
+    """Parsed run configuration: positive task fields, dt derived as T/M."""
 
     def __init__(self, doc):
         _check_keys(doc, ["task", "M", "descent", "navigation", "trace", "output"],
@@ -88,12 +88,12 @@ class RunConfig:
         self.task = None
         if "task" in doc:
             task = doc["task"]
-            _check_keys(task, ["omega0", "omegaT", "T"], "task")
-            values = [task.get(k) for k in ("omega0", "omegaT", "T")]
-            if not all(map(proto._is_real, values)):
-                raise ConfigError(f"task must provide numeric omega0, omegaT, T, "
-                                  f"got {task!r}")
-            self.task = tuple(float(v) for v in values)
+            names = ("omega0", "omegaT", "T")
+            _check_keys(task, names, "task")
+            try:
+                self.task = tuple(proto._check_positive(k, task.get(k)) for k in names)
+            except NonPositiveFrequency as exc:
+                raise ConfigError(f"bad task section: {exc}") from exc
         self.m = doc.get("M")
         if self.m is not None and not (proto._is_int(self.m) and self.m >= 1):
             raise ConfigError("M must be a positive integer")

@@ -31,6 +31,7 @@ seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import EmptyProtocol, NotASolution, RestartBudgetExhausted
 from .objectives import SecondaryCost
 from .propagator import forward
-from .protocol import Protocol, _is_int, _is_real, refine
+from .protocol import Protocol, _check_positive, _is_int, _is_real, refine
 from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
 
 _EPS = float(np.finfo(float).eps)
@@ -130,7 +131,8 @@ def _check_fields(cfg) -> None:
 @dataclass(frozen=True)
 class DescentConfig:
     """Primary-objective descent and restart settings: each field of its
-    type (:func:`_check_fields`), budgets and seed >= 0, box lo < hi."""
+    type (:func:`_check_fields`), budgets and seed >= 0, box lo < hi with
+    a finite width, which the uniform restart draws need."""
 
     max_iterations: int = 20000
     box: tuple[float, float] = (0.1, 2.0)
@@ -139,8 +141,9 @@ class DescentConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if not self.box[0] < self.box[1]:
-            raise ValueError("amplitude box must have lo < hi")
+        lo, hi = self.box
+        if not (lo < hi and _is_real(hi - lo)):
+            raise ValueError(f"box must have lo < hi and a finite width, got {self.box!r}")
         if self.max_iterations < 0 or self.max_restarts < 0:
             raise ValueError("iteration and restart budgets must be >= 0")
         if self.seed < 0:
@@ -490,13 +493,17 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
     so a critical point of I just under the threshold but off beta = 0,
     such as restart 0 of seed 2 at M = 12 (I = 9.3e-6), is a trap and the
     search restarts. The result is therefore one the navigation corrector
-    holds on beta = 0. ``task`` is (omega0, omegaT, T); dt = T/m. The
+    holds on beta = 0. ``task`` is (omega0, omegaT, T); dt = T/m. An m that
+    is not an int, or a T that is not positive, is refused by name. The
     restart RNG stream is a pure function of cfg.seed, so identical
     configs replay bit-for-bit.
     """
+    if not _is_int(m):
+        raise ValueError(f"M must be an integer, got {m!r}")
     if m < 1:
         raise EmptyProtocol("solve requires at least one pulse")
     omega0, omegaT, total_t = task
+    _check_positive("T", total_t)
     base = Protocol(omega0, omegaT, total_t / m, (0.0,) * m)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
@@ -708,12 +715,12 @@ def _trust_region_step(evals, evecs, grad, radius):
     and Wright, section 4.3): it is extended along the lowest eigenvector v
     onto the radius, u + tau v, with tau of the sign of u^T v so that the
     model does not rise. Navigation calls this only in a step whose model
-    is indefinite or whose Newton step has left the radius, and only with a
-    radius above eps, where neither the squares of the step's entries
-    underflow nor the shift overflows.
+    is indefinite or whose Newton step has left the radius, never an empty
+    one, and only with a radius above eps, where neither the squares of
+    the step's entries underflow nor the shift overflows.
     """
     floor = 0.0
-    indefinite = len(evals) > 0 and evals[0] <= 0.0
+    indefinite = evals[0] <= 0.0
     if indefinite:  # shift past the lowest eigenvalue
         floor = float(-evals[0] + 1e-12 * (np.abs(evals).max() - evals[0]))
     gt = evecs.T @ grad
@@ -869,29 +876,22 @@ def scan_levelset(task: tuple[float, float, float], descent: DescentConfig,
     """
     if not (_is_int(n_seeds) and n_seeds >= 0):
         raise ValueError(f"the number of seeds must be an integer >= 0, got {n_seeds!r}")
-    pts: list[np.ndarray] = []
-    ivals: list[float] = []
+    results: list[SolveResult] = []
     for i in range(n_seeds):
         sub = dataclasses.replace(descent, seed=descent.seed + i)
-        try:
-            res = solve(sub, 3, task)
-        except RestartBudgetExhausted:
-            continue
-        pts.append(np.asarray(res.protocol.omegas, dtype=float))
-        ivals.append(res.report.infidelity)
-    points = np.asarray(pts) if pts else np.zeros((0, 3))
-    infs = np.asarray(ivals)
-    labels = np.full(len(pts), -1, dtype=int)  # -1: not yet labeled
+        with contextlib.suppress(RestartBudgetExhausted):
+            results.append(solve(sub, 3, task))
+    points = np.array([r.protocol.omegas for r in results]) if results else np.zeros((0, 3))
+    infs = np.array([r.report.infidelity for r in results])
+    labels = np.full(len(results), -1, dtype=int)  # -1: not yet labeled
     curves: list[LevelsetCurve] = []
-    omega0, omegaT, total_t = task
-    for idx in range(len(pts)):
+    for idx, res in enumerate(results):
         if labels[idx] >= 0:
             continue
-        p = Protocol(omega0, omegaT, total_t / 3.0, tuple(points[idx]))
-        curve = trace_levelset(p, trace)
+        curve = trace_levelset(res.protocol, trace)
         label = labels[idx] = len(curves)
         curves.append(curve)
-        for j in range(idx + 1, len(pts)):
+        for j in range(idx + 1, len(results)):
             if labels[j] < 0 and _polyline_distance(points[j], curve) <= _ASSIGN_DISTANCE:
                 labels[j] = label
     return ScanResult(points, infs, labels, tuple(curves))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleChunking, NonFiniteEntry, NonSymplectic
+from .errors import NonFiniteEntry, NonSymplectic
 from .propagator import ModeState, propagate
-from .protocol import Protocol, _check_positive, _is_int
+from .protocol import Protocol, _check_positive, _chunk_deviations, _chunk_size, _is_int
 
 _DET_TOL = 1e-8
 
@@ -39,11 +39,11 @@ class SecondaryCost:
 
     kind is "smoothness" (consecutive pairs) or "compression" (every pair
     inside each of ``chunks`` equal chunks); ``chunks``, an integer of at
-    least 1, is required for compression and refused for smoothness. An M
-    that the chunks do not divide raises IndivisibleChunking. Compression
-    never lists its pairs: over a chunk of K pulses with deviations e from
-    the chunk mean, its pairs sum to K sum(e^2), so its value and gradient
-    take O(M) memory.
+    least 1, is required for compression and refused for smoothness.
+    Compression reads the chunk split of ``protocol.collapse``, whose
+    IndivisibleChunking it raises, and never lists its pairs: over a chunk
+    of K pulses with deviations e from the chunk mean they sum to K sum(e^2),
+    K |w - refine(collapse(w, L), K)|^2, in O(M) memory.
     """
 
     kind: str
@@ -59,21 +59,6 @@ class SecondaryCost:
             raise ValueError(f"compression requires a chunk count that is an "
                              f"integer >= 1, got {self.chunks!r}")
 
-    def _chunk_size(self, m: int) -> int:
-        """Pulses per compression chunk on M pulses."""
-        if m % self.chunks != 0:
-            raise IndivisibleChunking(f"M={m} is not divisible by L={self.chunks}")
-        return m // self.chunks
-
-    def _chunk_deviations(self, w: np.ndarray) -> np.ndarray:
-        """(L, K) deviations of each pulse from the first pulse of its chunk.
-
-        A constant chunk gives exact zeros, so its cost and gradient are
-        exactly 0, as in ``protocol.collapse``.
-        """
-        chunked = w.reshape(self.chunks, self._chunk_size(w.size))
-        return chunked - chunked[:, :1]
-
     def value(self, omegas) -> float:
         """C(w) as one dot product.
 
@@ -88,7 +73,7 @@ class SecondaryCost:
             d = w[1:] - w[:-1]
             d = d[d != 0.0]
             return float(d @ d)
-        d = self._chunk_deviations(w)
+        d = _chunk_deviations(w, self.chunks)
         k = d.shape[1]
         if k == 0:
             return 0.0
@@ -105,7 +90,7 @@ class SecondaryCost:
             g[1:] += d
             g[:-1] -= d
             return 2.0 * g
-        d = self._chunk_deviations(w)
+        d = _chunk_deviations(w, self.chunks)
         return 2.0 * (d.shape[1] * d - d.sum(axis=1, keepdims=True)).ravel()
 
     def add_hessian(self, out: np.ndarray) -> np.ndarray:
@@ -125,7 +110,7 @@ class SecondaryCost:
             # one for a left and one for a right neighbour
             out[diag, diag] += 2.0 * (np.minimum(diag, 1) + np.minimum(diag[::-1], 1))
             return out
-        k = self._chunk_size(m)
+        k = _chunk_size(m, self.chunks)
         for start in range(0, m, k):
             out[start:start + k, start:start + k] -= 2.0
         out[diag, diag] += 2.0 * k

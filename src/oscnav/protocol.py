@@ -110,12 +110,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_positive(name: str, v) -> None:
-    """Raise NonPositiveFrequency, naming ``name``, unless ``v`` is a
-    positive :func:`_is_real`. The check of every boundary frequency and
-    step duration, in a Protocol or passed alone."""
+def _check_positive(name: str, v) -> float:
+    """``v`` as a float; raise NonPositiveFrequency, naming ``name``, unless
+    it is a positive :func:`_is_real`. The check of every boundary frequency
+    and duration, in a Protocol or passed alone."""
     if not (_is_real(v) and v > 0):
         raise NonPositiveFrequency(f"{name} must be a positive finite real, got {v!r}")
+    return float(v)
 
 
 def _check_pulses(omegas, floats: bool = False) -> None:
@@ -144,24 +145,37 @@ def refine(p: Protocol, factor: int) -> Protocol:
     return Protocol(p.omega0, p.omegaT, p.dt / factor, omegas)
 
 
+def _chunk_size(m: int, chunks: int) -> int:
+    """K = M/L pulses per chunk, or IndivisibleChunking if L does not divide M."""
+    if m % chunks != 0:
+        raise IndivisibleChunking(f"M={m} is not divisible by L={chunks}")
+    return m // chunks
+
+
+def _chunk_deviations(w: np.ndarray, chunks: int) -> np.ndarray:
+    """(L, K) deviations of each pulse from its chunk's first pulse, exact
+    zeros on a constant chunk: the one chunk split, for collapse and C2."""
+    chunked = w.reshape(chunks, _chunk_size(w.size, chunks))
+    return chunked - chunked[:, :1]
+
+
 def collapse(p: Protocol, chunks: int) -> Protocol:
     """Merge K = M/chunks consecutive pulses into their arithmetic mean.
 
-    Each mean is taken as first + sum(w - first)/K, so a constant chunk
-    collapses to its value bit for bit: ``collapse(refine(p, k), p.m)``
-    has the pulses of ``p`` exactly. The step duration becomes dt*K, which
-    can differ from the original dt by one rounding, since dt/K*K need not
-    round back to dt.
+    Each mean is first + sum(d)/K, with d the :func:`_chunk_deviations`
+    that the compression cost reads, summed left to right. So a constant
+    chunk keeps its value bit for bit (``collapse(refine(p, k), p.m)`` has
+    the pulses of ``p``), and C2 is K |w - refine(collapse(p, L), K)|^2. The
+    step duration becomes dt*K, which can differ from the original dt by
+    one rounding, since dt/K*K need not round back to dt.
     """
     if not (_is_int(chunks) and chunks >= 1):
         raise ValueError(f"chunk count must be a positive integer, got {chunks!r}")
     if not p.omegas:
         raise EmptyProtocol("collapse requires at least one pulse")
-    if p.m % chunks != 0:
-        raise IndivisibleChunking(f"M={p.m} is not divisible by L={chunks}")
-    k = p.m // chunks
-    blocks = [p.omegas[j * k:(j + 1) * k] for j in range(chunks)]
-    omegas = tuple(b[0] + sum(w - b[0] for w in b) / k for b in blocks)
+    d = _chunk_deviations(np.array(p.omegas), chunks)
+    k = d.shape[1]
+    omegas = tuple(first + sum(row) / k for first, row in zip(p.omegas[::k], d.tolist()))
     return Protocol(p.omega0, p.omegaT, p.dt * k, omegas)
 
 

@@ -362,6 +362,26 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("config, detail", [
+        (dict(TASK_DOC, descent={"box": [-1e308, 1e308], "max_restarts": 1}),
+         "bad descent section: box must have lo < hi and a finite width, got (-1e+308, 1e+308)"),
+        (dict(TASK_DOC, task={"omega0": 1.0, "omegaT": 0.25, "T": -1.8}),
+         "bad task section: T must be a positive finite real, got -1.8"),
+        (dict(TASK_DOC, task={"omega0": 1.0, "omegaT": 0, "T": 1.8}),
+         "bad task section: omegaT must be a positive finite real, got 0"),
+    ], ids=["descent.box-width", "task.T", "task.omegaT"])
+    def test_config_edge_is_refused_naming_its_field(self, config, detail, tmp_path, capsys):
+        # refused as the config loads: not inside numpy's uniform draw, and
+        # naming the task's T, not the derived dt
+        out = {"protocol": str(tmp_path / "p.json"), "trajectory": str(tmp_path / "t.csv")}
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(config, output=out)))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == ""
+        line = _one_error_line(err)
+        assert line["error"] == "ConfigError" and line["detail"].startswith(detail), line
+        assert not any(map(os.path.exists, out.values()))
+
     @pytest.mark.parametrize("argv, config, error", [
         (["smooth", "{p}"], dict(TASK_DOC, navigation={"max_iterations": -1}), "ConfigError"),
         (["solve"], dict(TASK_DOC, descent={"max_iterations": -1}), "ConfigError"),

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, EmptyProtocol,
-                    NavigationConfig, NonFiniteEntry, NotASolution, Protocol,
-                    RestartBudgetExhausted, SecondaryCost, TraceConfig, collapse,
-                    descend, gradient, hessian, infidelity, navigate, null_projector,
-                    refine, scan_levelset, solve, trace_levelset)
+                    NavigationConfig, NonFiniteEntry, NonPositiveFrequency, NotASolution,
+                    Protocol, RestartBudgetExhausted, SecondaryCost, TraceConfig,
+                    collapse, descend, gradient, hessian, infidelity, navigate,
+                    null_projector, refine, scan_levelset, solve, trace_levelset)
 from oscnav import navigator, propagator
 from oscnav import protocol as proto
 from oscnav.navigator import trajectory_to_csv
@@ -151,6 +151,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             DescentConfig(**kwargs)
 
+    @pytest.mark.parametrize("box", [(-1e308, 1e308), (-10 ** 308, 10 ** 308)],
+                             ids=["floats", "ints"])
+    def test_box_whose_width_overflows_is_refused_by_name(self, box):
+        # each bound is finite, but numpy's uniform draw needs hi - lo and
+        # would raise an OverflowError inside solve that names no field
+        with pytest.raises(ValueError, match=r"^box must have lo < hi and a finite width, got"):
+            solve(DescentConfig(box=box, max_restarts=1), 3, TASK)
+
     def test_restart_budget(self):
         with pytest.raises(RestartBudgetExhausted):
             solve(DescentConfig(seed=0, max_restarts=2), 1, TASK)
@@ -158,6 +166,17 @@ class TestSolve:
     def test_no_pulses_is_an_empty_protocol(self):
         with pytest.raises(EmptyProtocol):
             solve(DescentConfig(), 0, TASK)
+
+    @pytest.mark.parametrize("m", [2.5, True, np.int64(3)], ids=["float", "bool", "numpy"])
+    def test_pulse_count_that_is_not_an_int_is_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=r"^M must be an integer, got "):
+            solve(DescentConfig(max_restarts=1), m, TASK)
+
+    @pytest.mark.parametrize("total_t", [-1.8, 0.0, math.inf, True])
+    def test_duration_that_is_not_positive_is_refused_as_t(self, total_t):
+        # dt = T/M is derived, so the error names the task's T, not dt
+        with pytest.raises(NonPositiveFrequency, match=r"^T must be a positive finite real"):
+            solve(DescentConfig(max_restarts=1), 3, (1.0, 0.25, total_t))
 
     @pytest.mark.parametrize("m, seed", [(12, 2), (13, 3)], ids=["M12-seed2", "M13-seed3"])
     def test_critical_point_under_the_threshold_off_the_level_set_is_a_trap(self, m, seed):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oscnav
 from oscnav import objectives
 from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol,
-                    SecondaryCost, infidelity, initial_state, propagate, refine,
+                    SecondaryCost, collapse, infidelity, initial_state, propagate, refine,
                     symplectic_final, target_matrix, theta_scan)
 from oscnav.propagator import ModeState
 from oracles import pair_cost, theta_infidelity
@@ -50,10 +50,6 @@ class TestCostHessian:
         out = base.copy()
         assert c2(2).add_hessian(out) is out
         assert np.array_equal(out - base, c2(2).add_hessian(np.zeros((4, 4))))
-
-    def test_indivisible_chunking(self):
-        with pytest.raises(IndivisibleChunking):
-            c2(3).add_hessian(np.zeros((8, 8)))
 
 
 class TestCostProperties:
@@ -141,11 +137,29 @@ class TestCompressionCost:
         assert c2(2).value(w + 1.3) == pytest.approx(c2(2).value(w), rel=1e-12)
         assert abs(np.sum(c2(2).grad(w))) < 1e-12
 
-    def test_rejects_indivisible(self):
-        with pytest.raises(IndivisibleChunking):
-            c2(2).value([1.0, 2.0, 3.0])
-        with pytest.raises(IndivisibleChunking):
-            c2(2).grad([1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("split", [
+        lambda w: collapse(Protocol(1.0, 0.25, 0.1, tuple(w)), 3),
+        lambda w: c2(3).value(w),
+        lambda w: c2(3).grad(w),
+        lambda w: c2(3).add_hessian(np.zeros((len(w), len(w)))),
+    ], ids=["collapse", "value", "grad", "add_hessian"])
+    def test_rejects_indivisible(self, split):
+        # one chunk split, in protocol, refuses M = 8 for all four alike
+        with pytest.raises(IndivisibleChunking, match=r"^M=8 is not divisible by L=3$"):
+            split([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+
+    # eighths, so that every deviation from a chunk mean that is not 0 is at
+    # least 1/(8K): the rounding of a mean near 5 cannot swamp it
+    @given(st.lists(st.integers(-40, 40).map(lambda n: n / 8), min_size=1, max_size=24),
+           st.data())
+    def test_is_k_times_the_distance_to_the_refined_collapse(self, omegas, data):
+        m = len(omegas)
+        chunks = data.draw(st.sampled_from([n for n in range(1, m + 1) if m % n == 0]))
+        k = m // chunks
+        flat = refine(collapse(Protocol(1.0, 0.25, 0.1, tuple(omegas)), chunks), k).omegas
+        e = np.subtract(omegas, flat)
+        assert math.isclose(c2(chunks).value(omegas), k * (e @ e), rel_tol=1e-12)
+        assert c2(chunks).value(flat) == 0.0
 
     def test_chunk_constant_survives_refinement(self):
         p = Protocol(1.0, 0.25, 0.1, tuple(np.repeat([0.4, 1.9], 3)))

@@ -183,6 +183,17 @@ def test_collapse_chunk_constant_and_mean():
     assert c1.dt == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("chunks", [1, 2, 3, 4, 6, 12])
+def test_collapse_sums_each_chunk_left_to_right(chunks):
+    # each mean is first + sum(w - first)/K in Python floats, bit for bit;
+    # numpy's pairwise row sum would move some of these pulses by an ulp
+    w = tuple(np.random.default_rng(7).normal(0.0, 10.0, 96).tolist())
+    k = 96 // chunks
+    want = tuple(b[0] + sum(x - b[0] for x in b) / k
+                 for b in (w[j * k:(j + 1) * k] for j in range(chunks)))
+    assert collapse(Protocol(1.0, 0.25, 0.1, w), chunks).omegas == want
+
+
 def test_collapse_rejects_indivisible():
     with pytest.raises(IndivisibleChunking):
         collapse(FIG1, 2)

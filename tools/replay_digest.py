@@ -21,18 +21,21 @@ even bytecode caches. The groups are:
   pool entry's held input, the first record of a navigation capped at 0
   iterations, which admission keeps;
 * ``scans``: ``scan_levelset`` with 40 seeds from the descent boxes (0, 2),
-  (0.1, 5) and (-5, 5).
+  (0.1, 5) and (-5, 5);
+* ``collapses``: ``collapse`` of the final protocol of each ``compress``
+  run of ``navigations`` onto its chunk count, reusing that run.
 
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
-report and trajectory CSV, a scan's cloud CSV and curves, or the type and
-message of the error it raised. One line per group, then one for all of
-them together, gives the number of runs and the SHA-256; two versions
-whose lines agree replay these runs alike.
+report and trajectory CSV, a scan's cloud CSV and curves, a collapsed
+protocol's JSON, or the type and message of the error it raised. One line
+per group, then one for all of them together, gives the number of runs and
+the SHA-256; two versions whose lines agree replay these runs alike.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import sys
@@ -41,7 +44,7 @@ sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from oscnav import navigator  # noqa: E402
+from oscnav import navigator, protocol  # noqa: E402
 from oscnav.errors import OscnavError  # noqa: E402
 from oscnav.objectives import SecondaryCost  # noqa: E402
 from pool import load_pool  # noqa: E402
@@ -49,6 +52,8 @@ from workloads import TASK  # noqa: E402
 
 
 def _text(result) -> str:
+    if isinstance(result, str):
+        return result
     if isinstance(result, navigator.LevelsetCurve):
         return (f"{result.status}\n{result.vertices.tolist()!r}\n"
                 f"{result.infidelities.tolist()!r}")
@@ -79,7 +84,8 @@ def groups():
               for p in m3 for h in (0.05, 0.3) for s in (1.0, -1.0)]
 
     def navigations(hold):
-        runs = []
+        """The smooth and compress runs, and each compress run with its chunks."""
+        runs, compressions = [], []
         for entries, smooth_cap, compress_cap, chunks in ((m3, 50, 20, 1),
                                                            (m48, 100, 80, 2)):
             for p in entries:
@@ -87,12 +93,16 @@ def groups():
                                                     doubling_schedule=(2,),
                                                     max_iterations=smooth_cap)
                 compress = navigator.NavigationConfig(max_iterations=compress_cap)
+                # cached, so that a collapse reuses the run
+                compressed = functools.cache(
+                    lambda p=p, cfg=compress, k=chunks: navigator.navigate(
+                        hold(p), SecondaryCost("compression", k), cfg))
                 runs += [
                     lambda p=p, cfg=smooth: navigator.navigate(
                         hold(p), SecondaryCost("smoothness"), cfg),
-                    lambda p=p, cfg=compress, k=chunks: navigator.navigate(
-                        hold(p), SecondaryCost("compression", k), cfg)]
-        return runs
+                    compressed]
+                compressions.append((compressed, chunks))
+        return runs, compressions
 
     def held(p):
         return navigator.navigate(p, SecondaryCost("smoothness"),
@@ -106,11 +116,16 @@ def groups():
     scans = [lambda box=box: navigator.scan_levelset(
                  task, navigator.DescentConfig(box=box), navigator.TraceConfig(), 40)
              for box in ((0.0, 2.0), (0.1, 5.0), (-5.0, 5.0))]
-    return [("traces", traces), ("navigations", navigations(lambda p: p)),
+    plain, compressions = navigations(lambda p: p)
+    collapses = [lambda run=run, k=k: protocol.to_json(
+                     protocol.collapse(run().final_protocol, k))
+                 for run, k in compressions]
+    return [("traces", traces), ("navigations", plain),
             ("solves_m3", solves((3,), range(40))),
             ("solves_m48", solves((48,), range(5), (0.1, 5.0))),
             ("solves_m12_m13", solves((12, 13), range(6))),
-            ("held_navigations", navigations(held)), ("scans", scans)]
+            ("held_navigations", navigations(held)[0]), ("scans", scans),
+            ("collapses", collapses)]
 
 
 def main() -> int:
