@@ -162,9 +162,10 @@ class NavigationConfig:
     predicted decrease within the rounding of g^T d plus the gap |nu^T r|
     in C to the level set, or trials rejected down to the resolution of the
     pulses. So a run can end ``completed`` with its projected gradient above
-    ``_STALL_TOLERANCE``. A looser doubling trigger refines as soon as
-    progress at the current resolution slows, leaving the bulk of the
-    secondary descent to the enlarged space.
+    ``_STALL_TOLERANCE``; its ``stop`` tells which. A looser doubling
+    trigger refines as soon as progress at the current resolution slows,
+    leaving the bulk of the secondary descent to the enlarged space, which
+    keeps the trust-region radius (:func:`navigate`).
     """
 
     doubling_stall_tolerance: float = _STALL_TOLERANCE
@@ -228,6 +229,9 @@ class DescentTrajectory:
 
     records: tuple[TrajectoryRecord, ...]
     status: str  # "completed" | "budget_exhausted"; a refused input raises
+    # why it ended, library only: the stop state of _project for a descent;
+    # "tolerance", "rounding", "resolution" or "budget" for a navigation
+    stop: str | None = None
 
     @property
     def final_protocol(self) -> Protocol:
@@ -482,7 +486,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
     report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val,
                                  records[-1].pgrad_norm)
     traj_status = "budget_exhausted" if status == "budget" else "completed"
-    return p, report, DescentTrajectory(tuple(records), traj_status)
+    return p, report, DescentTrajectory(tuple(records), traj_status, status)
 
 
 def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> SolveResult:
@@ -494,17 +498,19 @@ def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> Solve
     such as restart 0 of seed 2 at M = 12 (I = 9.3e-6), is a trap and the
     search restarts. The result is therefore one the navigation corrector
     holds on beta = 0. ``task`` is (omega0, omegaT, T); dt = T/m. An m that
-    is not an int, or a T that is not positive, is refused by name. The
-    restart RNG stream is a pure function of cfg.seed, so identical
-    configs replay bit-for-bit.
+    is not an int, a T that is not positive, or one whose T/m underflows to
+    0, is refused by name. The restart RNG stream is a pure function of
+    cfg.seed, so identical configs replay bit-for-bit.
     """
     if not _is_int(m):
         raise ValueError(f"M must be an integer, got {m!r}")
     if m < 1:
         raise EmptyProtocol("solve requires at least one pulse")
     omega0, omegaT, total_t = task
-    _check_positive("T", total_t)
-    base = Protocol(omega0, omegaT, total_t / m, (0.0,) * m)
+    dt = _check_positive("T", total_t) / m
+    # a positive T can still underflow to dt = 0 over M pulses
+    _check_positive(f"T/M (T = {total_t!r}, M = {m})", dt)
+    base = Protocol(omega0, omegaT, dt, (0.0,) * m)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box
     for restart in range(cfg.max_restarts):
@@ -555,14 +561,21 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     and the generators of its Hessian, and one SVD of the Jacobian of beta
     for the bases Q and Z and the pseudo-inverse the step uses
     (:func:`_level_set_frame`). Each step is one trust-region step along
-    the level set, ``_navigation_step``; the radius carries over between
-    steps and starts, at the first step and after every doubling, at the
-    Cauchy point of the cost along the projected gradient. Stalls, a
-    projected gradient below the tolerance or a step stalled by its
-    predicted decrease, at most eps sum|g||d| plus the gap |nu^T r|, or by
-    its radius, consume the doubling schedule, then end the run; so a run
-    can end ``completed`` with its projected gradient above
-    ``_STALL_TOLERANCE``.
+    the level set, ``_navigation_step``. The radius starts at the Cauchy
+    point of the cost along the projected gradient pg and carries over
+    between steps, and across a doubling by k scaled by sqrt(k):
+    ``refine(d, k)`` has norm sqrt(k) |d|, so it spans the same controls,
+    while a restart at the Cauchy point of the stalled pg that triggers a
+    doubling would take many radius-bound steps to grow back (Gratton,
+    Sartenaer and Toint, SIAM J. Optim. 19, 414 (2008)). The first finer
+    step takes the refined point's Cauchy radius where that is larger, as
+    after a coarse level that took no step. Stalls, a projected gradient
+    below the tolerance or a step stalled by its predicted decrease, at
+    most eps sum|g||d| plus the gap |nu^T r|, or by its radius, consume the
+    doubling schedule, then end the run; so a run can end ``completed``
+    with its projected gradient above ``_STALL_TOLERANCE``. The
+    trajectory's ``stop`` names the last: "tolerance", "rounding" or
+    "resolution", or "budget" for a run that used up its budget.
 
     The input is admitted by :func:`_admit`, the tracer's rule: its
     projection, started on its order-1 forward pass and free when I is
@@ -584,8 +597,10 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     p = _admit(solution, "navigate", _NAV_TARGET)[1]
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
-    status = "budget_exhausted"
-    radius = None
+    stop = "budget"
+    # radius is None at the first record and after a doubling, which
+    # scales the last one into ``carried``
+    radius, carried = None, 0.0
     for it in range(cfg.max_iterations + 1):
         bundle, gens = _backward(p, forward(p, 2), second_order=True)
         cur_c = cost.value(p.omegas)
@@ -596,28 +611,32 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
         stalled = pgmax < (cfg.doubling_stall_tolerance if schedule else _STALL_TOLERANCE)
         if stalled and not schedule:
-            status = "completed"
+            stop = "tolerance"
             break
         if it == cfg.max_iterations:
             break
         if radius is None:
             curvature = 2.0 * cost.value(pg)
-            radius = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
+            cauchy = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
+            radius = max(carried, cauchy)
         step = None if stalled else _navigation_step(
             p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius)
-        if step is not None:
+        if isinstance(step, tuple):
             p, radius = step
         elif schedule:
-            p = refine(p, schedule.pop(0))
-            radius = None
+            k = schedule.pop(0)
+            p = refine(p, k)
+            radius, carried = None, radius * math.sqrt(k)
         else:
-            status = "completed"
+            stop = step
             break
-    return DescentTrajectory(tuple(records), status)
+    status = "budget_exhausted" if stop == "budget" else "completed"
+    return DescentTrajectory(tuple(records), status, stop)
 
 
 def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
-    """Trust-region tangent step; (protocol, next radius), or None on a stall.
+    """Trust-region tangent step; (protocol, next radius), or the reason of a
+    stall: "rounding" or "resolution" (below).
 
     The point holds on beta = 0, as ``navigate`` starts from the held input
     and accepts only held trials, so the step for min C subject to
@@ -679,7 +698,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         d = z @ u
         predicted = -(g @ d + 0.5 * (d @ hess @ d))
         if not predicted > _EPS * float(np.abs(g) @ np.abs(d)) + gap:
-            break
+            return "rounding"
         # second-order correction: cancel the curvature term of r(w + d)
         curv = 0.5 * (d @ _hess_beta_times(gens, d))
         trial = w + d - jac_pinv @ [curv.real, curv.imag]
@@ -698,7 +717,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
                 radius *= 2.0
             return p_c, radius
         radius = 0.25 * length
-    return None
+    return "resolution"
 
 
 def _trust_region_step(evals, evecs, grad, radius):

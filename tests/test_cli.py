@@ -414,6 +414,20 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == error
 
+    def test_duration_whose_pulse_length_underflows_exits_1(self, tmp_path, capsys):
+        # the config loads, T = 5e-324 being positive, but T/M underflows:
+        # solve refuses it naming T and M, before any output
+        out = {"protocol": str(tmp_path / "p.json"), "trajectory": str(tmp_path / "t.csv")}
+        config = dict(TASK_DOC, task={"omega0": 1.0, "omegaT": 0.25, "T": 5e-324}, output=out)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == ""
+        assert _one_error_line(err) == {
+            "error": "NonPositiveFrequency",
+            "detail": "T/M (T = 5e-324, M = 3) must be a positive finite real, got 0.0"}
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_trace_threshold_is_not_a_config_key(self, tmp_path, capsys):
         # every command reads the one INFIDELITY_THRESHOLD, so no section
         # has a threshold key

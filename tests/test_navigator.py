@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import pathlib
 
 import numpy as np
@@ -178,6 +179,14 @@ class TestSolve:
         with pytest.raises(NonPositiveFrequency, match=r"^T must be a positive finite real"):
             solve(DescentConfig(max_restarts=1), 3, (1.0, 0.25, total_t))
 
+    def test_duration_whose_pulse_length_underflows_is_refused_as_t_over_m(self):
+        # T = 5e-324 is positive, but T/M rounds to 0: the error names T and
+        # M, which the caller gave, not the derived dt
+        with pytest.raises(NonPositiveFrequency,
+                           match=r"^T/M \(T = 5e-324, M = 3\) must be a positive finite "
+                                 r"real, got 0\.0$"):
+            solve(DescentConfig(max_restarts=1), 3, (1.0, 0.25, 5e-324))
+
     @pytest.mark.parametrize("m, seed", [(12, 2), (13, 3)], ids=["M12-seed2", "M13-seed3"])
     def test_critical_point_under_the_threshold_off_the_level_set_is_a_trap(self, m, seed):
         # restart 0 stops critical at I = 9.3e-6 or 3.05e-7, under the
@@ -307,7 +316,7 @@ class TestNavigate:
             # radius, tangent basis Z, trials, last trust-region u, next radius
             steps.append([args[-1], args[5], 0, None, None])
             result = real_step(*args)
-            steps[-1][4] = None if result is None else result[1]
+            steps[-1][4] = result[1] if isinstance(result, tuple) else None
             return result
 
         def recording_tr(*args):
@@ -552,6 +561,7 @@ class TestNavigate:
             m8_solution.protocol, monkeypatch,
             lambda q, ival, bundle, status: (q, INFIDELITY_THRESHOLD, bundle, status))
         assert traj.status == "completed" and len(traj.records) == 1
+        assert traj.stop == "resolution"
         assert step["trials"] <= math.ceil(math.log(step["radius"] / step["floor"], 4)) + 1
         assert radii and all(r > step["floor"] for r in radii)
 
@@ -594,6 +604,7 @@ class TestNavigate:
         traj = navigate(start, SecondaryCost("compression", 1),
                         NavigationConfig(max_iterations=20))
         assert traj.status == "completed" and len(traj.records) <= 5
+        assert traj.stop == "rounding"
 
     def test_target_below_the_rounding_floor_still_completes(self, monkeypatch):
         # seed 4, M = 6, C2 with 1 chunk stalls on the predicted decrease
@@ -605,6 +616,72 @@ class TestNavigate:
         assert traj.status == "completed"
         assert traj.records[-1].infidelity > navigator._NAV_TARGET
         assert all(r.infidelity < 1e-28 for r in traj.records[1:])
+
+    def test_stop_names_why_a_run_ended(self, m8_solution):
+        # seed 6 at M = 3 ends completed with its projected gradient above
+        # the stall tolerance: its last step predicted no more decrease
+        # than the rounding of g^T d plus the gap to the level set
+        start = solve(DescentConfig(seed=6), 3, TASK).protocol
+        traj = navigate(start, SecondaryCost("smoothness"), NavigationConfig())
+        assert traj.status == "completed" and traj.stop == "rounding"
+        assert traj.records[-1].pgrad_norm == pytest.approx(4.18e-8, rel=1e-2)
+        traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),
+                        NavigationConfig())
+        assert traj.status == "completed" and traj.stop == "tolerance"
+        assert traj.records[-1].pgrad_norm < navigator._STALL_TOLERANCE
+        traj = navigate(m8_solution.protocol, SecondaryCost("smoothness"),
+                        NavigationConfig(max_iterations=1))
+        assert traj.status == "budget_exhausted" and traj.stop == "budget"
+        # the field is library only: the CSV does not show it
+        assert trajectory_to_csv(dataclasses.replace(traj, stop=None)) == \
+            trajectory_to_csv(traj)
+        assert navigator.DescentTrajectory(traj.records, traj.status).stop is None
+
+    def test_descent_records_the_stop_state_of_its_projection(self, m8_solution):
+        assert m8_solution.trajectory.stop == "critical"
+        start = _start(np.random.default_rng(0).uniform(0.1, 2.0, 8))
+        _, _, traj = descend(start, DescentConfig(max_iterations=1))
+        assert traj.status == "budget_exhausted" and traj.stop == "budget"
+
+    # final C1 of the capped smoothing, doubling tolerance 0.2 and schedule
+    # (2,), of each pool M = 48 entry, as the Cauchy restart after the
+    # doubling left it
+    POOL_M48_SMOOTH_C1 = {"seed0": 0.16457059821387124, "seed1": 0.1645705982138712,
+                          "seed2": 0.16457059821387104, "seed3": 0.16457059821387116,
+                          "seed4": 0.16457059821387138}
+
+    def test_the_radius_carried_across_a_doubling_spares_steps(self, monkeypatch):
+        # the M = 48 pool smoothings double at a projected gradient below
+        # 0.2, where the Cauchy radius is about 0.25, after steps of radius
+        # 7.5 to 19: restarting there took 61 records, 34 steps at M = 96
+        # and 17 eigendecompositions of the 94 x 94 reduced Hessian
+        sizes = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or real(a))
+        cfg = NavigationConfig(doubling_stall_tolerance=0.2, doubling_schedule=(2,),
+                               max_iterations=100)
+        records = fine_steps = 0
+        for name, c1 in self.POOL_M48_SMOOTH_C1.items():
+            traj = navigate(proto.load(POOL / "m48" / f"{name}.json"),
+                            SecondaryCost("smoothness"), cfg)
+            assert traj.status == "completed"
+            assert traj.records[-1].cost == pytest.approx(c1, rel=1e-9, abs=0)
+            records += len(traj.records)
+            fine_steps += sum(r.protocol.m == 96 for r in traj.records) - 1
+        assert records <= 49 and fine_steps <= 22
+        assert sizes.count(94) <= 1
+
+    def test_a_level_without_steps_hands_on_the_cauchy_radius(self):
+        # the M = 2 level set is a point: its projected gradient is at
+        # rounding size, and so is its Cauchy radius. The doubling to M = 4
+        # starts at the Cauchy radius of the refined point, not at the
+        # carried one, which would take 53 records to grow back
+        start = solve(DescentConfig(seed=2, box=(-10.0, 40.0)), 2, TASK).protocol
+        traj = navigate(start, SecondaryCost("smoothness"),
+                        NavigationConfig(doubling_schedule=(2,)))
+        assert traj.status == "completed" and traj.stop == "tolerance"
+        assert [r.protocol.m for r in traj.records[:2]] == [2, 4]
+        assert len(traj.records) <= 8
 
     @pytest.mark.parametrize("kwargs", [
         dict(doubling_schedule=(0,)), dict(doubling_schedule=(2, -1)),
@@ -1182,6 +1259,21 @@ class TestInvariantProperties:
         traj = _navigate_or_refuse(start, cost, cfg)
         if traj is None:
             return
+        costs = [r.cost for r in traj.records]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert all(r.infidelity < INFIDELITY_THRESHOLD for r in traj.records)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(POOL_M3), st.sampled_from([(2, 2), (2, 3), (3, 2, 2)]))
+    def test_doublings_at_consecutive_records_keep_cost_and_threshold(self, path, schedule):
+        # a stall tolerance of 1e3 doubles at every record while the
+        # schedule lasts: the first steps carry the Cauchy radius of
+        # record 0 across every doubling
+        cfg = NavigationConfig(doubling_stall_tolerance=1e3, doubling_schedule=schedule)
+        traj = navigate(proto.load(path), SecondaryCost("smoothness"), cfg)
+        sizes = list(itertools.accumulate(schedule, operator.mul, initial=3))
+        assert [r.protocol.m for r in traj.records[:len(sizes)]] == sizes
+        assert traj.status == "completed"
         costs = [r.cost for r in traj.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert all(r.infidelity < INFIDELITY_THRESHOLD for r in traj.records)

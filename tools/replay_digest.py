@@ -28,9 +28,17 @@ even bytecode caches. The groups are:
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
 report and trajectory CSV, a scan's cloud CSV and curves, a collapsed
-protocol's JSON, or the type and message of the error it raised. One line
-per group, then one for all of them together, gives the number of runs and
-the SHA-256; two versions whose lines agree replay these runs alike.
+protocol's JSON, or the type and message of the error it raised. Each run
+also counts its records: a trajectory's records, a curve's vertices, a
+solve's restarts plus its trajectory's records, a scan's curve vertices;
+a collapse or an error counts 0. One line per group, then one for all of
+them together, reads
+
+    <group> <runs> <records> <sha256>
+
+so two versions whose lines agree replay these runs alike, and a change in
+the work a run takes shows in its group's record count even before a
+hash is compared.
 """
 
 from __future__ import annotations
@@ -65,13 +73,27 @@ def _text(result) -> str:
             f"{navigator.trajectory_to_csv(result.trajectory)}")
 
 
-def _outcome(run) -> bytes:
+def _records(result) -> int:
+    if isinstance(result, navigator.LevelsetCurve):
+        return len(result.vertices)
+    if isinstance(result, navigator.DescentTrajectory):
+        return len(result.records)
+    if isinstance(result, navigator.ScanResult):
+        return sum(map(_records, result.curves))
+    if isinstance(result, navigator.SolveResult):
+        return result.restarts + len(result.trajectory.records)
+    return 0
+
+
+def _outcome(run) -> tuple[bytes, int]:
+    """(text, records) of one run."""
     try:
-        text = _text(run())
+        result = run()
+        text, records = _text(result), _records(result)
     except OscnavError as exc:
-        text = f"{type(exc).__name__}: {exc}"
+        text, records = f"{type(exc).__name__}: {exc}", 0
     # NUL ends a run's text, so no two sequences of runs hash alike
-    return text.encode() + b"\0"
+    return text.encode() + b"\0", records
 
 
 def groups():
@@ -129,16 +151,18 @@ def groups():
 
 
 def main() -> int:
-    total, count = hashlib.sha256(), 0
+    total, count, total_records = hashlib.sha256(), 0, 0
     for name, runs in groups():
-        digest = hashlib.sha256()
+        digest, records = hashlib.sha256(), 0
         for run in runs:
-            outcome = _outcome(run)
+            outcome, n = _outcome(run)
             digest.update(outcome)
             total.update(outcome)
+            records += n
         count += len(runs)
-        print(f"{name} {len(runs)} {digest.hexdigest()}")
-    print(f"all {count} {total.hexdigest()}")
+        total_records += records
+        print(f"{name} {len(runs)} {records} {digest.hexdigest()}")
+    print(f"all {count} {total_records} {total.hexdigest()}")
     return 0
 
 
