@@ -156,10 +156,13 @@ def _cmd_navigate(args) -> int:
     p = _load_protocol(args.protocol)
     cfg = _load_config(args.config) if args.config else None
     nav = cfg.navigation if cfg else NavigationConfig()
-    if args.double:
+    if args.double is not None:
+        factors = args.double.split(",")
         try:
-            nav = dataclasses.replace(
-                nav, doubling_schedule=tuple(int(k) for k in args.double.split(",")))
+            # int() alone would also take '1_0' as 10, ' 2' and non-ASCII digits
+            if not all(k.isascii() and k.isdigit() for k in factors):
+                raise ValueError
+            nav = dataclasses.replace(nav, doubling_schedule=tuple(map(int, factors)))
         except ValueError:
             raise ConfigError(f"--double must be comma-separated integers >= 1, "
                               f"got {args.double!r}")

@@ -330,16 +330,20 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
     the caller. ``on_step(it, protocol, I, grad_max)`` is called for every
     iterate whose gradient is evaluated, the start included.
 
+    A correction works in r and J alone. The max norm of grad I = 2 J^T r,
+    which a trial needs nowhere, is formed (and checked finite) only in a
+    descent, whose stop test and records read it, or for ``on_step``.
+
     status: "target" (I below ``target``), "critical" (a descent's gradient
-    of I below ``_GRAD_TOLERANCE``, any gradient exactly zero, or the trap
-    test above), "budget", "floor" (no trial lowers I and the Gauss-Newton
+    of I below ``_GRAD_TOLERANCE``, a correction's J exactly zero, or the
+    trap test above), "budget", "floor" (no trial lowers I and the Gauss-Newton
     step -J^+ r is below sqrt(eps) max(1, |w|): the point is on beta = 0 to
     working precision, at the rounding floor of I) or "stalled" (no trial
     lowers I at a point whose Gauss-Newton step is longer, a trap or a
     rank-deficient J).
     """
     descent = target == 0.0
-    grad_tolerance, mu = (_GRAD_TOLERANCE, 1.0) if descent else (0.0, 1e-3)
+    mu = 1.0 if descent else 1e-3
     w = np.asarray(p.omegas, dtype=float)
     if fw is None:
         fw = forward(p)
@@ -353,17 +357,19 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
             break
         if not chord or it == budget:
             bundle = gradient(p, fw)
-            gmax = float(np.abs(bundle.grad_infidelity).max())
-            if on_step is not None:
-                on_step(it, p, val, gmax)
-            if gmax < grad_tolerance or gmax == 0.0 or trapped:
+            jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
+            # ndarray.dot is the ddot of ``@``, with less call overhead
+            a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
+            if descent or on_step is not None:
+                # grad I = 2 J^T r, formed here only: reading it checks it finite
+                gmax = float(np.abs(bundle.grad_infidelity).max())
+                if on_step is not None:
+                    on_step(it, p, val, gmax)
+            if (gmax < _GRAD_TOLERANCE if descent else a + c == 0.0) or trapped:
                 status = "critical"
                 break
             if it == budget:
                 break
-            jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
-            # ndarray.dot is the ddot of ``@``, with less call overhead
-            a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
         # this point's residual; a chord trial pairs it with the last step's J
         r0, r1 = fw.beta.real, fw.beta.imag
         scale = math.hypot(r0, r1) * (a + c) / 2.0

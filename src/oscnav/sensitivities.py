@@ -38,6 +38,11 @@ A caller that already holds a point's forward pass, as the
 Levenberg-Marquardt projection does for every trial it evaluates, hands it
 to :func:`gradient`, which then runs the backward pass alone. Symbolic
 expansion of the product is deliberately avoided.
+
+grad(I) = 2 Re(conj(beta) grad beta) is derived from beta and grad(beta)
+on first read of ``SensitivityBundle.grad_infidelity``, not by the sweep:
+a Gauss-Newton corrector onto beta = 0 works in r = (Re beta, Im beta) and
+J = [Re grad beta; Im grad beta] alone, and only a descent reads grad(I).
 """
 
 from __future__ import annotations
@@ -63,18 +68,45 @@ _UNIT = (complex(math.sqrt(0.5)), complex(0.0, -math.sqrt(0.5)))
 _TILE = 64
 
 
+def _grad_infidelity(beta: complex, grad_beta: np.ndarray) -> np.ndarray:
+    """grad(I) = 2 Re(conj(beta) grad beta); NonFiniteEntry when it overflows."""
+    # one product: doubling is exact, so doubling conj(beta) first gives the
+    # bits of doubling the result
+    grad_infid = (grad_beta * (2.0 * beta.conjugate())).real
+    # checked with one reduction, as grad(beta) is in _backward
+    if (not math.isfinite(np.vdot(grad_infid, grad_infid))
+            and not np.isfinite(grad_infid).all()):
+        raise NonFiniteEntry("gradient of the infidelity is not finite")
+    return grad_infid
+
+
 @dataclass(frozen=True)
 class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
     :func:`gradient` leaves ``hess_infidelity`` None and :func:`hessian`
-    fills it.
+    fills it. ``grad_infidelity`` is not a field: it is derived from
+    ``beta`` and ``grad_beta`` on first read and kept.
     """
 
     beta: complex
     grad_beta: np.ndarray
-    grad_infidelity: np.ndarray
     hess_infidelity: np.ndarray | None = None
+
+    @property
+    def grad_infidelity(self) -> np.ndarray:
+        """grad(I) = 2 Re(conj(beta) grad beta), formed on first read.
+
+        Raises NonFiniteEntry when it overflows, which a finite grad(beta)
+        does not rule out. A plain property caching into ``__dict__``:
+        before Python 3.12 ``functools.cached_property`` takes a lock on
+        the first read, which is the only read a descent makes.
+        """
+        cache = self.__dict__
+        grad_infid = cache.get("_grad_infidelity")
+        if grad_infid is None:
+            grad_infid = cache["_grad_infidelity"] = _grad_infidelity(self.beta, self.grad_beta)
+        return grad_infid
 
 
 class _Generators(NamedTuple):
@@ -92,11 +124,11 @@ class _Generators(NamedTuple):
 
 
 def _backward(p: Protocol, fw: Forward, second_order: bool):
-    """grad(beta), grad(I) and, if ``second_order``, Hess(beta)'s generators.
+    """grad(beta) and, if ``second_order``, Hess(beta)'s generators.
 
     ``fw`` is ``forward(p)``, of order 2 when ``second_order``. Returns
     (bundle, generators), the generators None unless ``second_order``; see
-    the module docstring. Raises NonFiniteEntry when a derivative or a
+    the module docstring. Raises NonFiniteEntry when grad(beta) or a
     generator comes out NaN or infinite.
     """
     m = p.m
@@ -126,18 +158,18 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
             grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     grad_beta = np.array(grad)
-    # 2 Re(grad_beta conj(beta)) from one product: doubling is exact, so
-    # doubling conj(beta) first gives the bits of doubling the result
-    grad_infid = (grad_beta * (2.0 * beta.conjugate())).real
-    if not np.isfinite(grad_infid).all():
+    # a finite |grad beta|^2 proves every entry finite in one reduction; the
+    # entries are checked one by one only when it is not, as when it
+    # overflows, which np.vdot (unlike ndarray.dot) does without a warning
+    parts = grad_beta.view(np.float64)
+    if not math.isfinite(np.vdot(parts, parts)) and not np.isfinite(parts).all():
         raise NonFiniteEntry("gradient of beta is not finite")
     gens = None
     if second_order:
         gens = _generators(fw, np.array([mu0, mu1, y0, y1]), np.array(diag))
         if not (np.isfinite(gens.uv).all() and np.isfinite(gens.diag).all()):
             raise NonFiniteEntry("Hessian of beta is not finite")
-    return SensitivityBundle(beta=beta, grad_beta=grad_beta,
-                             grad_infidelity=grad_infid), gens
+    return SensitivityBundle(beta=beta, grad_beta=grad_beta), gens
 
 
 def _anchored_basis(fw: Forward):
@@ -286,10 +318,13 @@ def _hess_beta_times(gens: _Generators, x: np.ndarray) -> np.ndarray:
 
 
 def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
-    """Exact grad(beta) and grad(I): one forward and one backward pass, O(M).
+    """Exact grad(beta): one forward and one backward pass, O(M).
 
-    ``fw``, when given, is ``forward(p)`` already evaluated, and only the
-    backward pass runs; the result is bit for bit that of ``gradient(p)``.
+    grad(I) is derived from it on first read of ``grad_infidelity``, so a
+    caller that works in r and J alone, as the corrector does, never forms
+    it. ``fw``, when given, is ``forward(p)`` already evaluated, and only
+    the backward pass runs; the result is bit for bit that of
+    ``gradient(p)``. Raises NonFiniteEntry when grad(beta) is not finite.
     """
     return _backward(p, forward(p) if fw is None else fw, second_order=False)[0]
 

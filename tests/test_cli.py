@@ -414,6 +414,28 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert _one_error_line(err)["error"] == error
 
+    @pytest.mark.parametrize("command", [[], ["--chunks", "2"]], ids=["smooth", "compress"])
+    @pytest.mark.parametrize("double", ["", "1_0", "\u0662", " 2", "2,+2"],
+                             ids=["empty", "underscore", "arabic-indic", "space", "sign"])
+    def test_malformed_doubling_schedule(self, command, double, tmp_path, capsys):
+        # int() reads '1_0' as 10, '\u0662' (ARABIC-INDIC DIGIT TWO) as 2, and
+        # ' 2' and '+2' as 2, and an empty value used to run with no doubling:
+        # each is refused before any output
+        path = tmp_path / "p.json"
+        proto.save(Protocol(1.0, 1.0, 0.3, (1.0, 1.0, 1.0, 1.0)), path)  # a solution
+        out = [tmp_path / "out.json", tmp_path / "t.csv", tmp_path / "c.json"]
+        argv = ["compress" if command else "smooth", str(path), "--double", double,
+                "--out-protocol", str(out[0]), "--out-trajectory", str(out[1])]
+        if command:
+            argv += command + ["--out-collapsed", str(out[2])]
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == ""
+        assert _one_error_line(err) == {
+            "error": "ConfigError",
+            "detail": f"--double must be comma-separated integers >= 1, got {double!r}"}
+        assert not any(map(os.path.exists, out))
+
     def test_duration_whose_pulse_length_underflows_exits_1(self, tmp_path, capsys):
         # the config loads, T = 5e-324 being positive, but T/M underflows:
         # solve refuses it naming T and M, before any output

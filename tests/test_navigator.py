@@ -14,9 +14,10 @@ from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, EmptyProtocol,
                     Protocol, RestartBudgetExhausted, SecondaryCost, TraceConfig,
                     collapse, descend, gradient, hessian, infidelity, navigate,
                     null_projector, refine, scan_levelset, solve, trace_levelset)
-from oscnav import navigator, propagator
+from oscnav import navigator, propagator, sensitivities
 from oscnav import protocol as proto
 from oscnav.navigator import trajectory_to_csv
+from counting import patch_everywhere, record_calls
 from oracles import optimal_hessian
 
 TASK = (1.0, 0.25, 1.8)
@@ -104,18 +105,12 @@ class TestDescend:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_no_gradient_is_evaluated_twice(self, monkeypatch):
-        seen = []
-        real = navigator.gradient
-
-        def counting(p, *rest):
-            seen.append(p.omegas)
-            return real(p, *rest)
-
-        monkeypatch.setattr(navigator, "gradient", counting)
+        calls = record_calls(monkeypatch, sensitivities, "gradient")
         for seed in range(3):
             p0 = _start(np.random.default_rng(seed).uniform(0.1, 2.0, 4))
-            seen.clear()
+            calls.clear()
             _, _, traj = descend(p0, DescentConfig())
+            seen = [args[0].omegas for args in calls]
             assert len(seen) == len(set(seen)) == len(traj.records)
 
     def test_trajectory_csv_format(self, m8_solution):
@@ -711,7 +706,11 @@ class TestNavigate:
 
 
 class TestProjectionEvaluations:
-    """One forward pass per evaluated point: M kernel calls each."""
+    """One forward pass per evaluated point: M kernel calls each.
+
+    A correction runs here as the corrector runs it, without ``on_step``,
+    so its iterates are read from the gradient calls it makes.
+    """
 
     @staticmethod
     def _count(monkeypatch):
@@ -744,59 +743,127 @@ class TestProjectionEvaluations:
         tangent = navigator._null_direction(gradient(p).grad_beta)
         pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * np.asarray(tangent))
         kernel, trials = self._count(monkeypatch)
-        iterates = []
-        _, ival, _, status = navigator._project(
-            pred, 1e-12, 300, on_step=lambda *args: iterates.append(1))
+        iterates = record_calls(monkeypatch, sensitivities, "gradient")
+        _, ival, _, status = navigator._project(pred, 1e-12, 300)
         assert status == "target" and ival < 1e-12
         assert iterates and trials
         assert len(kernel) == 3 * (1 + len(trials))
 
-    def test_returned_bundle_is_the_gradient_of_the_last_iterate(self, m3_solution):
+    def test_returned_bundle_is_the_gradient_of_the_last_iterate(self, m3_solution,
+                                                                  monkeypatch):
         p = m3_solution.protocol
         tangent = navigator._null_direction(gradient(p).grad_beta)
         pred = p.with_omegas(np.asarray(p.omegas) + 0.05 * np.asarray(tangent))
         descent = _start(np.random.default_rng(2).uniform(0.1, 2.0, 8))
+        calls = record_calls(monkeypatch, sensitivities, "gradient")
         # a descent returns its last iterate; a projection that reaches its
         # target returns a point whose gradient it never evaluated
         for start, target, want_status in ((descent, 0.0, "critical"),
                                            (pred, 1e-12, "target")):
-            seen = []
-            _, _, bundle, status = navigator._project(
-                start, target, 300, lambda it, q, *_: seen.append(q))
-            assert status == want_status and seen
-            want = gradient(seen[-1])
+            calls.clear()
+            _, _, bundle, status = navigator._project(start, target, 300)
+            assert status == want_status and calls
+            want = gradient(calls[-1][0])
             assert bundle.beta == want.beta
             assert np.array_equal(bundle.grad_beta, want.grad_beta)
             assert np.array_equal(bundle.grad_infidelity, want.grad_infidelity)
 
-    def test_no_bundle_when_the_start_is_below_the_target(self, m3_solution):
-        seen = []
-        _, _, bundle, status = navigator._project(
-            m3_solution.protocol, 1.0, 300, on_step=lambda *args: seen.append(args))
+    def test_no_bundle_when_the_start_is_below_the_target(self, m3_solution, monkeypatch):
+        seen = record_calls(monkeypatch, sensitivities, "gradient")
+        _, _, bundle, status = navigator._project(m3_solution.protocol, 1.0, 300)
         assert status == "target" and bundle is None and not seen
+
+
+class TestSweepCounts:
+    """The corrector works in r and J: every sweep is a call of ``gradient``,
+    and grad I is formed only where a descent reads it."""
+
+    @pytest.mark.parametrize("path", POOL_M3, ids=lambda path: path.stem)
+    def test_one_gradient_call_per_traced_vertex(self, path, monkeypatch):
+        # the benchmark's fine trace: a projection that swept without
+        # calling gradient would read fewer than one call per vertex
+        calls = record_calls(monkeypatch, sensitivities, "gradient")
+        p = proto.load(path)
+        for sign in (1.0, -1.0):
+            calls.clear()
+            curve = trace_levelset(p, TraceConfig(step_size=0.05, initial_sign=sign))
+            assert curve.closed, (sign, curve.status)
+            assert len(curve.vertices) <= len(calls) <= 1.05 * len(curve.vertices), sign
+
+    def test_tracing_and_navigation_form_no_infidelity_gradient(self, m3_solution,
+                                                                monkeypatch):
+        reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
+        sweeps = record_calls(monkeypatch, sensitivities, "gradient")
+        curve = trace_levelset(m3_solution.protocol, TraceConfig())
+        assert curve.closed and sweeps
+        traj = navigate(proto.load(POOL_M3[0]), SecondaryCost("smoothness"),
+                        NavigationConfig(doubling_schedule=(2,)))
+        assert traj.status == "completed" and traj.records[-1].protocol.m == 6
+        traj = navigate(proto.load(POOL_M3[1]), SecondaryCost("compression", 1),
+                        NavigationConfig(max_iterations=20))
+        assert len(traj.records) > 1
+        assert reads == []
+
+    def test_a_descent_forms_it_once_per_record(self, monkeypatch):
+        reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
+        # the first restarts of seeds 253 (M = 3) and 5 (M = 8) end at
+        # traps, those of seeds 4 (M = 3) and 1 (M = 8) at solutions
+        for seed, m, outcome in ((253, 3, "trap"), (4, 3, "solution"),
+                                 (5, 8, "trap"), (1, 8, "solution")):
+            cfg = DescentConfig(seed=seed)
+            p0 = _start(np.random.default_rng(seed).uniform(*cfg.box, m))
+            reads.clear()
+            _, report, traj = descend(p0, cfg)
+            assert report.classification == outcome, seed
+            assert len(reads) == len(traj.records) > 1, seed
+            # read k is record k's: the grad I of its pulses, bit for bit
+            for rec, (beta, grad_beta) in zip(traj.records, list(reads)):
+                want = gradient(rec.protocol)
+                assert beta == want.beta and np.array_equal(grad_beta, want.grad_beta)
+                assert rec.pgrad_norm == float(np.abs(want.grad_infidelity).max())
+
+    def test_overflowing_infidelity_gradient_ends_a_descent(self, monkeypatch):
+        # the A' entries of every point after the start are scaled by 1.5e307:
+        # at the first accepted trial grad beta stays finite (its largest
+        # part about 5e307), but 2 Re(conj(beta) grad beta), with |beta|
+        # about 6.7, overflows. The descent raises, having recorded its
+        # start only, at a finite grad norm
+        start = Protocol(1.0, 0.25, 0.6, (4.0, 0.1, 4.0))
+        real_entries = propagator._step_entries
+
+        def faulty(omega, dt, order=0):
+            e = real_entries(omega, dt, order)
+            if omega not in start.omegas:
+                e = e[:3] + tuple(1.5e307 * d for d in e[3:6]) + e[6:]
+            return e
+
+        monkeypatch.setattr(propagator, "_step_entries", faulty)
+        records = []
+        real_record = navigator.TrajectoryRecord
+        monkeypatch.setattr(navigator, "TrajectoryRecord",
+                            lambda *args: records.append(real_record(*args)) or records[-1])
+        with pytest.raises(NonFiniteEntry, match="gradient of the infidelity is not finite"), \
+                np.errstate(all="ignore"):
+            descend(start, DescentConfig())
+        assert len(records) == 1 and math.isfinite(records[0].pgrad_norm)
+
+    def test_a_correction_stops_on_an_exactly_zero_jacobian(self, monkeypatch):
+        # a + c = |grad beta|^2 == 0: the stop reads the Gram entries, and
+        # the damped step, whose determinant would be 0, is never formed
+        start = proto.load(POOL_M3[0])
+        reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
+        patch_everywhere(monkeypatch, sensitivities, "gradient", lambda real: (
+            lambda p, *rest: dataclasses.replace(real(p, *rest),
+                                                 grad_beta=np.zeros(p.m, dtype=complex))))
+        q, ival, bundle, status = navigator._project(start, 1e-28, navigator._CORRECTOR_BUDGET)
+        assert status == "critical" and q is start and ival == infidelity(start)
+        assert not bundle.grad_beta.any() and reads == []
 
 
 class TestEntryEvaluations:
     """The input's one order-1 forward pass gives the I that admits it and
     starts its projection; navigation's first iterate takes an order-2
     forward pass of its own, and a rejected input gets no backward pass."""
-
-    @staticmethod
-    def _count_backward(monkeypatch):
-        calls = []
-        real_backward, real_gradient = navigator._backward, navigator.gradient
-
-        def counting_backward(*args, **kwargs):
-            calls.append(1)
-            return real_backward(*args, **kwargs)
-
-        def counting_gradient(*args):
-            calls.append(1)
-            return real_gradient(*args)
-
-        monkeypatch.setattr(navigator, "_backward", counting_backward)
-        monkeypatch.setattr(navigator, "gradient", counting_gradient)
-        return calls
 
     def test_navigation(self, m8_solution, monkeypatch):
         p = m8_solution.protocol
@@ -861,7 +928,8 @@ class TestEntryEvaluations:
     def test_non_solution_is_rejected_before_any_backward_pass(self, run, omegas, error,
                                                                monkeypatch):
         kernel, _ = TestProjectionEvaluations._count(monkeypatch)
-        backward = self._count_backward(monkeypatch)
+        # gradient and hessian run theirs through _backward too
+        backward = record_calls(monkeypatch, sensitivities, "_backward")
         with pytest.raises(error), np.errstate(all="ignore"):
             run(Protocol(1.0, 0.25, 0.6, omegas))
         assert len(kernel) == 3 and not backward
@@ -931,11 +999,13 @@ class TestTraceLevelset:
         # sweep at the vertex instead. Either way a vertex costs one sweep:
         # with the start tangent's, at most two more than there are vertices.
         sweeps, outside, depth = [], [], []
-        real_gradient, real_project = navigator.gradient, navigator._project
+        real_project = navigator._project
 
-        def counting(p, *rest):
-            (sweeps if depth else outside).append(p.omegas)
-            return real_gradient(p, *rest)
+        def counting(real_gradient):
+            def count(p, *rest):
+                (sweeps if depth else outside).append(p.omegas)
+                return real_gradient(p, *rest)
+            return count
 
         def nested(*args, **kwargs):
             depth.append(1)
@@ -944,7 +1014,7 @@ class TestTraceLevelset:
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(navigator, "gradient", counting)
+        patch_everywhere(monkeypatch, sensitivities, "gradient", counting)
         monkeypatch.setattr(navigator, "_project", nested)
         curve = trace_levelset(m3_solution.protocol, TraceConfig())
         assert curve.closed, curve.status
@@ -967,16 +1037,18 @@ class TestTraceLevelset:
         # then fails: the curve ends through the corrector-failure branch
         # at the vertex before it
         calls = []
-        real = navigator.gradient
 
-        def parallel_at_k(p, *rest):
-            bundle = real(p, *rest)
-            calls.append(p.omegas)
-            if len(calls) == k:
-                return dataclasses.replace(bundle, grad_beta=bundle.grad_beta.real * (1 + 1j))
-            return bundle
+        def parallel_at_k(real):
+            def sweep(p, *rest):
+                bundle = real(p, *rest)
+                calls.append(p.omegas)
+                if len(calls) == k:
+                    return dataclasses.replace(bundle,
+                                               grad_beta=bundle.grad_beta.real * (1 + 1j))
+                return bundle
+            return sweep
 
-        monkeypatch.setattr(navigator, "gradient", parallel_at_k)
+        patch_everywhere(monkeypatch, sensitivities, "gradient", parallel_at_k)
         curve = trace_levelset(m3_solution.protocol, TraceConfig())
         assert curve.status == "corrector_failed" and not curve.closed
         assert len(calls) == k
@@ -1026,10 +1098,7 @@ class TestTraceLevelset:
         # at step 0.3 most predictor points need a second corrector step; a
         # chord step reuses the Jacobian of the first, where a fresh one
         # costs 1.8-1.9 sweeps per vertex
-        sweeps = []
-        real = navigator.gradient
-        monkeypatch.setattr(navigator, "gradient",
-                            lambda *args: sweeps.append(1) or real(*args))
+        sweeps = record_calls(monkeypatch, sensitivities, "gradient")
         p = proto.load(path)
         for sign in (1.0, -1.0):
             sweeps.clear()
@@ -1309,8 +1378,8 @@ def _accepted_steps(start, target, budget):
     points of its gradient calls, points of its ``on_step`` calls). A trial
     is built from the current point, so the points trials are built from,
     then the returned one, change once per accepted step."""
-    bases, sweeps, iterates = [], [], []
-    real_with, real_gradient = Protocol.with_omegas, navigator.gradient
+    bases, iterates = [], []
+    real_with = Protocol.with_omegas
 
     def recording_with(self, omegas):
         bases.append(self)
@@ -1318,10 +1387,10 @@ def _accepted_steps(start, target, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Protocol, "with_omegas", recording_with)
-        mp.setattr(navigator, "gradient",
-                   lambda p, *rest: sweeps.append(p) or real_gradient(p, *rest))
+        calls = record_calls(mp, sensitivities, "gradient")
         result = navigator._project(start, target, budget,
                                     lambda it, q, *_: iterates.append(q))
+    sweeps = [args[0] for args in calls]
     chain = [start]
     for q in bases + [result[0]]:
         if q is not chain[-1]:
@@ -1364,16 +1433,18 @@ class TestChordSteps:
         # accepted trial with no gradient between them is a chord trial; it
         # was accepted if the next gradient, or the returned point, is its
         events = []
-        real_forward, real_gradient = navigator.forward, navigator.gradient
+        real_forward = navigator.forward
 
         def recording_forward(p, *rest):
             fw = real_forward(p, *rest)
             events.append(("F", p, abs(fw.beta) ** 2))
             return fw
 
-        def recording_gradient(p, *rest):
-            events.append(("G", p, None))
-            return real_gradient(p, *rest)
+        def recording_gradient(real_gradient):
+            def record(p, *rest):
+                events.append(("G", p, None))
+                return real_gradient(p, *rest)
+            return record
 
         solution = proto.load(path)
         direction = np.random.default_rng(seed).normal(size=solution.m)
@@ -1381,7 +1452,7 @@ class TestChordSteps:
                                      + size * direction / np.linalg.norm(direction))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(navigator, "forward", recording_forward)
-            mp.setattr(navigator, "gradient", recording_gradient)
+            patch_everywhere(mp, sensitivities, "gradient", recording_gradient)
             q, ival, _, status = navigator._project(start, target, navigator._CORRECTOR_BUDGET)
         assert status in navigator._ON_LEVEL_SET and ival < target
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
                     infidelity, refine)
-from oscnav import propagator
+from oscnav import propagator, sensitivities
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
-from oscnav.sensitivities import _anchored_basis, _backward, _hess_beta_times
+from oscnav.sensitivities import (SensitivityBundle, _anchored_basis, _backward,
+                                  _hess_beta_times)
+from counting import record_calls
 from oracles import beta_hessian, fd_gradient, fd_hessian, optimal_hessian, step_matrix
 
 
@@ -552,6 +554,23 @@ class TestNonFinite:
         with pytest.raises(NonFiniteEntry, match="Hessian of the infidelity is not finite"), \
                 np.errstate(all="ignore"):
             hessian(self.P)
+
+    def test_infidelity_gradient_is_derived_once_on_read(self, monkeypatch):
+        reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
+        bundle = gradient(self.P)
+        assert reads == []
+        first = bundle.grad_infidelity
+        assert bundle.grad_infidelity is first and len(reads) == 1
+        assert np.array_equal(first, (bundle.grad_beta * (2.0 * bundle.beta.conjugate())).real)
+
+    def test_overflowing_infidelity_gradient_is_an_error_on_each_read(self):
+        # grad beta is finite, 2 Re(conj(beta) grad beta) is not
+        bundle = SensitivityBundle(beta=4.0 - 4.0j, grad_beta=np.array([1e308 + 0j, 1j]))
+        for _ in range(2):
+            with pytest.raises(NonFiniteEntry,
+                               match="gradient of the infidelity is not finite"), \
+                    np.errstate(all="ignore"):
+                bundle.grad_infidelity
 
 
 protocols = st.builds(
