@@ -850,7 +850,9 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
             status = "corrector_failed"
             break
         v = p.omegas
-        if min(v) < lo or max(v) > hi:
+        # written out, as the rest of the vertex geometry: min() and max()
+        # of a 3-tuple cost more than these six comparisons
+        if not (lo <= v[0] <= hi and lo <= v[1] <= hi and lo <= v[2] <= hi):
             break
         verts.append(v)
         ivals.append(ival)

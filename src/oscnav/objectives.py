@@ -102,14 +102,19 @@ class SecondaryCost:
         K x K chunk block.
         """
         m = len(out)
-        diag = np.arange(m)
         if self.kind == "smoothness":
-            a = diag[:-1]
-            out[a, a + 1] -= 2.0
-            out[a + 1, a] -= 2.0
-            # one for a left and one for a right neighbour
-            out[diag, diag] += 2.0 * (np.minimum(diag, 1) + np.minimum(diag[::-1], 1))
+            # writable views of three diagonals, in any layout of out, and
+            # one addition per entry: -2 at each pair above and below the
+            # diagonal, then 2 per neighbour on it, 4 inside and 2 at each
+            # end of a chain (a lone pulse has no neighbour)
+            for pairs in (out[:-1, 1:], out[1:, :-1]):
+                np.einsum("ii->i", pairs)[...] -= 2.0
+            diag = np.einsum("ii->i", out)
+            diag[1:-1] += 4.0
+            if m > 1:
+                diag[::m - 1] += 2.0
             return out
+        diag = np.arange(m)
         k = _chunk_size(m, self.chunks)
         for start in range(0, m, k):
             out[start:start + k, start:start + k] -= 2.0

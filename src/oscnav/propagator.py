@@ -174,7 +174,9 @@ def forward(p: Protocol, order: int = 1) -> Forward:
             if not math.isfinite(w * w):
                 raise NonFiniteEntry(f"omegas[{i}] ** 2 overflows: {w!r} ** 2")
         raise NonFiniteEntry(f"propagation of {p.m} pulses overflows: |beta|^2 is not finite")
-    return Forward(steps, fs, fds, f, fd, beta)
+    # built by tuple.__new__: the NamedTuple's own __new__ is a Python-level
+    # call around it, paid once per forward pass
+    return tuple.__new__(Forward, (steps, fs, fds, f, fd, beta))
 
 
 def propagate(p: Protocol) -> ModeState:

@@ -65,20 +65,27 @@ class Protocol:
         Only the new pulses are checked: omega0, omegaT and dt are this
         protocol's, valid by construction, so the copy equals the fully
         validated ``Protocol(omega0, omegaT, dt, pulses)`` without running
-        :func:`validate`. The pulses become Python floats. A float64 array
-        converts in one call, and only its finiteness is checked; any other
-        sequence is checked as the constructor checks it first, so a pulse
-        the constructor refuses, such as a string or a bool, is refused here.
+        :func:`validate`. The pulses become Python floats. A 1-D float64
+        array converts in one call and a sequence of Python floats is kept
+        as it is: of either, only finiteness is checked, and a non-finite
+        pulse is named as the constructor names it. Any other input is
+        checked as the constructor checks it, so what the constructor
+        refuses, such as a string, a bool or a 2-D array, is refused here
+        with the same error.
         """
-        if isinstance(omegas, np.ndarray) and omegas.dtype == np.float64:
+        if type(omegas) is np.ndarray and omegas.dtype == np.float64 and omegas.ndim == 1:
             pulses = tuple(omegas.tolist())
-            _check_pulses(pulses, floats=True)
+            if not all(map(math.isfinite, pulses)):
+                _check_pulses(omegas)
         else:
             pulses = tuple(omegas)
-            _check_pulses(pulses)
-            pulses = tuple(map(float, pulses))
+            if not _check_pulses(pulses):
+                pulses = tuple(map(float, pulses))
+        # filled in place: update() with a keyword would build a second dict
         new = object.__new__(Protocol)
-        new.__dict__.update(self.__dict__, omegas=pulses)
+        fields = new.__dict__
+        fields.update(self.__dict__)
+        fields["omegas"] = pulses
         return new
 
 
@@ -119,16 +126,16 @@ def _check_positive(name: str, v) -> float:
     return float(v)
 
 
-def _check_pulses(omegas, floats: bool = False) -> None:
+def _check_pulses(omegas) -> bool:
     """Raise NonFiniteEntry, naming the first offending pulse, unless every
-    pulse passes :func:`_is_real`, which on Python floats is ``math.isfinite``;
-    ``floats`` says that they are, as :meth:`Protocol.with_omegas` makes
-    them from a float64 array."""
-    floats = floats or set(map(type, omegas)) <= {float}
+    pulse passes :func:`_is_real`, which on Python floats is ``math.isfinite``.
+    Returns whether every pulse is a Python float."""
+    floats = set(map(type, omegas)) <= {float}
     if not all(map(math.isfinite if floats else _is_real, omegas)):
         for i, w in enumerate(omegas):
             if not _is_real(w):
                 raise NonFiniteEntry(f"omegas[{i}] is not a finite real: {w!r}")
+    return floats
 
 
 def refine(p: Protocol, factor: int) -> Protocol:

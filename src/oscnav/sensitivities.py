@@ -43,11 +43,16 @@ grad(I) = 2 Re(conj(beta) grad beta) is derived from beta and grad(beta)
 on first read of ``SensitivityBundle.grad_infidelity``, not by the sweep:
 a Gauss-Newton corrector onto beta = 0 works in r = (Re beta, Im beta) and
 J = [Re grad beta; Im grad beta] alone, and only a descent reads grad(I).
+
+Every sweep checks grad(beta) finite with one reduction, the complex
+conj(grad beta) . grad beta: its real part |grad beta|^2 is finite only if
+every entry is. The entries are tested one by one only when it is not, so
+a finite grad(beta) whose |grad beta|^2 overflows passes.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,7 +85,7 @@ def _grad_infidelity(beta: complex, grad_beta: np.ndarray) -> np.ndarray:
     return grad_infid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SensitivityBundle:
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
@@ -92,6 +97,16 @@ class SensitivityBundle:
     beta: complex
     grad_beta: np.ndarray
     hess_infidelity: np.ndarray | None = None
+
+    def __init__(self, beta: complex, grad_beta: np.ndarray,
+                 hess_infidelity: np.ndarray | None = None):
+        # the fields stored directly: the generated __init__ of a frozen
+        # dataclass sets each through object.__setattr__, at twice the
+        # cost, and a bundle is built once per sweep
+        fields = self.__dict__
+        fields["beta"] = beta
+        fields["grad_beta"] = grad_beta
+        fields["hess_infidelity"] = hess_infidelity
 
     @property
     def grad_infidelity(self) -> np.ndarray:
@@ -131,11 +146,11 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
     the module docstring. Raises NonFiniteEntry when grad(beta) or a
     generator comes out NaN or infinite.
     """
-    m = p.m
+    steps, fs, fds, _, _, beta = fw
+    m = len(steps)
     if m == 0:
         raise EmptyProtocol(("hessian" if second_order else "gradient")
                             + " requires at least one pulse")
-    steps, fs, fds, _, _, beta = fw
     lf, ld = _beta_row(p.omegaT)
     grad = [0j] * m
     if second_order:
@@ -157,19 +172,20 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
             # (lf, ld) A'_j, applied to s_{j-1}
             grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
-    grad_beta = np.array(grad)
-    # a finite |grad beta|^2 proves every entry finite in one reduction; the
+    # the dtype given: numpy then skips inferring it from every entry
+    grad_beta = np.array(grad, complex)
+    # one complex reduction, conj(g) . g: its real part |grad beta|^2 is
+    # finite only if every entry is, and then so is its imaginary part. The
     # entries are checked one by one only when it is not, as when it
     # overflows, which np.vdot (unlike ndarray.dot) does without a warning
-    parts = grad_beta.view(np.float64)
-    if not math.isfinite(np.vdot(parts, parts)) and not np.isfinite(parts).all():
+    if not cmath.isfinite(np.vdot(grad_beta, grad_beta)) and not np.isfinite(grad_beta).all():
         raise NonFiniteEntry("gradient of beta is not finite")
     gens = None
     if second_order:
-        gens = _generators(fw, np.array([mu0, mu1, y0, y1]), np.array(diag))
+        gens = _generators(fw, np.array([mu0, mu1, y0, y1], complex), np.array(diag, complex))
         if not (np.isfinite(gens.uv).all() and np.isfinite(gens.diag).all()):
             raise NonFiniteEntry("Hessian of beta is not finite")
-    return SensitivityBundle(beta=beta, grad_beta=grad_beta), gens
+    return SensitivityBundle(beta, grad_beta), gens
 
 
 def _anchored_basis(fw: Forward):
@@ -190,7 +206,7 @@ def _anchored_basis(fw: Forward):
     protocol whose states stay within the bound is one block and enters no
     loop here.
     """
-    z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]])
+    z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]], complex)
     size = (z * z.conj()).real.sum(axis=0)
     m = len(fw.steps)
     zn = z[:, 1:]
@@ -324,7 +340,10 @@ def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
     caller that works in r and J alone, as the corrector does, never forms
     it. ``fw``, when given, is ``forward(p)`` already evaluated, and only
     the backward pass runs; the result is bit for bit that of
-    ``gradient(p)``. Raises NonFiniteEntry when grad(beta) is not finite.
+    ``gradient(p)``. Raises NonFiniteEntry when grad(beta) is not finite:
+    one complex reduction, conj(grad beta) . grad beta, tests every entry
+    at once, and the entries are tested one by one only when it is not
+    finite.
     """
     return _backward(p, forward(p) if fw is None else fw, second_order=False)[0]
 
@@ -344,4 +363,4 @@ def hessian(p: Protocol) -> SensitivityBundle:
     hess_infid = _assemble(gens, 2.0 * bundle.beta.conjugate(), (2.0 * g, g))
     if not np.isfinite(hess_infid).all():
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
-    return dataclasses.replace(bundle, hess_infidelity=hess_infid)
+    return SensitivityBundle(bundle.beta, bundle.grad_beta, hess_infid)

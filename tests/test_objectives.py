@@ -51,6 +51,26 @@ class TestCostHessian:
         assert c2(2).add_hessian(out) is out
         assert np.array_equal(out - base, c2(2).add_hessian(np.zeros((4, 4))))
 
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_adds_the_dense_pair_graph_laplacian(self, m):
+        # integer-valued entries keep every sum exact, so the oracle's one
+        # addition per entry must give the same array
+        base = np.random.default_rng(m).integers(-50, 50, (m, m)).astype(float)
+        for chunks in [None] + [n for n in range(1, m + 1) if m % n == 0]:
+            cost = C1 if chunks is None else c2(chunks)
+            want = base + pair_cost(np.zeros(m), chunks)[2]
+            assert np.array_equal(cost.add_hessian(base.copy()), want), cost
+
+    @pytest.mark.parametrize("cost", [C1, c2(2)], ids=["smoothness", "compression"])
+    def test_adds_in_place_into_any_layout(self, cost):
+        base = np.random.default_rng(3).integers(-50, 50, (12, 12)).astype(float)
+        want = cost.add_hessian(base.copy())
+        wide = np.zeros((24, 24))
+        for out in (np.asfortranarray(base), wide[::2, ::2], wide[:12, 12:]):
+            out[...] = base
+            assert cost.add_hessian(out) is out
+            assert np.array_equal(out, want)
+
 
 class TestCostProperties:
     """Both costs against the pair-by-pair oracle, for every chunk count.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from oscnav import (EmptyProtocol, IndivisibleChunking, NavigationConfig, NonFiniteEntry,
                     NonPositiveFrequency, Protocol, SecondaryCost, TraceConfig, bogoliubov,
@@ -121,34 +122,54 @@ def test_boundary_frequency_is_checked_as_validate_checks_it(call, value):
         call(value)
 
 
-_PULSES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.integers(-10 ** 6, 10 ** 6),
-                    st.integers(-10 ** 6, 10 ** 6).map(np.int64),
-                    st.sampled_from([math.nan, math.inf, -math.inf, None,
-                                     True, np.False_, "0.5"]))
+# every kind of pulse sequence with_omegas meets: sequences of floats (nan,
+# inf, -0.0 and subnormals included), ints, bools, numpy scalars, None and
+# strings, and arrays that take its 1-D float64 path or miss it by dtype or
+# shape
+_PULSE = st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6), st.booleans(),
+                   st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+                   st.integers(-10 ** 6, 10 ** 6).map(np.int64), st.booleans().map(np.bool_),
+                   st.sampled_from([None, "0.5"]))
+_PULSES = st.one_of(
+    st.lists(_PULSE, max_size=6),
+    st.lists(_PULSE, max_size=6).map(tuple),
+    st.lists(st.floats(), max_size=6).map(tuple),
+    npst.arrays(np.float64, st.integers(0, 6)),
+    npst.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3))),
+    npst.arrays(np.float32, st.integers(0, 6)),
+    npst.arrays(np.int64, st.integers(0, 6)))
 
 
-@given(st.lists(_PULSES, max_size=6))
-@example(["0.5", True, 2])
-def test_with_omegas_is_the_validated_constructor(omegas):
-    # with_omegas checks only the pulses; the copy it makes, or the pulse it
-    # names, is the fully validated constructor's. The boundary fields are
-    # carried over unchanged
-    p = Protocol(2, 0.25, 0.6, (1.0,))
+def _outcome(make):
+    """The fields of ``make()`` as bits and types, or the type and message
+    of what it raised."""
     try:
-        want = Protocol(p.omega0, p.omegaT, p.dt, tuple(omegas))
-    except NonFiniteEntry as exc:
-        with pytest.raises(NonFiniteEntry) as got:
-            p.with_omegas(omegas)
-        assert str(got.value).split()[0] == str(exc).split()[0]
-        return
-    got = p.with_omegas(omegas)
-    want = Protocol(p.omega0, p.omegaT, p.dt, tuple(map(float, want.omegas)))
-    for name in ("omega0", "omegaT", "dt", "omegas"):
-        assert getattr(got, name) == getattr(want, name)
-        assert type(getattr(got, name)) is type(getattr(want, name))
-    assert all(type(w) is float for w in got.omegas)
-    assert got == want and hash(got) == hash(want)
+        q = make()
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+    fields = (q.omega0, q.omegaT, q.dt) + q.omegas
+    return np.array(fields).tobytes(), tuple(map(type, fields))
+
+
+@given(_PULSES)
+@example(["0.5", True, 2])
+@example(np.zeros((3, 2)))
+@example(np.array([1.0, math.nan]))
+def test_with_omegas_is_the_validated_constructor(omegas):
+    # with_omegas checks only the pulses; the copy it makes, to the bit, or
+    # the error it raises, to the message, is the fully validated
+    # constructor's. The boundary fields are carried over unchanged
+    p = Protocol(2, 0.25, 0.6, (1.0,))
+    assert (_outcome(lambda: p.with_omegas(omegas))
+            == _outcome(lambda: Protocol(p.omega0, p.omegaT, p.dt, omegas)))
+
+
+def test_with_omegas_refuses_a_2d_array_as_the_constructor_does():
+    p = Protocol(1.0, 0.25, 0.6, (1.0, 2.0, 3.0))
+    for make in (p.with_omegas, lambda w: Protocol(1.0, 0.25, 0.6, w)):
+        with pytest.raises(NonFiniteEntry,
+                           match=r"omegas\[0\] is not a finite real: array\(\[0., 0.\]\)"):
+            make(np.zeros((3, 2)))
 
 
 def test_empty_protocol_is_legal():

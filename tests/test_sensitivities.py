@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -519,12 +520,12 @@ class TestNonFinite:
     P = Protocol(1.0, 0.25, 0.6, (1.0, 1.3, 0.7))
 
     @staticmethod
-    def _fault(monkeypatch, entries, value):
+    def _fault(monkeypatch, entries, value, at=1.3):
         real = propagator._step_entries
 
         def faulty(omega, dt, order=0):
             e = real(omega, dt, order)
-            if omega == 1.3 and len(e) >= entries.stop:
+            if omega == at and len(e) >= entries.stop:
                 e = e[:entries.start] + (value,) * 3 + e[entries.stop:]
             return e
 
@@ -536,6 +537,24 @@ class TestNonFinite:
             with pytest.raises(NonFiniteEntry, match="gradient of beta is not finite"), \
                     np.errstate(all="ignore"):
                 run(self.P)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("pulse", range(3))
+    def test_any_non_finite_gradient_entry_is_refused(self, monkeypatch, pulse, value):
+        # a pulse's A' entries reach only its own entry of grad(beta)
+        self._fault(monkeypatch, slice(3, 6), value, at=self.P.omegas[pulse])
+        assert math.isfinite(forward(self.P).beta.real)
+        with pytest.raises(NonFiniteEntry, match="gradient of beta is not finite"), \
+                np.errstate(all="ignore"):
+            gradient(self.P)
+
+    def test_finite_gradient_whose_square_overflows_passes(self, monkeypatch):
+        # entries near 1e160 are finite, |grad beta|^2 near 1e320 is not: the
+        # one reduction fails and the entries, checked one by one, pass
+        # (with no overflow warning, which tier-1 turns into an error)
+        self._fault(monkeypatch, slice(3, 6), 1e160)
+        g = gradient(self.P).grad_beta
+        assert np.isfinite(g).all() and not math.isfinite(np.vdot(g, g).real)
 
     def test_infinite_second_derivative_is_a_generator_error(self, monkeypatch):
         expected = gradient(self.P)
@@ -571,6 +590,44 @@ class TestNonFinite:
                                match="gradient of the infidelity is not finite"), \
                     np.errstate(all="ignore"):
                 bundle.grad_infidelity
+
+
+class TestBundle:
+    P = Protocol(1.0, 0.25, 0.6, (1.0, 1.3, 0.7))
+
+    def test_bundles_refuse_assignment(self):
+        for bundle in (gradient(self.P), hessian(self.P)):
+            for name in ("beta", "grad_beta", "hess_infidelity", "grad_infidelity"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(bundle, name, None)
+
+    def test_the_constructor_stores_every_field(self):
+        # __init__ is written by hand: a field it missed would read the
+        # class default
+        names = [f.name for f in dataclasses.fields(SensitivityBundle)]
+        first, full = gradient(self.P), hessian(self.P)
+        for bundle, hess in ((first, None), (full, full.hess_infidelity)):
+            assert list(vars(bundle)) == names
+            made = SensitivityBundle(bundle.beta, bundle.grad_beta, hess)
+            assert all(vars(bundle)[k] is vars(made)[k] for k in names)
+            assert made == bundle and repr(made) == repr(bundle)
+        assert first.hess_infidelity is None and full.hess_infidelity.shape == (3, 3)
+
+    @pytest.mark.parametrize("m", [1, 3, 48])
+    def test_gradient_keeps_the_bits_of_the_sweep_written_out(self, m):
+        for p in oracle_protocols(m):
+            fw = forward(p)
+            lf, ld = propagator._beta_row(p.omegaT)
+            grad = [0j] * m
+            for j in range(m - 1, -1, -1):
+                a00, a01, a10, d00, d01, d10 = fw.steps[j]
+                grad[j] = (lf * d00 + ld * d10) * fw.fs[j] + (lf * d01 + ld * d00) * fw.fds[j]
+                lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
+            grad_beta = np.array(grad)
+            grad_infid = (grad_beta * (2.0 * fw.beta.conjugate())).real
+            for bundle in (gradient(p), hessian(p)):
+                assert bundle.grad_beta.tobytes() == grad_beta.tobytes()
+                assert bundle.grad_infidelity.tobytes() == grad_infid.tobytes()
 
 
 protocols = st.builds(
