@@ -44,7 +44,7 @@ from .errors import EmptyProtocol, NotASolution, RestartBudgetExhausted
 from .objectives import SecondaryCost
 from .propagator import forward
 from .protocol import Protocol, _check_positive, _is_int, _is_real, refine
-from .sensitivities import _assemble, _backward, _hess_beta_times, gradient
+from .sensitivities import _assemble, _backward, _generators, _hess_beta_times, gradient
 
 _EPS = float(np.finfo(float).eps)
 # stop states of ``_project`` that leave a point on beta = 0
@@ -564,10 +564,15 @@ def navigate(solution: Protocol, cost: SecondaryCost,
 
     Every iteration is recorded. Each iterate, the first included, gets one
     order-2 forward pass and one adjoint sweep for beta, its exact gradient
-    and the generators of its Hessian, and one SVD of the Jacobian of beta
-    for the bases Q and Z and the pseudo-inverse the step uses
-    (:func:`_level_set_frame`). Each step is one trust-region step along
-    the level set, ``_navigation_step``. The radius starts at the Cauchy
+    and the terms of its Hessian, and one SVD of the Jacobian of beta for
+    the bases Q and Z and the pseudo-inverse the step uses
+    (:func:`_level_set_frame`). Only an iterate that steps builds the
+    generators of the Hessian of beta from those terms, and checks them
+    finite: a record that stops or doubles reads only grad beta, Q and the
+    projected gradient. The pulses of an iterate are one array, and an
+    accepted step hands its trial's array and cost to the next record.
+    Each step is one trust-region step along the level set,
+    ``_navigation_step``. The radius starts at the Cauchy
     point of the cost along the projected gradient pg and carries over
     between steps, and across a doubling by k scaled by sqrt(k):
     ``refine(d, k)`` has norm sqrt(k) |d|, so it spans the same controls,
@@ -607,13 +612,16 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     # radius is None at the first record and after a doubling, which
     # scales the last one into ``carried``
     radius, carried = None, 0.0
+    # the pulses of p as one array, and their cost
+    w = np.asarray(p.omegas, dtype=float)
+    cur_c = cost.value(w)
     for it in range(cfg.max_iterations + 1):
-        bundle, gens = _backward(p, forward(p, 2), second_order=True)
-        cur_c = cost.value(p.omegas)
-        g = cost.grad(p.omegas)
+        fw = forward(p, 2)
+        bundle, terms = _backward(p, fw, second_order=True)
+        g = cost.grad(w)
         q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
         pg = g - q @ (q.T @ g)
-        pgmax = float(np.max(np.abs(pg)))
+        pgmax = float(np.abs(pg).max())
         records.append(TrajectoryRecord(it, p, abs(bundle.beta) ** 2, cur_c, pgmax))
         stalled = pgmax < (cfg.doubling_stall_tolerance if schedule else _STALL_TOLERANCE)
         if stalled and not schedule:
@@ -626,12 +634,14 @@ def navigate(solution: Protocol, cost: SecondaryCost,
             cauchy = float(pg @ pg) ** 1.5 / curvature if curvature > 0.0 else 0.0
             radius = max(carried, cauchy)
         step = None if stalled else _navigation_step(
-            p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius)
+            p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radius)
         if isinstance(step, tuple):
-            p, radius = step
+            p, w, cur_c, radius = step
         elif schedule:
             k = schedule.pop(0)
             p = refine(p, k)
+            w = np.asarray(p.omegas, dtype=float)
+            cur_c = cost.value(w)
             radius, carried = None, radius * math.sqrt(k)
         else:
             stop = step
@@ -640,9 +650,16 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     return DescentTrajectory(tuple(records), status, stop)
 
 
-def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
-    """Trust-region tangent step; (protocol, next radius), or the reason of a
-    stall: "rounding" or "resolution" (below).
+def _navigation_step(p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radius):
+    """Trust-region tangent step; (protocol, its pulses, its cost, next
+    radius), or the reason of a stall: "rounding" or "resolution" (below).
+
+    ``w`` holds the pulses of ``p`` as an array, ``cur_c`` their cost and
+    ``g`` its gradient. ``fw`` and ``terms`` are the order-2 forward pass of
+    ``p`` and the terms of :func:`_backward`, from which the step builds
+    the generators of Hess beta once, raising NonFiniteEntry when they are
+    not finite. Norms are sqrt(x . x), the bits of ``np.linalg.norm`` on a
+    real vector.
 
     The point holds on beta = 0, as ``navigate`` starts from the held input
     and accepts only held trials, so the step for min C subject to
@@ -653,7 +670,7 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     H is the Hessian of the Lagrangian, Hess C + nu_0 Re Hess beta
     + nu_1 Im Hess beta, with the least-squares multipliers nu = -(J^+)^T g
     of this iterate: Re((nu_0 - i nu_1) Hess beta), one real assembly from
-    the generators ``gens`` of Hess beta, with Hess C added in place from
+    the generators of Hess beta, with Hess C added in place from
     the cost's pulse pairs. The second-order correction of a trial takes
     d^T Hess beta d from the O(M) product of the same generators, so Hess
     beta itself is never built.
@@ -681,9 +698,9 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
     g^T d plus the first-order gap in C between the point and the level
     set under it, which a smaller decrease cannot outrun.
     """
-    w = np.asarray(p.omegas, dtype=float)
-    nu = -(g @ jac_pinv)
-    hess = cost.add_hessian(_assemble(gens, complex(nu[0], -nu[1])))
+    gens = _generators(fw, terms)
+    nu0, nu1 = (-(g @ jac_pinv)).tolist()
+    hess = cost.add_hessian(_assemble(gens, complex(nu0, -nu1)))
     reduced, grad = z.T @ hess @ z, z.T @ g
     try:
         np.linalg.cholesky(reduced)
@@ -692,11 +709,12 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         newton = None
     eig = None  # the eigendecomposition of ``reduced``, once a trial needs it
     # the first-order gap in C between w and the level set under it
-    gap = abs(nu[0] * bundle.beta.real + nu[1] * bundle.beta.imag)
+    gap = abs(nu0 * bundle.beta.real + nu1 * bundle.beta.imag)
     # a radius at the rounding of w cannot move w
-    floor = _EPS * max(1.0, float(np.max(np.abs(w))))
+    floor = _EPS * max(1.0, float(np.abs(w).max()))
+    reach = None if newton is None else math.sqrt(newton @ newton)
     while radius > floor:
-        u = newton if newton is not None and np.linalg.norm(newton) <= radius else None
+        u = newton if newton is not None and reach <= radius else None
         if u is None:
             if eig is None:
                 eig = np.linalg.eigh(reduced)
@@ -710,18 +728,19 @@ def _navigation_step(p, cost, bundle, gens, g, z, jac_pinv, cur_c, radius):
         trial = w + d - jac_pinv @ [curv.real, curv.imag]
         p_c, ival, _, status = _project(p.with_omegas(trial), _NAV_TARGET,
                                         _CORRECTOR_BUDGET)
-        w_c = np.asarray(p_c.omegas)
+        w_c = np.asarray(p_c.omegas, dtype=float)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
-        length = float(np.linalg.norm(d))
-        if (status in _ON_LEVEL_SET and ival < INFIDELITY_THRESHOLD and decrease > 0.0
-                and cost.value(w_c) <= cur_c):
-            ratio = decrease / predicted
-            if ratio < 0.25:
-                radius = 0.25 * length
-            elif ratio > 0.75 and length > 0.99 * radius:
-                radius *= 2.0
-            return p_c, radius
+        length = math.sqrt(d @ d)
+        if status in _ON_LEVEL_SET and ival < INFIDELITY_THRESHOLD and decrease > 0.0:
+            c_c = cost.value(w_c)
+            if c_c <= cur_c:
+                ratio = decrease / predicted
+                if ratio < 0.25:
+                    radius = 0.25 * length
+                elif ratio > 0.75 and length > 0.99 * radius:
+                    radius *= 2.0
+                return p_c, w_c, c_c, radius
         radius = 0.25 * length
     return "resolution"
 
@@ -753,7 +772,7 @@ def _trust_region_step(evals, evecs, grad, radius):
     for _ in range(20):
         shifted = evals + lam
         coef = gt / shifted
-        norm = float(np.linalg.norm(coef))
+        norm = math.sqrt(coef @ coef)
         if norm <= radius and (lam == floor or norm >= 0.9 * radius):
             break
         uq = float(coef @ (coef / shifted))
@@ -764,7 +783,7 @@ def _trust_region_step(evals, evecs, grad, radius):
         # along v the model changes by -lam tau u^T v + evals[0] tau^2 / 2 <= 0
         uv, gap = -float(coef[0]), (radius - norm) * (radius + norm)
         u = u + math.copysign(gap / (abs(uv) + math.sqrt(uv * uv + gap)), uv) * evecs[:, 0]
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u @ u)
     return u if norm <= radius else u * (radius / norm)
 
 

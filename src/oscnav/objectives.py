@@ -99,27 +99,35 @@ class SecondaryCost:
         It is twice the Laplacian of the pair graph. Smoothness: 2 times the
         number of neighbours of a pulse on the diagonal and -2 at each
         consecutive pair; compression: 2K on the diagonal and -2 over each
-        K x K chunk block.
+        K x K chunk block. ``out.flat`` indexes any layout of ``out`` in C
+        order, so one path serves them all.
         """
         m = len(out)
         if self.kind == "smoothness":
-            # writable views of three diagonals, in any layout of out, and
-            # one addition per entry: -2 at each pair above and below the
-            # diagonal, then 2 per neighbour on it, 4 inside and 2 at each
-            # end of a chain (a lone pulse has no neighbour)
-            for pairs in (out[:-1, 1:], out[1:, :-1]):
-                np.einsum("ii->i", pairs)[...] -= 2.0
-            diag = np.einsum("ii->i", out)
-            diag[1:-1] += 4.0
-            if m > 1:
-                diag[::m - 1] += 2.0
+            # one addition per entry, of the cached values of its flat index
+            index, values = _chain_laplacian(m)
+            out.flat[index] += values
             return out
-        diag = np.arange(m)
         k = _chunk_size(m, self.chunks)
         for start in range(0, m, k):
             out[start:start + k, start:start + k] -= 2.0
-        out[diag, diag] += 2.0 * k
+        out.flat[::m + 1] += 2.0 * k
         return out
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_laplacian(m: int):
+    """(flat indices, values) of the nonzero entries of twice the Laplacian of
+    a chain of m pulses, read-only: -2 above and below the diagonal, and on
+    it 2 per neighbour, 4 inside and 2 at each end (a lone pulse has none)."""
+    pairs = np.arange(m - 1) * (m + 1)
+    index = np.concatenate([pairs + 1, pairs + m, np.arange(m if m > 1 else 0) * (m + 1)])
+    values = np.full(index.size, -2.0)
+    values[2 * (m - 1):] = 4.0
+    if m > 1:
+        values[[2 * (m - 1), -1]] = 2.0
+    index.flags.writeable = values.flags.writeable = False
+    return index, values
 
 
 def symplectic_final(s: ModeState, omega0: float) -> np.ndarray:

@@ -44,6 +44,9 @@ class Protocol:
     omegas: tuple[float, ...]
 
     def __post_init__(self):
+        # the pulses made a tuple before validate reads them: a one-shot
+        # iterator would be used up by its first pass
+        self.__dict__["omegas"] = tuple(self.omegas)
         validate(self)
         # Python floats, as with_omegas makes the pulses, so a numpy scalar
         # does not reach to_json

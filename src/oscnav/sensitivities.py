@@ -25,7 +25,10 @@ entering each step. This module is the backward pass that reads that record
   100; earlier coefficients are carried into each new block by one 2 x 2
   matrix.
 
-The backward pass hands back these generators, not a matrix. A dense
+The backward pass hands back the per-pulse terms mu_j, y_j and the
+diagonal, and :func:`_generators` turns them into the generators, checked
+finite, only for a caller that reads them: :func:`hessian`, or a
+navigation record that takes a step. No matrix is built. A dense
 Hessian is one real M x M array, Re(kappa Hess(beta)) plus optional real
 rank columns, built by one real product per block (:func:`_assemble`):
 Hess(I) = 2 Re(conj(beta) Hess(beta)) + 2 Re(grad beta grad beta^H) takes
@@ -53,6 +56,7 @@ a finite grad(beta) whose |grad beta|^2 overflows passes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +75,17 @@ _GROWTH = 1e2
 _UNIT = (complex(math.sqrt(0.5)), complex(0.0, -math.sqrt(0.5)))
 # rows per tile of the in-place mirror of an assembled Hessian
 _TILE = 64
+# the factors -i and i of the two coefficients v_i (see _generators)
+_WRONSKIAN_SIGNS = np.array([[-1j], [1j]])
+_WRONSKIAN_SIGNS.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=_TILE)
+def _above(n: int) -> np.ndarray:
+    """The read-only mask of the entries above the diagonal of an n x n tile."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _grad_infidelity(beta: complex, grad_beta: np.ndarray) -> np.ndarray:
@@ -125,7 +140,7 @@ class SensitivityBundle:
 
 
 class _Generators(NamedTuple):
-    """Hess(beta) in generator form, as :func:`_backward` hands it back.
+    """Hess(beta) in generator form, as :func:`_generators` builds it.
 
     Below the diagonal, entry (j, i) is u_j . v_i with uv[j] = (u_j, v_j),
     an (M, 2, 2) complex array, and v_i carried into the basis of the block
@@ -139,12 +154,14 @@ class _Generators(NamedTuple):
 
 
 def _backward(p: Protocol, fw: Forward, second_order: bool):
-    """grad(beta) and, if ``second_order``, Hess(beta)'s generators.
+    """grad(beta) and, if ``second_order``, the terms of Hess(beta)'s generators.
 
     ``fw`` is ``forward(p)``, of order 2 when ``second_order``. Returns
-    (bundle, generators), the generators None unless ``second_order``; see
-    the module docstring. Raises NonFiniteEntry when grad(beta) or a
-    generator comes out NaN or infinite.
+    (bundle, terms), ``terms`` None unless ``second_order``: then the five
+    lists mu_0, mu_1, y_0, y_1 and the diagonal, per pulse, from which
+    :func:`_generators` builds the generators of Hess(beta) for a caller
+    that reads them (see the module docstring). Raises NonFiniteEntry when
+    grad(beta) comes out NaN or infinite.
     """
     steps, fs, fds, _, _, beta = fw
     m = len(steps)
@@ -153,8 +170,9 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
                             + " requires at least one pulse")
     lf, ld = _beta_row(p.omegaT)
     grad = [0j] * m
+    terms = None
     if second_order:
-        mu0, mu1, y0, y1, diag = ([0j] * m for _ in range(5))
+        terms = mu0, mu1, y0, y1, diag = [[0j] * m for _ in range(5)]
         for j in range(m - 1, -1, -1):
             a00, a01, a10, d00, d01, d10, h00, h01, h10 = steps[j]
             f, fd = fs[j], fds[j]
@@ -180,12 +198,7 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
     # overflows, which np.vdot (unlike ndarray.dot) does without a warning
     if not cmath.isfinite(np.vdot(grad_beta, grad_beta)) and not np.isfinite(grad_beta).all():
         raise NonFiniteEntry("gradient of beta is not finite")
-    gens = None
-    if second_order:
-        gens = _generators(fw, np.array([mu0, mu1, y0, y1], complex), np.array(diag, complex))
-        if not (np.isfinite(gens.uv).all() and np.isfinite(gens.diag).all()):
-            raise NonFiniteEntry("Hessian of beta is not finite")
-    return SensitivityBundle(beta, grad_beta), gens
+    return SensitivityBundle(beta, grad_beta), terms
 
 
 def _anchored_basis(fw: Forward):
@@ -193,8 +206,9 @@ def _anchored_basis(fw: Forward):
 
     Column j of ``zj`` is state j of the basis solution z of the block that
     holds state j, and column j of ``zn`` is that solution one step on, at
-    state j + 1. ``blocks`` lists [start, stop, t] for each block of pulses:
-    t is None for the first, and for a later one the transpose of the
+    state j + 1; rows 0-1 hold z and rows 2-3 conj z. ``blocks`` lists
+    [start, stop, t] for each block of pulses: t is None for the first,
+    and for a later one the transpose of the
     2 x 2 matrix that takes coefficients in the basis (z, conj z) of the
     previous block to its own. The first block's z is the forward pass
     itself. A block ends at the first state where |z|^2 passes _GROWTH
@@ -207,12 +221,12 @@ def _anchored_basis(fw: Forward):
     loop here.
     """
     z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]], complex)
-    size = (z * z.conj()).real.sum(axis=0)
+    zc = z.conj()
+    size = (z * zc).real.sum(axis=0)
     m = len(fw.steps)
-    zn = z[:, 1:]
     blocks = [[0, m, None]]
     if size.max() > _GROWTH:
-        zn = zn.copy()
+        zn = z[:, 1:].copy()
         k = int(np.argmax(size > _GROWTH))
         zf, zd = complex(z[0, k]), complex(z[1, k])
         while k < m:
@@ -230,27 +244,44 @@ def _anchored_basis(fw: Forward):
                 z[:, k] = zf, zd
             else:
                 break
-    return z[:, :-1], zn, blocks
+        zj = z[:, :-1]
+        return np.concatenate([zj, zj.conj()]), np.concatenate([zn, zn.conj()]), blocks
+    z = np.concatenate([z, zc])
+    return z[:, :-1], z[:, 1:], blocks
 
 
-def _generators(fw: Forward, terms: np.ndarray, diag: np.ndarray) -> _Generators:
-    """The generators of Hess(beta) from the per-pulse terms of :func:`_backward`.
+def _generators(fw: Forward, terms) -> _Generators:
+    """The generators of Hess(beta) from the ``terms`` of :func:`_backward`.
 
-    ``terms`` holds the rows mu_0, mu_1, y_0, y_1 and ``diag`` the diagonal.
-    Below the diagonal, d^2 beta / d omega_j d omega_i = u_j . v_i (i < j)
-    with u_j = (mu_j . z_j, mu_j . conj z_j) and
+    ``terms`` holds the lists mu_0, mu_1, y_0, y_1 and the diagonal. Below
+    the diagonal, d^2 beta / d omega_j d omega_i = u_j . v_i (i < j) with
+    u_j = (mu_j . z_j, mu_j . conj z_j) and
     v_i = (-i W(y_i, conj z_{i+1}), i W(y_i, z_{i+1})), the coefficients of
     y_i in the basis (z, conj z); W(p, q) = p_0 q_1 - p_1 q_0 and z is the
     solution of :func:`_anchored_basis`, with W(z, conj z) = i, in each
-    block.
+    block. The eight products of a pulse are one array product, of the
+    terms with the partners z_j, conj z_j, conj z_{j+1} and z_{j+1} stacked
+    alike, and their sums are written into ``uv`` through a transposed
+    view. Raises NonFiniteEntry when a generator or the diagonal is not
+    finite, checked as grad(beta) is in :func:`_backward`.
     """
-    mu0, mu1, y0, y1 = terms
     zj, zn, blocks = _anchored_basis(fw)
-    uv = np.empty((len(diag), 2, 2), dtype=complex)
-    uv[:, 0, 0] = mu0 * zj[0] + mu1 * zj[1]
-    uv[:, 0, 1] = mu0 * zj[0].conj() + mu1 * zj[1].conj()
-    uv[:, 1, 0] = -1j * (y0 * zn[1].conj() - y1 * zn[0].conj())
-    uv[:, 1, 1] = 1j * (y0 * zn[1] - y1 * zn[0])
+    terms = np.array(terms, complex)
+    m = terms.shape[1]
+    # [u or v][entry k][term t][pulse]: u_k sums mu_t times its partner, and
+    # v_k is -i or i times the partner of y_0 less that of y_1. The rows of
+    # zn reversed are conj z_1, conj z_0, z_1 and z_0 one step on
+    partners = np.concatenate([zj, zn[::-1]])
+    prod = terms[:4].reshape(2, 1, 2, m) * partners.reshape(2, 2, 2, m)
+    uv = np.empty((m, 2, 2), dtype=complex)
+    cols = uv.transpose(1, 2, 0)
+    np.add(prod[0, :, 0], prod[0, :, 1], out=cols[0])
+    np.subtract(prod[1, :, 0], prod[1, :, 1], out=cols[1])
+    np.multiply(_WRONSKIAN_SIGNS, cols[1], out=cols[1])
+    diag = terms[4]
+    if (not (cmath.isfinite(np.vdot(uv, uv)) and cmath.isfinite(np.vdot(diag, diag)))
+            and not (np.isfinite(uv).all() and np.isfinite(diag).all())):
+        raise NonFiniteEntry("Hessian of beta is not finite")
     return _Generators(uv, diag, blocks)
 
 
@@ -287,11 +318,12 @@ def _assemble(gens: _Generators, kappa: complex, extra=None) -> np.ndarray:
             cols = np.concatenate([cols @ carry, rhs[start:stop]])
         np.matmul(lhs[start:stop], cols.T, out=out[start:stop, :stop])
     for k in range(0, m, _TILE):
-        # the diagonal block of a tile of rows needs a temporary; the rest
-        # of its rows are the columns below it
+        # the diagonal block of a tile of rows copies its own transpose, which
+        # numpy reads into a temporary; the rest of its rows are the columns
+        # below it
         e = min(k + _TILE, m)
         block = out[k:e, k:e]
-        block[...] = np.where(np.tri(e - k, dtype=bool), block, block.T)
+        np.copyto(block, block.T, where=_above(e - k))
         if e < m:
             out[k:e, e:] = out[e:, k:e].T
     d = (kappa * diag).real
@@ -321,16 +353,18 @@ def _hess_beta_times(gens: _Generators, x: np.ndarray) -> np.ndarray:
     xuv = uv * x[:, None, None]
     run[1:, 0] = xuv[:, 1]
     run[:m - 1, 1] = xuv[1:, 0]
+    # np.add.accumulate is np.cumsum without its Python wrapper
     for start, stop, t in blocks:
+        ahead = run[start:stop + 1, 0]
         if t is not None:
-            run[start, 0] = run[start, 0] @ t
-        np.cumsum(run[start:stop + 1, 0], axis=0, out=run[start:stop + 1, 0])
+            ahead[0] = ahead[0] @ t
+        np.add.accumulate(ahead, axis=0, out=ahead)
     for start, stop, t in reversed(blocks):
         back = run[max(start - 1, 0):stop, 1][::-1]
-        np.cumsum(back, axis=0, out=back)
+        np.add.accumulate(back, axis=0, out=back)
         if t is not None and start > 0:
             run[start - 1, 1] = t @ run[start - 1, 1]
-    return diag * x + (uv * run[:m]).sum(axis=(1, 2))
+    return diag * x + np.add.reduce(uv * run[:m], axis=(1, 2))
 
 
 def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
@@ -358,9 +392,10 @@ def hessian(p: Protocol) -> SensitivityBundle:
     never built. The gradient fields are bit-identical to those of
     :func:`gradient`.
     """
-    bundle, gens = _backward(p, forward(p, 2), second_order=True)
+    fw = forward(p, 2)
+    bundle, terms = _backward(p, fw, second_order=True)
     g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
-    hess_infid = _assemble(gens, 2.0 * bundle.beta.conjugate(), (2.0 * g, g))
+    hess_infid = _assemble(_generators(fw, terms), 2.0 * bundle.beta.conjugate(), (2.0 * g, g))
     if not np.isfinite(hess_infid).all():
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return SensitivityBundle(bundle.beta, bundle.grad_beta, hess_infid)

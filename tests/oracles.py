@@ -10,13 +10,21 @@ kernel entries, for checks of the kernel itself. ``pair_cost`` sums a
 secondary cost over its pulse pairs one pair at a time. ``theta_infidelity``
 scores one phase of the symplectic target at a time, for checks of
 ``theta_scan``.
+
+``reference_generators``, ``reference_assemble``,
+``reference_hess_beta_times`` and ``reference_add_hessian`` are the
+generator helpers and the cost Hessian written out one operation per
+entry block, with a numpy call for each: the elementwise operations, in
+the order, that the library's fewer calls must reproduce bit for bit.
 """
 
 import numpy as np
 
 from oscnav import bogoliubov, infidelity, propagate, symplectic_final, target_matrix
 from oscnav.propagator import _step_entries, forward
-from oscnav.sensitivities import _assemble, _backward
+from oscnav.objectives import _chunk_size
+from oscnav.sensitivities import (_TILE, _Generators, _anchored_basis, _assemble, _backward,
+                                  _generators)
 
 
 def step_matrix(omega: float, dt: float) -> np.ndarray:
@@ -30,10 +38,17 @@ def step_matrix(omega: float, dt: float) -> np.ndarray:
     return np.array([[a00, a01], [a10, a00]])
 
 
+def beta_generators(p):
+    """The generators of Hess beta, from the order-2 forward pass and the
+    terms of the adjoint sweep."""
+    fw = forward(p, 2)
+    return _generators(fw, _backward(p, fw, second_order=True)[1])
+
+
 def beta_hessian(p) -> np.ndarray:
     """Complex Hess beta from two real assemblies of its generators: Re Hess
     beta with kappa = 1 and Im Hess beta = Re(-i Hess beta)."""
-    gens = _backward(p, forward(p, 2), second_order=True)[1]
+    gens = beta_generators(p)
     return _assemble(gens, 1.0) + 1j * _assemble(gens, -1j)
 
 
@@ -124,3 +139,94 @@ def theta_infidelity(p, theta: float) -> float:
     s = symplectic_final(propagate(p), p.omega0)
     diff = s - target_matrix(theta, p.omega0, p.omegaT)
     return float(np.sum(diff * diff))
+
+
+def reference_generators(fw, terms):
+    """(uv, diag) of Hess beta: each of the four generator entries of every
+    pulse as its own products and sums of the terms and the basis."""
+    mu0, mu1, y0, y1, diag = (np.array(t, complex) for t in terms)
+    zj, zn, blocks = _anchored_basis(fw)
+    uv = np.empty((len(diag), 2, 2), dtype=complex)
+    uv[:, 0, 0] = mu0 * zj[0] + mu1 * zj[1]
+    uv[:, 0, 1] = mu0 * zj[0].conj() + mu1 * zj[1].conj()
+    uv[:, 1, 0] = -1j * (y0 * zn[1].conj() - y1 * zn[0].conj())
+    uv[:, 1, 1] = 1j * (y0 * zn[1] - y1 * zn[0])
+    return _Generators(uv, diag, blocks)
+
+
+def reference_assemble(gens, kappa, extra=None):
+    """Re(kappa Hess beta) + E F^T: one real product per block of rows, the
+    mirror of each tile by a selection of its lower triangle, and the
+    diagonal set last."""
+    uv, diag, blocks = gens
+    m = len(diag)
+    lhs = (kappa * uv[:, 0]).conj().view(np.float64)
+    rhs = uv[:, 1].view(np.float64)
+    if extra is not None:
+        lhs = np.concatenate([lhs, extra[0]], axis=1)
+        rhs = np.concatenate([rhs, extra[1]], axis=1)
+    out = np.empty((m, m))
+    for start, stop, t in blocks:
+        if t is None:
+            cols = rhs[:stop]
+        else:
+            carry = np.eye(rhs.shape[1])
+            carry[0:4:2, 0:4:2] = carry[1:4:2, 1:4:2] = t.real
+            carry[0:4:2, 1:4:2] = t.imag
+            carry[1:4:2, 0:4:2] = -t.imag
+            cols = np.concatenate([cols @ carry, rhs[start:stop]])
+        np.matmul(lhs[start:stop], cols.T, out=out[start:stop, :stop])
+    for k in range(0, m, _TILE):
+        e = min(k + _TILE, m)
+        block = out[k:e, k:e]
+        block[...] = np.where(np.tri(e - k, dtype=bool), block, block.T)
+        if e < m:
+            out[k:e, e:] = out[e:, k:e].T
+    d = (kappa * diag).real
+    if extra is not None:
+        d += (extra[0] * extra[1]).sum(axis=1)
+    out.reshape(-1)[::m + 1] = d
+    return out
+
+
+def reference_hess_beta_times(gens, x):
+    """Hess beta x from the generators: the products uv * x copied one row
+    off into the running sums, and np.cumsum forward and backward."""
+    uv, diag, blocks = gens
+    m = len(diag)
+    run = np.zeros((m + 1, 2, 2), dtype=complex)
+    xuv = uv * x[:, None, None]
+    run[1:, 0] = xuv[:, 1]
+    run[:m - 1, 1] = xuv[1:, 0]
+    for start, stop, t in blocks:
+        if t is not None:
+            run[start, 0] = run[start, 0] @ t
+        np.cumsum(run[start:stop + 1, 0], axis=0, out=run[start:stop + 1, 0])
+    for start, stop, t in reversed(blocks):
+        back = run[max(start - 1, 0):stop, 1][::-1]
+        np.cumsum(back, axis=0, out=back)
+        if t is not None and start > 0:
+            run[start - 1, 1] = t @ run[start - 1, 1]
+    return diag * x + (uv * run[:m]).sum(axis=(1, 2))
+
+
+def reference_add_hessian(cost, out):
+    """Hess C added to ``out`` in place, through writable diagonal views:
+    smoothness -2 on the two diagonals next to the main one, then 4 inside
+    the main one and 2 at each end; compression -2 over each chunk block,
+    then 2K on the main diagonal."""
+    m = len(out)
+    if cost.kind == "smoothness":
+        for pairs in (out[:-1, 1:], out[1:, :-1]):
+            np.einsum("ii->i", pairs)[...] -= 2.0
+        diag = np.einsum("ii->i", out)
+        diag[1:-1] += 4.0
+        if m > 1:
+            diag[::m - 1] += 2.0
+        return out
+    diag = np.arange(m)
+    k = _chunk_size(m, cost.chunks)
+    for start in range(0, m, k):
+        out[start:start + k, start:start + k] -= 2.0
+    out[diag, diag] += 2.0 * k
+    return out

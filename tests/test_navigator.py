@@ -309,9 +309,9 @@ class TestNavigate:
 
         def recording_step(*args):
             # radius, tangent basis Z, trials, last trust-region u, next radius
-            steps.append([args[-1], args[5], 0, None, None])
+            steps.append([args[-1], args[7], 0, None, None])
             result = real_step(*args)
-            steps[-1][4] = result[1] if isinstance(result, tuple) else None
+            steps[-1][4] = result[-1] if isinstance(result, tuple) else None
             return result
 
         def recording_tr(*args):
@@ -858,6 +858,95 @@ class TestSweepCounts:
         q, ival, bundle, status = navigator._project(start, 1e-28, navigator._CORRECTOR_BUDGET)
         assert status == "critical" and q is start and ival == infidelity(start)
         assert not bundle.grad_beta.any() and reads == []
+
+
+class TestGeneratorBuilds:
+    """The generators of Hess beta are built, and checked finite, only for a
+    step: once per ``_navigation_step`` call and once per ``hessian`` call."""
+
+    # the benchmark's capped smoothing of the M = 3 pool
+    SMOOTH = NavigationConfig(doubling_stall_tolerance=0.2, doubling_schedule=(2,),
+                              max_iterations=50)
+
+    @staticmethod
+    def _count(monkeypatch):
+        """(builds, steps): a list that gets every build of the generators,
+        and one that gets, per ``_navigation_step`` call, the builds it made."""
+        builds = record_calls(monkeypatch, sensitivities, "_generators")
+        steps = []
+
+        def counting_step(real):
+            def step(*args):
+                before = len(builds)
+                try:
+                    return real(*args)
+                finally:
+                    steps.append(len(builds) - before)
+            return step
+
+        patch_everywhere(monkeypatch, navigator, "_navigation_step", counting_step)
+        return builds, steps
+
+    def test_one_build_per_step_of_the_pool_smoothings(self, monkeypatch):
+        # 53 records: 40 steps, 8 doubling records and 5 tolerance stops
+        builds, steps = self._count(monkeypatch)
+        records = 0
+        for path in POOL_M3:
+            traj = navigate(proto.load(path), SecondaryCost("smoothness"), self.SMOOTH)
+            assert traj.status == "completed", path.stem
+            records += len(traj.records)
+        assert records == 53
+        assert len(builds) == len(steps) == 40
+        assert steps == [1] * 40
+
+    def test_no_build_without_a_step(self, monkeypatch):
+        builds, steps = self._count(monkeypatch)
+        p = proto.load(POOL_M3[0])
+        traj = navigate(p, SecondaryCost("smoothness"), NavigationConfig(max_iterations=0))
+        assert len(traj.records) == 1 and builds == [] and steps == []
+        # a stall tolerance of 1e9 doubles at once, and the refined record is
+        # the last: a doubling record and a final record, no step
+        cfg = NavigationConfig(doubling_stall_tolerance=1e9, doubling_schedule=(2,),
+                               max_iterations=1)
+        traj = navigate(p, SecondaryCost("smoothness"), cfg)
+        assert [r.protocol.m for r in traj.records] == [3, 6]
+        assert builds == [] and steps == []
+
+    def test_one_build_per_hessian_call(self, monkeypatch):
+        builds = record_calls(monkeypatch, sensitivities, "_generators")
+        p = proto.load(POOL_M3[0])
+        for n in (1, 2, 3):
+            hessian(p)
+            assert len(builds) == n
+        gradient(p)
+        assert len(builds) == 3
+
+    @staticmethod
+    def _infinite_second_derivatives(monkeypatch):
+        """Every A'' entry of the step kernel infinite, A and A' untouched."""
+        real = propagator._step_entries
+
+        def faulty(omega, dt, order=0):
+            e = real(omega, dt, order)
+            return e[:6] + (math.inf,) * 3 if order == 2 else e
+
+        monkeypatch.setattr(propagator, "_step_entries", faulty)
+
+    def test_a_stepping_record_checks_the_hessian_of_beta(self, monkeypatch):
+        self._infinite_second_derivatives(monkeypatch)
+        builds, steps = self._count(monkeypatch)
+        with pytest.raises(NonFiniteEntry, match="Hessian of beta is not finite"), \
+                np.errstate(all="ignore"):
+            navigate(proto.load(POOL_M3[0]), SecondaryCost("smoothness"), NavigationConfig())
+        assert len(builds) == len(steps) == 1
+
+    def test_a_record_without_a_step_reads_no_hessian_of_beta(self, monkeypatch):
+        # the one record of a run capped at 0 iterations takes no step, so
+        # its generators are never built or checked
+        self._infinite_second_derivatives(monkeypatch)
+        traj = navigate(proto.load(POOL_M3[0]), SecondaryCost("smoothness"),
+                        NavigationConfig(max_iterations=0))
+        assert traj.status == "budget_exhausted" and len(traj.records) == 1
 
 
 class TestEntryEvaluations:

@@ -12,7 +12,7 @@ from oscnav import (IndivisibleChunking, NonFiniteEntry, NonSymplectic, Protocol
                     SecondaryCost, collapse, infidelity, initial_state, propagate, refine,
                     symplectic_final, target_matrix, theta_scan)
 from oscnav.propagator import ModeState
-from oracles import pair_cost, theta_infidelity
+from oracles import pair_cost, reference_add_hessian, theta_infidelity
 
 C1 = SecondaryCost("smoothness")
 
@@ -70,6 +70,36 @@ class TestCostHessian:
             out[...] = base
             assert cost.add_hessian(out) is out
             assert np.array_equal(out, want)
+
+
+LAYOUTS = {
+    "C": lambda a: a.copy(),
+    "F": np.asfortranarray,
+    "strided": lambda a: _placed(a, lambda wide, m: wide[::2, ::2]),
+    "offset": lambda a: _placed(a, lambda wide, m: wide[1:m + 1, m:]),
+}
+
+
+def _placed(a, view):
+    """``a`` copied into an m x m view of a 2m x 2m array."""
+    m = len(a)
+    out = view(np.zeros((2 * m, 2 * m)), m)
+    out[...] = a
+    return out
+
+
+@given(st.integers(1, 70), st.sampled_from(sorted(LAYOUTS)), st.integers(0, 2 ** 32 - 1))
+def test_add_hessian_matches_the_reference(m, layout, seed):
+    # non-integer entries, one of them a signed zero, so every addition
+    # rounds: the bits must be those of the reference's operations
+    base = np.random.default_rng(seed).normal(size=(m, m))
+    base[0, -1] = -0.0
+    for chunks in [None] + [n for n in range(1, m + 1) if m % n == 0]:
+        cost = C1 if chunks is None else c2(chunks)
+        out = LAYOUTS[layout](base)
+        want = reference_add_hessian(cost, base.copy())
+        assert cost.add_hessian(out) is out
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes(), cost
 
 
 class TestCostProperties:

@@ -172,6 +172,22 @@ def test_with_omegas_refuses_a_2d_array_as_the_constructor_does():
             make(np.zeros((3, 2)))
 
 
+def test_pulses_from_a_one_shot_iterator_are_all_kept():
+    # a generator, an iterator and a map are each read once, before the
+    # checks, and give the protocol of the tuple
+    pulses = (1.0, 2.0, 3.0)
+    want = Protocol(1.0, 0.25, 0.6, pulses)
+    for make in (lambda: (w for w in pulses), lambda: iter(pulses),
+                 lambda: map(float, pulses)):
+        got = Protocol(1.0, 0.25, 0.6, make())
+        assert got == want and got.omegas == pulses
+
+
+def test_nan_in_a_one_shot_iterator_is_named():
+    with pytest.raises(NonFiniteEntry, match=r"omegas\[1\] is not a finite real: nan"):
+        Protocol(1.0, 0.25, 0.6, (w for w in (1.0, math.nan)))
+
+
 def test_empty_protocol_is_legal():
     p = Protocol(1.0, 0.25, 0.6, ())
     assert validate(p).duration == 0.0

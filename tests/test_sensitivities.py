@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
                     infidelity, refine)
@@ -14,10 +15,12 @@ from oscnav import propagator, sensitivities
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
-from oscnav.sensitivities import (SensitivityBundle, _anchored_basis, _backward,
-                                  _hess_beta_times)
+from oscnav.sensitivities import (SensitivityBundle, _anchored_basis, _assemble, _backward,
+                                  _generators, _hess_beta_times)
 from counting import record_calls
-from oracles import beta_hessian, fd_gradient, fd_hessian, optimal_hessian, step_matrix
+from oracles import (beta_generators, beta_hessian, fd_gradient, fd_hessian, optimal_hessian,
+                     reference_assemble, reference_generators, reference_hess_beta_times,
+                     step_matrix)
 
 
 EPS = np.finfo(float).eps
@@ -397,7 +400,7 @@ class TestGeneratorProduct:
 
     @staticmethod
     def assert_matches_dense(p, x):
-        gens = _backward(p, forward(p, 2), second_order=True)[1]
+        gens = beta_generators(p)
         want = beta_hessian(p) @ x
         got = _hess_beta_times(gens, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -421,6 +424,64 @@ class TestGeneratorProduct:
         p = Protocol(omega0, 0.25, 0.1125, tuple(rng.uniform(-2.5, 2.5, 48)))
         assert _anchored_basis(forward(p, 2))[2][0][:2] == [0, 0]
         self.assert_matches_dense(p, rng.normal(size=48))
+
+
+def same_bits(got, want) -> bool:
+    """Whether two arrays hold the same dtype, shape and bits, signed zeros
+    included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# 1 to 70 pulses, across the 64-row tile of the mirror: random protocols, and
+# the drives of RESONANT resampled, which take 1 to 7 blocks
+LEAN_PROTOCOLS = st.one_of(
+    st.builds(lambda m, seed: random_protocol(np.random.default_rng(seed), m,
+                                              omega_range=(-2.5, 2.5)),
+              st.integers(1, 70), st.integers(0, 2 ** 32 - 1)),
+    st.builds(lambda m, args: resonant_protocol(args[0], m, args[2]),
+              st.integers(1, 70), st.sampled_from(RESONANT)))
+KAPPAS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestLeanHelpers:
+    """The generator helpers give the bits of the references in ``oracles``,
+    which write every elementwise operation out as its own numpy call."""
+
+    @staticmethod
+    def assert_match(p, kappa, x):
+        fw = forward(p, 2)
+        bundle, terms = _backward(p, fw, second_order=True)
+        gens, want = _generators(fw, terms), reference_generators(fw, terms)
+        assert same_bits(gens.uv, want.uv) and same_bits(gens.diag, want.diag)
+        assert repr(gens.blocks) == repr(want.blocks)
+        assert same_bits(_assemble(gens, kappa), reference_assemble(gens, kappa))
+        g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
+        rank2 = (2.0 * bundle.beta.conjugate(), (2.0 * g, g))
+        assert same_bits(_assemble(gens, *rank2), reference_assemble(gens, *rank2))
+        assert same_bits(hessian(p).hess_infidelity, reference_assemble(gens, *rank2))
+        assert same_bits(_hess_beta_times(gens, x), reference_hess_beta_times(gens, x))
+
+    @given(LEAN_PROTOCOLS, KAPPAS, st.data())
+    def test_match_the_references(self, p, kappa, data):
+        # x from hypothesis, signed zeros and exact integers included
+        x = data.draw(npst.arrays(np.float64, p.m, elements=st.floats(-10.0, 10.0)))
+        self.assert_match(p, kappa, x)
+
+    @pytest.mark.parametrize("args, blocks", zip(RESONANT, (2, 9)),
+                             ids=["T{}-M{}-eps{}".format(*a) for a in RESONANT])
+    def test_resonant_growth_matches_the_references(self, args, blocks):
+        p = resonant_protocol(*args)
+        assert blocks_of(p) == blocks
+        rng = np.random.default_rng(11)
+        self.assert_match(p, complex(*rng.normal(size=2)), rng.normal(size=p.m))
+
+    @pytest.mark.parametrize("omega0", [1e-4, 1e4])
+    def test_empty_first_block_matches_the_references(self, omega0):
+        rng = np.random.default_rng(12)
+        p = Protocol(omega0, 0.25, 0.1125, tuple(rng.uniform(-2.5, 2.5, 48)))
+        assert _anchored_basis(forward(p, 2))[2][0][:2] == [0, 0]
+        self.assert_match(p, complex(*rng.normal(size=2)), rng.normal(size=p.m))
 
 
 class TestHessianMemory:
