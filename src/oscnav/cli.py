@@ -50,9 +50,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# json.dumps(doc, allow_nan=False) builds a new encoder on every call
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
 def _dumps(doc) -> str:
     """Strict JSON: a NaN or infinite value raises ValueError."""
-    return json.dumps(doc, allow_nan=False)
+    return _STRICT_JSON.encode(doc)
 
 
 def _fail(code: int, error: str, detail: str) -> int:
@@ -68,10 +72,24 @@ def _check_keys(section, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _default_config(cls):
+    """The defaults of config class ``cls``, built once: the classes are frozen."""
+    return cls()
+
+
 def _dataclass_from(cls, section, where):
     """Build config dataclass ``cls`` from a JSON section; ``cls`` checks
-    each field, and its ValueError becomes a ConfigError."""
-    _check_keys(section, [f.name for f in dataclasses.fields(cls)], where)
+    each field, and its ValueError becomes a ConfigError. An empty section
+    gives the shared default instance."""
+    _check_keys(section, _field_names(cls), where)
+    if not section:
+        return _default_config(cls)
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     try:
         return cls(**kwargs)
@@ -111,8 +129,7 @@ class RunConfig:
 
 def _load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)  # RecursionError: a document nested too deep
+        doc = json.loads(proto._read_text(path))  # RecursionError: nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig(doc)
@@ -246,8 +263,9 @@ def _cmd_theta_scan(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's own parser by name, built
+    once: parsing leaves them unchanged."""
     ap = _Parser(prog="oscnav",
                  description="Frictionless-protocol search and level-set "
                              "navigation for a frequency-controlled oscillator.")
@@ -294,12 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=1024)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_theta_scan)
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """The namespace of ``build_parser().parse_args(argv)``, less its ``command``.
+
+    A command's own parser parses the arguments after the command, with the
+    usage errors and help of the full parser, which hands them to it, but
+    without the full parser's pass. Anything else, such as no command or an
+    unknown one, goes through the full parser for its own error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parsers()[1].get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         # non-finite results are reported as one JSON error line below, so
         # numpy's floating-point warnings would only add noise to stderr
         with np.errstate(all="ignore"):

@@ -218,12 +218,23 @@ def from_json(text: str) -> Protocol:
 
 
 def load(path) -> Protocol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    return from_json(_read_text(path))
 
 
 def save(p: Protocol, path) -> None:
     _write_text(path, to_json(p) + "\n")
+
+
+def _read_text(path) -> str:
+    """The text of ``path`` as ``open(path, encoding="utf-8").read()`` gives
+    it, without building a text wrapper: bytes that are not UTF-8 raise
+    UnicodeDecodeError, a BOM stays a U+FEFF, and CR and CRLF line ends
+    read as LF, which keeps a JSON error's line and column."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write_text(path, text: str) -> None:

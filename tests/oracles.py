@@ -11,7 +11,9 @@ secondary cost over its pulse pairs one pair at a time. ``theta_infidelity``
 scores one phase of the symplectic target at a time, for checks of
 ``theta_scan``.
 
-``reference_generators``, ``reference_assemble``,
+``reference_anchored_basis`` splits the basis of Hess beta into blocks
+with the per-state |z|^2 test run on every protocol, for checks of the
+bound that skips it. ``reference_generators``, ``reference_assemble``,
 ``reference_hess_beta_times`` and ``reference_add_hessian`` are the
 generator helpers and the cost Hessian written out one operation per
 entry block, with a numpy call for each: the elementwise operations, in
@@ -23,8 +25,8 @@ import numpy as np
 from oscnav import bogoliubov, infidelity, propagate, symplectic_final, target_matrix
 from oscnav.propagator import _step_entries, forward
 from oscnav.objectives import _chunk_size
-from oscnav.sensitivities import (_TILE, _Generators, _anchored_basis, _assemble, _backward,
-                                  _generators)
+from oscnav.sensitivities import (_GROWTH, _TILE, _UNIT, _Generators, _anchored_basis,
+                                  _assemble, _backward, _generators)
 
 
 def step_matrix(omega: float, dt: float) -> np.ndarray:
@@ -139,6 +141,39 @@ def theta_infidelity(p, theta: float) -> float:
     s = symplectic_final(propagate(p), p.omega0)
     diff = s - target_matrix(theta, p.omega0, p.omegaT)
     return float(np.sum(diff * diff))
+
+
+def reference_anchored_basis(fw):
+    """(zj, zn, blocks) of ``sensitivities._anchored_basis``, testing |z|^2
+    state by state on every protocol: a block ends at the first state
+    whose |z|^2 passes _GROWTH."""
+    z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]], complex)
+    zc = z.conj()
+    size = (z * zc).real.sum(axis=0)
+    m = len(fw.steps)
+    blocks = [[0, m, None]]
+    if size.max() > _GROWTH:
+        zn = z[:, 1:].copy()
+        k = int(np.argmax(size > _GROWTH))
+        zf, zd = complex(z[0, k]), complex(z[1, k])
+        while k < m:
+            a, b = (zf + 1j * zd) * _UNIT[0], (zf - 1j * zd) * _UNIT[0]
+            blocks[-1][1] = k
+            blocks.append([k, m, np.array([[a, b], [b.conjugate(), a.conjugate()]])])
+            zf, zd = z[:, k] = _UNIT
+            for k in range(k + 1, m + 1):
+                a00, a01, a10 = fw.steps[k - 1][:3]
+                zf, zd = a00 * zf + a01 * zd, a10 * zf + a00 * zd
+                zn[:, k - 1] = zf, zd
+                if (zf * zf.conjugate() + zd * zd.conjugate()).real > _GROWTH:
+                    break
+                z[:, k] = zf, zd
+            else:
+                break
+        zj = z[:, :-1]
+        return np.concatenate([zj, zj.conj()]), np.concatenate([zn, zn.conj()]), blocks
+    z = np.concatenate([z, zc])
+    return z[:, :-1], z[:, 1:], blocks
 
 
 def reference_generators(fw, terms):

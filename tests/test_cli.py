@@ -19,7 +19,7 @@ import oscnav
 from oscnav import DescentConfig, ModeState, Protocol, infidelity, solve
 from oscnav import cli, navigator, objectives
 from oscnav import protocol as proto
-from oscnav.cli import ConfigError, _load_config, main
+from oscnav.cli import ConfigError, _load_config, build_parser, main
 
 TASK_DOC = {"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1.8}, "M": 3,
             "descent": {"seed": 1}}
@@ -492,6 +492,16 @@ class TestInputContract:
         where, name = ("config", section) if section == "scan" else (section, key)
         assert f"unknown keys in {where}: [{name!r}]" in line["detail"]
 
+    @pytest.mark.parametrize("doc", [{}, {"descent": {}, "navigation": {}, "trace": {},
+                                          "output": {}}], ids=["absent", "empty"])
+    def test_sections_left_out_are_the_defaults(self, doc, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        cfg = _load_config(tmp_path / "cfg.json")
+        assert cfg.task is None and cfg.m is None and cfg.output == {}
+        assert cfg.descent == DescentConfig()
+        assert cfg.navigation == navigator.NavigationConfig()
+        assert cfg.trace == navigator.TraceConfig()
+
     def test_typed_config_still_loads(self, tmp_path):
         doc = dict(TASK_DOC, descent={"seed": 3, "box": [0, 2.0]},
                    navigation={"doubling_schedule": [2], "doubling_stall_tolerance": 1})
@@ -589,17 +599,30 @@ class TestInputContract:
     @pytest.mark.parametrize("content", [
         b"[" * 2000 + b"]" * 2000,  # json raises RecursionError on this 4 KB file
         b"\xff{}",                  # not UTF-8
-        b"1" + b"0" * 5000],        # beyond Python's 4 300-digit integer parsing
-        ids=["nested-2000-deep", "not-utf-8", "5001-digit-integer"])
+        b"1" + b"0" * 5000,         # beyond Python's 4 300-digit integer parsing
+        '{"M": 3}'.encode("utf-16"),
+        '{"M": 3}'.encode("utf-16-le"),
+        '{"M": 3}'.encode("utf-8-sig"),
+        b'{"M": 3,\r\n "x"\r\n}',     # CRLF line ends
+        b'{"M": 3,\r "x"\r}'],          # CR line ends
+        ids=["nested-2000-deep", "not-utf-8", "5001-digit-integer", "utf-16",
+             "utf-16-without-bom", "utf-8-bom", "crlf", "cr"])
     def test_unreadable_json_is_a_config_error(self, argv, content, tmp_path, capsys,
                                                monkeypatch):
-        # the protocol and the config loader report a file json cannot read alike
+        # the protocol and the config loader report a file json cannot read
+        # alike, with the error of reading it as UTF-8 text
         (tmp_path / "doc.json").write_bytes(content)
         monkeypatch.chdir(tmp_path)
+        with pytest.raises((ValueError, RecursionError)) as text_read:
+            with open("doc.json", encoding="utf-8") as fh:
+                json.loads(fh.read())
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert _one_error_line(err)["error"] == "ConfigError"
+        what = "config" if argv[0] == "solve" else "protocol"
+        assert _one_error_line(err) == {
+            "error": "ConfigError",
+            "detail": f"cannot read {what} doc.json: {text_read.value}"}
         assert os.listdir(tmp_path) == ["doc.json"]
 
     @pytest.mark.parametrize("command", ["verify", "spectrum", "theta-scan"])
@@ -665,8 +688,16 @@ class TestInputContract:
         (["solve"], dict(TASK_DOC, descent={"box": 5}),
          "bad descent section: box must be of type"),
         (["solve"], dict(TASK_DOC, descent={"seed": -1}),
+         "bad descent section: seed must be >= 0"),
+        # sections the command does not read are checked all the same
+        (["solve"], dict(TASK_DOC, trace={"step_size": 0.0}),
+         "bad trace section: step size must be > 0"),
+        (["solve"], dict(TASK_DOC, navigation={"max_iterations": -1}),
+         "bad navigation section: iteration budget must be >= 0"),
+        (["smooth", str(POOL / "m3" / "seed100.json")], {"descent": {"seed": -1}},
          "bad descent section: seed must be >= 0")],
-        ids=["levelset-without-task", "tuple-field-not-a-list", "negative-seed"])
+        ids=["levelset-without-task", "tuple-field-not-a-list", "negative-seed",
+             "solve-bad-trace", "solve-bad-navigation", "smooth-bad-descent"])
     def test_config_refused_before_any_output(self, argv, config, detail, tmp_path, capsys):
         config = dict(config, output={name: str(tmp_path / name) for name in
                                       ("protocol", "trajectory", "cloud", "curves")})
@@ -677,6 +708,62 @@ class TestInputContract:
         line = _one_error_line(err)
         assert line["error"] == "ConfigError" and detail in line["detail"]
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+COMMANDS = ("solve", "smooth", "compress", "spectrum", "verify", "levelset", "theta-scan")
+
+
+class TestParsing:
+    """main parses a command line with the command's own parser alone, as
+    the full parser of build_parser parses it."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["--config", "x", "solve"], ["solve"], ["solve", "--config"],
+        ["solve", "--config", "c.json", "extra"], ["theta-scan", "p.json", "--points", "abc"]],
+        ids=repr)
+    def test_usage_error_is_the_full_parsers(self, argv, capsys):
+        # the message is argparse's, which differs between Python versions
+        with pytest.raises(ConfigError) as want:
+            build_parser().parse_args(argv)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err) == {"error": "ConfigError", "detail": str(want.value)}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_is_the_full_parsers(self, command, capsys):
+        texts = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, "-h"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith(f"usage: oscnav {command}")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--conf", "c.json"],
+        ["smooth", "p.json", "--config", "c.json", "--double", "2,3",
+         "--out-protocol", "o.json", "--out-trajectory", "t.csv"],
+        ["compress", "p.json", "--chunks", "2", "--out-collapsed", "s.json"],
+        ["spectrum", "p.json", "--out", "e.csv"],
+        ["verify", "p.json"],
+        ["levelset", "--conf", "c.json", "--seeds", "3"],
+        ["theta-scan", "p.json", "--points", "64"]], ids=lambda argv: argv[0])
+    def test_arguments_are_the_full_parsers(self, argv):
+        want = vars(build_parser().parse_args(argv))
+        assert want.pop("command") == argv[0]
+        assert vars(cli._parse_args(argv)) == want
+
+    def test_abbreviated_option(self):
+        # allow_abbrev, as in every parser argparse builds
+        for parse in (cli._parse_args, build_parser().parse_args):
+            assert parse(["solve", "--conf", "c.json"]).config == "c.json"
+
+    def test_no_argv_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        proto.save(M3_SOLUTION, tmp_path / "p.json")
+        monkeypatch.setattr(sys, "argv", ["oscnav", "verify", str(tmp_path / "p.json")])
+        assert main() == 0
+        assert capsys.readouterr().out == run_cli("verify", "p.json", cwd=tmp_path).stdout
 
 
 M3_SOLUTION = Protocol(1.0, 0.25, 0.6, (2.331126716122641, 0.33573037593786065,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -15,11 +15,12 @@ from oscnav import propagator, sensitivities
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
-from oscnav.sensitivities import (SensitivityBundle, _anchored_basis, _assemble, _backward,
-                                  _generators, _hess_beta_times)
+from oscnav.sensitivities import (_GROWTH, SensitivityBundle, _anchored_basis, _assemble,
+                                  _backward, _generators, _hess_beta_times)
 from counting import record_calls
 from oracles import (beta_generators, beta_hessian, fd_gradient, fd_hessian, optimal_hessian,
-                     reference_assemble, reference_generators, reference_hess_beta_times,
+                     reference_anchored_basis, reference_assemble, reference_generators,
+                     reference_hess_beta_times,
                      step_matrix)
 
 
@@ -380,8 +381,71 @@ def blocks_of(p):
     return len(_anchored_basis(forward(p, 2))[2])
 
 
+def state_sizes(p):
+    """|z|^2 of each state of the forward pass of ``p``, from s_0 to s_M."""
+    fw = forward(p, 2)
+    z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]], complex)
+    return (z * z.conj()).real.sum(axis=0)
+
+
+def bracket_pulse(dt, head, tail, measure, target):
+    """The two protocols ``Protocol(1.0, 0.25, dt, head + (w,) + tail)``, w
+    one float apart in [0, 1e3], between which ``measure`` of the state
+    sizes crosses ``target``: found by bisection, None without a crossing.
+    The pulse w moves only the states after it."""
+    def protocol(w):
+        return Protocol(1.0, 0.25, dt, head + (w,) + tail)
+
+    def value(w):
+        return measure(state_sizes(protocol(w)))
+    lo, hi = 0.0, 1e3
+    if not value(lo) < target <= value(hi):
+        return None
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if value(mid) < target else (lo, mid)
+    return protocol(lo), protocol(hi)
+
+
+# short protocols, so that their states stay near |z|^2 = 1 before w
+BRACKETED_PULSES = st.builds(
+    lambda m, seed: tuple(np.random.default_rng(seed).uniform(-2.5, 2.5, m)),
+    st.integers(0, 23), st.integers(0, 2 ** 32 - 1))
+
+
 class TestReanchoring:
     """Hess(beta) restarts its basis solution only where the mode grows."""
+
+    @staticmethod
+    def assert_blocks_match(p):
+        fw = forward(p, 2)
+        (zj, zn, blocks), want = _anchored_basis(fw), reference_anchored_basis(fw)
+        assert same_bits(zj, want[0]) and same_bits(zn, want[1])
+        assert repr(blocks) == repr(want[2])
+
+    @given(st.floats(0.02, 0.1), BRACKETED_PULSES, st.floats(0.0, 4e-9))
+    def test_sum_just_under_the_bound_keeps_the_blocks(self, dt, head, gap):
+        # the sum over all states just under _GROWTH, on either side of the
+        # margin of the bound that skips the per-state test; the last state
+        # holds most of it
+        pair = bracket_pulse(dt, head, (), np.sum, _GROWTH * (1 - gap))
+        assume(pair is not None)
+        assert _GROWTH * (1 - 1e-8) < state_sizes(pair[0]).sum() <= _GROWTH
+        for p in pair:
+            self.assert_blocks_match(p)
+
+    @given(st.floats(0.02, 0.1), BRACKETED_PULSES, st.floats(-2.5, 2.5),
+           st.floats(0.0, 1e-9))
+    def test_largest_state_just_over_growth_keeps_the_blocks(self, dt, head, last,
+                                                              excess):
+        # the largest state before the last, the one that can end a block,
+        # just over _GROWTH: above the pair it splits the basis in two
+        def largest(sizes):
+            return sizes[:-1].max()
+        pair = bracket_pulse(dt, head, (last,), largest, _GROWTH * (1 + excess))
+        assume(pair is not None)
+        assert _GROWTH <= largest(state_sizes(pair[1])) < _GROWTH * (1 + 1e-8)
+        for p in pair:
+            self.assert_blocks_match(p)
 
     def test_resonant_protocols_are_reanchored(self):
         for args in RESONANT:

@@ -4,8 +4,9 @@
 
 Run it from anywhere; it imports the package from ``src/`` and the pool
 loader and task of the benchmark from ``perfbench/``. It reads the
-benchmark's protocol pool, ``perfbench/pool/``, and writes nothing, not
-even bytecode caches. The groups are:
+benchmark's protocol pool, ``perfbench/pool/``, and writes nothing inside
+the repository, not even bytecode caches: the commands of ``cli`` write
+into temporary directories. The groups are:
 
 * ``traces``: ``trace_levelset`` from each M = 3 pool entry at steps 0.05
   and 0.3, both ways;
@@ -23,16 +24,24 @@ even bytecode caches. The groups are:
 * ``scans``: ``scan_levelset`` with 40 seeds from the descent boxes (0, 2),
   (0.1, 5) and (-5, 5);
 * ``collapses``: ``collapse`` of the final protocol of each ``compress``
-  run of ``navigations`` onto its chunk count, reusing that run.
+  run of ``navigations`` onto its chunk count, reusing that run;
+* ``cli``: ``oscnav.cli.main`` in process, each command in a new
+  temporary directory as its working directory, with relative paths, so
+  that no text names the directory: ``solve`` at M = 3, seeds 0-3;
+  ``smooth --double 2``, ``compress --chunks 1``, ``spectrum``, ``verify``
+  and ``theta-scan --points 64`` of each M = 3 pool entry; and command
+  lines that are usage errors. argparse words its usage errors by Python
+  version, so this group's hash holds for one version.
 
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
 report and trajectory CSV, a scan's cloud CSV and curves, a collapsed
-protocol's JSON, or the type and message of the error it raised. Each run
+protocol's JSON, a command's exit code, stdout, stderr and every file in
+its directory, or the type and message of the error it raised. Each run
 also counts its records: a trajectory's records, a curve's vertices, a
 solve's restarts plus its trajectory's records, a scan's curve vertices;
-a collapse or an error counts 0. One line per group, then one for all of
-them together, reads
+a collapse, a command or an error counts 0. One line per group, then one
+for all of them together, reads
 
     <group> <runs> <records> <sha256>
 
@@ -43,19 +52,23 @@ hash is compared.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 
 sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from oscnav import navigator, protocol  # noqa: E402
+from oscnav import cli, navigator, protocol  # noqa: E402
 from oscnav.errors import OscnavError  # noqa: E402
 from oscnav.objectives import SecondaryCost  # noqa: E402
-from pool import load_pool  # noqa: E402
+from pool import POOL_DIR, load_pool  # noqa: E402
 from workloads import TASK  # noqa: E402
 
 
@@ -94,6 +107,55 @@ def _outcome(run) -> tuple[bytes, int]:
         text, records = f"{type(exc).__name__}: {exc}", 0
     # NUL ends a run's text, so no two sequences of runs hash alike
     return text.encode() + b"\0", records
+
+
+# command lines that are usage errors: no command, an unknown one, an
+# option before the command, a missing option, option value or positional,
+# an extra argument and a value of the wrong type
+USAGE_ERRORS = ([], ["frobnicate"], ["--config", "x", "solve"], ["solve"],
+                ["solve", "--config"], ["solve", "--config", "c.json", "extra"],
+                ["theta-scan", "p.json", "--points", "abc"])
+
+
+def _command(argv, files):
+    """A run of ``cli.main(argv)`` in a new temporary working directory that
+    first holds ``files`` ({name: bytes}): its exit code, stdout, stderr and
+    every file in the directory afterwards, by name."""
+    def run():
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                for name, data in files.items():
+                    with open(name, "wb") as fh:
+                        fh.write(data)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                outputs = []
+                for name in sorted(os.listdir()):
+                    with open(name, encoding="utf-8", newline="") as fh:
+                        outputs += [name, fh.read()]
+            finally:
+                os.chdir(cwd)
+        return "\n".join([f"{argv!r} exit {code}", out.getvalue(), err.getvalue(), *outputs])
+    return run
+
+
+def _commands(m3_names):
+    """The runs of the ``cli`` group."""
+    runs = [_command(["solve", "--config", "c.json"],
+                     {"c.json": json.dumps({"task": TASK, "M": 3,
+                                            "descent": {"seed": seed}}).encode()})
+            for seed in range(4)]
+    for name in m3_names:
+        with open(os.path.join(POOL_DIR, "m3", f"{name}.json"), "rb") as fh:
+            files = {"p.json": fh.read()}
+        runs += [_command(["smooth", "p.json", "--double", "2"], files),
+                 _command(["compress", "p.json", "--chunks", "1"], files),
+                 _command(["spectrum", "p.json"], files),
+                 _command(["verify", "p.json"], files),
+                 _command(["theta-scan", "p.json", "--points", "64"], files)]
+    return runs + [_command(argv, {}) for argv in USAGE_ERRORS]
 
 
 def groups():
@@ -147,7 +209,7 @@ def groups():
             ("solves_m48", solves((48,), range(5), (0.1, 5.0))),
             ("solves_m12_m13", solves((12, 13), range(6))),
             ("held_navigations", navigations(held)[0]), ("scans", scans),
-            ("collapses", collapses)]
+            ("collapses", collapses), ("cli", _commands([name for name, _ in pool.m3]))]
 
 
 def main() -> int:
