@@ -225,13 +225,17 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class DescentTrajectory:
-    """Ordered snapshots along one optimization run."""
+    """Ordered snapshots along one optimization run. ``stop``, library only,
+    names why it ended: the stop state of ``_project`` for a descent;
+    "tolerance", "rounding", "resolution" or "budget" for a navigation."""
 
     records: tuple[TrajectoryRecord, ...]
-    status: str  # "completed" | "budget_exhausted"; a refused input raises
-    # why it ended, library only: the stop state of _project for a descent;
-    # "tolerance", "rounding", "resolution" or "budget" for a navigation
-    stop: str | None = None
+    stop: str
+
+    @property
+    def status(self) -> str:
+        """"budget_exhausted" when the run used up its budget, else "completed"."""
+        return "budget_exhausted" if self.stop == "budget" else "completed"
 
     @property
     def final_protocol(self) -> Protocol:
@@ -383,9 +387,9 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
                 if chord:
                     chord = False
                     break
-                at_floor = (_gauss_newton_sq(a, b, c, r0, r1)
-                            <= _EPS * max(1.0, float(np.max(np.abs(w)))) ** 2)
-                return p, val, bundle, "floor" if at_floor else "stalled"
+                # sqrt(eps) = 2^-26, so the bound squared is eps max(1, max|w|)^2
+                long = _long_step(w, a, b, c, r0, r1, math.sqrt(_EPS))
+                return p, val, bundle, "stalled" if long else "floor"
             trial = p.with_omegas(cand)
             trial_fw = forward(trial)
             cval = abs(trial_fw.beta) ** 2
@@ -402,7 +406,7 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
                 # from a point whose Gauss-Newton step is long, is at a trap
                 trapped = (descent and cval >= INFIDELITY_THRESHOLD
                            and gain <= _TRAP_GAIN * cval
-                           and _long_step(w, a, b, c, r0, r1))
+                           and _long_step(w, a, b, c, r0, r1, _TRAP_STEP))
                 p, w, val, fw = trial, cand, cval, trial_fw
                 break
             if chord:
@@ -425,18 +429,15 @@ def _damped_step(w, jr, ji, a, b, c, r0, r1, lam):
     return y0, y1, w - (y0 * jr + y1 * ji)
 
 
-def _gauss_newton_sq(a, b, c, r0, r1) -> float:
-    """|J^+ r|^2 = r^T (J J^T)^-1 r from the Gram entries of J; inf when J
-    has rank < 2."""
+def _long_step(w, a, b, c, r0, r1, factor) -> bool:
+    """Whether the Gauss-Newton step |J^+ r| is not within ``factor``
+    max(1, max|w|), from the Gram entries a, b, c of J: |J^+ r|^2 =
+    r^T (J J^T)^-1 r. A J of rank < 2 has no such step and counts as long."""
     rank2 = a * c - b * b
-    return (c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2 if rank2 > 0.0 else math.inf
-
-
-def _long_step(w, a, b, c, r0, r1) -> bool:
-    """Whether the Gauss-Newton step |J^+ r|, from the Gram entries of J,
-    exceeds ``_TRAP_STEP`` max(1, max|w|): the point is not on beta = 0."""
-    return (_gauss_newton_sq(a, b, c, r0, r1)
-            > (_TRAP_STEP * max(1.0, float(np.max(np.abs(w))))) ** 2)
+    if not rank2 > 0.0:
+        return True
+    return not ((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1) / rank2
+                <= (factor * max(1.0, float(np.max(np.abs(w))))) ** 2)
 
 
 def _classify(status: str, i_val: float, bundle, w) -> str:
@@ -463,7 +464,7 @@ def _classify(status: str, i_val: float, bundle, w) -> str:
             return "non-critical"
         jr, ji = bundle.grad_beta.real, bundle.grad_beta.imag
         a, b, c = float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
-        long = _long_step(w, a, b, c, bundle.beta.real, bundle.beta.imag)
+        long = _long_step(w, a, b, c, bundle.beta.real, bundle.beta.imag, _TRAP_STEP)
         return "trap" if long else "solution"
     return "trap" if status in ("critical", "stalled") else "non-critical"
 
@@ -491,8 +492,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
     p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, on_step)
     report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val,
                                  records[-1].pgrad_norm)
-    traj_status = "budget_exhausted" if status == "budget" else "completed"
-    return p, report, DescentTrajectory(tuple(records), traj_status, status)
+    return p, report, DescentTrajectory(tuple(records), status)
 
 
 def solve(cfg: DescentConfig, m: int, task: tuple[float, float, float]) -> SolveResult:
@@ -646,8 +646,7 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         else:
             stop = step
             break
-    status = "budget_exhausted" if stop == "budget" else "completed"
-    return DescentTrajectory(tuple(records), status, stop)
+    return DescentTrajectory(tuple(records), stop)
 
 
 def _navigation_step(p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radius):

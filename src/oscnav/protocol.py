@@ -196,10 +196,11 @@ def to_json(p: Protocol) -> str:
     return json.dumps(doc)
 
 
-def from_json_dict(doc) -> Protocol:
-    """Build a validated Protocol from a parsed JSON document (strict schema).
+def from_json(text: str) -> Protocol:
+    """Build a validated Protocol from protocol JSON text (strict schema).
     Only its shape is checked here; ``Protocol`` checks the values, naming a
     bad pulse. A finite pulse that overflows loads: its first propagation names it."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("protocol document must be a JSON object")
     missing = [k for k in _JSON_FIELDS if k not in doc]
@@ -211,10 +212,6 @@ def from_json_dict(doc) -> Protocol:
     if not isinstance(doc["omegas"], list):
         raise ValueError("field 'omegas' must be an array")
     return Protocol(doc["omega0"], doc["omegaT"], doc["dt"], tuple(doc["omegas"]))
-
-
-def from_json(text: str) -> Protocol:
-    return from_json_dict(json.loads(text))
 
 
 def load(path) -> Protocol:

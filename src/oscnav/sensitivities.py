@@ -43,14 +43,14 @@ to :func:`gradient`, which then runs the backward pass alone. Symbolic
 expansion of the product is deliberately avoided.
 
 grad(I) = 2 Re(conj(beta) grad beta) is derived from beta and grad(beta)
-on first read of ``SensitivityBundle.grad_infidelity``, not by the sweep:
+on each read of ``SensitivityBundle.grad_infidelity``, not by the sweep:
 a Gauss-Newton corrector onto beta = 0 works in r = (Re beta, Im beta) and
-J = [Re grad beta; Im grad beta] alone, and only a descent reads grad(I).
+J = [Re grad beta; Im grad beta] alone, and only a descent reads grad(I),
+once per iterate.
 
-Every sweep checks grad(beta) finite with one reduction, the complex
-conj(grad beta) . grad beta: its real part |grad beta|^2 is finite only if
-every entry is. The entries are tested one by one only when it is not, so
-a finite grad(beta) whose |grad beta|^2 overflows passes.
+Every derivative is checked finite by :func:`_finite`: grad(beta) by each
+sweep, the generators of Hess(beta) where they are built, grad(I) on read
+and Hess(I) once assembled.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,55 +87,48 @@ def _above(n: int) -> np.ndarray:
     return mask
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the real or complex array ``a`` is finite.
+
+    One reduction, conj(a) . a: its real part, the sum of |a_k|^2, is finite
+    only if every entry is, and then so is its imaginary part. The entries
+    are tested one by one only when it is not, as when it overflows, which
+    np.vdot (unlike ndarray.dot) does without a warning; so a finite ``a``
+    whose sum of squares overflows passes.
+    """
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _grad_infidelity(beta: complex, grad_beta: np.ndarray) -> np.ndarray:
     """grad(I) = 2 Re(conj(beta) grad beta); NonFiniteEntry when it overflows."""
     # one product: doubling is exact, so doubling conj(beta) first gives the
     # bits of doubling the result
     grad_infid = (grad_beta * (2.0 * beta.conjugate())).real
-    # checked with one reduction, as grad(beta) is in _backward
-    if (not math.isfinite(np.vdot(grad_infid, grad_infid))
-            and not np.isfinite(grad_infid).all()):
+    if not _finite(grad_infid):
         raise NonFiniteEntry("gradient of the infidelity is not finite")
     return grad_infid
 
 
-@dataclass(frozen=True, init=False)
-class SensitivityBundle:
+class SensitivityBundle(NamedTuple):
     """Exact derivatives of beta and of I = |beta|^2 w.r.t. the pulses.
 
     :func:`gradient` leaves ``hess_infidelity`` None and :func:`hessian`
     fills it. ``grad_infidelity`` is not a field: it is derived from
-    ``beta`` and ``grad_beta`` on first read and kept.
+    ``beta`` and ``grad_beta`` on each read.
     """
 
     beta: complex
     grad_beta: np.ndarray
     hess_infidelity: np.ndarray | None = None
 
-    def __init__(self, beta: complex, grad_beta: np.ndarray,
-                 hess_infidelity: np.ndarray | None = None):
-        # the fields stored directly: the generated __init__ of a frozen
-        # dataclass sets each through object.__setattr__, at twice the
-        # cost, and a bundle is built once per sweep
-        fields = self.__dict__
-        fields["beta"] = beta
-        fields["grad_beta"] = grad_beta
-        fields["hess_infidelity"] = hess_infidelity
-
     @property
     def grad_infidelity(self) -> np.ndarray:
-        """grad(I) = 2 Re(conj(beta) grad beta), formed on first read.
+        """grad(I) = 2 Re(conj(beta) grad beta), formed on each read.
 
         Raises NonFiniteEntry when it overflows, which a finite grad(beta)
-        does not rule out. A plain property caching into ``__dict__``:
-        before Python 3.12 ``functools.cached_property`` takes a lock on
-        the first read, which is the only read a descent makes.
+        does not rule out.
         """
-        cache = self.__dict__
-        grad_infid = cache.get("_grad_infidelity")
-        if grad_infid is None:
-            grad_infid = cache["_grad_infidelity"] = _grad_infidelity(self.beta, self.grad_beta)
-        return grad_infid
+        return _grad_infidelity(self.beta, self.grad_beta)
 
 
 class _Generators(NamedTuple):
@@ -192,11 +184,7 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     # the dtype given: numpy then skips inferring it from every entry
     grad_beta = np.array(grad, complex)
-    # one complex reduction, conj(g) . g: its real part |grad beta|^2 is
-    # finite only if every entry is, and then so is its imaginary part. The
-    # entries are checked one by one only when it is not, as when it
-    # overflows, which np.vdot (unlike ndarray.dot) does without a warning
-    if not cmath.isfinite(np.vdot(grad_beta, grad_beta)) and not np.isfinite(grad_beta).all():
+    if not _finite(grad_beta):
         raise NonFiniteEntry("gradient of beta is not finite")
     return SensitivityBundle(beta, grad_beta), terms
 
@@ -266,7 +254,7 @@ def _generators(fw: Forward, terms) -> _Generators:
     terms with the partners z_j, conj z_j, conj z_{j+1} and z_{j+1} stacked
     alike, and their sums are written into ``uv`` through a transposed
     view. Raises NonFiniteEntry when a generator or the diagonal is not
-    finite, checked as grad(beta) is in :func:`_backward`.
+    finite (:func:`_finite`).
     """
     zj, zn, blocks = _anchored_basis(fw)
     terms = np.array(terms, complex)
@@ -282,8 +270,7 @@ def _generators(fw: Forward, terms) -> _Generators:
     np.subtract(prod[1, :, 0], prod[1, :, 1], out=cols[1])
     np.multiply(_WRONSKIAN_SIGNS, cols[1], out=cols[1])
     diag = terms[4]
-    if (not (cmath.isfinite(np.vdot(uv, uv)) and cmath.isfinite(np.vdot(diag, diag)))
-            and not (np.isfinite(uv).all() and np.isfinite(diag).all())):
+    if not (_finite(uv) and _finite(diag)):
         raise NonFiniteEntry("Hessian of beta is not finite")
     return _Generators(uv, diag, blocks)
 
@@ -373,14 +360,12 @@ def _hess_beta_times(gens: _Generators, x: np.ndarray) -> np.ndarray:
 def gradient(p: Protocol, fw: Forward | None = None) -> SensitivityBundle:
     """Exact grad(beta): one forward and one backward pass, O(M).
 
-    grad(I) is derived from it on first read of ``grad_infidelity``, so a
+    grad(I) is derived from it on each read of ``grad_infidelity``, so a
     caller that works in r and J alone, as the corrector does, never forms
     it. ``fw``, when given, is ``forward(p)`` already evaluated, and only
     the backward pass runs; the result is bit for bit that of
-    ``gradient(p)``. Raises NonFiniteEntry when grad(beta) is not finite:
-    one complex reduction, conj(grad beta) . grad beta, tests every entry
-    at once, and the entries are tested one by one only when it is not
-    finite.
+    ``gradient(p)``. Raises NonFiniteEntry when grad(beta) is not finite
+    (:func:`_finite`).
     """
     return _backward(p, forward(p) if fw is None else fw, second_order=False)[0]
 
@@ -399,6 +384,6 @@ def hessian(p: Protocol) -> SensitivityBundle:
     bundle, terms = _backward(p, fw, second_order=True)
     g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
     hess_infid = _assemble(_generators(fw, terms), 2.0 * bundle.beta.conjugate(), (2.0 * g, g))
-    if not np.isfinite(hess_infid).all():
+    if not _finite(hess_infid):
         raise NonFiniteEntry("Hessian of the infidelity is not finite")
     return SensitivityBundle(bundle.beta, bundle.grad_beta, hess_infid)

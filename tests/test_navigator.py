@@ -6,8 +6,9 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from oscnav import (INFIDELITY_THRESHOLD, DescentConfig, EmptyProtocol,
                     NavigationConfig, NonFiniteEntry, NonPositiveFrequency, NotASolution,
@@ -628,9 +629,19 @@ class TestNavigate:
                         NavigationConfig(max_iterations=1))
         assert traj.status == "budget_exhausted" and traj.stop == "budget"
         # the field is library only: the CSV does not show it
-        assert trajectory_to_csv(dataclasses.replace(traj, stop=None)) == \
+        assert trajectory_to_csv(navigator.DescentTrajectory(traj.records, "tolerance")) == \
             trajectory_to_csv(traj)
-        assert navigator.DescentTrajectory(traj.records, traj.status).stop is None
+        assert navigator.DescentTrajectory(traj.records, traj.stop) == traj
+
+    # the stops of a descent, then those of a navigation, which also ends at "budget"
+    @pytest.mark.parametrize("stop", ["critical", "floor", "stalled", "budget",
+                                      "tolerance", "rounding", "resolution"])
+    def test_status_derives_from_stop(self, stop):
+        traj = navigator.DescentTrajectory((), stop)
+        assert traj.status == ("budget_exhausted" if stop == "budget" else "completed")
+        assert [f.name for f in dataclasses.fields(traj)] == ["records", "stop"]
+        with pytest.raises(AttributeError):
+            traj.status = "completed"
 
     def test_descent_records_the_stop_state_of_its_projection(self, m8_solution):
         assert m8_solution.trajectory.stop == "critical"
@@ -853,8 +864,7 @@ class TestSweepCounts:
         start = proto.load(POOL_M3[0])
         reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
         patch_everywhere(monkeypatch, sensitivities, "gradient", lambda real: (
-            lambda p, *rest: dataclasses.replace(real(p, *rest),
-                                                 grad_beta=np.zeros(p.m, dtype=complex))))
+            lambda p, *rest: real(p, *rest)._replace(grad_beta=np.zeros(p.m, dtype=complex))))
         q, ival, bundle, status = navigator._project(start, 1e-28, navigator._CORRECTOR_BUDGET)
         assert status == "critical" and q is start and ival == infidelity(start)
         assert not bundle.grad_beta.any() and reads == []
@@ -1132,8 +1142,7 @@ class TestTraceLevelset:
                 bundle = real(p, *rest)
                 calls.append(p.omegas)
                 if len(calls) == k:
-                    return dataclasses.replace(bundle,
-                                               grad_beta=bundle.grad_beta.real * (1 + 1j))
+                    return bundle._replace(grad_beta=bundle.grad_beta.real * (1 + 1j))
                 return bundle
             return sweep
 
@@ -1616,3 +1625,46 @@ class TestTrustRegionStep:
         best = -1.0 / 3.0 - 1.0 / 5.0 + 0.5 * (-2.0 * tau_sq + 1.0 / 9.0 + 3.0 / 25.0)
         assert np.linalg.norm(u) == pytest.approx(radius, rel=1e-12)
         assert g @ u + 0.5 * (u @ h @ u) == pytest.approx(best, rel=1e-10)
+
+
+@st.composite
+def step_problems(draw):
+    """(w, jr, ji, r0, r1): pulses, the rows of J and the residual, M from 2 to 8."""
+    vectors = npst.arrays(float, draw(st.integers(2, 8)), elements=st.floats(-2.0, 2.0))
+    return (draw(vectors), draw(vectors), draw(vectors),
+            draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+
+
+def _gram(jr, ji):
+    return float(jr.dot(jr)), float(jr.dot(ji)), float(ji.dot(ji))
+
+
+class TestStepTest:
+    """``_long_step`` tells whether |J^+ r| exceeds factor max(1, max|w|): the
+    floor test of ``_project`` with factor sqrt(eps), the trap and solution
+    tests with ``_TRAP_STEP``."""
+
+    @settings(max_examples=300)
+    @given(step_problems(), st.floats(-0.5, 0.5).filter(lambda x: abs(x) > 1e-6))
+    @example((np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.0), 1e-3)
+    @example((np.full(2, 3.0), np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.5, -1.0), -1e-3)
+    def test_agrees_with_the_pseudo_inverse(self, problem, margin):
+        # the bound is the step |J^+ r| scaled by 1 + margin, from which the
+        # factor follows, so the test decides to within a margin of 1e-6
+        w, jr, ji, r0, r1 = problem
+        jac = np.array([jr, ji])
+        # away from rank 1, where the Gram form loses cond(J)^2 eps
+        assume(np.linalg.matrix_rank(jac) == 2 and np.linalg.cond(jac) < 1e3)
+        step = float(np.linalg.norm(np.linalg.pinv(jac) @ [r0, r1]))
+        assume(step > 0.0)
+        scale = max(1.0, float(np.abs(w).max()))
+        factor = step * (1.0 + margin) / scale
+        assert navigator._long_step(w, *_gram(jr, ji), r0, r1, factor) == (step > factor * scale)
+
+    @given(step_problems(), st.floats(1e-8, 1e8))
+    def test_rank_one_jacobian_has_a_long_step(self, problem, factor):
+        w, jr, _, r0, r1 = problem
+        # a, b, c = |jr|^2, 2 |jr|^2, 4 |jr|^2 to the bit, so a c - b^2 is 0,
+        # with no square of an entry rounded in the subnormal range
+        jr = np.where(np.abs(jr) < 1e-100, 0.0, jr)
+        assert navigator._long_step(w, *_gram(jr, 2.0 * jr), r0, r1, factor)

@@ -1,17 +1,16 @@
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
                     infidelity, refine)
-from oscnav import propagator, sensitivities
+from oscnav import navigator, propagator, sensitivities
 from oscnav import protocol as proto
 from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
@@ -699,13 +698,18 @@ class TestNonFinite:
                 np.errstate(all="ignore"):
             hessian(self.P)
 
-    def test_infidelity_gradient_is_derived_once_on_read(self, monkeypatch):
+    def test_infidelity_gradient_is_derived_on_each_read(self, monkeypatch):
         reads = record_calls(monkeypatch, sensitivities, "_grad_infidelity")
         bundle = gradient(self.P)
         assert reads == []
-        first = bundle.grad_infidelity
-        assert bundle.grad_infidelity is first and len(reads) == 1
+        first, second = bundle.grad_infidelity, bundle.grad_infidelity
+        assert len(reads) == 2 and first.tobytes() == second.tobytes()
         assert np.array_equal(first, (bundle.grad_beta * (2.0 * bundle.beta.conjugate())).real)
+        # a correction onto beta = 0 sweeps, but works in r and J alone
+        sweeps = record_calls(monkeypatch, sensitivities, "gradient")
+        reads.clear()
+        navigator._project(self.P, 1e-12, navigator._CORRECTOR_BUDGET)
+        assert sweeps and reads == []
 
     def test_overflowing_infidelity_gradient_is_an_error_on_each_read(self):
         # grad beta is finite, 2 Re(conj(beta) grad beta) is not
@@ -717,25 +721,54 @@ class TestNonFinite:
                 bundle.grad_infidelity
 
 
+# finite entries of both signs, some of them large enough that their
+# squares overflow, and the non-finite values
+finite_or_not = st.one_of(st.floats(-1e3, 1e3), st.floats(1e155, 1e308),
+                          st.floats(-1e308, -1e155),
+                          st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+class TestFinite:
+    """``_finite`` is ``np.isfinite(a).all()``, whichever branch decides it."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 6), st.sampled_from(["vector", "pairs", "square"]), st.booleans(),
+           st.data())
+    def test_agrees_with_isfinite(self, n, kind, is_complex, data):
+        shape = {"vector": (n,), "pairs": (n, 2, 2), "square": (n, n)}[kind]
+        a = data.draw(npst.arrays(float, shape, elements=finite_or_not))
+        if is_complex:
+            a = a.astype(complex)
+            a.imag = data.draw(npst.arrays(float, shape, elements=finite_or_not))
+        assert sensitivities._finite(a) is bool(np.isfinite(a).all())
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2), (3, 3)])
+    def test_a_finite_array_whose_squares_overflow_passes(self, shape, dtype):
+        a = np.full(shape, 1e160, dtype)
+        assert not math.isfinite(np.vdot(a, a).real)
+        assert sensitivities._finite(a)
+        a.flat[-1] = math.inf
+        assert not sensitivities._finite(a)
+
+
 class TestBundle:
     P = Protocol(1.0, 0.25, 0.6, (1.0, 1.3, 0.7))
 
     def test_bundles_refuse_assignment(self):
         for bundle in (gradient(self.P), hessian(self.P)):
-            for name in ("beta", "grad_beta", "hess_infidelity", "grad_infidelity"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+            for name in ("beta", "grad_beta", "hess_infidelity", "grad_infidelity", "other"):
+                with pytest.raises(AttributeError):
                     setattr(bundle, name, None)
 
     def test_the_constructor_stores_every_field(self):
-        # __init__ is written by hand: a field it missed would read the
-        # class default
-        names = [f.name for f in dataclasses.fields(SensitivityBundle)]
+        assert SensitivityBundle._fields == ("beta", "grad_beta", "hess_infidelity")
         first, full = gradient(self.P), hessian(self.P)
         for bundle, hess in ((first, None), (full, full.hess_infidelity)):
-            assert list(vars(bundle)) == names
             made = SensitivityBundle(bundle.beta, bundle.grad_beta, hess)
-            assert all(vars(bundle)[k] is vars(made)[k] for k in names)
+            assert all(a is b for a, b in zip(made, bundle))
             assert made == bundle and repr(made) == repr(bundle)
+            assert SensitivityBundle(**made._asdict()) == made
         assert first.hess_infidelity is None and full.hess_infidelity.shape == (3, 3)
 
     @pytest.mark.parametrize("m", [1, 3, 48])
