@@ -81,22 +81,20 @@ _RANK_TOL = 1e-10
 
 
 def _admit(solution: Protocol, caller: str, target: float):
-    """(fw, protocol, I, bundle) of ``solution``, the input of ``caller``.
-
-    ``fw`` is its order-1 forward pass, which starts its correction onto
-    ``target``; the rest is what ``_project`` returns. NotASolution unless
-    I is below ``INFIDELITY_THRESHOLD``, before any backward pass, and the
-    projection ends on beta = 0.
+    """What ``_project`` returns of ``solution``, the input of ``caller``,
+    but its status: its order-1 forward pass starts the correction onto
+    ``target``. NotASolution unless I is below ``INFIDELITY_THRESHOLD``,
+    before any backward pass, and the projection ends on beta = 0.
     """
     fw = forward(solution)
     i0 = abs(fw.beta) ** 2
     if not i0 < INFIDELITY_THRESHOLD:
         raise NotASolution(f"{caller} requires I < {INFIDELITY_THRESHOLD:g}, got {i0:g}")
-    p, ival, bundle, status = _project(solution, target, _CORRECTOR_BUDGET, fw=fw)
+    p, ival, bundle, status, fw = _project(solution, target, _CORRECTOR_BUDGET, fw=fw)
     if status not in _ON_LEVEL_SET:
         raise NotASolution(f"{caller} requires an input the corrector holds on beta = 0, "
                            f"its projection ends {status!r} at I = {ival:g}")
-    return fw, p, ival, bundle
+    return p, ival, bundle, fw
 
 
 def _fits(value, tp) -> bool:
@@ -279,10 +277,10 @@ class ScanResult:
 def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
     """Levenberg-Marquardt projection onto beta = 0.
 
-    Returns (protocol, I, bundle, status), where ``bundle`` is the
+    Returns (protocol, I, bundle, status, fw), where ``bundle`` is the
     ``gradient`` result of the last iterate whose gradient was evaluated:
     the returned protocol unless it stopped below ``target``, or None if
-    the start already was.
+    the start already was; ``fw`` is the returned protocol's forward pass.
 
     ``target`` alone sets the mode. A descent (``target`` 0, ``descend``)
     starts at mu = 1, evaluates every iterate's gradient, which its records
@@ -389,7 +387,7 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
                     break
                 # sqrt(eps) = 2^-26, so the bound squared is eps max(1, max|w|)^2
                 long = _long_step(w, a, b, c, r0, r1, math.sqrt(_EPS))
-                return p, val, bundle, "stalled" if long else "floor"
+                return p, val, bundle, "stalled" if long else "floor", fw
             trial = p.with_omegas(cand)
             trial_fw = forward(trial)
             cval = abs(trial_fw.beta) ** 2
@@ -415,7 +413,7 @@ def _project(p: Protocol, target: float, budget: int, on_step=None, fw=None):
                 break
             mu *= nu
             nu *= 2.0
-    return p, val, bundle, status
+    return p, val, bundle, status, fw
 
 
 def _damped_step(w, jr, ji, a, b, c, r0, r1, lam):
@@ -489,7 +487,7 @@ def descend(p0: Protocol, cfg: DescentConfig):
         records.append(TrajectoryRecord(it, p, val, float("nan"), gmax))
 
     # a descent, target 0, evaluates the returned point's gradient
-    p, val, bundle, status = _project(p0, 0.0, cfg.max_iterations, on_step)
+    p, val, bundle, status, _ = _project(p0, 0.0, cfg.max_iterations, on_step)
     report = CriticalPointReport(_classify(status, val, bundle, p.omegas), val,
                                  records[-1].pgrad_norm)
     return p, report, DescentTrajectory(tuple(records), status)
@@ -541,7 +539,7 @@ def _level_set_frame(grad_beta: np.ndarray):
     tangent space. J^+ = U_k S_k^-1 V_k^T (M x 2) is the pseudo-inverse of
     J truncated to rank k.
     """
-    u, sv, vt = np.linalg.svd(np.array([np.real(grad_beta), np.imag(grad_beta)]).T)
+    u, sv, vt = np.linalg.svd(grad_beta.view(np.float64).reshape(-1, 2))
     k = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     return u[:, :k], u[:, k:], (u[:, :k] / sv[:k]) @ vt[:k]
 
@@ -563,17 +561,18 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     """Descend a secondary cost inside the optimal level set.
 
     Every iteration is recorded. Each iterate, the first included, gets one
-    order-2 forward pass and one adjoint sweep for beta, its exact gradient
-    and the terms of its Hessian, and one SVD of the Jacobian of beta for
-    the bases Q and Z and the pseudo-inverse the step uses
-    (:func:`_level_set_frame`). Only an iterate that steps builds the
-    generators of the Hessian of beta from those terms, and checks them
+    adjoint sweep for beta, its exact gradient and the terms of its
+    Hessian, on the forward pass its projection ended on, and one SVD of
+    the Jacobian of beta for the bases Q and Z and the pseudo-inverse the
+    step uses (:func:`_level_set_frame`). Only an iterate that steps builds
+    the generators of the Hessian of beta from those terms, and checks them
     finite: a record that stops or doubles reads only grad beta, Q and the
     projected gradient. The pulses of an iterate are one array, and an
-    accepted step hands its trial's array and cost to the next record.
-    Each step is one trust-region step along the level set,
-    ``_navigation_step``. The radius starts at the Cauchy
-    point of the cost along the projected gradient pg and carries over
+    accepted step hands its trial's pass, array and cost to the next
+    record; only a doubling, which makes a new point, runs a pass of its
+    own. Each step is one trust-region step along the level set,
+    ``_navigation_step``. The radius starts at the Cauchy point of the
+    cost along the projected gradient pg and carries over
     between steps, and across a doubling by k scaled by sqrt(k):
     ``refine(d, k)`` has norm sqrt(k) |d|, so it spans the same controls,
     while a restart at the Cauchy point of the stalled pg that triggers a
@@ -591,13 +590,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     The input is admitted by :func:`_admit`, the tracer's rule: its
     projection, started on its order-1 forward pass and free when I is
     below ``_NAV_TARGET``, must end below that target or at the rounding
-    floor of I; NotASolution otherwise, before any step. The run starts
-    from that projection, the held input, whose record takes its own
-    order-2 forward pass even when admission kept the input. A step accepts
-    only a trial whose projection ends the same way, or stalls, so a run
-    ends ``completed`` or ``budget_exhausted``, with a non-increasing
-    secondary cost and every record on beta = 0. A doubling keeps the
-    represented control, and so beta up to rounding.
+    floor of I; NotASolution otherwise, before any step, and EmptyProtocol
+    before admission for an input without pulses. The run starts from that
+    projection, the held input. A step accepts only a trial whose
+    projection ends the same way, or stalls, so a run ends ``completed``
+    or ``budget_exhausted``, with a non-increasing secondary cost and every
+    record on beta = 0. A doubling keeps the represented control, and so
+    beta up to rounding.
 
     Compression refuses a doubling schedule: ``refine(p, k)`` multiplies
     C2, which counts pulse pairs, by k^2.
@@ -605,7 +604,9 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     if cost.kind == "compression" and cfg.doubling_schedule:
         raise ValueError("compression cannot use a doubling schedule: "
                          "refining by k multiplies its cost by k^2")
-    p = _admit(solution, "navigate", _NAV_TARGET)[1]
+    if not solution.m:
+        raise EmptyProtocol("navigate requires at least one pulse")
+    p, _, _, fw = _admit(solution, "navigate", _NAV_TARGET)
     schedule = list(cfg.doubling_schedule)
     records: list[TrajectoryRecord] = []
     stop = "budget"
@@ -616,7 +617,6 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     w = np.asarray(p.omegas, dtype=float)
     cur_c = cost.value(w)
     for it in range(cfg.max_iterations + 1):
-        fw = forward(p, 2)
         bundle, terms = _backward(p, fw, second_order=True)
         g = cost.grad(w)
         q, z, jac_pinv = _level_set_frame(bundle.grad_beta)
@@ -636,10 +636,11 @@ def navigate(solution: Protocol, cost: SecondaryCost,
         step = None if stalled else _navigation_step(
             p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radius)
         if isinstance(step, tuple):
-            p, w, cur_c, radius = step
+            p, fw, w, cur_c, radius = step
         elif schedule:
             k = schedule.pop(0)
             p = refine(p, k)
+            fw = forward(p)
             w = np.asarray(p.omegas, dtype=float)
             cur_c = cost.value(w)
             radius, carried = None, radius * math.sqrt(k)
@@ -650,12 +651,13 @@ def navigate(solution: Protocol, cost: SecondaryCost,
 
 
 def _navigation_step(p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radius):
-    """Trust-region tangent step; (protocol, its pulses, its cost, next
-    radius), or the reason of a stall: "rounding" or "resolution" (below).
+    """Trust-region tangent step; (protocol, its forward pass, its pulses,
+    its cost, next radius), or the reason of a stall: "rounding" or
+    "resolution" (below).
 
     ``w`` holds the pulses of ``p`` as an array, ``cur_c`` their cost and
-    ``g`` its gradient. ``fw`` and ``terms`` are the order-2 forward pass of
-    ``p`` and the terms of :func:`_backward`, from which the step builds
+    ``g`` its gradient. ``fw`` and ``terms`` are the forward pass of ``p``
+    and the terms of :func:`_backward`, from which the step builds
     the generators of Hess beta once, raising NonFiniteEntry when they are
     not finite. Norms are sqrt(x . x), the bits of ``np.linalg.norm`` on a
     real vector.
@@ -725,8 +727,8 @@ def _navigation_step(p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radiu
         # second-order correction: cancel the curvature term of r(w + d)
         curv = 0.5 * (d @ _hess_beta_times(gens, d))
         trial = w + d - jac_pinv @ [curv.real, curv.imag]
-        p_c, ival, _, status = _project(p.with_omegas(trial), _NAV_TARGET,
-                                        _CORRECTOR_BUDGET)
+        p_c, ival, _, status, fw_c = _project(p.with_omegas(trial), _NAV_TARGET,
+                                              _CORRECTOR_BUDGET)
         w_c = np.asarray(p_c.omegas, dtype=float)
         s = w_c - w
         decrease = -(g @ s + cost.value(s))
@@ -739,7 +741,7 @@ def _navigation_step(p, w, cost, bundle, fw, terms, g, z, jac_pinv, cur_c, radiu
                     radius = 0.25 * length
                 elif ratio > 0.75 and length > 0.99 * radius:
                     radius *= 2.0
-                return p_c, w_c, c_c, radius
+                return p_c, fw_c, w_c, c_c, radius
         radius = 0.25 * length
     return "resolution"
 
@@ -848,7 +850,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     """
     if solution.m != 3:
         raise ValueError("level-set tracing is defined for M = 3 protocols")
-    fw, p, ival, bundle = _admit(solution, "trace_levelset", _TRACE_TARGET)
+    p, ival, bundle, fw = _admit(solution, "trace_levelset", _TRACE_TARGET)
     v0 = v = p.omegas
     verts, ivals = [v], [ival]
     # no bundle: the start was below the target, and p is the start
@@ -863,7 +865,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
         pred = p.with_omegas((v[0] + h * direction[0], v[1] + h * direction[1],
                               v[2] + h * direction[2]))
         fw = forward(pred)
-        p, ival, bundle, corrector = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
+        p, ival, bundle, corrector, fw = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break

@@ -7,11 +7,12 @@ step the solution is closed-form, so a whole protocol is evolved exactly by
 concatenating per-step 2x2 matrices acting on (f, f').
 
 One step kernel, ``_step_entries``, gives the entries of a step's matrix A
-and, on request, of its first two derivatives in omega, A' and A'', from one
-cos and one sin; below one threshold of |omega*dt| the ratios that would
-cancel come from Taylor series instead. The forward pass, :func:`forward`,
-is the package's only loop over the pulses; ``propagate``, ``infidelity``
-and the backward pass of ``sensitivities`` read what it records.
+and, on request, the x, sinc x and q its derivatives in omega are formed
+from, from one cos and one sin; below one threshold of |omega*dt| the
+ratios that would cancel come from Taylor series instead. The forward pass,
+:func:`forward`, is the package's only loop over the pulses;
+``propagate``, ``infidelity`` and the backward pass of ``sensitivities``
+read what it records.
 
 The final-basis mixing coefficients are linear in the boundary values:
 
@@ -54,26 +55,27 @@ class BogoliubovPair:
 
 
 def _step_entries(omega: float, dt: float, order: int = 0):
-    """Entries of the step matrix A(omega) and of its omega-derivatives.
+    """Entries of the step matrix A(omega), and what its omega-derivatives need.
 
-    Returns (a00, a01, a10), then (d00, d01, d10) of A' when ``order`` >= 1
-    and (h00, h01, h10) of A'' when ``order`` is 2, as one flat tuple; each
-    matrix has equal diagonal entries. With x = omega*dt and
-    sinc x = sin(x)/x,
+    Returns (a00, a01, a10) of A, and when ``order`` is 1 also x, sinc x
+    and q, as one flat tuple; A has equal diagonal entries. With
+    x = omega*dt, sinc x = sin(x)/x and q = (cos x - sinc x)/omega^2
+    = dt^2 sinc'(x)/x,
 
         A   = [[cos x, dt sinc x], [-omega sin x, cos x]]
         A'  = [[-dt sin x, x q], [-sin x - x cos x, -dt sin x]]
         A'' = [[-dt^2 cos x, -dt (dt^2 sinc x + 2 q)],
                [dt (x sin x - 2 cos x), -dt^2 cos x]]
 
-    where q = (cos x - sinc x)/omega^2 = dt^2 sinc'(x)/x. All of them come
-    from one cos and one sin, or from the series of sinc x and q below
-    SERIES_THRESHOLD.
+    with sin x = x sinc x. The backward pass of ``sensitivities`` forms A'
+    and A'' from cos x, x, sinc x and q by these expressions, and only
+    where it reads them. All of them come from one cos and one sin, or
+    from the series of sinc x and q below SERIES_THRESHOLD.
 
     Every entry of A and A'' is manifestly even in omega and every entry of
-    A' odd (cos and sinc are even; omega enters otherwise only as omega^2
-    or through x), which makes the flip-sign invariance of the dynamics
-    exact in floating point.
+    A' odd (cos, sinc and q are even and x odd; omega enters otherwise only
+    as omega^2), which makes the flip-sign invariance of the dynamics exact
+    in floating point.
     """
     x = omega * dt
     c = math.cos(x)
@@ -88,12 +90,7 @@ def _step_entries(omega: float, dt: float, order: int = 0):
             q = (c - snc) / (omega * omega)
     if not order:
         return c, dt * snc, -(omega * omega) * dt * snc
-    s = x * snc
-    if order == 1:
-        return c, dt * snc, -(omega * omega) * dt * snc, -dt * s, x * q, -s - x * c
-    # sinc'' = -sinc - 2 sinc'/x, the spherical Bessel equation of j0
-    return (c, dt * snc, -(omega * omega) * dt * snc, -dt * s, x * q, -s - x * c,
-            -dt * dt * c, -dt * (dt * dt * snc + 2.0 * q), dt * (x * s - 2.0 * c))
+    return c, dt * snc, -(omega * omega) * dt * snc, x, snc, q
 
 
 @functools.lru_cache(maxsize=64)
@@ -144,6 +141,9 @@ class Forward(NamedTuple):
 
 def forward(p: Protocol, order: int = 1) -> Forward:
     """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
+
+    ``order`` 0 records A alone; order 1 adds x, sinc x and q, which serve
+    both the gradient and the Hessian of ``sensitivities``.
 
     M = 0 leaves the initial state (sudden quench). A Protocol's omega0 is
     valid by construction, so the initial state is taken unchecked. Only

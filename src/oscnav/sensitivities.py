@@ -3,8 +3,9 @@
 beta is linear in the final mode pair, beta = c^T s_M, and s_M is a product
 of per-step matrices applied to the initial state, s_M = A_M ... A_1 s_0.
 The forward pass of ``propagator.forward`` records the kernel entries of
-every A_j and A'_j (and A''_j for the Hessian) and the states s_{j-1}
-entering each step. This module is the backward pass that reads that record
+every A_j, with the x, sinc x and q that A'_j and A''_j are formed from,
+and the states s_{j-1} entering each step. This module is the backward pass
+that reads that record, forming A'_j (and A''_j for the Hessian) as it goes
 (GRAPE-style adjoint; Khaneja et al., J. Magn. Reson. 172, 296 (2005)):
 
 * it carries the costate lambda_j = c^T A_M ... A_{j+1}, seeded by the row
@@ -148,12 +149,12 @@ class _Generators(NamedTuple):
 def _backward(p: Protocol, fw: Forward, second_order: bool):
     """grad(beta) and, if ``second_order``, the terms of Hess(beta)'s generators.
 
-    ``fw`` is ``forward(p)``, of order 2 when ``second_order``. Returns
-    (bundle, terms), ``terms`` None unless ``second_order``: then the five
-    lists mu_0, mu_1, y_0, y_1 and the diagonal, per pulse, from which
-    :func:`_generators` builds the generators of Hess(beta) for a caller
-    that reads them (see the module docstring). Raises NonFiniteEntry when
-    grad(beta) comes out NaN or infinite.
+    ``fw`` is ``forward(p)``, of order 1. Returns (bundle, terms),
+    ``terms`` None unless ``second_order``: then the five lists mu_0, mu_1,
+    y_0, y_1 and the diagonal, per pulse, from which :func:`_generators`
+    builds the generators of Hess(beta) for a caller that reads them (see
+    the module docstring). Raises NonFiniteEntry when grad(beta) comes out
+    NaN or infinite.
     """
     steps, fs, fds, _, _, beta = fw
     m = len(steps)
@@ -161,12 +162,17 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
         raise EmptyProtocol(("hessian" if second_order else "gradient")
                             + " requires at least one pulse")
     lf, ld = _beta_row(p.omegaT)
+    # A' and A'' by the kernel's expressions, with -dt and dt^2 formed once
+    dt, ndt, dt2 = p.dt, -p.dt, p.dt * p.dt
     grad = [0j] * m
     terms = None
     if second_order:
         terms = mu0, mu1, y0, y1, diag = [[0j] * m for _ in range(5)]
         for j in range(m - 1, -1, -1):
-            a00, a01, a10, d00, d01, d10, h00, h01, h10 = steps[j]
+            a00, a01, a10, x, snc, q = steps[j]
+            s = x * snc
+            d00, d01, d10 = ndt * s, x * q, -s - x * a00
+            h00, h01, h10 = ndt * dt * a00, ndt * (dt2 * snc + 2.0 * q), dt * (x * s - 2.0 * a00)
             f, fd = fs[j], fds[j]
             # mu_j = (lf, ld) A'_j; the gradient is mu_j s_{j-1}
             mu0[j] = m0 = lf * d00 + ld * d10
@@ -178,9 +184,11 @@ def _backward(p: Protocol, fw: Forward, second_order: bool):
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     else:
         for j in range(m - 1, -1, -1):
-            a00, a01, a10, d00, d01, d10 = steps[j][:6]
+            a00, a01, a10, x, snc, q = steps[j]
+            s = x * snc
+            d00, d10 = ndt * s, -s - x * a00
             # (lf, ld) A'_j, applied to s_{j-1}
-            grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * d01 + ld * d00) * fds[j]
+            grad[j] = (lf * d00 + ld * d10) * fs[j] + (lf * (x * q) + ld * d00) * fds[j]
             lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
     # the dtype given: numpy then skips inferring it from every entry
     grad_beta = np.array(grad, complex)
@@ -380,7 +388,7 @@ def hessian(p: Protocol) -> SensitivityBundle:
     never built. The gradient fields are bit-identical to those of
     :func:`gradient`.
     """
-    fw = forward(p, 2)
+    fw = forward(p)
     bundle, terms = _backward(p, fw, second_order=True)
     g = bundle.grad_beta.view(np.float64).reshape(-1, 2)
     hess_infid = _assemble(_generators(fw, terms), 2.0 * bundle.beta.conjugate(), (2.0 * g, g))

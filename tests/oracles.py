@@ -6,7 +6,9 @@ the rank-2 Hessian of I at a frictionless point written from its
 definition. ``beta_hessian`` builds the complex Hess beta, which the
 library never does, from the generators of the adjoint sweep, for checks
 of their O(M) product and of their symmetries. ``step_matrix`` assembles one step's 2 x 2 matrix from the
-kernel entries, for checks of the kernel itself. ``pair_cost`` sums a
+kernel entries, for checks of the kernel itself, and
+``step_matrix_derivatives`` writes its first two derivatives in omega from
+math.sin and math.cos, for checks of those the backward pass forms. ``pair_cost`` sums a
 secondary cost over its pulse pairs one pair at a time. ``theta_infidelity``
 scores one phase of the symplectic target at a time, for checks of
 ``theta_scan``.
@@ -19,6 +21,8 @@ generator helpers and the cost Hessian written out one operation per
 entry block, with a numpy call for each: the elementwise operations, in
 the order, that the library's fewer calls must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -40,10 +44,33 @@ def step_matrix(omega: float, dt: float) -> np.ndarray:
     return np.array([[a00, a01], [a10, a00]])
 
 
+def step_matrix_derivatives(omega: float, dt: float):
+    """(A', A'') of ``step_matrix`` at omega, each a 2 x 2 array.
+
+    Entry by entry the derivatives of cos x, sin(x)/omega and -omega sin x,
+    x = omega*dt: in closed form, but for those of sin(x)/omega below
+    |x| = 1/2, where the closed forms cancel. There they are the Taylor
+    series sin(x)/omega = sum_k (-1)^k dt^(2k+1) omega^(2k) / (2k+1)!
+    differentiated term by term, through k = 12.
+    """
+    x = omega * dt
+    c, s = math.cos(x), math.sin(x)
+    if abs(x) >= 0.5:
+        d01 = (x * c - s) / omega ** 2
+        h01 = -dt * dt * s / omega - 2.0 * dt * c / omega ** 2 + 2.0 * s / omega ** 3
+    else:
+        terms = [(-1) ** k * dt ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 13)]
+        d01 = sum(t * 2 * k * omega ** (2 * k - 1) for k, t in enumerate(terms, 1))
+        h01 = sum(t * 2 * k * (2 * k - 1) * omega ** (2 * k - 2) for k, t in enumerate(terms, 1))
+    d1 = np.array([[-dt * s, d01], [-s - x * c, -dt * s]])
+    d2 = np.array([[-dt * dt * c, h01], [dt * (x * s - 2.0 * c), -dt * dt * c]])
+    return d1, d2
+
+
 def beta_generators(p):
-    """The generators of Hess beta, from the order-2 forward pass and the
-    terms of the adjoint sweep."""
-    fw = forward(p, 2)
+    """The generators of Hess beta, from the forward pass and the terms of
+    the adjoint sweep."""
+    fw = forward(p)
     return _generators(fw, _backward(p, fw, second_order=True)[1])
 
 

@@ -529,6 +529,24 @@ class TestInputContract:
         assert _one_error_line(err)["error"] == "ValueError"
 
     @pytest.mark.parametrize("argv", [
+        ["smooth", "p.json"],
+        ["smooth", "p.json", "--double", "2"],
+        ["compress", "p.json", "--chunks", "1"],
+    ])
+    def test_empty_protocol_is_refused_by_navigation(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        # beta = 0 at omegaT = omega0 with no pulses; the user never called
+        # hessian, which the first record would read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"omega0": 1.0, "omegaT": 1.0, "dt": 0.1, "omegas": []}))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and os.listdir() == ["p.json"]
+        assert _one_error_line(err) == {"error": "EmptyProtocol",
+                                        "detail": "navigate requires at least one pulse"}
+
+    @pytest.mark.parametrize("argv", [
         ["solve"],
         ["theta-scan", "p.json", "--points", "abc"],
         ["frobnicate"],

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -12,7 +12,7 @@ from oscnav import (EmptyProtocol, NonFiniteEntry, Protocol, gradient, hessian,
                     infidelity, refine)
 from oscnav import navigator, propagator, sensitivities
 from oscnav import protocol as proto
-from oscnav.propagator import (SERIES_THRESHOLD, ModeState, _step_entries,
+from oscnav.propagator import (SERIES_THRESHOLD, Forward, ModeState, _step_entries,
                                bogoliubov, forward, initial_state, propagate)
 from oscnav.sensitivities import (_GROWTH, SensitivityBundle, _anchored_basis, _assemble,
                                   _backward, _generators, _hess_beta_times)
@@ -20,7 +20,7 @@ from counting import record_calls
 from oracles import (beta_generators, beta_hessian, fd_gradient, fd_hessian, optimal_hessian,
                      reference_anchored_basis, reference_assemble, reference_generators,
                      reference_hess_beta_times,
-                     step_matrix)
+                     step_matrix, step_matrix_derivatives)
 
 
 EPS = np.finfo(float).eps
@@ -35,19 +35,40 @@ def rel_maxnorm_error(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def backward_derivatives(omega, dt):
+    """(A'(omega), A''(omega)) as 2x2 arrays, as the backward pass forms them.
+
+    Read off the terms of ``_backward`` on two one-pulse records of the
+    kernel's order-1 entries, entered by the states (1, 0) and (0, 1):
+    y = A' s gives the columns of A', and with omegaT = 1/2 the costate
+    is (1/2, -i), so the diagonal is h00/2 - i h10, then h01/2 - i h00.
+    Every factor is 0, 1, 1/2 or -i, so the entries keep their bits.
+    """
+    p = Protocol(1.0, 0.5, dt, (omega,))
+    assert propagator._beta_row(0.5) == (0.5, -1j)
+    cols = []
+    for f, fd in ((1 + 0j, 0j), (0j, 1 + 0j)):
+        fw = Forward([_step_entries(omega, dt, 1)], [f], [fd], 0j, 0j, 0j)
+        _, _, y0, y1, diag = _backward(p, fw, second_order=True)[1]
+        cols.append((y0[0], y1[0], diag[0]))
+    (d00, d10, k0), (d01, _, k1) = cols
+    return (np.array([[d00.real, d01.real], [d10.real, d00.real]]),
+            np.array([[2.0 * k0.real, 2.0 * k1.real], [-k0.imag, 2.0 * k0.real]]))
+
+
 def step_matrix_d1(omega, dt):
-    """A'(omega) as a 2x2 array, from the kernel."""
-    _, _, _, d00, d01, d10 = _step_entries(omega, dt, 1)
-    return np.array([[d00, d01], [d10, d00]])
+    """A'(omega) as a 2x2 array, from the backward pass."""
+    return backward_derivatives(omega, dt)[0]
 
 
 def step_matrix_d2(omega, dt):
-    """A''(omega) as a 2x2 array, from the kernel."""
-    h00, h01, h10 = _step_entries(omega, dt, 2)[6:]
-    return np.array([[h00, h01], [h10, h00]])
+    """A''(omega) as a 2x2 array, from the backward pass."""
+    return backward_derivatives(omega, dt)[1]
 
 
 class TestStepMatrixDerivatives:
+    """A' and A'' as the backward pass forms them from the kernel's entries."""
+
     def test_d1_matches_symbolic_zero_at_origin(self):
         # dA/domega of an even matrix function vanishes at omega = 0
         assert np.max(np.abs(step_matrix_d1(0.0, 0.5))) == 0.0
@@ -98,9 +119,51 @@ class TestStepMatrixDerivatives:
 
     def test_orders_share_their_leading_entries(self):
         for w in (0.0, 1e-3, -0.5, 2.0):
-            full = _step_entries(w, 0.7, 2)
-            assert _step_entries(w, 0.7, 1) == full[:6]
-            assert _step_entries(w, 0.7) == full[:3]
+            full = _step_entries(w, 0.7, 1)
+            assert len(full) == 6 and _step_entries(w, 0.7) == full[:3]
+
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
+    @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
+    @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
+    @example(0.0, 0.5)
+    def test_match_the_closed_forms(self, w, dt):
+        # against math.sin and math.cos, and their Taylor series near x = 0
+        for got, want in zip(backward_derivatives(w, dt), step_matrix_derivatives(w, dt)):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * max(dt * dt, 1.0))
+
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
+    @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
+    @example(0.0, 0.5)
+    def test_keep_the_bits_of_the_kernel_expressions(self, w, dt):
+        # the expressions of the _step_entries docstring, operand for operand,
+        # on its cos x, x, sinc x and q: the bits of the Hessian stay put
+        c, _, _, x, snc, q = _step_entries(w, dt, 1)
+        s = x * snc
+        d1 = [[-dt * s, x * q], [-s - x * c, -dt * s]]
+        d2 = [[-dt * dt * c, -dt * (dt * dt * snc + 2.0 * q)],
+              [dt * (x * s - 2.0 * c), -dt * dt * c]]
+        got = backward_derivatives(w, dt)
+        assert np.array_equal(got[0], d1) and np.array_equal(got[1], d2)
+
+    def test_the_sweep_reads_the_bits_of_the_derivatives(self):
+        # each sweep term is the product of the derivatives read off it, so
+        # the gradient and Hessian sweeps form A' and A'' alike at every pulse
+        rng = np.random.default_rng(2)
+        p = random_protocol(rng, 6, omega_range=(-2.0, 2.0))
+        fw = forward(p)
+        bundle, terms = _backward(p, fw, second_order=True)
+        lf, ld = propagator._beta_row(p.omegaT)
+        for j in range(p.m - 1, -1, -1):
+            d1, d2 = backward_derivatives(p.omegas[j], p.dt)
+            (d00, d01), (d10, _) = d1.tolist()
+            (h00, h01), (h10, _) = d2.tolist()
+            f, fd = fw.fs[j], fw.fds[j]
+            assert terms[2][j] == d00 * f + d01 * fd and terms[3][j] == d10 * f + d00 * fd
+            assert terms[4][j] == lf * (h00 * f + h01 * fd) + ld * (h10 * f + h00 * fd)
+            assert bundle.grad_beta[j] == (lf * d00 + ld * d10) * f + (lf * d01 + ld * d00) * fd
+            a00, a01, a10 = fw.steps[j][:3]
+            lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
+        assert np.array_equal(gradient(p, fw).grad_beta, bundle.grad_beta)
 
 
 class TestKernelCalls:
@@ -246,6 +309,7 @@ class TestQuarticScaling:
 # Reference oracle: the forward tableaux the adjoint sweep replaced. The
 # gradient carries an M-vector of d s / d omega_j through every step (O(M^2))
 # and the Hessian an M x M block (O(M^3)); beta's linear map is applied last.
+# A' and A'' come from the closed forms of oracles.step_matrix_derivatives.
 
 def _beta_map(df, dfdot, omegaT):
     return -1j / math.sqrt(2.0 * omegaT) * (dfdot + 1j * omegaT * df)
@@ -259,7 +323,8 @@ def tableau_gradient(p):
     vf = np.zeros(m, dtype=complex)
     vd = np.zeros(m, dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10, d00, d01, d10 = _step_entries(w, dt, 1)
+        a00, a01, a10 = _step_entries(w, dt)
+        (d00, d01), (d10, _) = step_matrix_derivatives(w, dt)[0].tolist()
         if i:
             vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
         vf[i] = d00 * f + d01 * fd
@@ -280,7 +345,10 @@ def tableau_hessian(p):
     wf = np.zeros((m, m), dtype=complex)
     wd = np.zeros((m, m), dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10, d00, d01, d10, h00, h01, h10 = _step_entries(w, dt, 2)
+        a00, a01, a10 = _step_entries(w, dt)
+        d1, d2 = step_matrix_derivatives(w, dt)
+        (d00, d01), (d10, _) = d1.tolist()
+        (h00, h01), (h10, _) = d2.tolist()
         if i:
             blkf, blkd = wf[:i, :i], wd[:i, :i]
             wf[:i, :i], wd[:i, :i] = a00 * blkf + a01 * blkd, a10 * blkf + a00 * blkd
@@ -377,12 +445,12 @@ class TestAdjointSweepAgainstTableau:
 
 
 def blocks_of(p):
-    return len(_anchored_basis(forward(p, 2))[2])
+    return len(_anchored_basis(forward(p))[2])
 
 
 def state_sizes(p):
     """|z|^2 of each state of the forward pass of ``p``, from s_0 to s_M."""
-    fw = forward(p, 2)
+    fw = forward(p)
     z = np.array([fw.fs + [fw.f], fw.fds + [fw.fd]], complex)
     return (z * z.conj()).real.sum(axis=0)
 
@@ -416,7 +484,7 @@ class TestReanchoring:
 
     @staticmethod
     def assert_blocks_match(p):
-        fw = forward(p, 2)
+        fw = forward(p)
         (zj, zn, blocks), want = _anchored_basis(fw), reference_anchored_basis(fw)
         assert same_bits(zj, want[0]) and same_bits(zn, want[1])
         assert repr(blocks) == repr(want[2])
@@ -485,7 +553,7 @@ class TestGeneratorProduct:
     def test_empty_first_block_matches_dense_product(self, omega0):
         rng = np.random.default_rng(9)
         p = Protocol(omega0, 0.25, 0.1125, tuple(rng.uniform(-2.5, 2.5, 48)))
-        assert _anchored_basis(forward(p, 2))[2][0][:2] == [0, 0]
+        assert _anchored_basis(forward(p))[2][0][:2] == [0, 0]
         self.assert_matches_dense(p, rng.normal(size=48))
 
 
@@ -513,7 +581,7 @@ class TestLeanHelpers:
 
     @staticmethod
     def assert_match(p, kappa, x):
-        fw = forward(p, 2)
+        fw = forward(p)
         bundle, terms = _backward(p, fw, second_order=True)
         gens, want = _generators(fw, terms), reference_generators(fw, terms)
         assert same_bits(gens.uv, want.uv) and same_bits(gens.diag, want.diag)
@@ -543,7 +611,7 @@ class TestLeanHelpers:
     def test_empty_first_block_matches_the_references(self, omega0):
         rng = np.random.default_rng(12)
         p = Protocol(omega0, 0.25, 0.1125, tuple(rng.uniform(-2.5, 2.5, 48)))
-        assert _anchored_basis(forward(p, 2))[2][0][:2] == [0, 0]
+        assert _anchored_basis(forward(p))[2][0][:2] == [0, 0]
         self.assert_match(p, complex(*rng.normal(size=2)), rng.normal(size=p.m))
 
 
@@ -568,14 +636,13 @@ class TestForwardPass:
     def test_gradient_from_a_forward_pass(self, m):
         for p in oracle_protocols(m):
             fresh = gradient(p)
-            for order in (1, 2):
-                fw = forward(p, order)
-                assert fw.beta == bogoliubov(propagate(p), p.omegaT).beta
-                assert abs(fw.beta) ** 2 == infidelity(p)
-                held = gradient(p, fw)
-                assert held.beta == fresh.beta
-                assert np.array_equal(held.grad_beta, fresh.grad_beta)
-                assert np.array_equal(held.grad_infidelity, fresh.grad_infidelity)
+            fw = forward(p)
+            assert fw.beta == bogoliubov(propagate(p), p.omegaT).beta
+            assert abs(fw.beta) ** 2 == infidelity(p)
+            held = gradient(p, fw)
+            assert held.beta == fresh.beta
+            assert np.array_equal(held.grad_beta, fresh.grad_beta)
+            assert np.array_equal(held.grad_infidelity, fresh.grad_infidelity)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 48])
     def test_propagation_reads_the_forward_pass(self, m):
@@ -584,7 +651,7 @@ class TestForwardPass:
         for p in protocols:
             final = propagate(p)
             beta = bogoliubov(final, p.omegaT).beta
-            for order in (0, 1, 2):
+            for order in (0, 1):
                 fw = forward(p, order)
                 assert (fw.f, fw.fd) == (final.f, final.fdot)
                 assert fw.beta == beta
@@ -639,24 +706,30 @@ class TestNonFinite:
         with pytest.raises(NonFiniteEntry), np.errstate(all="ignore"):
             hessian(p)
 
-    # Each backward-pass check is reached by overwriting the derivative
-    # entries of one pulse's step kernel: A' at entries 3-5, A'' at 6-8.
+    # Each backward-pass check is reached by overwriting entries 3-5 of one
+    # pulse's step kernel, x, sinc x and q, from which the backward pass
+    # forms A' and A''; A, entries 0-2, is untouched.
     P = Protocol(1.0, 0.25, 0.6, (1.0, 1.3, 0.7))
+    # x = 1e160 and sinc x = 1e-160 keep sin x near 1: A' has entries of
+    # about 1e160, A'' stays finite
+    HUGE = (1e160, 1e-160, None)
 
     @staticmethod
-    def _fault(monkeypatch, entries, value, at=1.3):
+    def _fault(monkeypatch, values, at=1.3):
+        """(x, sinc x, q) of the pulse ``at`` replaced by ``values``, an
+        entry None keeping its own."""
         real = propagator._step_entries
 
         def faulty(omega, dt, order=0):
             e = real(omega, dt, order)
-            if omega == at and len(e) >= entries.stop:
-                e = e[:entries.start] + (value,) * 3 + e[entries.stop:]
+            if omega == at and len(e) == 6:
+                e = e[:3] + tuple(old if v is None else v for v, old in zip(values, e[3:]))
             return e
 
         monkeypatch.setattr(propagator, "_step_entries", faulty)
 
     def test_infinite_first_derivative_is_a_gradient_error(self, monkeypatch):
-        self._fault(monkeypatch, slice(3, 6), math.inf)
+        self._fault(monkeypatch, (math.inf,) * 3)
         for run in (gradient, hessian):
             with pytest.raises(NonFiniteEntry, match="gradient of beta is not finite"), \
                     np.errstate(all="ignore"):
@@ -666,7 +739,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("pulse", range(3))
     def test_any_non_finite_gradient_entry_is_refused(self, monkeypatch, pulse, value):
         # a pulse's A' entries reach only its own entry of grad(beta)
-        self._fault(monkeypatch, slice(3, 6), value, at=self.P.omegas[pulse])
+        self._fault(monkeypatch, (value,) * 3, at=self.P.omegas[pulse])
         assert math.isfinite(forward(self.P).beta.real)
         with pytest.raises(NonFiniteEntry, match="gradient of beta is not finite"), \
                 np.errstate(all="ignore"):
@@ -676,23 +749,26 @@ class TestNonFinite:
         # entries near 1e160 are finite, |grad beta|^2 near 1e320 is not: the
         # one reduction fails and the entries, checked one by one, pass
         # (with no overflow warning, which tier-1 turns into an error)
-        self._fault(monkeypatch, slice(3, 6), 1e160)
+        self._fault(monkeypatch, self.HUGE)
         g = gradient(self.P).grad_beta
         assert np.isfinite(g).all() and not math.isfinite(np.vdot(g, g).real)
 
     def test_infinite_second_derivative_is_a_generator_error(self, monkeypatch):
-        expected = gradient(self.P)
-        self._fault(monkeypatch, slice(6, 9), math.inf)
+        # at omega = 0, x = 0 makes A' zero for any finite sinc x and q, but
+        # q = -1e308 makes the 2 q of A'' overflow
+        p = Protocol(1.0, 0.25, 0.6, (1.0, 0.0, 0.7))
+        expected = gradient(p)
+        self._fault(monkeypatch, (None, None, -1e308), at=0.0)
         # the gradient reads no A''
-        assert np.array_equal(gradient(self.P).grad_beta, expected.grad_beta)
+        assert same_bits(gradient(p).grad_beta, expected.grad_beta)
         with pytest.raises(NonFiniteEntry, match="Hessian of beta is not finite"), \
                 np.errstate(all="ignore"):
-            hessian(self.P)
+            hessian(p)
 
     def test_overflowing_rank_two_term_is_a_hessian_error(self, monkeypatch):
         # A' entries of 1e160 leave grad(beta) and the generators finite,
         # but grad beta grad beta^H, of order 1e320, overflows Hess(I)
-        self._fault(monkeypatch, slice(3, 6), 1e160)
+        self._fault(monkeypatch, self.HUGE)
         assert np.isfinite(gradient(self.P).grad_infidelity).all()
         with pytest.raises(NonFiniteEntry, match="Hessian of the infidelity is not finite"), \
                 np.errstate(all="ignore"):
@@ -778,7 +854,10 @@ class TestBundle:
             lf, ld = propagator._beta_row(p.omegaT)
             grad = [0j] * m
             for j in range(m - 1, -1, -1):
-                a00, a01, a10, d00, d01, d10 = fw.steps[j]
+                a00, a01, a10, x, snc, q = fw.steps[j]
+                # A' by the expressions of the kernel's docstring
+                s = x * snc
+                d00, d01, d10 = -p.dt * s, x * q, -s - x * a00
                 grad[j] = (lf * d00 + ld * d10) * fw.fs[j] + (lf * d01 + ld * d00) * fw.fds[j]
                 lf, ld = lf * a00 + ld * a10, lf * a01 + ld * a00
             grad_beta = np.array(grad)

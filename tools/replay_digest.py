@@ -31,16 +31,20 @@ into temporary directories. The groups are:
   ``smooth --double 2``, ``compress --chunks 1``, ``spectrum``, ``verify``
   and ``theta-scan --points 64`` of each M = 3 pool entry; and command
   lines that are usage errors. argparse words its usage errors by Python
-  version, so this group's hash holds for one version.
+  version, so this group's hash holds for one version;
+* ``hessians``: ``hessian`` of each M = 3 and M = 48 pool entry, whose
+  exact Hess I reads A'' through the backward pass, by way of BLAS
+  products that a thread count could reorder.
 
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
 report and trajectory CSV, a scan's cloud CSV and curves, a collapsed
 protocol's JSON, a command's exit code, stdout, stderr and every file in
-its directory, or the type and message of the error it raised. Each run
+its directory, a Hessian's beta, grad beta and the bytes of Hess I, or
+the type and message of the error it raised. Each run
 also counts its records: a trajectory's records, a curve's vertices, a
 solve's restarts plus its trajectory's records, a scan's curve vertices;
-a collapse, a command or an error counts 0. One line per group, then one
+a collapse, a command, a Hessian or an error counts 0. One line per group, then one
 for all of them together, reads
 
     <group> <runs> <records> <sha256>
@@ -65,7 +69,7 @@ sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from oscnav import cli, navigator, protocol  # noqa: E402
+from oscnav import cli, navigator, protocol, sensitivities  # noqa: E402
 from oscnav.errors import OscnavError  # noqa: E402
 from oscnav.objectives import SecondaryCost  # noqa: E402
 from pool import POOL_DIR, load_pool  # noqa: E402
@@ -82,6 +86,9 @@ def _text(result) -> str:
         return f"{result.status}\n{navigator.trajectory_to_csv(result)}"
     if isinstance(result, navigator.ScanResult):
         return "\n".join([navigator.cloud_to_csv(result), *map(_text, result.curves)])
+    if isinstance(result, sensitivities.SensitivityBundle):
+        return (f"{result.beta!r}\n{result.grad_beta.tolist()!r}\n"
+                f"{result.hess_infidelity.tobytes().hex()}")
     return (f"{result.restarts}\n{result.report!r}\n"
             f"{navigator.trajectory_to_csv(result.trajectory)}")
 
@@ -209,7 +216,8 @@ def groups():
             ("solves_m48", solves((48,), range(5), (0.1, 5.0))),
             ("solves_m12_m13", solves((12, 13), range(6))),
             ("held_navigations", navigations(held)[0]), ("scans", scans),
-            ("collapses", collapses), ("cli", _commands([name for name, _ in pool.m3]))]
+            ("collapses", collapses), ("cli", _commands([name for name, _ in pool.m3])),
+            ("hessians", [lambda p=p: sensitivities.hessian(p) for p in m3 + m48])]
 
 
 def main() -> int:
