@@ -82,9 +82,9 @@ _RANK_TOL = 1e-10
 
 def _admit(solution: Protocol, caller: str, target: float):
     """What ``_project`` returns of ``solution``, the input of ``caller``,
-    but its status: its order-1 forward pass starts the correction onto
-    ``target``. NotASolution unless I is below ``INFIDELITY_THRESHOLD``,
-    before any backward pass, and the projection ends on beta = 0.
+    but its status: its forward pass starts the correction onto ``target``.
+    NotASolution unless I is below ``INFIDELITY_THRESHOLD``, before any
+    backward pass, and the projection ends on beta = 0.
     """
     fw = forward(solution)
     i0 = abs(fw.beta) ** 2
@@ -588,9 +588,9 @@ def navigate(solution: Protocol, cost: SecondaryCost,
     "resolution", or "budget" for a run that used up its budget.
 
     The input is admitted by :func:`_admit`, the tracer's rule: its
-    projection, started on its order-1 forward pass and free when I is
-    below ``_NAV_TARGET``, must end below that target or at the rounding
-    floor of I; NotASolution otherwise, before any step, and EmptyProtocol
+    projection, started on its forward pass and free when I is below
+    ``_NAV_TARGET``, must end below that target or at the rounding floor
+    of I; NotASolution otherwise, before any step, and EmptyProtocol
     before admission for an input without pulses. The run starts from that
     projection, the held input. A step accepts only a trial whose
     projection ends the same way, or stalls, so a run ends ``completed``
@@ -827,14 +827,13 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     Jacobian, so a vertex costs about 1.09 sweeps there, not 1.85. Every
     tangent, the first included, comes from the Jacobian of
     the last iterate its projection evaluated, within two Gauss-Newton
-    steps of the vertex; the next projection absorbs its error. The tracer
-    runs each predictor point's forward pass and hands it to the
-    projection. A projection that evaluated no gradient, its start already
-    below the target, returns that point, and its tangent is the backward
-    pass of the same forward pass; so a vertex costs about one adjoint
-    sweep either way, and no point is propagated twice. The vertex
-    geometry runs on 3-tuples of floats; the vertices become an array
-    once, on return.
+    steps of the vertex; the next projection absorbs its error. The
+    projection runs each predictor point's forward pass and hands it back.
+    A projection that evaluated no gradient, its start already below the
+    target, returns that point, and its tangent is the backward pass of
+    that forward pass; so a vertex costs about one adjoint sweep either
+    way, and no point is propagated twice. The vertex geometry runs on
+    3-tuples of floats; the vertices become an array once, on return.
 
     Ends on loop closure - returning, after ``_MIN_STEPS_BEFORE_CLOSURE``
     steps, within ``_CLOSURE_FACTOR * step_size`` of the start, moving the
@@ -864,8 +863,7 @@ def trace_levelset(solution: Protocol, cfg: TraceConfig) -> LevelsetCurve:
     for step in range(1, cfg.max_steps + 1):
         pred = p.with_omegas((v[0] + h * direction[0], v[1] + h * direction[1],
                               v[2] + h * direction[2]))
-        fw = forward(pred)
-        p, ival, bundle, corrector, fw = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET, fw=fw)
+        p, ival, bundle, corrector, fw = _project(pred, _TRACE_TARGET, _CORRECTOR_BUDGET)
         if corrector not in _ON_LEVEL_SET:
             status = "corrector_failed"
             break

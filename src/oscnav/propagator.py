@@ -7,12 +7,11 @@ step the solution is closed-form, so a whole protocol is evolved exactly by
 concatenating per-step 2x2 matrices acting on (f, f').
 
 One step kernel, ``_step_entries``, gives the entries of a step's matrix A
-and, on request, the x, sinc x and q its derivatives in omega are formed
-from, from one cos and one sin; below one threshold of |omega*dt| the
-ratios that would cancel come from Taylor series instead. The forward pass,
-:func:`forward`, is the package's only loop over the pulses;
-``propagate``, ``infidelity`` and the backward pass of ``sensitivities``
-read what it records.
+and the x, sinc x and q its derivatives in omega are formed from, from one
+cos and one sin; below one threshold of |omega*dt| the ratios that would
+cancel come from Taylor series instead. The forward pass, :func:`forward`,
+is the package's only loop over the pulses; ``propagate``, ``infidelity``
+and the backward pass of ``sensitivities`` read what it records.
 
 The final-basis mixing coefficients are linear in the boundary values:
 
@@ -54,13 +53,12 @@ class BogoliubovPair:
     beta: complex
 
 
-def _step_entries(omega: float, dt: float, order: int = 0):
+def _step_entries(omega: float, dt: float):
     """Entries of the step matrix A(omega), and what its omega-derivatives need.
 
-    Returns (a00, a01, a10) of A, and when ``order`` is 1 also x, sinc x
-    and q, as one flat tuple; A has equal diagonal entries. With
-    x = omega*dt, sinc x = sin(x)/x and q = (cos x - sinc x)/omega^2
-    = dt^2 sinc'(x)/x,
+    Returns (a00, a01, a10) of A, x, sinc x and q as one flat tuple; A has
+    equal diagonal entries. With x = omega*dt, sinc x = sin(x)/x and
+    q = (cos x - sinc x)/omega^2 = dt^2 sinc'(x)/x,
 
         A   = [[cos x, dt sinc x], [-omega sin x, cos x]]
         A'  = [[-dt sin x, x q], [-sin x - x cos x, -dt sin x]]
@@ -70,7 +68,9 @@ def _step_entries(omega: float, dt: float, order: int = 0):
     with sin x = x sinc x. The backward pass of ``sensitivities`` forms A'
     and A'' from cos x, x, sinc x and q by these expressions, and only
     where it reads them. All of them come from one cos and one sin, or
-    from the series of sinc x and q below SERIES_THRESHOLD.
+    from the series of sinc x and q below SERIES_THRESHOLD. Where omega^2
+    underflows to 0 above it, dt^2 and so q overflow: q is then +-inf, for
+    the backward pass to refuse, and a finite omega*dt raises nothing.
 
     Every entry of A and A'' is manifestly even in omega and every entry of
     A' odd (cos, sinc and q are even and x odd; omega enters otherwise only
@@ -79,18 +79,15 @@ def _step_entries(omega: float, dt: float, order: int = 0):
     """
     x = omega * dt
     c = math.cos(x)
+    w2 = omega * omega
     if abs(x) < SERIES_THRESHOLD:
         x2 = x * x
         snc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-        if order:
-            q = dt * dt * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0 + x2 * x2 * x2 / 45360.0)
+        q = dt * dt * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0 + x2 * x2 * x2 / 45360.0)
     else:
         snc = math.sin(x) / x
-        if order:
-            q = (c - snc) / (omega * omega)
-    if not order:
-        return c, dt * snc, -(omega * omega) * dt * snc
-    return c, dt * snc, -(omega * omega) * dt * snc, x, snc, q
+        q = (c - snc) / w2 if w2 else (c - snc) * math.inf
+    return c, dt * snc, -w2 * dt * snc, x, snc, q
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,11 +136,11 @@ class Forward(NamedTuple):
     beta: complex
 
 
-def forward(p: Protocol, order: int = 1) -> Forward:
-    """The forward pass, with one ``_step_entries(w, dt, order)`` per pulse.
+def forward(p: Protocol) -> Forward:
+    """The forward pass, with one ``_step_entries(w, dt)`` per pulse.
 
-    ``order`` 0 records A alone; order 1 adds x, sinc x and q, which serve
-    both the gradient and the Hessian of ``sensitivities``.
+    Each record holds A, and the x, sinc x and q that serve both the
+    gradient and the Hessian of ``sensitivities``.
 
     M = 0 leaves the initial state (sudden quench). A Protocol's omega0 is
     valid by construction, so the initial state is taken unchecked. Only
@@ -158,7 +155,7 @@ def forward(p: Protocol, order: int = 1) -> Forward:
     # one try around the loop: a pulse costs no exception handling
     try:
         for w in p.omegas:
-            e = _step_entries(w, dt, order)
+            e = _step_entries(w, dt)
             steps.append(e)
             fs.append(f)
             fds.append(fd)
@@ -180,8 +177,8 @@ def forward(p: Protocol, order: int = 1) -> Forward:
 
 
 def propagate(p: Protocol) -> ModeState:
-    """The final mode pair (f, f') of ``p``, from its order-0 forward pass."""
-    fw = forward(p, 0)
+    """The final mode pair (f, f') of ``p``, from its forward pass."""
+    fw = forward(p)
     return ModeState(fw.f, fw.fd)
 
 
@@ -194,8 +191,8 @@ def bogoliubov(s: ModeState, omegaT: float) -> BogoliubovPair:
 
 
 def infidelity(p: Protocol) -> float:
-    """Primary objective |beta|^2 >= 0, from the order-0 forward pass."""
-    return abs(forward(p, 0).beta) ** 2
+    """Primary objective |beta|^2 >= 0, from the forward pass."""
+    return abs(forward(p).beta) ** 2
 
 
 def particle_number(n0: float, beta: complex) -> float:

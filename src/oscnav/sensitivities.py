@@ -149,7 +149,7 @@ class _Generators(NamedTuple):
 def _backward(p: Protocol, fw: Forward, second_order: bool):
     """grad(beta) and, if ``second_order``, the terms of Hess(beta)'s generators.
 
-    ``fw`` is ``forward(p)``, of order 1. Returns (bundle, terms),
+    ``fw`` is ``forward(p)``. Returns (bundle, terms),
     ``terms`` None unless ``second_order``: then the five lists mu_0, mu_1,
     y_0, y_1 and the diagonal, per pulse, from which :func:`_generators`
     builds the generators of Hess(beta) for a caller that reads them (see

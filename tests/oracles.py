@@ -40,7 +40,7 @@ def step_matrix(omega: float, dt: float) -> np.ndarray:
                 [-omega*sin(omega*dt), cos(omega*dt)]], det = 1,
     with the omega -> 0 free-particle limit [[1, dt], [0, 1]] exact.
     """
-    a00, a01, a10 = _step_entries(omega, dt)
+    a00, a01, a10 = _step_entries(omega, dt)[:3]
     return np.array([[a00, a01], [a10, a00]])
 
 

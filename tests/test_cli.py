@@ -687,6 +687,52 @@ class TestInputContract:
         assert line["error"] == "NonFiniteEntry" and name in line["detail"]
         assert os.listdir(tmp_path) == ["w.json"]
 
+    # omega = 1e-170 squares to 0 while omega dt = 0.02 is above the kernel's
+    # series threshold: q = (cos x - sinc x) / omega^2, whose dt^2 overflows
+    UNDERFLOW = ('{"omega0": 1e-300, "omegaT": 1e-300, "dt": 2e168, '
+                 '"omegas": [1e-170, 1e-170, 1e-170]}')
+
+    @pytest.mark.parametrize("argv, files", [
+        (["spectrum", "w.json"], {"w.json": UNDERFLOW}),
+        (["smooth", "w.json"], {"w.json": UNDERFLOW}),
+        (["compress", "w.json", "--chunks", "1"], {"w.json": UNDERFLOW}),
+        (["solve", "--config", "c.json"],
+         {"c.json": json.dumps({"task": {"omega0": 1.0, "omegaT": 0.25, "T": 1e300}, "M": 1,
+                                "descent": {"box": [1e-200, 2e-200]}})})],
+        ids=["spectrum", "smooth", "compress", "solve"])
+    def test_pulse_whose_omega_squared_underflows_is_refused(self, argv, files, tmp_path,
+                                                             capsys, monkeypatch):
+        # the kernel's q is infinite there, and the backward pass refuses it
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert _one_error_line(err)["error"] == "NonFiniteEntry"
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+    @pytest.mark.parametrize("command, code, want", [
+        ("verify", 0, '{"infidelity": 3.0814879110195774e-33, '
+                      '"bogoliubov_defect": -0.0011993602004923831, '
+                      '"wronskian_defect": 0.001199360200492272, '
+                      '"particle_number": {"0": 3.0814879110195774e-33, "1": 1.0}}\n'),
+        ("theta-scan", 1, "NonSymplectic")], ids=["verify", "theta-scan"])
+    def test_propagation_past_an_underflowing_omega_squared(self, command, code, want,
+                                                            tmp_path, capsys, monkeypatch):
+        # propagation reads A alone, finite there: verify reports the
+        # rounding of the huge pulses, and theta-scan refuses the state
+        (tmp_path / "w.json").write_text(self.UNDERFLOW)
+        monkeypatch.chdir(tmp_path)
+        got = main([command, "w.json"])
+        out, err = capsys.readouterr()
+        assert got == code
+        if code:
+            assert out == "" and _one_error_line(err)["error"] == want
+        else:
+            assert out == want and err == ""
+        assert os.listdir(tmp_path) == ["w.json"]
+
     def test_infinite_theta_landscape_is_an_error(self, tmp_path, capsys, monkeypatch):
         # a finite, physical state whose |S|^2 ~ 1e320 makes every J
         # infinite; theta_scan refuses it, so no row is written

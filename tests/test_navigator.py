@@ -853,8 +853,8 @@ class TestSweepCounts:
         start = Protocol(1.0, 0.25, 0.6, (4.0, 0.1, 4.0))
         real_entries = propagator._step_entries
 
-        def faulty(omega, dt, order=0):
-            e = real_entries(omega, dt, order)
+        def faulty(omega, dt):
+            e = real_entries(omega, dt)
             if omega not in start.omegas:
                 e = e[:3] + (1.5e307 * e[3],) + e[4:]
             return e
@@ -945,17 +945,17 @@ class TestGeneratorBuilds:
 
     @staticmethod
     def _infinite_second_derivatives(monkeypatch):
-        """The held input of pool m3/seed100, and every order-1 step kernel
-        patched to x * 1e200: A and I untouched, A' finite near 1e200, and
+        """The held input of pool m3/seed100, and every step kernel patched
+        to x * 1e200: A and I untouched, A' finite near 1e200, and
         the x^2 sinc x of A'' infinite. Admission of the held input, already
         below the target, evaluates no gradient."""
         held = navigate(proto.load(POOL_M3[0]), SecondaryCost("smoothness"),
                         NavigationConfig(max_iterations=0)).final_protocol
         real = propagator._step_entries
 
-        def faulty(omega, dt, order=0):
-            e = real(omega, dt, order)
-            return e[:3] + (1e200 * e[3],) + e[4:] if order else e
+        def faulty(omega, dt):
+            e = real(omega, dt)
+            return e[:3] + (1e200 * e[3],) + e[4:]
 
         monkeypatch.setattr(propagator, "_step_entries", faulty)
         return held
@@ -977,10 +977,9 @@ class TestGeneratorBuilds:
 
 
 class TestEntryEvaluations:
-    """The input's one order-1 forward pass gives the I that admits it and
-    starts its projection; navigation's first iterate reads the pass of the
-    point its admission returns, and a rejected input gets no backward
-    pass."""
+    """The input's one forward pass gives the I that admits it and starts
+    its projection; navigation's first iterate reads the pass of the point
+    its admission returns, and a rejected input gets no backward pass."""
 
     def test_navigation(self, m8_solution, monkeypatch):
         p = m8_solution.protocol
@@ -1021,9 +1020,9 @@ class TestEntryEvaluations:
 
     def test_navigation_propagates_each_point_once(self, monkeypatch):
         # the benchmark's capped M = 48 smoothings (x 2 doubling) and 2-chunk
-        # compressions of the pool: every pass is of order 1, no point is
-        # propagated twice in a run, and only admission and each doubling,
-        # which makes a new point, run a pass outside the corrector
+        # compressions of the pool: no point is propagated twice in a run,
+        # and only admission and each doubling, which makes a new point, run
+        # a pass outside the corrector
         calls = record_calls(monkeypatch, propagator, "forward")
         corrector = []
 
@@ -1061,7 +1060,7 @@ class TestEntryEvaluations:
     def test_closed_trace_propagates_no_point_twice(self, m3_solution, monkeypatch):
         # every predictor point and every trial is built by with_omegas and
         # propagated once; a predictor point already below the target, which
-        # this trace has, takes its tangent from the tracer's forward pass
+        # this trace has, takes its tangent from its projection's forward pass
         kernel, trials = TestProjectionEvaluations._count(monkeypatch)
         unprojected = []
         real_project = navigator._project
@@ -1592,8 +1591,8 @@ class TestChordSteps:
         events, passes = [], []
         real_forward = navigator.forward
 
-        def recording_forward(p, *rest):
-            fw = real_forward(p, *rest)
+        def recording_forward(p):
+            fw = real_forward(p)
             events.append(("F", p, abs(fw.beta) ** 2))
             passes.append((p, fw))
             return fw

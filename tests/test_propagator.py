@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oscnav import (NegativeOccupation, NonFiniteEntry, NonPositiveFrequency,
@@ -83,17 +83,29 @@ class TestStepEntries:
     @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
     @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
     @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
-    def test_lower_orders_are_prefixes_of_higher_ones(self, w, dt):
-        # every order computes A's entries by the same expressions, on
-        # either side of the series threshold
-        entries = [propagator._step_entries(w, dt, order) for order in (0, 1)]
-        assert [len(e) for e in entries] == [3, 6]
-        assert entries[1][:3] == entries[0]
-        # order 1 adds x, sinc x and q: x = omega dt and a01 = dt sinc x to
-        # the bit, x odd and sinc x and q even in omega
-        c, a01, _, x, snc, q = entries[1]
+    @example(0.0, 0.7)
+    @example(1e-3, 0.7)
+    @example(-0.5, 0.7)
+    @example(2.0, 0.7)
+    def test_one_record_of_six_entries(self, w, dt):
+        # A's entries, then x, sinc x and q, on either side of the series
+        # threshold: x = omega dt and a01 = dt sinc x to the bit, x odd and
+        # sinc x and q even in omega
+        entries = propagator._step_entries(w, dt)
+        assert len(entries) == 6
+        c, a01, a10, x, snc, q = entries
         assert x == w * dt and a01 == dt * snc
-        assert propagator._step_entries(-w, dt, 1) == (c, a01, entries[1][2], -x, snc, q)
+        assert propagator._step_entries(-w, dt) == (c, a01, a10, -x, snc, q)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, exclude_min=True, allow_infinity=False))
+    @example(1e-170, 2e168)
+    @example(1e-200, 1e300)
+    def test_a_finite_product_raises_nothing(self, w, dt):
+        # omega^2 underflows to 0 at 1e-170 while omega dt = 0.02 is above
+        # the series threshold: q, whose dt^2 overflows, is infinite
+        assume(math.isfinite(w * dt))
+        assert len(propagator._step_entries(w, dt)) == 6
 
 
 def _bits(pair):

@@ -39,7 +39,7 @@ def backward_derivatives(omega, dt):
     """(A'(omega), A''(omega)) as 2x2 arrays, as the backward pass forms them.
 
     Read off the terms of ``_backward`` on two one-pulse records of the
-    kernel's order-1 entries, entered by the states (1, 0) and (0, 1):
+    kernel's entries, entered by the states (1, 0) and (0, 1):
     y = A' s gives the columns of A', and with omegaT = 1/2 the costate
     is (1/2, -i), so the diagonal is h00/2 - i h10, then h01/2 - i h00.
     Every factor is 0, 1, 1/2 or -i, so the entries keep their bits.
@@ -48,7 +48,7 @@ def backward_derivatives(omega, dt):
     assert propagator._beta_row(0.5) == (0.5, -1j)
     cols = []
     for f, fd in ((1 + 0j, 0j), (0j, 1 + 0j)):
-        fw = Forward([_step_entries(omega, dt, 1)], [f], [fd], 0j, 0j, 0j)
+        fw = Forward([_step_entries(omega, dt)], [f], [fd], 0j, 0j, 0j)
         _, _, y0, y1, diag = _backward(p, fw, second_order=True)[1]
         cols.append((y0[0], y1[0], diag[0]))
     (d00, d10, k0), (d01, _, k1) = cols
@@ -117,11 +117,6 @@ class TestStepMatrixDerivatives:
             mid_hi = builder(0.0100001, dt)
             assert np.max(np.abs(mid_lo - mid_hi)) < 1e-6
 
-    def test_orders_share_their_leading_entries(self):
-        for w in (0.0, 1e-3, -0.5, 2.0):
-            full = _step_entries(w, 0.7, 1)
-            assert len(full) == 6 and _step_entries(w, 0.7) == full[:3]
-
     @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
     @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
     @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
@@ -137,7 +132,7 @@ class TestStepMatrixDerivatives:
     def test_keep_the_bits_of_the_kernel_expressions(self, w, dt):
         # the expressions of the _step_entries docstring, operand for operand,
         # on its cos x, x, sinc x and q: the bits of the Hessian stay put
-        c, _, _, x, snc, q = _step_entries(w, dt, 1)
+        c, _, _, x, snc, q = _step_entries(w, dt)
         s = x * snc
         d1 = [[-dt * s, x * q], [-s - x * c, -dt * s]]
         d2 = [[-dt * dt * c, -dt * (dt * dt * snc + 2.0 * q)],
@@ -323,7 +318,7 @@ def tableau_gradient(p):
     vf = np.zeros(m, dtype=complex)
     vd = np.zeros(m, dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
+        a00, a01, a10 = _step_entries(w, dt)[:3]
         (d00, d01), (d10, _) = step_matrix_derivatives(w, dt)[0].tolist()
         if i:
             vf[:i], vd[:i] = a00 * vf[:i] + a01 * vd[:i], a10 * vf[:i] + a00 * vd[:i]
@@ -345,7 +340,7 @@ def tableau_hessian(p):
     wf = np.zeros((m, m), dtype=complex)
     wd = np.zeros((m, m), dtype=complex)
     for i, w in enumerate(p.omegas):
-        a00, a01, a10 = _step_entries(w, dt)
+        a00, a01, a10 = _step_entries(w, dt)[:3]
         d1, d2 = step_matrix_derivatives(w, dt)
         (d00, d01), (d10, _) = d1.tolist()
         (h00, h01), (h10, _) = d2.tolist()
@@ -651,11 +646,10 @@ class TestForwardPass:
         for p in protocols:
             final = propagate(p)
             beta = bogoliubov(final, p.omegaT).beta
-            for order in (0, 1):
-                fw = forward(p, order)
-                assert (fw.f, fw.fd) == (final.f, final.fdot)
-                assert fw.beta == beta
-                assert infidelity(p) == abs(fw.beta) ** 2
+            fw = forward(p)
+            assert (fw.f, fw.fd) == (final.f, final.fdot)
+            assert fw.beta == beta
+            assert infidelity(p) == abs(fw.beta) ** 2
 
     @pytest.mark.parametrize("m", [1, 2, 3, 48])
     def test_hessians_share_their_bits(self, m):
@@ -720,9 +714,9 @@ class TestNonFinite:
         entry None keeping its own."""
         real = propagator._step_entries
 
-        def faulty(omega, dt, order=0):
-            e = real(omega, dt, order)
-            if omega == at and len(e) == 6:
+        def faulty(omega, dt):
+            e = real(omega, dt)
+            if omega == at:
                 e = e[:3] + tuple(old if v is None else v for v, old in zip(values, e[3:]))
             return e
 

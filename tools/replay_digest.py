@@ -34,17 +34,21 @@ into temporary directories. The groups are:
   version, so this group's hash holds for one version;
 * ``hessians``: ``hessian`` of each M = 3 and M = 48 pool entry, whose
   exact Hess I reads A'' through the backward pass, by way of BLAS
-  products that a thread count could reorder.
+  products that a thread count could reorder;
+* ``propagations``: ``propagate`` and ``infidelity`` of each M = 3 and
+  M = 48 pool entry and of each M = 48 entry refined x4 (the inputs of the
+  benchmark's inspect workload).
 
 Each run is hashed as its full output: a curve's status, vertices and
 infidelities, a trajectory's status and CSV text, a solve's restarts,
 report and trajectory CSV, a scan's cloud CSV and curves, a collapsed
 protocol's JSON, a command's exit code, stdout, stderr and every file in
-its directory, a Hessian's beta, grad beta and the bytes of Hess I, or
-the type and message of the error it raised. Each run
-also counts its records: a trajectory's records, a curve's vertices, a
-solve's restarts plus its trajectory's records, a scan's curve vertices;
-a collapse, a command, a Hessian or an error counts 0. One line per group, then one
+its directory, a Hessian's beta, grad beta and the bytes of Hess I, a
+propagation's f, f' and I in hexadecimal, or the type and message of the
+error it raised. Each run also counts its records: a trajectory's
+records, a curve's vertices, a solve's restarts plus its trajectory's
+records, a scan's curve vertices; a collapse, a command, a Hessian, a
+propagation or an error counts 0. One line per group, then one
 for all of them together, reads
 
     <group> <runs> <records> <sha256>
@@ -69,7 +73,7 @@ sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from oscnav import cli, navigator, protocol, sensitivities  # noqa: E402
+from oscnav import cli, navigator, propagator, protocol, sensitivities  # noqa: E402
 from oscnav.errors import OscnavError  # noqa: E402
 from oscnav.objectives import SecondaryCost  # noqa: E402
 from pool import POOL_DIR, load_pool  # noqa: E402
@@ -91,6 +95,13 @@ def _text(result) -> str:
                 f"{result.hess_infidelity.tobytes().hex()}")
     return (f"{result.restarts}\n{result.report!r}\n"
             f"{navigator.trajectory_to_csv(result.trajectory)}")
+
+
+def _propagation(p) -> str:
+    """The bits of ``propagate(p)``'s (f, f') and of ``infidelity(p)``."""
+    s = propagator.propagate(p)
+    return " ".join(v.hex() for v in (s.f.real, s.f.imag, s.fdot.real, s.fdot.imag,
+                                       propagator.infidelity(p)))
 
 
 def _records(result) -> int:
@@ -217,7 +228,9 @@ def groups():
             ("solves_m12_m13", solves((12, 13), range(6))),
             ("held_navigations", navigations(held)[0]), ("scans", scans),
             ("collapses", collapses), ("cli", _commands([name for name, _ in pool.m3])),
-            ("hessians", [lambda p=p: sensitivities.hessian(p) for p in m3 + m48])]
+            ("hessians", [lambda p=p: sensitivities.hessian(p) for p in m3 + m48]),
+            ("propagations", [lambda p=p: _propagation(p)
+                              for p in m3 + m48 + [protocol.refine(p, 4) for p in m48]])]
 
 
 def main() -> int:
