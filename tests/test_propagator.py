@@ -97,6 +97,20 @@ class TestStepEntries:
         assert x == w * dt and a01 == dt * snc
         assert propagator._step_entries(-w, dt) == (c, a01, a10, -x, snc, q)
 
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
+    @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
+    @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
+    def test_lower_orders_are_prefixes_of_higher_ones(self, w, dt):
+        # the record's leading entries are A, which propagation reads; they
+        # are formed, to the bit, from the cos x and sinc x of its tail, from
+        # which the backward pass forms A' and A''. On either side of the
+        # series threshold they are A's closed form.
+        c, a01, a10, x, snc, _ = propagator._step_entries(w, dt)
+        assert (c, a01, a10) == (math.cos(x), dt * snc, -(w * w) * dt * snc)
+        a = step_matrix(w, dt)
+        assert a[0, 1] == pytest.approx(dt if w == 0.0 else math.sin(w * dt) / w, rel=1e-13)
+        assert a[1, 0] == pytest.approx(-w * math.sin(w * dt), rel=1e-13, abs=1e-300)
+
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(0.0, exclude_min=True, allow_infinity=False))
     @example(1e-170, 2e168)

@@ -117,6 +117,17 @@ class TestStepMatrixDerivatives:
             mid_hi = builder(0.0100001, dt)
             assert np.max(np.abs(mid_lo - mid_hi)) < 1e-6
 
+    def test_orders_share_their_leading_entries(self):
+        # A, A' and A'' come from one record: the backward pass forms the
+        # diagonals of A' and A'' from the cos x and x sinc x that A reads
+        for w in (0.0, 1e-3, -0.5, 2.0):
+            full = _step_entries(w, 0.7)
+            c, _, _, x, snc, _ = full
+            assert len(full) == 6 and forward(Protocol(1.0, 0.5, 0.7, (w,))).steps == [full]
+            d1, d2 = backward_derivatives(w, 0.7)
+            assert d1[0, 0] == d1[1, 1] == -0.7 * (x * snc)
+            assert d2[0, 0] == d2[1, 1] == -0.7 * 0.7 * c
+
     @given(st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
     @example(SERIES_THRESHOLD / 0.37 * 0.999, 0.37)
     @example(SERIES_THRESHOLD / 0.37 * 1.001, 0.37)
